@@ -15,7 +15,13 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from .core import SpatialCapacity
-from .deeplimit import DeepLimitConfig, ResidualGenerator, evolve_markov
+from .deeplimit import (
+    _BOUNDARY_MASS_TOL,
+    DeepLimitConfig,
+    ResidualGenerator,
+    _pmf_std,
+    evolve_markov,
+)
 from .propagate import LayerChain, propagate_chain
 
 __all__ = [
@@ -30,7 +36,6 @@ __all__ = [
 
 _MIN_FIT_SIGMA = 2.0  # grid cells; below this the width statistic is too discrete
 _PATH_GUARD = 10**6
-_BOUNDARY_MASS_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -103,14 +108,6 @@ class ShatterReport:
         }
 
 
-def _pmf_std(values: np.ndarray) -> float:
-    total = values.sum()
-    idx = np.arange(values.size)
-    mean = (idx * values).sum() / total
-    var = ((idx - mean) ** 2 * values).sum() / total
-    return math.sqrt(max(var, 0.0))
-
-
 def erf_profile(
     source: Union[LayerChain, ResidualGenerator],
     x0: int,
@@ -132,7 +129,6 @@ def erf_profile(
             raise ValueError(f"x0 must be in [0, {n})")
         interfaces = propagate_chain(source, SpatialCapacity.dirac(n, x0))
         walked = list(reversed(interfaces))  # probe layer first
-        layer_of = lambda k: depth - k
     elif isinstance(source, ResidualGenerator):
         if cfg is None:
             raise ValueError("a generator source needs a DeepLimitConfig")
@@ -141,7 +137,6 @@ def erf_profile(
         if not 0 <= x0 < n:
             raise ValueError(f"x0 must be in [0, {n})")
         walked = evolve_markov(source, cfg, SpatialCapacity.dirac(n, x0))
-        layer_of = lambda k: depth - k
     else:
         raise TypeError("source must be a LayerChain or a ResidualGenerator")
 
@@ -151,7 +146,7 @@ def erf_profile(
         edge_mass = profile.values[0] + profile.values[-1]
         if edge_mass > _BOUNDARY_MASS_TOL * profile.total:
             flagged = True
-        stds.append((layer_of(steps), _pmf_std(profile.values)))
+        stds.append((depth - steps, _pmf_std(profile.values)))
 
     points = [
         (math.log(depth - layer), math.log(sigma))
@@ -187,7 +182,7 @@ def max_path_weight(chain: LayerChain) -> Tuple[float, float]:
     """
     diagonals = []
     for i, layer in enumerate(chain.layers):
-        matrix = layer.to_operator().matrix
+        matrix = layer.operator.matrix
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"layer {i} is not square: shape {matrix.shape}")
         diagonals.append(np.diag(matrix))
@@ -219,7 +214,7 @@ def enumerate_path_weights(chain: LayerChain, i_l: int, i_L: int) -> Tuple[float
     entry of the product matrix.  Guarded to at most 10^6 paths; bigger
     chains must use the matrix product instead.
     """
-    operators = [layer.to_operator().matrix for layer in chain.layers]
+    operators = [layer.operator.matrix for layer in chain.layers]
     if not 0 <= i_l < chain.n_in:
         raise ValueError(f"i_l must be in [0, {chain.n_in})")
     if not 0 <= i_L < chain.n_out:

@@ -137,7 +137,8 @@ class Activation:
         """Multiplier ``eta_z`` with ``f(z) = eta_z * z``, elementwise.
 
         ``key`` seeds the fixed random sign draw and is required for the
-        pseudo-random kind.
+        pseudo-random kind.  Custom kinds give eta = 0 at z = 0, and need
+        f(0) = 0 there.
         """
         z = np.asarray(z, dtype=float)
         if self.kind in _PIECEWISE_KINDS:
@@ -149,7 +150,10 @@ class Activation:
 
             return pseudo_random_eta(z, PseudoRandomSign(seed=key, sigma=self.sigma))
         out = np.asarray(self.custom_fn(z), dtype=float)
-        return out / z
+        at_zero = z == 0
+        if np.any(out[at_zero] != 0):
+            raise ValueError("custom activation has f(0) != 0, so f(z) = eta*z has no eta at 0")
+        return out / np.where(at_zero, 1.0, z)
 
     def apply(self, z: np.ndarray, key: Optional[int] = None) -> np.ndarray:
         """Evaluate ``f(z)`` elementwise."""
@@ -159,11 +163,14 @@ class Activation:
         return self.eta(z, key=key) * z
 
 
+def _raw_slopes(kind: str, leak: float) -> tuple:
+    """Unnormalized (alpha, beta) of a piecewise-linear kind."""
+    return {"linear": (1.0, 1.0), "relu": (0.0, 1.0), "abs": (-1.0, 1.0)}.get(kind, (leak, 1.0))
+
+
 def _normalized_slopes(kind: str, leak: float) -> tuple:
     # raw (alpha, beta) rescaled by sqrt(2 / (alpha^2 + beta^2))
-    raw = {"linear": (1.0, 1.0), "relu": (0.0, 1.0), "abs": (-1.0, 1.0)}.get(
-        kind, (leak, 1.0)
-    )
+    raw = _raw_slopes(kind, leak)
     scale = math.sqrt(2.0 / (raw[0] ** 2 + raw[1] ** 2))
     return raw[0] * scale, raw[1] * scale
 
@@ -325,38 +332,32 @@ def decoupling_nu(act: Activation) -> float:
     if act.kind not in _PIECEWISE_KINDS:
         raise ValueError("decoupling coefficient needs a piecewise-linear activation")
     # raw-slope form of (alpha + beta)**2 / 4: exact where the slopes are
-    raw_lo, raw_hi = {"linear": (1.0, 1.0), "relu": (0.0, 1.0), "abs": (-1.0, 1.0)}.get(
-        act.kind, (act.leak, 1.0)
-    )
+    raw_lo, raw_hi = _raw_slopes(act.kind, act.leak)
     return (raw_lo + raw_hi) ** 2 / (2.0 * (raw_lo**2 + raw_hi**2))
 
 
-def estimate_nu_monte_carlo(
-    act: Activation, n_samples: int, seed: int, shards: int = 1
-) -> DecouplingReport:
+def _derive_streams(seed: int):
+    """The sample seed, the eta hash key and an auxiliary seed, all from ``seed``.
+
+    Children 0, 1 and 2 of ``SeedSequence(seed)``; every Monte Carlo run in
+    the package draws from this one layout.
+    """
+    samples, eta, aux = np.random.SeedSequence(seed).spawn(3)
+    return samples, int(eta.generate_state(1)[0]), aux
+
+
+def estimate_nu_monte_carlo(act: Activation, n_samples: int, seed: int) -> DecouplingReport:
     """Estimate ``nu = E[eta(z1) eta(z2)]`` over independent standard normals.
 
-    Samples are split into ``shards`` contiguous sub-streams with seeds derived
-    from ``seed`` and reduced in fixed order, so the result is reproducible
-    bit-for-bit for a given (seed, n_samples, shards).
+    Reproducible bit-for-bit for a given (seed, n_samples).
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be at least 1000")
-    if shards < 1 or shards > n_samples:
-        raise ValueError("shards must be in [1, n_samples]")
-    root = np.random.SeedSequence(seed)
-    sample_keys, eta_key_seq = root.spawn(shards), root.spawn(1)[0]
-    eta_key = int(eta_key_seq.generate_state(1)[0])
-    counts = np.full(shards, n_samples // shards)
-    counts[: n_samples % shards] += 1
-    total = 0.0
-    total_sq = 0.0
-    for key, count in zip(sample_keys, counts):
-        rng = np.random.default_rng(key)
-        z = rng.standard_normal((int(count), 2))
-        prod = act.eta(z[:, 0], key=eta_key) * act.eta(z[:, 1], key=eta_key)
-        total += float(prod.sum())
-        total_sq += float((prod**2).sum())
+    samples, eta_key, _ = _derive_streams(seed)
+    z = np.random.default_rng(samples).standard_normal((n_samples, 2))
+    prod = act.eta(z[:, 0], key=eta_key) * act.eta(z[:, 1], key=eta_key)
+    total = float(prod.sum())
+    total_sq = float((prod**2).sum())
     mean = total / n_samples
     var = max(total_sq / n_samples - mean**2, 0.0)
     stderr = math.sqrt(var / n_samples)

@@ -22,13 +22,7 @@ from . import __version__
 from .analyze import erf_profile, shatter_analysis, uniform_path_weight
 from .augment import Activation, decoupling_nu, estimate_nu_monte_carlo
 from .core import ProjectionMatrix, SpatialCapacity
-from .deeplimit import (
-    DeepLimitConfig,
-    StabilityError,
-    compare_markov_pde,
-    evolve_markov,
-    residual_generator,
-)
+from .deeplimit import DeepLimitConfig, StabilityError, compare_markov_pde, residual_generator
 from .jsonfmt import canonical_dumps
 from .oracle import ExperimentConfig, empirical_spatial_capacity
 from .propagate import Layer, LayerChain, PropagationOperator, propagate_chain
@@ -142,8 +136,7 @@ def _build_layer(entry, index: int, seeds: List[int]) -> Layer:
             operator = PropagationOperator.uniform_window(n_in, r)
         except ValueError as exc:
             raise _fail(index, str(exc)) from None
-        flavor = "standard" if kind == "dense" else "residual"
-        return Layer.from_operator(operator, flavor=flavor)
+        return Layer.from_operator(operator)
 
     if weights.startswith("residual:"):
         if kind != "residual":
@@ -160,16 +153,11 @@ def _build_layer(entry, index: int, seeds: List[int]) -> Layer:
         except ValueError:
             raise _fail(index, f"non-numeric residual parameters in {weights!r}") from None
         try:
-            generator = residual_generator(n_in, v, dcoef, "periodic")
+            return Layer.from_operator(residual_generator(n_in, v, dcoef, "periodic").step(eps))
+        except StabilityError as exc:
+            raise StabilityError(f"layer {index}: {exc}") from None
         except ValueError as exc:
             raise _fail(index, str(exc)) from None
-        if eps <= 0 or eps >= generator.max_stable_eps():
-            raise StabilityError(
-                f"layer {index}: eps = {eps:g} is outside the stable range "
-                f"(0, {generator.max_stable_eps():g})"
-            )
-        step = PropagationOperator(np.eye(n_in) + eps * generator.matrix)
-        return Layer.from_operator(step, flavor="residual")
 
     matrix = _parse_weight_matrix(entry, index, seeds)
     try:
@@ -335,15 +323,11 @@ def cmd_pde(args) -> int:
     kappa = SpatialCapacity.dirac(args.n, probe)
     log.info("pde comparison: n=%d eps=%g L=%d", args.n, args.eps, args.L)
     report = compare_markov_pde(generator, cfg, kappa, refinements=args.refinements)
-    final = evolve_markov(generator, cfg, kappa)[-1]
-    idx = np.arange(args.n)
-    mean = float((idx * final.values).sum() / final.total)
-    var = float(((idx - mean) ** 2 * final.values).sum() / final.total)
     _emit_json(
         {
             "boundary_flagged": report.boundary_flagged,
             "eps_levels": list(report.eps_levels),
-            "markov_std": float(np.sqrt(max(var, 0.0))),
+            "markov_std": report.markov_std,
             "orders": list(report.orders),
             "overall_order": report.overall_order,
             "rel_errors": list(report.rel_errors),
@@ -354,33 +338,22 @@ def cmd_pde(args) -> int:
     return 0
 
 
-def _final_std(report) -> float:
-    return report.per_depth_std[-1][1]
-
-
 def cmd_erf(args) -> int:
     if args.specfile is not None:
-        spec = load_network_spec(args.specfile)
-        probe = args.probe if args.probe is not None else spec.chain.n_out // 2
-        report = erf_profile(spec.chain, probe)
-        sub_report = None
-        if args.ratio_depth is not None:
-            if not 1 <= args.ratio_depth <= len(spec.chain):
-                raise SpecError(f"ratio depth must be in [1, {len(spec.chain)}]")
-            sub = LayerChain(spec.chain.layers[len(spec.chain) - args.ratio_depth :])
-            sub_report = erf_profile(sub, probe)
+        source = load_network_spec(args.specfile).chain
+        cfg, n, depth = None, source.n_out, len(source)
     else:
-        generator = residual_generator(args.n, args.v, args.D, args.boundary)
-        probe = args.probe if args.probe is not None else args.n // 2
-        report = erf_profile(generator, probe, DeepLimitConfig(eps=args.eps, L=args.L))
-        sub_report = None
-        if args.ratio_depth is not None:
-            sub_cfg = DeepLimitConfig(eps=args.eps, L=args.ratio_depth)
-            sub_report = erf_profile(generator, probe, sub_cfg)
+        source = residual_generator(args.n, args.v, args.D, args.boundary)
+        cfg, n, depth = DeepLimitConfig(eps=args.eps, L=args.L), args.n, args.L
+    if args.ratio_depth is not None and not 1 <= args.ratio_depth <= depth:
+        raise SpecError(f"ratio depth must be in [1, {depth}]")
+    probe = args.probe if args.probe is not None else n // 2
+    report = erf_profile(source, probe, cfg)
     doc = report.to_dict()
-    if sub_report is not None:
+    if args.ratio_depth is not None:
+        # per_depth_std[k] is the width after k layers below the probe
         doc["ratio_depth"] = args.ratio_depth
-        doc["width_ratio"] = _final_std(report) / _final_std(sub_report)
+        doc["width_ratio"] = report.per_depth_std[-1][1] / report.per_depth_std[args.ratio_depth][1]
     _emit_json(doc, args.out)
     return 0
 

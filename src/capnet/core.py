@@ -9,7 +9,7 @@ ambient space it recovers the number of independent parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,11 +87,16 @@ class ProjectionMatrix:
             raise ValueError(
                 f"projection columns must have unit norm; column {bad} has norm {norms[bad]!r}"
             )
-        m = matrix.shape[1]
-        for j in range(m):
-            for k in range(j + 1, m):
-                if np.array_equal(matrix[:, j], matrix[:, k]):
-                    raise ValueError(f"projection columns {j} and {k} are identical")
+        if matrix.shape[1] > 1:
+            # equal columns sit next to each other once sorted, lowest index first
+            order = np.lexsort(matrix)
+            ordered = matrix[:, order]
+            equal = np.flatnonzero(np.all(ordered[:, 1:] == ordered[:, :-1], axis=0))
+            if equal.size:
+                i = equal[np.argmin(order[equal])]
+                raise ValueError(
+                    f"projection columns {order[i]} and {order[i + 1]} are identical"
+                )
         object.__setattr__(self, "matrix", matrix)
 
     @property

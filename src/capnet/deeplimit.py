@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -33,6 +33,15 @@ __all__ = [
 ]
 
 _BOUNDARY_MASS_TOL = 1e-6
+
+
+def _pmf_std(values: np.ndarray) -> float:
+    """Standard deviation of the grid index under the profile, in cells."""
+    total = values.sum()
+    idx = np.arange(values.size)
+    mean = (idx * values).sum() / total
+    var = ((idx - mean) ** 2 * values).sum() / total
+    return math.sqrt(max(var, 0.0))
 
 
 class StabilityError(ValueError):
@@ -71,6 +80,17 @@ class ResidualGenerator:
         """Largest eps with ``eps * max(-diag) < 1`` (strict)."""
         drop = float(np.max(-np.diag(self.matrix)))
         return math.inf if drop <= 0 else 1.0 / drop
+
+    def step(self, eps: float) -> PropagationOperator:
+        """One residual layer ``I + eps*Delta``; refuses eps past the stability bound."""
+        if eps <= 0:
+            raise ValueError("eps must be positive")
+        if eps >= self.max_stable_eps():
+            raise StabilityError(
+                f"eps = {eps:g} makes I + eps*Delta negative; "
+                f"eps must be below {self.max_stable_eps():g}"
+            )
+        return PropagationOperator(np.eye(self.n) + eps * self.matrix)
 
 
 @dataclass(frozen=True)
@@ -186,17 +206,6 @@ def residual_generator(
     return ResidualGenerator(n=n, v=v, Dcoef=Dcoef, boundary=boundary, matrix=matrix)
 
 
-def _step_operator(gen: ResidualGenerator, eps: float) -> PropagationOperator:
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if eps >= gen.max_stable_eps():
-        raise StabilityError(
-            f"eps = {eps:g} makes I + eps*Delta negative; "
-            f"eps must be below {gen.max_stable_eps():g}"
-        )
-    return PropagationOperator(np.eye(gen.n) + eps * gen.matrix)
-
-
 def evolve_markov(
     gen: ResidualGenerator, cfg: DeepLimitConfig, kappa_top: SpatialCapacity
 ) -> List[SpatialCapacity]:
@@ -207,7 +216,7 @@ def evolve_markov(
     """
     if kappa_top.n != gen.n:
         raise ValueError(f"capacity has {kappa_top.n} entries, generator expects {gen.n}")
-    step = _step_operator(gen, cfg.eps)
+    step = gen.step(cfg.eps)
     profiles = [kappa_top]
     for _ in range(cfg.L):
         profiles.append(propagate_single(step, profiles[-1]))
@@ -246,7 +255,8 @@ class ConvergenceReport:
     on physical densities (mass per unit length of the coarsest grid), so
     levels are directly comparable; ``rel_errors`` divide by that level's
     closed-form peak.  ``overall_order`` is the average halving order of the
-    relative error per refinement.
+    relative error per refinement.  ``markov_std`` is the width in cells of
+    the coarsest level's Markov profile.
     """
 
     eps_levels: Tuple[float, ...]
@@ -255,6 +265,7 @@ class ConvergenceReport:
     orders: Tuple[float, ...]
     overall_order: float
     boundary_flagged: bool
+    markov_std: float
 
     @property
     def sup_error(self) -> float:
@@ -287,10 +298,11 @@ def compare_markov_pde(
     The closed form is evaluated with effective coefficients ``v*eps*L`` and
     ``Dcoef*eps*L``.  Each refinement halves eps, doubles L (fixed total
     depth-time), and halves the grid spacing, rescaling the generator to cell
-    units; refinement stops early if the halved step would break the
-    stability bound.  A fixed grid cannot work here: with the spacing frozen
-    the chain converges to the lattice walk, not to the PDE, and the gap
-    saturates instead of shrinking.
+    units.  Refinement stops early if a halved step would break the
+    stability bound; an unstable coarsest level raises StabilityError.  A
+    fixed grid cannot work here: with the spacing frozen the chain converges
+    to the lattice walk, not to the PDE, and the gap saturates instead of
+    shrinking.
     """
     if refinements < 0:
         raise ValueError("refinements must be non-negative")
@@ -298,12 +310,15 @@ def compare_markov_pde(
     sup_errors: List[float] = []
     rel_errors: List[float] = []
     flagged = False
+    markov_std = math.nan
     for level in range(refinements + 1):
         scale = 2**level
         gen_k, cfg_k, kappa_k = _refined_inputs(gen, cfg, kappa_top, scale)
-        if cfg_k.eps >= gen_k.max_stable_eps():
+        if level > 0 and cfg_k.eps >= gen_k.max_stable_eps():
             break
         final = evolve_markov(gen_k, cfg_k, kappa_k)[-1]
+        if level == 0:
+            markov_std = _pmf_std(final.values)
         h = 1.0 / scale
         initial = PdeField(
             grid=np.arange(gen_k.n) * h, values=kappa_k.values / h, t=0.0
@@ -332,6 +347,7 @@ def compare_markov_pde(
         orders=orders,
         overall_order=overall,
         boundary_flagged=flagged,
+        markov_std=markov_std,
     )
 
 
@@ -351,5 +367,5 @@ def random_layer_chain(
     for _ in range(L):
         v_l = float(rng.uniform(-v_max, v_max))
         gen = residual_generator(n, v_l, Dcoef, "periodic")
-        layers.append(Layer.from_operator(_step_operator(gen, eps), flavor="residual"))
+        layers.append(Layer.from_operator(gen.step(eps)))
     return LayerChain(tuple(layers))

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .augment import (
     Activation,
     AugmentedLayout,
+    _derive_streams,
     augmented_spatial_profile,
     build_augmented_projection,
 )
@@ -46,7 +47,7 @@ __all__ = [
 Sampler = Callable[[np.random.Generator, int, int], np.ndarray]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-_NOISE_SHARDS = 8
+_NOISE_BLOCKS = 8
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,6 @@ class ExperimentConfig:
     param_selector: Tuple[int, ...]
     n_samples: int
     seed: int
-    shards: int = 1
 
     def __post_init__(self):
         selector = tuple(int(i) for i in self.param_selector)
@@ -116,8 +116,6 @@ class ExperimentConfig:
         object.__setattr__(self, "param_selector", tuple(sorted(selector)))
         if self.n_samples < 1000:
             raise ValueError("n_samples must be at least 1000")
-        if self.shards < 1:
-            raise ValueError("shards must be positive")
 
     @property
     def n(self) -> int:
@@ -175,37 +173,18 @@ class EmpiricalReport:
         return out
 
 
-def _derive_streams(seed: int, shards: int):
-    """Per-shard sample seeds, the eta hash key, and an auxiliary key stream."""
-    children = np.random.SeedSequence(seed).spawn(shards + 2)
-    eta_key = int(children[-2].generate_state(1)[0])
-    return children[:shards], eta_key, children[-1]
-
-
-def _shard_counts(n_samples: int, shards: int) -> np.ndarray:
-    counts = np.full(shards, n_samples // shards, dtype=int)
-    counts[: n_samples % shards] += 1
-    return counts
-
-
-def _sample_inputs(
-    config_n: int, n_samples: int, seed: int, shards: int, sampler: Optional[Sampler]
-):
-    """Sampled inputs (concatenated over shards, fixed order) and the eta key."""
-    streams, eta_key, _ = _derive_streams(seed, shards)
-    batches = []
-    for child, count in zip(streams, _shard_counts(n_samples, shards)):
-        rng = np.random.default_rng(child)
-        if sampler is None:
-            batch = rng.standard_normal((int(count), config_n))
-        else:
-            batch = np.asarray(sampler(rng, int(count), config_n), dtype=float)
-            if batch.shape != (int(count), config_n):
-                raise ValueError(
-                    f"sampler returned shape {batch.shape}, expected ({count}, {config_n})"
-                )
-        batches.append(batch)
-    return np.concatenate(batches, axis=0), eta_key
+def _sample_inputs(config_n: int, n_samples: int, seed: int, sampler: Optional[Sampler]):
+    """Sampled inputs (n_samples, config_n) and the eta key."""
+    stream, eta_key, _ = _derive_streams(seed)
+    rng = np.random.default_rng(stream)
+    if sampler is None:
+        return rng.standard_normal((n_samples, config_n)), eta_key
+    batch = np.asarray(sampler(rng, n_samples, config_n), dtype=float)
+    if batch.shape != (n_samples, config_n):
+        raise ValueError(
+            f"sampler returned shape {batch.shape}, expected ({n_samples}, {config_n})"
+        )
+    return batch, eta_key
 
 
 def _augmented_rows(y: np.ndarray, p: ProjectionMatrix, act: Activation, eta_key: int):
@@ -222,17 +201,15 @@ def empirical_sigma_tilde(
     sampler: Optional[Sampler],
     n_samples: int,
     seed: int,
-    shards: int = 1,
 ) -> CovarianceMatrix:
     """Sample average of the augmented second moment, symmetrized.
 
-    ``sampler=None`` draws i.i.d. standard-normal inputs.  Shards are sampled
-    from seeds derived from ``seed`` and reduced in fixed order, so results are
-    bit-identical for a given (seed, n_samples, shards).
+    ``sampler=None`` draws i.i.d. standard-normal inputs.  Results are
+    bit-identical for a given (seed, n_samples).
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be at least 1000")
-    y, eta_key = _sample_inputs(p.n_in, n_samples, seed, shards, sampler)
+    y, eta_key = _sample_inputs(p.n_in, n_samples, seed, sampler)
     acc = np.zeros((p.n_in * p.n_out,) * 2)
     for start in range(0, n_samples, 65536):
         block = _augmented_rows(y[start : start + 65536], p, act, eta_key)
@@ -242,9 +219,7 @@ def empirical_sigma_tilde(
 
 
 def _feature_matrix(config: ExperimentConfig, sampler: Optional[Sampler]):
-    y, eta_key = _sample_inputs(
-        config.n, config.n_samples, config.seed, config.shards, sampler
-    )
+    y, eta_key = _sample_inputs(config.n, config.n_samples, config.seed, sampler)
     feats = config.activation.apply(y @ config.p.matrix, key=eta_key)
     return y, feats, eta_key
 
@@ -340,22 +315,22 @@ def stationarity_noise_floor(
 ) -> float:
     """Expected magnitude of the stationarity residual from sampling alone.
 
-    Jackknife over 8 sample shards: the residual is re-evaluated with each
-    shard's covariance, and the mean shard residual is scaled back to the full
-    sample size by 1/sqrt(8).
+    Jackknife over 8 contiguous sample blocks: the residual is re-evaluated
+    with each block's covariance, and the mean block residual is scaled back
+    to the full sample size by 1/sqrt(8).
     """
     rows, p_tilde, k_phi, x_tilde = _stationarity_terms(config, a_star, target, sampler)
-    bounds = np.linspace(0, rows.shape[0], _NOISE_SHARDS + 1, dtype=int)
-    shard_residuals = [
+    bounds = np.linspace(0, rows.shape[0], _NOISE_BLOCKS + 1, dtype=int)
+    block_residuals = [
         _residual_from_rows(rows[a:b], p_tilde, k_phi, x_tilde)
         for a, b in zip(bounds[:-1], bounds[1:])
     ]
-    return float(np.mean(shard_residuals) / math.sqrt(_NOISE_SHARDS))
+    return float(np.mean(block_residuals) / math.sqrt(_NOISE_BLOCKS))
 
 
 def _generic_target(config: ExperimentConfig):
     """Deterministic full-support readout target derived from the config seed."""
-    _, eta_key, aux = _derive_streams(config.seed, config.shards)
+    _, eta_key, aux = _derive_streams(config.seed)
     a_gen = np.random.default_rng(aux).standard_normal(config.m)
 
     def target(y: np.ndarray) -> np.ndarray:
@@ -377,9 +352,7 @@ def empirical_spatial_capacity(
     """
     p_tilde = build_augmented_projection(config.p)
     k_phi = config.selector_basis()
-    y, eta_key = _sample_inputs(
-        config.n, config.n_samples, config.seed, config.shards, sampler
-    )
+    y, eta_key = _sample_inputs(config.n, config.n_samples, config.seed, sampler)
     rows = _augmented_rows(y, config.p, config.activation, eta_key)
     sigma_hat = rows.T @ rows / rows.shape[0]
     k_tilde = orthonormal_basis(sigma_hat @ p_tilde @ k_phi.columns)

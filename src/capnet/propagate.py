@@ -86,37 +86,22 @@ class PropagationOperator:
 
 @dataclass(frozen=True)
 class Layer:
-    """One chain element: an operator, or a projection it is derived from.
+    """One chain element: its column-stochastic operator.
 
-    Flavors: ``standard`` squares the projection columns (or takes the
-    operator as-is); ``differential`` builds the residual-layer operator
-    ``I + eps/(1+eps) (P o P - I)``; ``residual`` marks an operator already in
-    ``I + eps*Delta`` form.  Projection-based layers carry the activation the
-    closed form assumes.
+    Layers built from a projection carry the activation the closed form
+    assumes; ``standard`` squares the projection columns and
+    ``differential`` builds the residual-layer operator
+    ``I + eps/(1+eps) (P o P - I)``.
     """
 
-    flavor: str
-    projection: Optional[ProjectionMatrix] = None
-    operator: Optional[PropagationOperator] = None
+    operator: PropagationOperator
     activation: Optional[Activation] = None
-    eps: Optional[float] = None
-
-    def __post_init__(self):
-        if self.flavor not in ("standard", "residual", "differential"):
-            raise ValueError(f"unknown layer flavor {self.flavor!r}")
-        if (self.projection is None) == (self.operator is None):
-            raise ValueError("layer needs exactly one of projection or operator")
-        if self.flavor == "differential":
-            if self.projection is None:
-                raise ValueError("differential layers are built from a projection")
-            if self.eps is None or self.eps <= 0:
-                raise ValueError("differential layers require eps > 0")
-        if self.projection is not None and self.activation is None:
-            raise ValueError("projection-based layers require an activation")
 
     @classmethod
     def standard(cls, projection: ProjectionMatrix, activation: Activation) -> "Layer":
-        return cls("standard", projection=projection, activation=activation)
+        if activation is None:
+            raise ValueError("projection-based layers require an activation")
+        return cls(propagation_matrix(projection), activation)
 
     @classmethod
     def differential(
@@ -126,28 +111,19 @@ class Layer:
         activation: Optional[Activation] = None,
     ) -> "Layer":
         act = activation if activation is not None else Activation.pseudo_random()
-        return cls("differential", projection=projection, activation=act, eps=eps)
+        return cls(differential_propagation_matrix(projection, eps), act)
 
     @classmethod
-    def from_operator(
-        cls, operator: PropagationOperator, flavor: str = "standard"
-    ) -> "Layer":
-        return cls(flavor, operator=operator)
-
-    def to_operator(self) -> PropagationOperator:
-        if self.operator is not None:
-            return self.operator
-        if self.flavor == "differential":
-            return differential_propagation_matrix(self.projection, self.eps)
-        return propagation_matrix(self.projection)
+    def from_operator(cls, operator: PropagationOperator) -> "Layer":
+        return cls(operator)
 
     @property
     def n_in(self) -> int:
-        return self.projection.n_in if self.projection is not None else self.operator.n_in
+        return self.operator.n_in
 
     @property
     def n_out(self) -> int:
-        return self.projection.n_out if self.projection is not None else self.operator.n_out
+        return self.operator.n_out
 
 
 @dataclass(frozen=True)
@@ -180,10 +156,8 @@ class LayerChain:
         return self.layers[-1].n_out
 
     @classmethod
-    def of_operators(
-        cls, operators: Sequence[PropagationOperator], flavor: str = "standard"
-    ) -> "LayerChain":
-        return cls(tuple(Layer.from_operator(op, flavor=flavor) for op in operators))
+    def of_operators(cls, operators: Sequence[PropagationOperator]) -> "LayerChain":
+        return cls(tuple(Layer.from_operator(op) for op in operators))
 
 
 def propagation_matrix(p) -> PropagationOperator:
@@ -223,8 +197,8 @@ def propagate_chain(chain: LayerChain, kappa_top: SpatialCapacity) -> List[Spati
 
     ``result[len(chain)]`` is ``kappa_top`` itself and ``result[0]`` the
     input-space profile.  Closed-form chain propagation holds in the
-    pseudo-random regime only; any projection-based layer with another
-    activation is refused by name.
+    pseudo-random regime only; any layer whose activation is another kind
+    is refused by name.
     """
     for i, layer in enumerate(chain.layers):
         if layer.activation is not None and layer.activation.kind != "pseudo_random":
@@ -238,7 +212,7 @@ def propagate_chain(chain: LayerChain, kappa_top: SpatialCapacity) -> List[Spati
         )
     profiles = [kappa_top]
     for layer in reversed(chain.layers):
-        profiles.append(propagate_single(layer.to_operator(), profiles[-1]))
+        profiles.append(propagate_single(layer.operator, profiles[-1]))
     profiles.reverse()
     return profiles
 

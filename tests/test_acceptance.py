@@ -169,7 +169,7 @@ def test_criterion_07_shattering():
 
     gen = residual_generator(n=11, v=0.0, Dcoef=0.5, boundary="periodic")
     op = PropagationOperator(np.eye(11) + 0.1 * gen.matrix)
-    chain = LayerChain.of_operators([op] * 10, flavor="residual")
+    chain = LayerChain.of_operators([op] * 10)
     report = shatter_analysis(chain, r=3, eps=0.1)
 
     assert report.max_path_weight == functools.reduce(operator.mul, [0.9] * 10)

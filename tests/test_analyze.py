@@ -24,7 +24,7 @@ from capnet.propagate import Layer, LayerChain, PropagationOperator
 def _residual_chain(eps, L, n=11, Dcoef=0.5):
     gen = residual_generator(n, 0.0, Dcoef, "periodic")
     op = PropagationOperator(np.eye(n) + eps * gen.matrix)
-    return LayerChain.of_operators([op] * L, flavor="residual")
+    return LayerChain.of_operators([op] * L)
 
 
 def _random_tridiagonal(rng, n):

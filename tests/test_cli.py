@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from capnet.analyze import erf_profile
 from capnet.cli import main, parse_network_spec
+from capnet.deeplimit import DeepLimitConfig, residual_generator
 from capnet.jsonfmt import canonical_dumps
 
 
@@ -162,6 +164,18 @@ class TestChain:
         path = _write_spec(tmp_path, "bad.json", _residual_spec(11, 1, eps=0.9, top="uniform"))
         assert main(["chain", path]) == 1
 
+    def test_unstable_eps_names_layer(self, tmp_path, capsys):
+        doc = _residual_spec(11, 3, top="uniform")
+        doc["layers"][2]["weights"] = "residual:0.9,0.0,1.0"
+        assert main(["chain", _write_spec(tmp_path, "bad.json", doc)]) == 1
+        assert "layer 2: eps = 0.9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps", ["0", "-0.1"])
+    def test_nonpositive_residual_eps_exits_2(self, tmp_path, capsys, eps):
+        path = _write_spec(tmp_path, "bad.json", _residual_spec(11, 1, eps=eps, top="uniform"))
+        assert main(["chain", path]) == 2
+        assert "layer 0: eps must be positive" in capsys.readouterr().err
+
     def test_unknown_kind_names_layer(self, tmp_path, capsys):
         doc = {
             "layers": [{"kind": "conv", "n_in": 4, "n_out": 4, "weights": "uniform:1"}],
@@ -272,6 +286,32 @@ class TestErf:
     def test_bad_ratio_depth_exits_2(self, tmp_path, capsys):
         path = _write_spec(tmp_path, "deep.json", _residual_spec(21, 3, top="dirac:10"))
         assert main(["erf", path, "--ratio-depth", "9"]) == 2
+
+    @pytest.mark.parametrize("depth", ["0", "101"])
+    def test_generator_ratio_depth_out_of_range_exits_2(self, capsys, depth):
+        assert main(["erf", "--L", "100", "--ratio-depth", depth]) == 2
+        assert "ratio depth must be in [1, 100]" in capsys.readouterr().err
+
+    def test_width_ratio_matches_a_separate_shallow_run(self, capsys):
+        code, out = _run(capsys, ["erf", "--v", "0.4", "--ratio-depth", "30"])
+        assert code == 0
+        doc = json.loads(out)
+        gen = residual_generator(201, 0.4, 1.0)
+        shallow = erf_profile(gen, 100, DeepLimitConfig(eps=0.1, L=30))
+        assert doc["width_ratio"] == doc["per_depth_std"][-1][1] / shallow.per_depth_std[-1][1]
+
+    def test_chain_width_ratio_matches_the_top_layers_alone(self, tmp_path, capsys):
+        doc = _residual_spec(41, 12, top="dirac:20")
+        for i, layer in enumerate(doc["layers"]):  # a different drift per layer
+            layer["weights"] = f"residual:0.1,{0.05 * i - 0.3:.2f},1.0"
+        path = _write_spec(tmp_path, "deep.json", doc)
+        code, out = _run(capsys, ["erf", path, "--ratio-depth", "5"])
+        assert code == 0
+        full = json.loads(out)
+        doc["layers"] = doc["layers"][-5:]
+        code, out = _run(capsys, ["erf", _write_spec(tmp_path, "top.json", doc)])
+        top = json.loads(out)
+        assert full["width_ratio"] == full["per_depth_std"][-1][1] / top["per_depth_std"][-1][1]
 
 
 class TestShatter:

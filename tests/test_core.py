@@ -222,6 +222,33 @@ class TestTypeValidation:
         with pytest.raises(ValueError, match="identical"):
             ProjectionMatrix(np.column_stack([col, col]))
 
+    def test_identical_columns_report_lowest_pair(self):
+        a, b = np.array([0.6, 0.8]), np.array([0.8, 0.6])
+        with pytest.raises(ValueError, match="columns 0 and 3 are identical"):
+            ProjectionMatrix(np.column_stack([b, a, a, b]))
+
+    def test_identical_columns_match_pairwise_loop(self):
+        # reference: the first (j, k) in loop order whose columns are array_equal,
+        # which counts -0.0 and 0.0 as equal
+        def first_pair(matrix):
+            m = matrix.shape[1]
+            for j in range(m):
+                for k in range(j + 1, m):
+                    if np.array_equal(matrix[:, j], matrix[:, k]):
+                        return j, k
+            return None
+
+        rng = np.random.default_rng(7)
+        units = np.array([[1.0, 0.0, -0.0, 0.6], [0.0, 1.0, 1.0, 0.8], [0.0, -0.0, 0.0, 0.0]])
+        for _ in range(300):
+            matrix = units[:, rng.integers(0, 4, size=int(rng.integers(1, 7)))]
+            pair = first_pair(matrix)
+            if pair is None:
+                ProjectionMatrix(matrix)
+            else:
+                with pytest.raises(ValueError, match=f"columns {pair[0]} and {pair[1]} are"):
+                    ProjectionMatrix(matrix)
+
     def test_projection_from_raw_normalizes(self):
         p = ProjectionMatrix.from_raw(np.array([[3.0, 0.0], [4.0, 2.0]]))
         np.testing.assert_allclose(np.linalg.norm(p.matrix, axis=0), [1.0, 1.0])

@@ -73,6 +73,23 @@ class TestResidualGenerator:
         with pytest.raises(ValueError, match="3 grid points"):
             residual_generator(2, 0.0, 1.0)
 
+    def test_step_is_identity_plus_eps_generator(self):
+        gen = residual_generator(9, 0.3, 0.7, "reflecting")
+        step = gen.step(0.2)
+        assert isinstance(step, PropagationOperator)
+        np.testing.assert_array_equal(step.matrix, np.eye(9) + 0.2 * gen.matrix)
+
+    def test_step_rejects_nonpositive_eps(self):
+        gen = residual_generator(9, 0.0, 1.0)
+        for eps in (0.0, -0.1):
+            with pytest.raises(ValueError, match="positive") as info:
+                gen.step(eps)
+            assert not isinstance(info.value, StabilityError)
+
+    def test_step_rejects_eps_at_stability_bound(self):
+        with pytest.raises(StabilityError, match="below 0.5"):
+            residual_generator(9, 0.0, 1.0).step(0.5)
+
 
 class TestDeepLimitConfig:
     def test_total_time(self):
@@ -331,6 +348,29 @@ class TestCompareMarkovPde:
         assert report.rel_errors[0] <= 0.02
         assert report.rel_errors[-1] < report.rel_errors[0]
 
+    def test_markov_std_is_width_of_coarsest_profile(self):
+        gen = residual_generator(101, 0.3, 1.0, "periodic")
+        cfg = DeepLimitConfig(eps=0.1, L=50)
+        kappa = SpatialCapacity.dirac(101, 50)
+        report = compare_markov_pde(gen, cfg, kappa, refinements=1)
+        final = evolve_markov(gen, cfg, kappa)[-1]
+        _, var = _moments(final.values)
+        assert report.markov_std == math.sqrt(var)
+
+    def test_unstable_coarsest_level_raises(self):
+        gen = residual_generator(21, 0.0, 1.0)
+        cfg = DeepLimitConfig(eps=0.6, L=10)
+        with pytest.raises(StabilityError, match="below 0.5"):
+            compare_markov_pde(gen, cfg, SpatialCapacity.dirac(21, 10), refinements=0)
+
+    def test_unstable_finer_level_stops_quietly(self):
+        # each level doubles eps * 2 * Dcoef: 0.4 and 0.8 are stable, level 2's
+        # 1.6 is not, so two of the five levels asked for come back
+        gen = residual_generator(41, 0.0, 1.0)
+        cfg = DeepLimitConfig(eps=0.2, L=10)
+        report = compare_markov_pde(gen, cfg, SpatialCapacity.dirac(41, 20), refinements=4)
+        assert report.eps_levels == (0.2, 0.1)
+
     def test_negative_refinements_rejected(self):
         gen = residual_generator(21, 0.0, 1.0)
         cfg = DeepLimitConfig(eps=0.1, L=10)
@@ -343,13 +383,13 @@ class TestRandomLayerChain:
         first = random_layer_chain(41, 1.0, 0.1, 12, seed=7)
         second = random_layer_chain(41, 1.0, 0.1, 12, seed=7)
         for a, b in zip(first.layers, second.layers):
-            assert np.array_equal(a.to_operator().matrix, b.to_operator().matrix)
+            assert np.array_equal(a.operator.matrix, b.operator.matrix)
 
     def test_seeds_differ(self):
         first = random_layer_chain(41, 1.0, 0.1, 12, seed=7)
         second = random_layer_chain(41, 1.0, 0.1, 12, seed=8)
         assert not all(
-            np.array_equal(a.to_operator().matrix, b.to_operator().matrix)
+            np.array_equal(a.operator.matrix, b.operator.matrix)
             for a, b in zip(first.layers, second.layers)
         )
 
@@ -357,8 +397,9 @@ class TestRandomLayerChain:
         chain = random_layer_chain(41, 1.0, 0.1, 12, seed=3)
         assert len(chain) == 12
         for layer in chain.layers:
-            assert layer.flavor == "residual"
-            matrix = layer.to_operator().matrix
+            matrix = layer.operator.matrix
+            # I + eps*Delta with diagonal 1 - 2*Dcoef*eps, whatever the drift
+            np.testing.assert_allclose(np.diag(matrix), 0.8, rtol=0, atol=1e-15)
             assert np.abs(matrix.sum(axis=0) - 1.0).max() <= 1e-12
 
     def test_ensemble_center_of_mass_is_symmetric(self):

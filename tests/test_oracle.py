@@ -140,10 +140,10 @@ class TestEmpiricalSigmaTilde:
             block = out.entries[n * j : n * (j + 1), n * j : n * (j + 1)]
             assert np.linalg.norm(block - np.eye(n)) <= 4.0 * noise_floor
 
-    def test_deterministic_and_shard_invariant_format(self):
+    def test_deterministic_given_seed(self):
         p = _random_projection(np.random.default_rng(33), 2, 2)
-        a = empirical_sigma_tilde(p, Activation.relu(), None, 4000, seed=7, shards=4)
-        b = empirical_sigma_tilde(p, Activation.relu(), None, 4000, seed=7, shards=4)
+        a = empirical_sigma_tilde(p, Activation.relu(), None, 4000, seed=7)
+        b = empirical_sigma_tilde(p, Activation.relu(), None, 4000, seed=7)
         np.testing.assert_array_equal(a.entries, b.entries)
 
     def test_custom_sampler_shape_checked(self):
@@ -256,7 +256,7 @@ class TestVerifyStationarity:
         a_true[[0, 1, 3]] = [1.0, -2.0, 0.5]
         from capnet.oracle import _derive_streams
 
-        _, eta_key, _ = _derive_streams(config.seed, config.shards)
+        _, eta_key, _ = _derive_streams(config.seed)
 
         def target(y):
             return config.activation.apply(y @ config.p.matrix, key=eta_key) @ a_true

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capnet.augment import Activation
 from capnet.core import ProjectionMatrix, SpatialCapacity
@@ -243,16 +245,9 @@ class TestOperatorAndLayerValidation:
         with pytest.raises(ValueError, match="window"):
             PropagationOperator.uniform_window(3, 4)
 
-    def test_layer_needs_exactly_one_source(self):
-        p = ProjectionMatrix.identity(2)
-        with pytest.raises(ValueError, match="exactly one"):
-            Layer("standard", projection=p, operator=PropagationOperator.identity(2))
-        with pytest.raises(ValueError, match="exactly one"):
-            Layer("standard")
-
     def test_projection_layer_needs_activation(self):
         with pytest.raises(ValueError, match="activation"):
-            Layer("standard", projection=ProjectionMatrix.identity(2))
+            Layer.standard(ProjectionMatrix.identity(2), None)
 
     def test_differential_layer_needs_eps(self):
         p = ProjectionMatrix.identity(2)
@@ -268,3 +263,40 @@ class TestOperatorAndLayerValidation:
     def test_chain_must_be_non_empty(self):
         with pytest.raises(ValueError, match="at least one"):
             LayerChain(())
+
+
+@st.composite
+def _random_chains(draw):
+    """A chain mixing standard, differential and operator-only layers, and a top profile."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 6))
+    layers = []
+    kinds = st.sampled_from(["standard", "differential", "operator"])
+    for kind in draw(st.lists(kinds, min_size=1, max_size=8)):
+        if kind == "differential":
+            p = ProjectionMatrix.from_raw(rng.standard_normal((n, n)))
+            layers.append(Layer.differential(p, draw(st.floats(1e-3, 10.0))))
+            continue
+        n_out = draw(st.integers(2, 6))
+        if kind == "standard":
+            p = ProjectionMatrix.from_raw(rng.standard_normal((n, n_out)))
+            layers.append(Layer.standard(p, Activation.pseudo_random()))
+        else:
+            layers.append(Layer.from_operator(_random_stochastic(rng, n, n_out)))
+        n = n_out
+    top = SpatialCapacity(rng.random(n) * draw(st.floats(0.1, 10.0)))
+    return LayerChain(tuple(layers)), top
+
+
+class TestChainProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(_random_chains())
+    def test_operators_stochastic_and_totals_conserved(self, chain_and_top):
+        chain, top = chain_and_top
+        for layer in chain.layers:
+            matrix = layer.operator.matrix
+            assert matrix.min() >= 0.0
+            assert np.abs(matrix.sum(axis=0) - 1.0).max() <= 1e-10
+        profiles = propagate_chain(chain, top)
+        assert len(profiles) == len(chain) + 1
+        assert max(abs(p.total - top.total) for p in profiles) <= 1e-9
