@@ -167,6 +167,9 @@ def _build_layer(entry, index: int, seeds: List[int]) -> Layer:
     if kind == "differential":
         if "eps" not in entry:
             raise _fail(index, "differential layers need eps")
+        eps = entry["eps"]
+        if isinstance(eps, bool) or not isinstance(eps, (int, float)):
+            raise _fail(index, f"eps must be a number, got {eps!r}")
         activation = None
         if "activation" in entry:
             try:
@@ -174,7 +177,7 @@ def _build_layer(entry, index: int, seeds: List[int]) -> Layer:
             except ValueError as exc:
                 raise _fail(index, str(exc)) from None
         try:
-            return Layer.differential(projection, entry["eps"], activation)
+            return Layer.differential(projection, eps, activation)
         except ValueError as exc:
             raise _fail(index, str(exc)) from None
     if kind == "residual":
@@ -327,6 +330,7 @@ def cmd_pde(args) -> int:
         {
             "boundary_flagged": report.boundary_flagged,
             "eps_levels": list(report.eps_levels),
+            "levels_requested": report.levels_requested,
             "markov_std": report.markov_std,
             "orders": list(report.orders),
             "overall_order": report.overall_order,
@@ -352,8 +356,13 @@ def cmd_erf(args) -> int:
     doc = report.to_dict()
     if args.ratio_depth is not None:
         # per_depth_std[k] is the width after k layers below the probe
+        width = report.per_depth_std[args.ratio_depth][1]
+        if width == 0:
+            raise SpecError(
+                f"width {args.ratio_depth} layers below the probe is 0; width_ratio is undefined"
+            )
         doc["ratio_depth"] = args.ratio_depth
-        doc["width_ratio"] = report.per_depth_std[-1][1] / report.per_depth_std[args.ratio_depth][1]
+        doc["width_ratio"] = report.per_depth_std[-1][1] / width
     _emit_json(doc, args.out)
     return 0
 

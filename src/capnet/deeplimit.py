@@ -3,21 +3,22 @@
 Residual chains with identical operators ``I + eps*Delta`` follow a
 drift-diffusion law: in depth-time ``t = (L - l)/L`` the capacity profile
 solves ``pi' = -v pi_x + Dcoef pi_xx`` whose Dirac solution is a Gaussian of
-variance ``2 Dcoef eps L``.  This module builds the tridiagonal generators,
-runs the discrete Markov evolution, evaluates the Gaussian closed form, and
-measures the gap between the two under joint grid and depth refinement.
+variance ``2 Dcoef eps L``.  This module builds the tridiagonal generators
+as 3-point stencils, runs the discrete Markov evolution on them, evaluates
+the Gaussian closed form, and measures the gap between the two under joint
+grid and depth refinement.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Tuple
 
 import numpy as np
 
 from .core import SpatialCapacity
-from .propagate import Layer, LayerChain, PropagationOperator, propagate_single
+from .propagate import Layer, LayerChain, PropagationOperator
 
 __all__ = [
     "StabilityError",
@@ -33,6 +34,8 @@ __all__ = [
 ]
 
 _BOUNDARY_MASS_TOL = 1e-6
+# Largest Markov trajectory evolve_markov allocates: (L+1) * n float64 values.
+_TRAJECTORY_BUDGET_BYTES = 2 * 2**30
 
 
 def _pmf_std(values: np.ndarray) -> float:
@@ -50,39 +53,66 @@ class StabilityError(ValueError):
 
 @dataclass(frozen=True)
 class ResidualGenerator:
-    """Tridiagonal generator of a residual chain, in grid-cell units per depth.
+    """Tridiagonal drift-diffusion generator, held as its 3-point stencil.
 
-    Columns sum to 0, so ``I + eps*Delta`` is column-stochastic whenever it is
-    entrywise non-negative.  ``v`` is measured in cells per unit depth and
-    ``Dcoef`` in cells squared per unit depth, with one cell per neuron.
+    Column j sends ``up = Dcoef + v/2`` to cell j+1, ``down = Dcoef - v/2``
+    to cell j-1 and keeps ``diag[j]``, which is ``-2 Dcoef`` except where a
+    reflecting edge folds the outgoing flux back in.  Periodic boundaries
+    wrap the stencil; ``matrix`` builds the dense form.  Columns sum to 0,
+    so ``I + eps*Delta`` is column-stochastic whenever it is entrywise
+    non-negative.  ``v`` is measured in cells per unit depth and ``Dcoef``
+    in cells squared per unit depth, with one cell per neuron; ``|v|/2``
+    must not exceed ``Dcoef`` or transition weights would turn negative.
     """
 
     n: int
     v: float
     Dcoef: float
     boundary: str
-    matrix: np.ndarray
+    up: float = field(init=False, compare=False)
+    down: float = field(init=False, compare=False)
+    diag: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.Dcoef <= 0:
+            raise ValueError("Dcoef must be positive")
+        if abs(self.v) / 2.0 > self.Dcoef:
+            raise ValueError(
+                f"|v|/2 = {abs(self.v) / 2:g} exceeds Dcoef = {self.Dcoef:g}; "
+                "transition weights would be negative"
+            )
         if self.n < 3:
             raise ValueError("generator needs at least 3 grid points")
         if self.boundary not in ("periodic", "reflecting"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
-        matrix = np.asarray(self.matrix, dtype=float)
-        if matrix.shape != (self.n, self.n):
-            raise ValueError(f"generator matrix must be {self.n}x{self.n}")
-        sums = matrix.sum(axis=0)
-        if np.any(np.abs(sums) > 1e-12):
-            raise ValueError("generator columns must sum to 0")
-        object.__setattr__(self, "matrix", matrix)
+        up = self.Dcoef + self.v / 2.0  # weight towards larger index
+        down = self.Dcoef - self.v / 2.0
+        diag = np.full(self.n, -2.0 * self.Dcoef)
+        if self.boundary == "reflecting":
+            diag[0] += down
+            diag[-1] += up
+        object.__setattr__(self, "up", up)
+        object.__setattr__(self, "down", down)
+        object.__setattr__(self, "diag", diag)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense n x n generator built from the stencil weights."""
+        idx = np.arange(self.n)
+        matrix = np.diag(self.diag)
+        matrix[idx[1:], idx[:-1]] = self.up
+        matrix[idx[:-1], idx[1:]] = self.down
+        if self.boundary == "periodic":
+            matrix[0, -1] = self.up
+            matrix[-1, 0] = self.down
+        return matrix
 
     def max_stable_eps(self) -> float:
         """Largest eps with ``eps * max(-diag) < 1`` (strict)."""
-        drop = float(np.max(-np.diag(self.matrix)))
+        drop = float(np.max(-self.diag))
         return math.inf if drop <= 0 else 1.0 / drop
 
-    def step(self, eps: float) -> PropagationOperator:
-        """One residual layer ``I + eps*Delta``; refuses eps past the stability bound."""
+    def _check_eps(self, eps: float) -> None:
         if eps <= 0:
             raise ValueError("eps must be positive")
         if eps >= self.max_stable_eps():
@@ -90,6 +120,10 @@ class ResidualGenerator:
                 f"eps = {eps:g} makes I + eps*Delta negative; "
                 f"eps must be below {self.max_stable_eps():g}"
             )
+
+    def step(self, eps: float) -> PropagationOperator:
+        """One dense residual layer ``I + eps*Delta``; refuses eps past the stability bound."""
+        self._check_eps(eps)
         return PropagationOperator(np.eye(self.n) + eps * self.matrix)
 
 
@@ -172,38 +206,8 @@ class PdeField:
 def residual_generator(
     n: int, v: float, Dcoef: float, boundary: str = "periodic"
 ) -> ResidualGenerator:
-    """Tridiagonal drift-diffusion generator.
-
-    Sub-diagonal ``Dcoef + v/2``, diagonal ``-2 Dcoef``, super-diagonal
-    ``Dcoef - v/2``.  Periodic boundaries wrap the stencil; reflecting
-    boundaries fold the outgoing flux back into the diagonal.  ``|v|/2``
-    must not exceed ``Dcoef`` or transition weights would turn negative.
-    """
-    if Dcoef <= 0:
-        raise ValueError("Dcoef must be positive")
-    if abs(v) / 2.0 > Dcoef:
-        raise ValueError(
-            f"|v|/2 = {abs(v) / 2:g} exceeds Dcoef = {Dcoef:g}; "
-            "transition weights would be negative"
-        )
-    up = Dcoef + v / 2.0  # weight towards larger index
-    down = Dcoef - v / 2.0
-    matrix = np.zeros((n, n))
-    for j in range(n):
-        matrix[j, j] = -2.0 * Dcoef
-        if boundary == "periodic":
-            matrix[(j + 1) % n, j] += up
-            matrix[(j - 1) % n, j] += down
-        else:
-            if j < n - 1:
-                matrix[j + 1, j] += up
-            else:
-                matrix[j, j] += up
-            if j > 0:
-                matrix[j - 1, j] += down
-            else:
-                matrix[j, j] += down
-    return ResidualGenerator(n=n, v=v, Dcoef=Dcoef, boundary=boundary, matrix=matrix)
+    """Drift-diffusion generator on ``n`` cells; see :class:`ResidualGenerator`."""
+    return ResidualGenerator(n=n, v=v, Dcoef=Dcoef, boundary=boundary)
 
 
 def evolve_markov(
@@ -212,15 +216,33 @@ def evolve_markov(
     """Apply ``I + eps*Delta`` L times; element k is the profile after k steps.
 
     The first element is ``kappa_top`` (t = 0), the last the input-space
-    profile (t = 1).  Total capacity is conserved throughout.
+    profile (t = 1).  Total capacity is conserved throughout.  Each step
+    applies the three stencil weights to shifted slices, O(n) per step; the
+    L+1 profiles are kept in one array, refused past a 2 GiB budget.
     """
     if kappa_top.n != gen.n:
         raise ValueError(f"capacity has {kappa_top.n} entries, generator expects {gen.n}")
-    step = gen.step(cfg.eps)
-    profiles = [kappa_top]
-    for _ in range(cfg.L):
-        profiles.append(propagate_single(step, profiles[-1]))
-    return profiles
+    gen._check_eps(cfg.eps)
+    size = (cfg.L + 1) * gen.n * 8
+    if size > _TRAJECTORY_BUDGET_BYTES:
+        raise ValueError(
+            f"{cfg.L + 1} profiles of {gen.n} cells need {size / 2**30:.1f} GiB, "
+            f"over the {_TRAJECTORY_BUDGET_BYTES / 2**30:g} GiB trajectory limit"
+        )
+    # the entries of I + eps*Delta: same products as the dense step, summed per cell
+    keep = 1.0 + cfg.eps * gen.diag
+    up = cfg.eps * gen.up
+    down = cfg.eps * gen.down
+    rows = np.empty((cfg.L + 1, gen.n))
+    rows[0] = kappa_top.values
+    for x, y in zip(rows, rows[1:]):
+        np.multiply(keep, x, out=y)
+        y[1:] += up * x[:-1]
+        y[:-1] += down * x[1:]
+        if gen.boundary == "periodic":
+            y[0] += up * x[-1]
+            y[-1] += down * x[0]
+    return [kappa_top] + [SpatialCapacity(row) for row in rows[1:]]
 
 
 def gaussian_solution(initial: PdeField, v: float, Dcoef: float, t: float) -> PdeField:
@@ -228,7 +250,9 @@ def gaussian_solution(initial: PdeField, v: float, Dcoef: float, t: float) -> Pd
 
     Evaluates ``pi(t, x) = int G(x - y - v t) pi(0, y) dy`` with the Gaussian
     kernel of variance ``2 Dcoef t`` on the initial field's own grid;
-    ``t = 0`` returns the initial field unchanged.
+    ``t = 0`` returns the initial field unchanged.  On an equally spaced grid
+    the kernel depends on ``i - j`` only, so its 2n-1 samples are convolved
+    with the weighted field in O(n) memory.
     """
     if Dcoef <= 0:
         raise ValueError("Dcoef must be positive")
@@ -238,12 +262,13 @@ def gaussian_solution(initial: PdeField, v: float, Dcoef: float, t: float) -> Pd
         return PdeField(grid=initial.grid, values=initial.values.copy(), t=initial.t)
     spread = 4.0 * Dcoef * t
     x = initial.grid
-    gap = x[:, None] - x[None, :] - v * t
+    n = x.size
+    gap = np.arange(1 - n, n) * initial.h - v * t  # x_i - x_j - v t at i - j = 1-n .. n-1
     kernel = np.exp(-(gap**2) / spread) / math.sqrt(math.pi * spread)
-    weights = np.full(x.size, initial.h)
+    weights = np.full(n, initial.h)
     weights[0] *= 0.5
     weights[-1] *= 0.5
-    values = kernel @ (weights * initial.values)
+    values = np.convolve(kernel, weights * initial.values, mode="valid")
     return PdeField(grid=x, values=values, t=initial.t + t)
 
 
@@ -256,7 +281,8 @@ class ConvergenceReport:
     levels are directly comparable; ``rel_errors`` divide by that level's
     closed-form peak.  ``overall_order`` is the average halving order of the
     relative error per refinement.  ``markov_std`` is the width in cells of
-    the coarsest level's Markov profile.
+    the coarsest level's Markov profile.  ``levels_requested`` counts the
+    levels asked for; fewer are reported when a finer step would be unstable.
     """
 
     eps_levels: Tuple[float, ...]
@@ -266,6 +292,7 @@ class ConvergenceReport:
     overall_order: float
     boundary_flagged: bool
     markov_std: float
+    levels_requested: int
 
     @property
     def sup_error(self) -> float:
@@ -348,6 +375,7 @@ def compare_markov_pde(
         overall_order=overall,
         boundary_flagged=flagged,
         markov_std=markov_std,
+        levels_requested=refinements + 1,
     )
 
 

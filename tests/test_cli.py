@@ -176,6 +176,14 @@ class TestChain:
         assert main(["chain", path]) == 2
         assert "layer 0: eps must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps", ["0.5", True, None, [0.5]])
+    def test_non_numeric_differential_eps_exits_2(self, tmp_path, capsys, eps):
+        layer = {"kind": "differential", "n_in": 4, "n_out": 4, "eps": eps,
+                 "weights": "random_gaussian:3", "activation": "pseudo_random"}
+        doc = {"layers": [layer], "top_capacity": "uniform"}
+        assert main(["chain", _write_spec(tmp_path, "bad.json", doc)]) == 2
+        assert f"layer 0: eps must be a number, got {eps!r}" in capsys.readouterr().err
+
     def test_unknown_kind_names_layer(self, tmp_path, capsys):
         doc = {
             "layers": [{"kind": "conv", "n_in": 4, "n_out": 4, "weights": "uniform:1"}],
@@ -258,6 +266,14 @@ class TestPde:
     def test_unstable_eps_exits_1(self, capsys):
         assert main(["pde", "--eps", "0.8"]) == 1
 
+    def test_levels_requested_next_to_levels_reached(self, capsys):
+        # eps * 2 * Dcoef doubles per level: 0.2, 0.4 and 0.8 are stable, 1.6 is not
+        code, out = _run(capsys, ["pde", "--n", "201", "--refinements", "4"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["levels_requested"] == 5
+        assert doc["eps_levels"] == [0.1, 0.05, 0.025]
+
     def test_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["pde", "--n", "101", "--L", "50", "--out"]
@@ -286,6 +302,19 @@ class TestErf:
     def test_bad_ratio_depth_exits_2(self, tmp_path, capsys):
         path = _write_spec(tmp_path, "deep.json", _residual_spec(21, 3, top="dirac:10"))
         assert main(["erf", path, "--ratio-depth", "9"]) == 2
+
+    def test_zero_width_at_ratio_depth_exits_2(self, tmp_path, capsys):
+        # window-1 layers keep the probe a Dirac, so every width is 0
+        layer = {"kind": "dense", "n_in": 5, "n_out": 5, "weights": "uniform:1"}
+        doc = {"layers": [layer, layer], "top_capacity": "dirac:2"}
+        path = _write_spec(tmp_path, "id.json", doc)
+        assert main(["erf", path, "--ratio-depth", "1"]) == 2
+        assert "width 1 layers below the probe is 0" in capsys.readouterr().err
+
+    def test_trajectory_past_memory_budget_exits_2(self, capsys):
+        # 100,001 profiles of 100,001 cells would need 75 GiB
+        assert main(["erf", "--n", "100001", "--L", "100000"]) == 2
+        assert "2 GiB trajectory limit" in capsys.readouterr().err
 
     @pytest.mark.parametrize("depth", ["0", "101"])
     def test_generator_ratio_depth_out_of_range_exits_2(self, capsys, depth):

@@ -1,12 +1,16 @@
 """Tests for the drift-diffusion deep limit of residual chains."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capnet.core import SpatialCapacity
 from capnet.deeplimit import (
+    _TRAJECTORY_BUDGET_BYTES,
     ConvergenceReport,
     DeepLimitConfig,
     PdeField,
@@ -26,6 +30,39 @@ def _moments(values):
     mean = (idx * values).sum() / total
     var = ((idx - mean) ** 2 * values).sum() / total
     return mean, var
+
+
+def _dense_generator(n, v, dcoef, boundary):
+    """The generator assembled column by column, as a reference for the stencil."""
+    up, down = dcoef + v / 2.0, dcoef - v / 2.0
+    matrix = np.zeros((n, n))
+    for j in range(n):
+        matrix[j, j] = -2.0 * dcoef
+        if boundary == "periodic":
+            matrix[(j + 1) % n, j] += up
+            matrix[(j - 1) % n, j] += down
+        else:
+            if j < n - 1:
+                matrix[j + 1, j] += up
+            else:
+                matrix[j, j] += up
+            if j > 0:
+                matrix[j - 1, j] += down
+            else:
+                matrix[j, j] += down
+    return matrix
+
+
+def _dense_gaussian(initial, v, dcoef, t):
+    """The closed form with the full n x n kernel, as a reference for the convolution."""
+    spread = 4.0 * dcoef * t
+    x = initial.grid
+    gap = x[:, None] - x[None, :] - v * t
+    kernel = np.exp(-(gap**2) / spread) / math.sqrt(math.pi * spread)
+    weights = np.full(x.size, initial.h)
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    return kernel @ (weights * initial.values)
 
 
 class TestResidualGenerator:
@@ -52,6 +89,17 @@ class TestResidualGenerator:
         assert gen.matrix[5, 5] == pytest.approx(-2.0 + (1.0 + 0.3))
         assert gen.matrix[0, 5] == 0.0
         assert gen.matrix[5, 0] == 0.0
+
+    @pytest.mark.parametrize("boundary", ["periodic", "reflecting"])
+    @pytest.mark.parametrize("n", [3, 4, 17])
+    def test_matrix_equals_column_loop(self, boundary, n):
+        gen = residual_generator(n, -0.35, 0.8, boundary)
+        np.testing.assert_array_equal(gen.matrix, _dense_generator(n, -0.35, 0.8, boundary))
+
+    def test_stencil_weights(self):
+        gen = residual_generator(6, 0.6, 1.0, "reflecting")
+        assert (gen.up, gen.down) == (1.3, 0.7)
+        np.testing.assert_array_equal(gen.diag, np.diag(gen.matrix))
 
     def test_max_stable_eps(self):
         gen = residual_generator(5, 0.0, 2.0)
@@ -154,14 +202,41 @@ class TestPdeField:
 
 class TestEvolveMarkov:
     def test_one_step_is_propagate_single(self):
-        # the discrete step must be I + eps*Delta applied literally
+        # the discrete step must be I + eps*Delta; only the summation order may differ
         gen = residual_generator(21, 0.3, 1.0, "periodic")
         cfg = DeepLimitConfig(eps=0.2, L=1)
         kappa = SpatialCapacity.dirac(21, 10)
         step = PropagationOperator(np.eye(21) + cfg.eps * gen.matrix)
         expected = propagate_single(step, kappa)
         got = evolve_markov(gen, cfg, kappa)[1]
-        assert np.array_equal(got.values, expected.values)
+        np.testing.assert_allclose(got.values, expected.values, rtol=1e-14, atol=0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(3, 40),
+        dcoef=st.floats(0.05, 5.0),
+        drift=st.floats(-1.0, 1.0),
+        fraction=st.floats(0.01, 0.99),
+        boundary=st.sampled_from(["periodic", "reflecting"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stencil_step_matches_dense_step(self, n, dcoef, drift, fraction, boundary, seed):
+        # drift is v / (2 Dcoef), so |v|/2 <= Dcoef always holds
+        gen = residual_generator(n, 2.0 * dcoef * drift, dcoef, boundary)
+        eps = fraction * gen.max_stable_eps()
+        kappa = SpatialCapacity(np.random.default_rng(seed).random(n))
+        got = evolve_markov(gen, DeepLimitConfig(eps=eps, L=1), kappa)[1].values
+        expected = gen.step(eps).matrix @ kappa.values
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
+
+    def test_trajectory_past_budget_refused(self):
+        # (L+1) * n * 8 bytes just over the budget; the check runs before allocating
+        n = 1001
+        L = _TRAJECTORY_BUDGET_BYTES // (8 * n)
+        gen = residual_generator(n, 0.0, 1.0)
+        with pytest.raises(ValueError, match="2 GiB trajectory limit") as info:
+            evolve_markov(gen, DeepLimitConfig(eps=0.1, L=L), SpatialCapacity.dirac(n, 500))
+        assert not isinstance(info.value, StabilityError)
 
     def test_profile_list_layout(self):
         gen = residual_generator(11, 0.0, 1.0)
@@ -274,6 +349,18 @@ class TestGaussianSolution:
         assert np.max(np.abs(one.values - two.values)) <= 1e-6
         assert two.t == pytest.approx(8.0)
 
+    @pytest.mark.parametrize(
+        "n, h, v, dcoef, t",
+        [(11, 1.0, 0.0, 1.0, 2.0), (40, 0.5, 1.5, 0.3, 3.0), (65, 0.25, -2.0, 2.0, 0.7)],
+    )
+    def test_matches_dense_kernel(self, n, h, v, dcoef, t):
+        values = np.random.default_rng(n).random(n)
+        initial = PdeField(grid=np.arange(n) * h, values=values, t=0.5)
+        out = gaussian_solution(initial, v, dcoef, t)
+        expected = _dense_gaussian(initial, v, dcoef, t)
+        np.testing.assert_allclose(out.values, expected, rtol=1e-12, atol=1e-15)
+        assert out.t == 0.5 + t
+
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError, match="t"):
             gaussian_solution(PdeField.dirac(11, 5), 0.0, 1.0, -1.0)
@@ -370,6 +457,25 @@ class TestCompareMarkovPde:
         cfg = DeepLimitConfig(eps=0.2, L=10)
         report = compare_markov_pde(gen, cfg, SpatialCapacity.dirac(41, 20), refinements=4)
         assert report.eps_levels == (0.2, 0.1)
+
+    def test_levels_requested_counts_levels_asked_for(self):
+        gen = residual_generator(41, 0.0, 1.0)
+        cfg = DeepLimitConfig(eps=0.2, L=10)
+        report = compare_markov_pde(gen, cfg, SpatialCapacity.dirac(41, 20), refinements=4)
+        assert report.levels_requested == 5
+        assert len(report.eps_levels) == 2
+
+    def test_wide_grid_memory_is_linear(self):
+        # dense n x n steps and kernels at n = 4001 would need 128 MiB each
+        gen = residual_generator(4001, 0.0, 1.0)
+        cfg = DeepLimitConfig(eps=0.1, L=20)
+        tracemalloc.start()
+        try:
+            compare_markov_pde(gen, cfg, SpatialCapacity.dirac(4001, 2000), refinements=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_negative_refinements_rejected(self):
         gen = residual_generator(21, 0.0, 1.0)
