@@ -220,29 +220,47 @@ def evolve_markov(
     applies the three stencil weights to shifted slices, O(n) per step; the
     L+1 profiles are kept in one array, refused past a 2 GiB budget.
     """
+    rows = _walk(gen, cfg, kappa_top, keep_all=True)
+    return [kappa_top] + [SpatialCapacity(row) for row in rows[1:]]
+
+
+def _walk(
+    gen: ResidualGenerator, cfg: DeepLimitConfig, kappa_top: SpatialCapacity, keep_all: bool
+) -> np.ndarray:
+    """Apply ``I + eps*Delta`` L times to ``kappa_top`` on the stencil.
+
+    Returns the (L+1) x n trajectory when ``keep_all``, refused past the
+    2 GiB budget before allocating.  Otherwise returns the last profile
+    alone: two O(n) buffers take turns as the source and target of a step.
+    """
     if kappa_top.n != gen.n:
         raise ValueError(f"capacity has {kappa_top.n} entries, generator expects {gen.n}")
     gen._check_eps(cfg.eps)
-    size = (cfg.L + 1) * gen.n * 8
-    if size > _TRAJECTORY_BUDGET_BYTES:
-        raise ValueError(
-            f"{cfg.L + 1} profiles of {gen.n} cells need {size / 2**30:.1f} GiB, "
-            f"over the {_TRAJECTORY_BUDGET_BYTES / 2**30:g} GiB trajectory limit"
-        )
+    if keep_all:
+        size = (cfg.L + 1) * gen.n * 8
+        if size > _TRAJECTORY_BUDGET_BYTES:
+            raise ValueError(
+                f"{cfg.L + 1} profiles of {gen.n} cells need {size / 2**30:.1f} GiB, "
+                f"over the {_TRAJECTORY_BUDGET_BYTES / 2**30:g} GiB trajectory limit"
+            )
+        rows = np.empty((cfg.L + 1, gen.n))
+        steps = zip(rows, rows[1:])
+    else:
+        rows = np.empty((2, gen.n))
+        steps = ((rows[k % 2], rows[1 - k % 2]) for k in range(cfg.L))
+    rows[0] = kappa_top.values
     # the entries of I + eps*Delta: same products as the dense step, summed per cell
     keep = 1.0 + cfg.eps * gen.diag
     up = cfg.eps * gen.up
     down = cfg.eps * gen.down
-    rows = np.empty((cfg.L + 1, gen.n))
-    rows[0] = kappa_top.values
-    for x, y in zip(rows, rows[1:]):
+    for x, y in steps:
         np.multiply(keep, x, out=y)
         y[1:] += up * x[:-1]
         y[:-1] += down * x[1:]
         if gen.boundary == "periodic":
             y[0] += up * x[-1]
             y[-1] += down * x[0]
-    return [kappa_top] + [SpatialCapacity(row) for row in rows[1:]]
+    return rows if keep_all else rows[cfg.L % 2]
 
 
 def gaussian_solution(initial: PdeField, v: float, Dcoef: float, t: float) -> PdeField:
@@ -326,7 +344,8 @@ def compare_markov_pde(
     ``Dcoef*eps*L``.  Each refinement halves eps, doubles L (fixed total
     depth-time), and halves the grid spacing, rescaling the generator to cell
     units.  Refinement stops early if a halved step would break the
-    stability bound; an unstable coarsest level raises StabilityError.  A
+    stability bound; an unstable coarsest level raises StabilityError.  Each
+    level keeps only its last Markov profile, stepping two O(n) buffers.  A
     fixed grid cannot work here: with the spacing frozen the chain converges
     to the lattice walk, not to the PDE, and the gap saturates instead of
     shrinking.
@@ -343,9 +362,9 @@ def compare_markov_pde(
         gen_k, cfg_k, kappa_k = _refined_inputs(gen, cfg, kappa_top, scale)
         if level > 0 and cfg_k.eps >= gen_k.max_stable_eps():
             break
-        final = evolve_markov(gen_k, cfg_k, kappa_k)[-1]
+        final = _walk(gen_k, cfg_k, kappa_k, keep_all=False)
         if level == 0:
-            markov_std = _pmf_std(final.values)
+            markov_std = _pmf_std(final)
         h = 1.0 / scale
         initial = PdeField(
             grid=np.arange(gen_k.n) * h, values=kappa_k.values / h, t=0.0
@@ -354,7 +373,7 @@ def compare_markov_pde(
         pde = gaussian_solution(initial, gen.v * total_time, gen.Dcoef * total_time, 1.0)
         if pde.mass < kappa_top.total * (1.0 - _BOUNDARY_MASS_TOL):
             flagged = True
-        gap = float(np.max(np.abs(final.values / h - pde.values)))
+        gap = float(np.max(np.abs(final / h - pde.values)))
         peak = float(np.max(pde.values))
         eps_levels.append(cfg_k.eps)
         sup_errors.append(gap)

@@ -3,7 +3,8 @@
 Implements a literal pseudo-random activation (a deterministic hash sign per
 input value), empirical augmented covariances, least-squares optimal last
 layers, a stationarity check for those optima, and empirical spatial
-capacities compared against the closed form.
+capacities compared against the closed form.  Every estimate reads the
+samples once, in chunks, so memory does not grow with the sample count.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .augment import (
     AugmentedLayout,
     _derive_streams,
     augmented_spatial_profile,
-    build_augmented_projection,
 )
 from .core import (
     CapacityBasis,
@@ -48,6 +48,11 @@ Sampler = Callable[[np.random.Generator, int, int], np.ndarray]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _NOISE_BLOCKS = 8
+# Per-chunk temporaries of a pass over the samples stay near this size.
+_CHUNK_BYTES = 8 * 2**20
+# Largest array the oracle holds whole: its block cross moments, or a custom
+# sampler's batch.
+_MEMORY_BUDGET_BYTES = 2 * 2**30
 
 
 @dataclass(frozen=True)
@@ -141,17 +146,23 @@ class EmpiricalReport:
     ``kappa_theory`` and ``max_abs_dev`` are absent when the closed-form
     comparison was refused (non-i.i.d. sampler); ``caveat`` then says why.
     Deviations are reported as measured, never thresholded.
+    ``stationarity_noise_floor`` is the jackknife scale against which
+    ``stationarity_residual`` is judged; see :func:`stationarity_noise_floor`.
     """
 
     kappa_hat: SpatialCapacity
     kappa_theory: Optional[SpatialCapacity]
     max_abs_dev: Optional[float]
     stationarity_residual: float
+    stationarity_noise_floor: Optional[float] = None
     caveat: str = ""
 
     def __post_init__(self):
         if not math.isfinite(self.stationarity_residual) or self.stationarity_residual < 0:
             raise ValueError("stationarity_residual must be finite and non-negative")
+        floor = self.stationarity_noise_floor
+        if floor is not None and (not math.isfinite(floor) or floor < 0):
+            raise ValueError("stationarity_noise_floor must be finite and non-negative")
         if (self.kappa_theory is None) != (self.max_abs_dev is None):
             raise ValueError("kappa_theory and max_abs_dev must be absent together")
         if self.max_abs_dev is not None:
@@ -165,6 +176,8 @@ class EmpiricalReport:
             "kappa_hat": [float(v) for v in self.kappa_hat.values],
             "stationarity_residual": float(self.stationarity_residual),
         }
+        if self.stationarity_noise_floor is not None:
+            out["stationarity_noise_floor"] = float(self.stationarity_noise_floor)
         if self.kappa_theory is not None:
             out["kappa_theory"] = [float(v) for v in self.kappa_theory.values]
             out["max_abs_dev"] = float(self.max_abs_dev)
@@ -173,26 +186,68 @@ class EmpiricalReport:
         return out
 
 
+def _check_budget(nbytes: int, what: str) -> None:
+    """Refuse, before allocating, an array the oracle would hold past its budget."""
+    if nbytes > _MEMORY_BUDGET_BYTES:
+        raise ValueError(
+            f"{what} need {nbytes / 2**30:.1f} GiB, over the "
+            f"{_MEMORY_BUDGET_BYTES / 2**30:g} GiB oracle memory limit"
+        )
+
+
 def _sample_inputs(config_n: int, n_samples: int, seed: int, sampler: Optional[Sampler]):
-    """Sampled inputs (n_samples, config_n) and the eta key."""
+    """A reader ``take(rows)`` of the next sampled inputs, and the eta key.
+
+    ``sampler=None`` draws i.i.d. standard normals as they are read: numpy's
+    Generator gives the same rows in chunks as in one call, so the inputs do
+    not depend on how they are read, and memory stays flat in ``n_samples``.
+    A custom sampler is called once for the whole (n_samples, config_n)
+    batch, which is refused past the memory budget before the call.
+    """
     stream, eta_key, _ = _derive_streams(seed)
     rng = np.random.default_rng(stream)
     if sampler is None:
-        return rng.standard_normal((n_samples, config_n)), eta_key
+        return lambda rows: rng.standard_normal((rows, config_n)), eta_key
+    _check_budget(8 * n_samples * config_n, f"a sampler batch of {n_samples} x {config_n} inputs")
     batch = np.asarray(sampler(rng, n_samples, config_n), dtype=float)
     if batch.shape != (n_samples, config_n):
         raise ValueError(
             f"sampler returned shape {batch.shape}, expected ({n_samples}, {config_n})"
         )
-    return batch, eta_key
+    start = 0
+
+    def take(rows: int) -> np.ndarray:
+        nonlocal start
+        start += rows
+        return batch[start - rows : start]
+
+    return take, eta_key
 
 
-def _augmented_rows(y: np.ndarray, p: ProjectionMatrix, act: Activation, eta_key: int):
-    """Augmented samples (N, n*m): row-block j holds eta(z_j) * y."""
-    z = y @ p.matrix
-    h = act.eta(z, key=eta_key)
-    n_samples = y.shape[0]
-    return np.einsum("sj,si->sji", h, y).reshape(n_samples, p.n_out * p.n_in)
+def _block_edges(n_samples: int) -> np.ndarray:
+    """Sample index bounds of the contiguous jackknife blocks."""
+    return np.linspace(0, n_samples, _NOISE_BLOCKS + 1, dtype=int)
+
+
+def _chunks(take, eta_key: int, p: ProjectionMatrix, act: Activation, n_samples: int):
+    """Yield ``(block, y, z, eta)`` for consecutive chunks of the samples.
+
+    A chunk never straddles two jackknife blocks.  Chunk rows are sized from
+    ``_CHUNK_BYTES`` at (n+1)*(m+1) floats a row, so per-chunk temporaries
+    stay bounded at any layer size.
+    """
+    rows = max(1, _CHUNK_BYTES // (8 * (p.n_in + 1) * (p.n_out + 1)))
+    edges = _block_edges(n_samples)
+    for block, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        for start in range(a, b, rows):
+            y = take(min(rows, b - start))
+            z = y @ p.matrix
+            yield block, y, z, act.eta(z, key=eta_key)
+
+
+def _augment(y: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """Augmented samples (rows, n*m): row-block j holds eta(z_j) * y."""
+    return (eta[:, :, None] * y[:, None, :]).reshape(y.shape[0], -1)
 
 
 def empirical_sigma_tilde(
@@ -209,19 +264,64 @@ def empirical_sigma_tilde(
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be at least 1000")
-    y, eta_key = _sample_inputs(p.n_in, n_samples, seed, sampler)
+    take, eta_key = _sample_inputs(p.n_in, n_samples, seed, sampler)
     acc = np.zeros((p.n_in * p.n_out,) * 2)
-    for start in range(0, n_samples, 65536):
-        block = _augmented_rows(y[start : start + 65536], p, act, eta_key)
-        acc += block.T @ block
+    for _, y, _, eta in _chunks(take, eta_key, p, act, n_samples):
+        rows = _augment(y, eta)
+        acc += rows.T @ rows
     acc /= n_samples
     return CovarianceMatrix(0.5 * (acc + acc.T))
 
 
-def _feature_matrix(config: ExperimentConfig, sampler: Optional[Sampler]):
-    y, eta_key = _sample_inputs(config.n, config.n_samples, config.seed, sampler)
-    feats = config.activation.apply(y @ config.p.matrix, key=eta_key)
-    return y, feats, eta_key
+@dataclass(frozen=True)
+class _Moments:
+    """What one pass over the samples leaves behind.
+
+    ``cross[b]`` sums ``x~_s f(z_s)^T`` over jackknife block b, which has
+    ``counts[b]`` samples.  Since ``x~_s^T P~ e_j = f(z_sj)``, the sum over
+    blocks divided by N is ``Sigma~_hat P~``.  ``r`` is the R factor of
+    ``[F_sel | F_rest | t]``: the feature columns in the order ``order``
+    (selected first), then the target.  Its columns have the inner products
+    of those sample columns, so least squares on ``r`` solve least squares
+    on the samples.
+    """
+
+    cross: np.ndarray
+    counts: np.ndarray
+    r: np.ndarray
+    order: np.ndarray
+
+
+# target(y, feats) -> responses of one chunk of samples
+_ChunkTarget = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _stream(
+    config: ExperimentConfig, sampler: Optional[Sampler], target: _ChunkTarget
+) -> _Moments:
+    """One pass over the samples, in chunks."""
+    n, m = config.n, config.m
+    _check_budget(
+        8 * _NOISE_BLOCKS * n * m * m,
+        f"{_NOISE_BLOCKS} block cross moments of {n * m} x {m} floats",
+    )
+    take, eta_key = _sample_inputs(n, config.n_samples, config.seed, sampler)
+    selected = list(config.param_selector)
+    order = np.array(selected + [j for j in range(m) if j not in selected])
+    cross = np.zeros((_NOISE_BLOCKS, n * m, m))
+    r = np.zeros((m + 1, m + 1))
+    for block, y, z, eta in _chunks(take, eta_key, config.p, config.activation, config.n_samples):
+        feats = eta * z
+        t = np.asarray(target(y, feats), dtype=float)
+        if t.shape != (y.shape[0],):
+            raise ValueError(f"target returned shape {t.shape}, expected ({y.shape[0]},)")
+        cross[block] += _augment(y, eta).T @ feats
+        r = np.linalg.qr(np.vstack([r, np.column_stack([feats[:, order], t])]), mode="r")
+    return _Moments(cross, np.diff(_block_edges(config.n_samples)), r, order)
+
+
+def _row_target(target: Callable[[np.ndarray], np.ndarray]) -> _ChunkTarget:
+    return lambda y, feats: target(y)
 
 
 def _deficient_columns(matrix: np.ndarray, tol: float = 1e-10) -> list:
@@ -241,6 +341,56 @@ def _deficient_columns(matrix: np.ndarray, tol: float = 1e-10) -> list:
     return deficient
 
 
+def _constrained_fit(config: ExperimentConfig, moments: _Moments) -> np.ndarray:
+    """Least-squares readout on the selected features, from R's leading block."""
+    k = len(config.param_selector)
+    r11 = moments.r[:k, :k]
+    # R11 has the singular values and column inner products of F_sel
+    singvals = np.linalg.svd(r11, compute_uv=False)
+    rank = int(np.sum(singvals > 1e-10 * singvals[0])) if singvals[0] > 0 else 0
+    if rank < k:
+        bad = [config.param_selector[j] for j in _deficient_columns(r11)]
+        raise ValueError(f"selected feature columns {bad} are rank deficient")
+    a_star = np.zeros(config.m)
+    a_star[list(config.param_selector)] = np.linalg.solve(r11, moments.r[:k, -1])
+    return a_star
+
+
+def _full_fit(config: ExperimentConfig, moments: _Moments) -> np.ndarray:
+    """Unconstrained least-squares readout on all features."""
+    m = config.m
+    # the cutoff lstsq would use on the (N, m) feature matrix itself
+    rcond = np.finfo(float).eps * max(config.n_samples, m)
+    coeffs, *_ = np.linalg.lstsq(moments.r[:m, :m], moments.r[:m, m], rcond=rcond)
+    a_full = np.empty(m)
+    a_full[moments.order] = coeffs
+    return a_full
+
+
+def _capacity_basis(cross: np.ndarray, rows: int, k_phi: CapacityBasis) -> CapacityBasis:
+    """Orthonormal basis of ``Sigma~_hat P~ K_phi`` from a cross moment over ``rows`` samples."""
+    return orthonormal_basis(cross / rows @ k_phi.columns)
+
+
+def _residual(k_tilde: CapacityBasis, x_tilde: np.ndarray) -> float:
+    return float(np.linalg.norm(k_tilde.columns.T @ x_tilde))
+
+
+def _stationarity_gap(config: ExperimentConfig, a_star, a_full: np.ndarray) -> np.ndarray:
+    """``X~ = P~ (a_star - a_full)``: row-block j is ``(a_star - a_full)_j p_j``."""
+    gap = np.asarray(a_star, dtype=float) - a_full
+    return (config.p.matrix * gap).T.reshape(-1)
+
+
+def _noise_floor(moments: _Moments, k_phi: CapacityBasis, x_tilde: np.ndarray) -> float:
+    """Jackknife: the mean residual under each block's moment, scaled by 1/sqrt(blocks)."""
+    block_residuals = [
+        _residual(_capacity_basis(cross, rows, k_phi), x_tilde)
+        for cross, rows in zip(moments.cross, moments.counts)
+    ]
+    return float(np.mean(block_residuals) / math.sqrt(_NOISE_BLOCKS))
+
+
 def fit_optimal_last_layer(
     config: ExperimentConfig,
     target: Callable[[np.ndarray], np.ndarray],
@@ -248,45 +398,12 @@ def fit_optimal_last_layer(
 ) -> np.ndarray:
     """Least-squares readout over the selected coordinates; 0 elsewhere.
 
-    ``target`` maps a batch of inputs (N, n) to N scalar responses.  Raises if
-    the selected feature columns are rank deficient, naming the columns.
+    ``target`` maps a batch of inputs (rows, n) to one scalar response per
+    row.  It is called once per chunk of samples, in sample order, so it must
+    act row by row.  Raises if the selected feature columns are rank
+    deficient, naming the columns.
     """
-    y, feats, _ = _feature_matrix(config, sampler)
-    t = np.asarray(target(y), dtype=float)
-    if t.shape != (y.shape[0],):
-        raise ValueError(f"target returned shape {t.shape}, expected ({y.shape[0]},)")
-    selected = feats[:, list(config.param_selector)]
-    singvals = np.linalg.svd(selected, compute_uv=False)
-    rank = int(np.sum(singvals > 1e-10 * singvals[0])) if singvals[0] > 0 else 0
-    if rank < len(config.param_selector):
-        bad = [config.param_selector[j] for j in _deficient_columns(selected)]
-        raise ValueError(f"selected feature columns {bad} are rank deficient")
-    coeffs, *_ = np.linalg.lstsq(selected, t, rcond=None)
-    a_star = np.zeros(config.m)
-    a_star[list(config.param_selector)] = coeffs
-    return a_star
-
-
-def _stationarity_terms(
-    config: ExperimentConfig,
-    a_star: np.ndarray,
-    target: Callable[[np.ndarray], np.ndarray],
-    sampler: Optional[Sampler],
-):
-    y, feats, eta_key = _feature_matrix(config, sampler)
-    t = np.asarray(target(y), dtype=float)
-    a_full, *_ = np.linalg.lstsq(feats, t, rcond=None)
-    p_tilde = build_augmented_projection(config.p)
-    x_tilde = p_tilde @ (np.asarray(a_star, dtype=float) - a_full)
-    rows = _augmented_rows(y, config.p, config.activation, eta_key)
-    k_phi = config.selector_basis()
-    return rows, p_tilde, k_phi, x_tilde
-
-
-def _residual_from_rows(rows, p_tilde, k_phi, x_tilde) -> float:
-    sigma_hat = rows.T @ rows / rows.shape[0]
-    k_tilde = orthonormal_basis(sigma_hat @ p_tilde @ k_phi.columns)
-    return float(np.linalg.norm(k_tilde.columns.T @ x_tilde))
+    return _constrained_fit(config, _stream(config, sampler, _row_target(target)))
 
 
 def verify_stationarity(
@@ -302,9 +419,12 @@ def verify_stationarity(
     built from the empirical augmented covariance.  For ``a_star`` from
     :func:`fit_optimal_last_layer` this vanishes up to sampling and
     conditioning error; compare against :func:`stationarity_noise_floor`.
+    ``target`` is called per chunk, as in :func:`fit_optimal_last_layer`.
     """
-    rows, p_tilde, k_phi, x_tilde = _stationarity_terms(config, a_star, target, sampler)
-    return _residual_from_rows(rows, p_tilde, k_phi, x_tilde)
+    moments = _stream(config, sampler, _row_target(target))
+    x_tilde = _stationarity_gap(config, a_star, _full_fit(config, moments))
+    k_tilde = _capacity_basis(moments.cross.sum(axis=0), config.n_samples, config.selector_basis())
+    return _residual(k_tilde, x_tilde)
 
 
 def stationarity_noise_floor(
@@ -317,26 +437,19 @@ def stationarity_noise_floor(
 
     Jackknife over 8 contiguous sample blocks: the residual is re-evaluated
     with each block's covariance, and the mean block residual is scaled back
-    to the full sample size by 1/sqrt(8).
+    to the full sample size by 1/sqrt(8).  ``target`` is called per chunk,
+    as in :func:`fit_optimal_last_layer`.
     """
-    rows, p_tilde, k_phi, x_tilde = _stationarity_terms(config, a_star, target, sampler)
-    bounds = np.linspace(0, rows.shape[0], _NOISE_BLOCKS + 1, dtype=int)
-    block_residuals = [
-        _residual_from_rows(rows[a:b], p_tilde, k_phi, x_tilde)
-        for a, b in zip(bounds[:-1], bounds[1:])
-    ]
-    return float(np.mean(block_residuals) / math.sqrt(_NOISE_BLOCKS))
+    moments = _stream(config, sampler, _row_target(target))
+    x_tilde = _stationarity_gap(config, a_star, _full_fit(config, moments))
+    return _noise_floor(moments, config.selector_basis(), x_tilde)
 
 
-def _generic_target(config: ExperimentConfig):
-    """Deterministic full-support readout target derived from the config seed."""
-    _, eta_key, aux = _derive_streams(config.seed)
+def _generic_target(config: ExperimentConfig) -> _ChunkTarget:
+    """Deterministic full-support readout of the features, derived from the config seed."""
+    _, _, aux = _derive_streams(config.seed)
     a_gen = np.random.default_rng(aux).standard_normal(config.m)
-
-    def target(y: np.ndarray) -> np.ndarray:
-        return config.activation.apply(y @ config.p.matrix, key=eta_key) @ a_gen
-
-    return target
+    return lambda y, feats: feats @ a_gen
 
 
 def empirical_spatial_capacity(
@@ -349,44 +462,43 @@ def empirical_spatial_capacity(
     coordinate.  The closed form ``kappa_i = sum_{j in selector} p_ij**2``
     holds for pseudo-random activations with i.i.d. inputs; any other sampler
     refuses the comparison and reports the measurement with a caveat.
-    """
-    p_tilde = build_augmented_projection(config.p)
-    k_phi = config.selector_basis()
-    y, eta_key = _sample_inputs(config.n, config.n_samples, config.seed, sampler)
-    rows = _augmented_rows(y, config.p, config.activation, eta_key)
-    sigma_hat = rows.T @ rows / rows.shape[0]
-    k_tilde = orthonormal_basis(sigma_hat @ p_tilde @ k_phi.columns)
-    kappa_hat = augmented_spatial_profile(k_tilde, config.layout())
 
-    target = _generic_target(config)
-    a_star = fit_optimal_last_layer(config, target, sampler=sampler)
-    residual = verify_stationarity(config, a_star, target, sampler=sampler)
+    One pass over the samples, in chunks, yields everything: the block cross
+    moments ``x~ f(z)^T`` give ``Sigma~_hat P~`` and the jackknife floor, and
+    a streamed R factor of the features and a generic target gives both
+    least-squares fits.  Memory is O(chunk*n*m + 8*n*m*m), flat in N.
+    """
+    moments = _stream(config, sampler, _generic_target(config))
+    k_phi = config.selector_basis()
+    k_tilde = _capacity_basis(moments.cross.sum(axis=0), config.n_samples, k_phi)
+    kappa_hat = augmented_spatial_profile(k_tilde, config.layout())
+    x_tilde = _stationarity_gap(
+        config, _constrained_fit(config, moments), _full_fit(config, moments)
+    )
+    measured = dict(
+        kappa_hat=kappa_hat,
+        stationarity_residual=_residual(k_tilde, x_tilde),
+        stationarity_noise_floor=_noise_floor(moments, k_phi, x_tilde),
+    )
 
     if sampler is not None:
         return EmpiricalReport(
-            kappa_hat=kappa_hat,
             kappa_theory=None,
             max_abs_dev=None,
-            stationarity_residual=residual,
             caveat="non-iid sampler: closed-form comparison refused",
+            **measured,
         )
     if config.activation.kind != "pseudo_random":
         return EmpiricalReport(
-            kappa_hat=kappa_hat,
             kappa_theory=None,
             max_abs_dev=None,
-            stationarity_residual=residual,
             caveat=(
                 f"activation {config.activation.kind!r} has no closed-form "
                 "spatial capacity; general-path measurement only"
             ),
+            **measured,
         )
     theory = np.sum(config.p.matrix[:, list(config.param_selector)] ** 2, axis=1)
     kappa_theory = SpatialCapacity(theory)
     max_abs_dev = float(np.max(np.abs(kappa_hat.values - kappa_theory.values)))
-    return EmpiricalReport(
-        kappa_hat=kappa_hat,
-        kappa_theory=kappa_theory,
-        max_abs_dev=max_abs_dev,
-        stationarity_residual=residual,
-    )
+    return EmpiricalReport(kappa_theory=kappa_theory, max_abs_dev=max_abs_dev, **measured)

@@ -389,6 +389,19 @@ class TestVerify:
     def test_bad_selector_exits_2(self, capsys):
         assert main(["verify", "--selector", "1,99", "--mc", "20000"]) == 2
 
+    def test_reports_noise_floor(self, capsys):
+        code, out = _run(capsys, ["verify", "--mc", "20000", "--seed", "4"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["stationarity_noise_floor"] > 0
+        assert doc["stationarity_residual"] <= 4.0 * doc["stationarity_noise_floor"]
+
+    def test_block_moments_past_budget_exit_2(self, capsys):
+        # 8 blocks of (n*m) x m floats: 3.8 GiB at n = m = 400, refused before allocating
+        argv = ["verify", "--n", "400", "--m", "400", "--selector", "0,1", "--mc", "20000"]
+        assert main(argv) == 2
+        assert "2 GiB oracle memory limit" in capsys.readouterr().err
+
 
 class TestLogging:
     def test_invalid_level_exits_2(self, monkeypatch, capsys):

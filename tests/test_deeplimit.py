@@ -15,6 +15,7 @@ from capnet.deeplimit import (
     DeepLimitConfig,
     PdeField,
     StabilityError,
+    _walk,
     compare_markov_pde,
     evolve_markov,
     gaussian_solution,
@@ -476,6 +477,26 @@ class TestCompareMarkovPde:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    def test_levels_step_two_buffers(self):
+        # the trajectory of 2001 profiles would be 64 MB; only the last is read
+        gen = residual_generator(4001, 0.0, 1.0)
+        cfg = DeepLimitConfig(eps=0.1, L=2000)
+        tracemalloc.start()
+        try:
+            compare_markov_pde(gen, cfg, SpatialCapacity.dirac(4001, 2000), refinements=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("L", [1, 2, 7, 8])
+    def test_two_buffer_walk_ends_on_the_trajectory(self, L):
+        gen = residual_generator(31, 0.4, 1.0, "reflecting")
+        cfg = DeepLimitConfig(eps=0.2, L=L)
+        kappa = SpatialCapacity(np.random.default_rng(L).random(31))
+        last = _walk(gen, cfg, kappa, keep_all=False)
+        np.testing.assert_array_equal(last, evolve_markov(gen, cfg, kappa)[-1].values)
 
     def test_negative_refinements_rejected(self):
         gen = residual_generator(21, 0.0, 1.0)

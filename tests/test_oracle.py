@@ -1,6 +1,13 @@
+import math
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from capnet import oracle
 from capnet.augment import (
     Activation,
     AugmentedLayout,
@@ -16,10 +23,12 @@ from capnet.core import (
     orthonormal_basis,
 )
 from capnet.oracle import (
+    _MEMORY_BUDGET_BYTES,
     EmpiricalReport,
     ExperimentConfig,
     PseudoRandomSign,
     SpatialCapacity,
+    _sample_inputs,
     empirical_sigma_tilde,
     empirical_spatial_capacity,
     fit_optimal_last_layer,
@@ -31,6 +40,13 @@ from capnet.oracle import (
 
 def _random_projection(rng, n, m):
     return ProjectionMatrix.from_raw(rng.standard_normal((n, m)))
+
+
+def _features(config, sampler=None):
+    """The config's sampled inputs (N, n), drawn whole, and their features (N, m)."""
+    take, eta_key = _sample_inputs(config.n, config.n_samples, config.seed, sampler)
+    y = take(config.n_samples)
+    return y, config.activation.apply(y @ config.p.matrix, key=eta_key)
 
 
 class TestPseudoRandomEta:
@@ -214,10 +230,8 @@ class TestFitOptimalLastLayer:
             model = config.activation.apply(y @ p.matrix) @ a_true
             return model + noise_sigma * noise_rng.standard_normal(y.shape[0])
 
-        from capnet.oracle import _feature_matrix
-
         a_star = fit_optimal_last_layer(config, target)
-        y, feats, _ = _feature_matrix(config, None)
+        y, feats = _features(config)
         noise_rng = np.random.default_rng(12)
         residual = target(y) - feats @ a_star
         mse = float(np.mean(residual**2))
@@ -287,10 +301,8 @@ class TestVerifyStationarity:
         def target(y):
             return np.tanh(y @ config.p.matrix) @ a_gen
 
-        from capnet.oracle import _feature_matrix
-
         a_star = fit_optimal_last_layer(config, target)
-        y, feats, _ = _feature_matrix(config, None)
+        y, feats = _features(config)
         t = target(y)
         base = float(np.mean((t - feats @ a_star) ** 2))
         for delta in (0.1, -0.1):
@@ -479,3 +491,204 @@ class TestConfigAndReportValidation:
         out = report.to_dict()
         assert out["kappa_hat"] == [0.5, 0.5]
         assert out["max_abs_dev"] == 0.0
+
+    def test_report_noise_floor_validated_and_emitted(self):
+        kappa = SpatialCapacity(np.array([1.0]))
+        with pytest.raises(ValueError, match="stationarity_noise_floor"):
+            EmpiricalReport(kappa, kappa, 0.0, 0.0, stationarity_noise_floor=math.nan)
+        report = EmpiricalReport(kappa, kappa, 0.0, 0.0, stationarity_noise_floor=0.25)
+        assert report.to_dict()["stationarity_noise_floor"] == 0.25
+        assert "stationarity_noise_floor" not in EmpiricalReport(kappa, kappa, 0.0, 0.0).to_dict()
+
+
+def _batch_reference(config, target, sampler=None):
+    """kappa_hat, a_star, residual and jackknife floor from the whole augmented rows.
+
+    This is the direct form the single pass replaces: it holds the N x n*m
+    augmented samples, forms Sigma~_hat, and solves least squares on the
+    whole feature matrix.  Only z = y P is taken from the pass's chunks: the
+    pseudo-random eta hashes the bits of z, and BLAS may round a row of y P
+    differently in a batch of another size.
+    """
+    take, eta_key = _sample_inputs(config.n, config.n_samples, config.seed, sampler)
+    y = take(config.n_samples)
+    take, _ = _sample_inputs(config.n, config.n_samples, config.seed, sampler)
+    chunks = oracle._chunks(take, eta_key, config.p, config.activation, config.n_samples)
+    z = np.vstack([chunk[2] for chunk in chunks])
+    rows = np.einsum("sj,si->sji", config.activation.eta(z, key=eta_key), y)
+    rows = rows.reshape(config.n_samples, config.n * config.m)
+    feats = config.activation.apply(z, key=eta_key)
+    t = target(y)
+    p_tilde = build_augmented_projection(config.p)
+    k_phi = config.selector_basis().columns
+
+    def capacity_basis(block):
+        return orthonormal_basis(block.T @ block / block.shape[0] @ p_tilde @ k_phi)
+
+    k_tilde = capacity_basis(rows)
+    kappa = augmented_spatial_profile(k_tilde, config.layout()).values
+    selected = list(config.param_selector)
+    a_star = np.zeros(config.m)
+    a_star[selected] = np.linalg.lstsq(feats[:, selected], t, rcond=None)[0]
+    a_full = np.linalg.lstsq(feats, t, rcond=None)[0]
+    x_tilde = p_tilde @ (a_star - a_full)
+    residual = float(np.linalg.norm(k_tilde.columns.T @ x_tilde))
+    edges = np.linspace(0, config.n_samples, 9, dtype=int)
+    floor = np.mean([
+        np.linalg.norm(capacity_basis(rows[a:b]).columns.T @ x_tilde)
+        for a, b in zip(edges[:-1], edges[1:])
+    ]) / math.sqrt(8)
+    return kappa, a_star, residual, float(floor)
+
+
+_ACTIVATIONS = {
+    "pseudo_random": Activation.pseudo_random(),
+    "relu": Activation.relu(),
+    "custom": Activation.custom(np.tanh),
+}
+
+
+class TestSinglePass:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        m=st.integers(1, 6),
+        activation=st.sampled_from(sorted(_ACTIVATIONS)),
+        n_samples=st.integers(1000, 2600),
+        chunk_rows=st.integers(5, 400),
+        custom_sampler=st.booleans(),
+        data=st.data(),
+    )
+    def test_stream_equals_batch(
+        self, n, m, activation, n_samples, chunk_rows, custom_sampler, data
+    ):
+        seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
+        try:
+            p = _random_projection(np.random.default_rng(seed), n, m)
+        except ValueError:
+            assume(False)  # duplicate columns, possible when n = 1
+        selector = data.draw(
+            st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True),
+            label="selector",
+        )
+        config = ExperimentConfig(p, _ACTIVATIONS[activation], selector, n_samples, seed)
+        scales = np.linspace(0.5, 2.0, n)
+
+        def scaled(rng, count, dim):
+            return rng.standard_normal((count, dim)) * scales
+
+        sampler = scaled if custom_sampler else None
+        a_gen = np.random.default_rng(seed + 1).standard_normal(m)
+
+        def target(y):
+            return np.sin(y @ p.matrix) @ a_gen + y[:, 0]
+
+        # keep to well-posed fits: rounding in both forms grows with the
+        # conditioning of F, which bounds that of its selected columns
+        assume(np.linalg.cond(_features(config, sampler)[1]) < 1e3)
+        chunk_bytes = chunk_rows * 8 * (n + 1) * (m + 1)
+        with mock.patch.object(oracle, "_CHUNK_BYTES", chunk_bytes):
+            try:
+                kappa, a_star, residual, floor = _batch_reference(config, target, sampler)
+            except ValueError:
+                assume(False)  # rank-deficient selected features
+            streamed = fit_optimal_last_layer(config, target, sampler)
+            np.testing.assert_allclose(streamed, a_star, rtol=0, atol=1e-12)
+            got = verify_stationarity(config, streamed, target, sampler)
+            assert abs(got - residual) <= 1e-12
+            got = stationarity_noise_floor(config, streamed, target, sampler)
+            assert abs(got - floor) <= 1e-12
+            report = empirical_spatial_capacity(config, sampler)
+        np.testing.assert_allclose(report.kappa_hat.values, kappa, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("custom", [False, True])
+    def test_chunked_draw_equals_one_draw(self, custom):
+        def sampler(rng, count, n):
+            return rng.standard_normal((count, n)) + np.arange(count)[:, None]
+
+        take, _ = _sample_inputs(5, 10_000, 3, sampler if custom else None)
+        whole = take(10_000)
+        take, _ = _sample_inputs(5, 10_000, 3, sampler if custom else None)
+        parts = [take(rows) for rows in (1, 4095, 4096, 1808)]
+        np.testing.assert_array_equal(np.vstack(parts), whole)
+        if custom:
+            np.testing.assert_array_equal(
+                whole, sampler(np.random.default_rng(oracle._derive_streams(3)[0]), 10_000, 5)
+            )
+
+    def test_target_called_once_per_chunk_in_order(self):
+        config = ExperimentConfig(
+            _random_projection(np.random.default_rng(80), 3, 3),
+            Activation.relu(), (0, 2), 3000, seed=30,
+        )
+        seen = []
+
+        def target(y):
+            seen.append(y.copy())
+            return y[:, 0]
+
+        with mock.patch.object(oracle, "_CHUNK_BYTES", 100 * 8 * 4 * 4):
+            fit_optimal_last_layer(config, target)
+        assert len(seen) == 8 * 4  # 375 rows a block, in chunks of 100
+        np.testing.assert_array_equal(np.vstack(seen), _features(config)[0])
+
+    def test_report_floor_matches_public_reader(self):
+        # the report's floor comes from the same pass as its residual
+        config = ExperimentConfig(
+            _random_projection(np.random.default_rng(81), 4, 4),
+            Activation.pseudo_random(), (1, 2), 8000, seed=31,
+        )
+        _, eta_key, aux = oracle._derive_streams(config.seed)
+        a_gen = np.random.default_rng(aux).standard_normal(config.m)
+
+        def target(y):
+            return config.activation.apply(y @ config.p.matrix, key=eta_key) @ a_gen
+
+        report = empirical_spatial_capacity(config)
+        a_star = fit_optimal_last_layer(config, target)
+        assert report.stationarity_noise_floor == pytest.approx(
+            stationarity_noise_floor(config, a_star, target), rel=1e-12
+        )
+        assert report.stationarity_residual <= 4.0 * report.stationarity_noise_floor
+
+    def test_memory_is_flat_in_sample_count(self):
+        # the whole-rows form peaked at 724 MiB for n = m = 16 and N = 160k
+        p = _random_projection(np.random.default_rng(82), 16, 16)
+        peaks = []
+        for n_samples in (160_000, 640_000):
+            config = ExperimentConfig(
+                p, Activation.pseudo_random(), (0, 3, 5, 9, 12), n_samples, seed=32
+            )
+            tracemalloc.start()
+            try:
+                empirical_spatial_capacity(config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 48 * 2**20
+        assert peaks[1] <= 1.1 * peaks[0]
+
+
+class TestMemoryGuards:
+    def test_block_moments_past_budget_refused(self):
+        # 8 blocks of (n*m) x m floats: n = m = 400 needs 3.8 GiB
+        n = m = 400
+        assert 8 * 8 * n * m * m > _MEMORY_BUDGET_BYTES
+        config = ExperimentConfig(
+            ProjectionMatrix(np.eye(n)), Activation.pseudo_random(), (0, 1), 1000, seed=0
+        )
+        with pytest.raises(ValueError, match="2 GiB oracle memory limit"):
+            empirical_spatial_capacity(config)
+
+    def test_sampler_batch_past_budget_refused_before_call(self):
+        def sampler(rng, count, n):
+            raise AssertionError("the sampler must not be called")
+
+        config = ExperimentConfig(
+            _random_projection(np.random.default_rng(83), 4, 4),
+            Activation.pseudo_random(), (0, 1), 10**8, seed=0,
+        )
+        with pytest.raises(ValueError, match="2 GiB oracle memory limit"):
+            empirical_spatial_capacity(config, sampler=sampler)
+        with pytest.raises(ValueError, match="2 GiB oracle memory limit"):
+            empirical_sigma_tilde(config.p, config.activation, sampler, 10**8, seed=0)
