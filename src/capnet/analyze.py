@@ -14,13 +14,13 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .core import SpatialCapacity
+from .core import SpatialCapacity, _check_capacity_values
 from .deeplimit import (
     _BOUNDARY_MASS_TOL,
     DeepLimitConfig,
     ResidualGenerator,
     _pmf_std,
-    evolve_markov,
+    _walk,
 )
 from .propagate import LayerChain, propagate_chain
 
@@ -45,8 +45,9 @@ class ErfReport:
     ``per_depth_std`` pairs each layer index l with the standard deviation of
     the normalized profile at that interface, ordered from the probe layer
     downwards.  ``fitted_exponent`` is the log-log slope of width against
-    traversed depth over the layers where the width exceeds 2 grid cells; it
-    is NaN when fewer than two layers qualify.
+    traversed depth over the layers below the probe where the width is at
+    least 2 grid cells; ``fit_points`` counts those layers.  The exponent is
+    NaN when fewer than two layers qualify.
     """
 
     probe_index: int
@@ -64,14 +65,30 @@ class ErfReport:
             if sigma < 0:
                 raise ValueError(f"negative width at layer {layer}")
 
+    @property
+    def fit_points(self) -> int:
+        return len(_fit_pairs(self.per_depth_std))
+
     def to_dict(self) -> dict:
         return {
             "probe_index": self.probe_index,
             "per_depth_std": [[layer, sigma] for layer, sigma in self.per_depth_std],
             "fitted_exponent": self.fitted_exponent,
+            "fit_points": self.fit_points,
             "fit_residual": self.fit_residual,
             "boundary_flagged": self.boundary_flagged,
         }
+
+
+def _fit_pairs(per_depth_std) -> List[Tuple[int, float]]:
+    """The (layer, width) pairs of the power-law fit: widths of at least 2 cells
+    at the layers below the probe layer, which ``per_depth_std`` lists first."""
+    depth = per_depth_std[0][0]
+    return [
+        (layer, sigma)
+        for layer, sigma in per_depth_std
+        if sigma >= _MIN_FIT_SIGMA and layer < depth
+    ]
 
 
 @dataclass(frozen=True)
@@ -118,7 +135,9 @@ def erf_profile(
     Accepts either a layer chain or a residual generator with its depth
     configuration.  The run is flagged when probe mass touches the first or
     last grid cell at any layer, since widths measured across the edge are
-    unreliable.
+    unreliable.  A generator's (L+1) x n trajectory is validated, flagged and
+    measured with whole-array reductions; a chain's interfaces may differ in
+    width, so each is measured on its own.
     """
     if isinstance(source, LayerChain):
         if cfg is not None:
@@ -128,7 +147,7 @@ def erf_profile(
         if not 0 <= x0 < n:
             raise ValueError(f"x0 must be in [0, {n})")
         interfaces = propagate_chain(source, SpatialCapacity.dirac(n, x0))
-        walked = list(reversed(interfaces))  # probe layer first
+        blocks = [profile.values[None] for profile in reversed(interfaces)]  # probe layer first
     elif isinstance(source, ResidualGenerator):
         if cfg is None:
             raise ValueError("a generator source needs a DeepLimitConfig")
@@ -136,22 +155,22 @@ def erf_profile(
         depth = cfg.L
         if not 0 <= x0 < n:
             raise ValueError(f"x0 must be in [0, {n})")
-        walked = evolve_markov(source, cfg, SpatialCapacity.dirac(n, x0))
+        rows = _walk(source, cfg, SpatialCapacity.dirac(n, x0), keep_all=True)
+        _check_capacity_values(rows)
+        blocks = [rows]
     else:
         raise TypeError("source must be a LayerChain or a ResidualGenerator")
 
-    stds: List[Tuple[int, float]] = []
-    flagged = False
-    for steps, profile in enumerate(walked):
-        edge_mass = profile.values[0] + profile.values[-1]
-        if edge_mass > _BOUNDARY_MASS_TOL * profile.total:
-            flagged = True
-        stds.append((depth - steps, _pmf_std(profile.values)))
+    flagged = any(
+        np.any(rows[:, 0] + rows[:, -1] > _BOUNDARY_MASS_TOL * rows.sum(axis=1))
+        for rows in blocks
+    )
+    widths = np.concatenate([_pmf_std(rows) for rows in blocks]).tolist()
+    stds = tuple(zip(range(depth, -1, -1), widths))
 
     points = [
         (math.log(depth - layer), math.log(sigma))
-        for layer, sigma in stds
-        if sigma >= _MIN_FIT_SIGMA and depth - layer > 0
+        for layer, sigma in _fit_pairs(stds)
     ]
     if len(points) >= 2:
         xs = np.array([p[0] for p in points])
@@ -165,7 +184,7 @@ def erf_profile(
         residual = math.nan
     return ErfReport(
         probe_index=x0,
-        per_depth_std=tuple(stds),
+        per_depth_std=stds,
         fitted_exponent=exponent,
         fit_residual=residual,
         boundary_flagged=flagged,

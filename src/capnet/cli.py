@@ -39,6 +39,9 @@ _LOG_LEVELS = {
 }
 
 _LAYER_KEYS = {"kind", "n_in", "n_out", "activation", "weights", "eps"}
+# The n_in x n_out float64 operators of a spec's chain, together.  Building one
+# takes up to 4x its size at once, so a spec stays within about 2 GiB.
+_SPEC_OPERATOR_BUDGET_BYTES = 512 * 2**20
 
 
 class SpecError(ValueError):
@@ -88,6 +91,8 @@ def _parse_weight_matrix(entry: dict, index: int, seeds: List[int]) -> np.ndarra
             seed = int(text.split(":", 1)[1])
         except ValueError:
             raise _fail(index, f"bad seed in {text!r}") from None
+        if seed < 0:
+            raise _fail(index, f"seed in {text!r} must be non-negative")
         seeds.append(seed)
         return np.random.default_rng(seed).standard_normal((n_in, n_out))
     try:
@@ -103,7 +108,7 @@ def _parse_weight_matrix(entry: dict, index: int, seeds: List[int]) -> np.ndarra
     return matrix
 
 
-def _build_layer(entry, index: int, seeds: List[int]) -> Layer:
+def _build_layer(entry, index: int, seeds: List[int], spare_bytes: int) -> Layer:
     if not isinstance(entry, dict):
         raise _fail(index, "each layer must be an object")
     unknown = set(entry) - _LAYER_KEYS
@@ -118,8 +123,16 @@ def _build_layer(entry, index: int, seeds: List[int]) -> Layer:
     if not isinstance(weights, str):
         raise _fail(index, "weights must be a string")
     n_in, n_out = entry["n_in"], entry["n_out"]
-    if not (isinstance(n_in, int) and isinstance(n_out, int) and n_in > 0 and n_out > 0):
+    if not all(type(size) is int and size > 0 for size in (n_in, n_out)):
         raise _fail(index, "n_in and n_out must be positive integers")
+    if 8 * n_in * n_out > spare_bytes:
+        raise _fail(
+            index,
+            f"its {n_in}x{n_out} operator takes the chain past the "
+            f"{_SPEC_OPERATOR_BUDGET_BYTES // 2**20} MiB spec operator limit",
+        )
+    if "activation" in entry and not isinstance(entry["activation"], str):
+        raise _fail(index, f"activation must be a string, got {entry['activation']!r}")
 
     if weights.startswith("uniform:"):
         if kind == "differential":
@@ -212,7 +225,7 @@ def _parse_top_capacity(value, n: int) -> SpatialCapacity:
             raise SpecError(f"top_capacity has {len(value)} entries, chain needs {n}")
         try:
             return SpatialCapacity(np.asarray(value, dtype=float))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise SpecError(f"bad top_capacity: {exc}") from None
     raise SpecError("top_capacity must be a vector, dirac:<index>, or uniform")
 
@@ -230,7 +243,11 @@ def parse_network_spec(document) -> NetworkSpec:
     if "top_capacity" not in document:
         raise SpecError("spec needs top_capacity")
     seeds: List[int] = []
-    layers = [_build_layer(entry, i, seeds) for i, entry in enumerate(layers_doc)]
+    layers: List[Layer] = []
+    spare_bytes = _SPEC_OPERATOR_BUDGET_BYTES
+    for i, entry in enumerate(layers_doc):
+        layers.append(_build_layer(entry, i, seeds, spare_bytes))
+        spare_bytes -= layers[-1].operator.matrix.nbytes
     for i, (a, b) in enumerate(zip(layers, layers[1:])):
         if a.n_out != b.n_in:
             raise SpecError(

@@ -192,6 +192,21 @@ class SubspaceSelector:
         return cls(np.eye(ambient_dim))
 
 
+def _check_capacity_values(values: np.ndarray) -> None:
+    """Refuse capacity entries that are non-finite or below -1e-10, in an array of any shape.
+
+    NaN propagates through min and max, so the two reductions see every
+    non-finite entry without an array-sized temporary.
+    """
+    if not values.size:
+        return
+    lo, hi = values.min(), values.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError("spatial capacity contains non-finite entries")
+    if lo < -1e-10:
+        raise ValueError(f"spatial capacity has negative entry {lo:.3e}")
+
+
 @dataclass(frozen=True)
 class SpatialCapacity:
     """Non-negative capacity mass per spatial coordinate (dimensionless counts)."""
@@ -202,10 +217,7 @@ class SpatialCapacity:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1:
             raise ValueError(f"spatial capacity must be a vector, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("spatial capacity contains non-finite entries")
-        if values.size and values.min() < -1e-10:
-            raise ValueError(f"spatial capacity has negative entry {values.min():.3e}")
+        _check_capacity_values(values)
         object.__setattr__(self, "values", values)
 
     @property

@@ -38,13 +38,28 @@ _BOUNDARY_MASS_TOL = 1e-6
 _TRAJECTORY_BUDGET_BYTES = 2 * 2**30
 
 
-def _pmf_std(values: np.ndarray) -> float:
-    """Standard deviation of the grid index under the profile, in cells."""
-    total = values.sum()
-    idx = np.arange(values.size)
-    mean = (idx * values).sum() / total
-    var = ((idx - mean) ** 2 * values).sum() / total
-    return math.sqrt(max(var, 0.0))
+# Rows per block of _pmf_std: its temporaries stay near this many bytes.
+_STD_BLOCK_BYTES = 2**20
+
+
+def _pmf_std(rows: np.ndarray) -> np.ndarray:
+    """Standard deviation of the grid index under each row's profile, in cells.
+
+    Takes a 2-D block of profiles and returns one width per row, in the
+    centred form ``sum((i - mean)**2 * v) / sum(v)``.  Each row is reduced
+    contiguously, so a row's width has the bits a lone 1-D profile would get.
+    """
+    n = rows.shape[1]
+    idx = np.arange(n)
+    stds = np.empty(rows.shape[0])
+    block = max(1, _STD_BLOCK_BYTES // (8 * n))
+    for start in range(0, rows.shape[0], block):
+        values = rows[start : start + block]
+        total = values.sum(axis=1)
+        mean = (idx * values).sum(axis=1) / total
+        var = ((idx - mean[:, None]) ** 2 * values).sum(axis=1) / total
+        np.sqrt(np.maximum(var, 0.0), out=stds[start : start + block])
+    return stds
 
 
 class StabilityError(ValueError):
@@ -74,6 +89,8 @@ class ResidualGenerator:
     diag: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if not (math.isfinite(self.v) and math.isfinite(self.Dcoef)):
+            raise ValueError(f"v = {self.v:g} and Dcoef = {self.Dcoef:g} must be finite")
         if self.Dcoef <= 0:
             raise ValueError("Dcoef must be positive")
         if abs(self.v) / 2.0 > self.Dcoef:
@@ -364,7 +381,7 @@ def compare_markov_pde(
             break
         final = _walk(gen_k, cfg_k, kappa_k, keep_all=False)
         if level == 0:
-            markov_std = _pmf_std(final)
+            markov_std = float(_pmf_std(final[None])[0])
         h = 1.0 / scale
         initial = PdeField(
             grid=np.arange(gen_k.n) * h, values=kappa_k.values / h, t=0.0

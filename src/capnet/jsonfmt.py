@@ -16,35 +16,19 @@ import numpy as np
 __all__ = ["canonical_dumps"]
 
 
-def _normalize(obj: Any) -> Any:
-    if isinstance(obj, np.ndarray):
-        return [_normalize(x) for x in obj.tolist()]
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, (list, tuple)):
-        return [_normalize(x) for x in obj]
-    if isinstance(obj, dict):
-        return {str(k): _normalize(v) for k, v in obj.items()}
-    return obj
-
-
 def _emit(obj: Any, indent: int, pieces: list) -> None:
     pad = "  " * indent
-    if obj is None:
+    if isinstance(obj, float):  # np.float64 included
+        pieces.append(format(float(obj), ".17g") if math.isfinite(obj) else "null")
+    elif obj is None:
         pieces.append("null")
     elif isinstance(obj, bool):
         pieces.append("true" if obj else "false")
     elif isinstance(obj, int):
         pieces.append(repr(obj))
-    elif isinstance(obj, float):
-        pieces.append(format(obj, ".17g") if math.isfinite(obj) else "null")
     elif isinstance(obj, str):
         pieces.append(json.dumps(obj))
-    elif isinstance(obj, list):
+    elif isinstance(obj, (list, tuple)):
         if not obj:
             pieces.append("[]")
             return
@@ -59,12 +43,22 @@ def _emit(obj: Any, indent: int, pieces: list) -> None:
             pieces.append("{}")
             return
         pieces.append("{\n")
-        keys = sorted(obj)
+        items = {str(k): v for k, v in obj.items()}
+        keys = sorted(items)
         for i, key in enumerate(keys):
             pieces.append(pad + "  " + json.dumps(key) + ": ")
-            _emit(obj[key], indent + 1, pieces)
+            _emit(items[key], indent + 1, pieces)
             pieces.append(",\n" if i + 1 < len(keys) else "\n")
         pieces.append(pad + "}")
+    # a numpy value is written as the plain Python value it stands for
+    elif isinstance(obj, np.ndarray):
+        _emit(obj.tolist(), indent, pieces)
+    elif isinstance(obj, np.bool_):
+        _emit(bool(obj), indent, pieces)
+    elif isinstance(obj, np.integer):
+        _emit(int(obj), indent, pieces)
+    elif isinstance(obj, np.floating):
+        _emit(float(obj), indent, pieces)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -72,5 +66,5 @@ def _emit(obj: Any, indent: int, pieces: list) -> None:
 def canonical_dumps(obj: Any) -> str:
     """Serialize to deterministic JSON text (no trailing newline)."""
     pieces: list = []
-    _emit(_normalize(obj), 0, pieces)
+    _emit(obj, 0, pieces)
     return "".join(pieces)

@@ -3,9 +3,12 @@
 import functools
 import math
 import operator
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capnet.analyze import (
     ErfReport,
@@ -16,8 +19,14 @@ from capnet.analyze import (
     shatter_analysis,
     uniform_path_weight,
 )
-from capnet.core import SpatialCapacity
-from capnet.deeplimit import DeepLimitConfig, residual_generator
+from capnet.augment import Activation
+from capnet.core import ProjectionMatrix, SpatialCapacity
+from capnet.deeplimit import (
+    _BOUNDARY_MASS_TOL,
+    DeepLimitConfig,
+    evolve_markov,
+    residual_generator,
+)
 from capnet.propagate import Layer, LayerChain, PropagationOperator
 
 
@@ -36,7 +45,85 @@ def _random_tridiagonal(rng, n):
     return PropagationOperator(matrix / matrix.sum(axis=0))
 
 
+def _pmf_std_reference(values):
+    """Width of one profile, one 1-D reduction at a time."""
+    total = values.sum()
+    idx = np.arange(values.size)
+    mean = (idx * values).sum() / total
+    var = ((idx - mean) ** 2 * values).sum() / total
+    return math.sqrt(max(var, 0.0))
+
+
+def _erf_reference(gen, x0, cfg):
+    """Widths and edge flag of a generator run, measured profile by profile."""
+    stds, flagged = [], False
+    walked = evolve_markov(gen, cfg, SpatialCapacity.dirac(gen.n, x0))
+    for steps, profile in enumerate(walked):
+        if profile.values[0] + profile.values[-1] > _BOUNDARY_MASS_TOL * profile.total:
+            flagged = True
+        stds.append((cfg.L - steps, _pmf_std_reference(profile.values)))
+    return tuple(stds), flagged
+
+
 class TestErfProfile:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(3, 60),
+        dcoef=st.floats(0.05, 5.0),
+        drift=st.floats(-1.0, 1.0),
+        fraction=st.floats(0.01, 0.99),
+        L=st.integers(1, 300),
+        boundary=st.sampled_from(["periodic", "reflecting"]),
+        where=st.sampled_from(["low", "middle", "high"]),
+        offset=st.integers(0, 3),
+        block_rows=st.integers(1, 40),
+    )
+    def test_matches_a_per_profile_loop_bit_for_bit(
+        self, n, dcoef, drift, fraction, L, boundary, where, offset, block_rows
+    ):
+        # drift is v / (2 Dcoef), so |v|/2 <= Dcoef always holds
+        gen = residual_generator(n, 2.0 * dcoef * drift, dcoef, boundary)
+        cfg = DeepLimitConfig(eps=fraction * gen.max_stable_eps(), L=L)
+        x0 = {"low": min(offset, n - 1), "middle": n // 2, "high": max(n - 1 - offset, 0)}[where]
+        # blocks of a few rows, so that block edges fall inside the trajectory
+        with mock.patch("capnet.deeplimit._STD_BLOCK_BYTES", 8 * n * block_rows):
+            report = erf_profile(gen, x0, cfg)
+        stds, flagged = _erf_reference(gen, x0, cfg)
+        assert report.per_depth_std == stds
+        assert report.boundary_flagged == flagged
+
+    def test_chain_of_changing_widths(self):
+        # interfaces of 6, 4 and 5 cells: the profiles cannot be stacked into one array
+        rng = np.random.default_rng(0)
+        pseudo_random = Activation.pseudo_random()
+        chain = LayerChain(
+            tuple(
+                Layer.standard(ProjectionMatrix.from_raw(rng.standard_normal(shape)), pseudo_random)
+                for shape in ((6, 4), (4, 5))
+            )
+        )
+        report = erf_profile(chain, 2)
+        assert report.per_depth_std == ((2, 0.0), (1, 1.1191331204469774), (0, 1.323526348645144))
+        assert report.boundary_flagged
+
+    @pytest.mark.parametrize(
+        "bad, message", [(math.nan, "non-finite"), (math.inf, "non-finite"), (-1e-9, "negative")]
+    )
+    def test_trajectory_checked_like_capacity_profiles(self, bad, message):
+        gen = residual_generator(11, 0.0, 1.0)
+        rows = np.full((4, 11), 1.0 / 11)
+        rows[2, 7] = bad
+        with mock.patch("capnet.analyze._walk", return_value=rows):
+            with pytest.raises(ValueError, match=message):
+                erf_profile(gen, 5, DeepLimitConfig(eps=0.1, L=3))
+
+    def test_fit_points_count_widths_of_two_cells_or_more(self):
+        # width sqrt(0.18 k) after k steps reaches 2 cells at k = 23: steps 23..100 qualify
+        gen = residual_generator(201, 0.0, 0.9, "periodic")
+        report = erf_profile(gen, 100, DeepLimitConfig(eps=0.1, L=100))
+        assert report.fit_points == 78
+        assert report.to_dict()["fit_points"] == 78
+
     def test_width_doubles_from_25_to_100_layers(self):
         gen = residual_generator(201, 0.0, 1.0, "periodic")
         wide = erf_profile(gen, 100, DeepLimitConfig(eps=0.1, L=100))
@@ -64,6 +151,7 @@ class TestErfProfile:
         report = erf_profile(chain, 5)
         assert report.per_depth_std == ((1, 0.0), (0, 0.0))
         assert math.isnan(report.fitted_exponent)
+        assert report.fit_points == 0
 
     def test_width_non_decreasing_for_diffusion(self):
         gen = residual_generator(201, 0.0, 1.0, "periodic")

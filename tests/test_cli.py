@@ -1,14 +1,17 @@
 """End-to-end tests of the command-line interface."""
 
+import copy
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capnet.analyze import erf_profile
-from capnet.cli import main, parse_network_spec
-from capnet.deeplimit import DeepLimitConfig, residual_generator
+from capnet.cli import SpecError, main, parse_network_spec
+from capnet.deeplimit import DeepLimitConfig, StabilityError, residual_generator
 from capnet.jsonfmt import canonical_dumps
 
 
@@ -184,6 +187,46 @@ class TestChain:
         assert main(["chain", _write_spec(tmp_path, "bad.json", doc)]) == 2
         assert f"layer 0: eps must be a number, got {eps!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"activation": 5}, "activation must be a string, got 5"),
+            ({"activation": ["relu"]}, "activation must be a string, got ['relu']"),
+            ({"n_in": True, "n_out": True}, "n_in and n_out must be positive integers"),
+            ({"weights": "random_gaussian:-1"}, "seed in 'random_gaussian:-1' must be non-negative"),
+        ],
+    )
+    def test_wrongly_typed_field_names_layer(self, tmp_path, capsys, fields, message):
+        layer = {"kind": "dense", "n_in": 4, "n_out": 4,
+                 "weights": "random_gaussian:3", "activation": "pseudo_random"}
+        doc = {"layers": [layer, dict(layer, **fields)], "top_capacity": "uniform"}
+        assert main(["chain", _write_spec(tmp_path, "bad.json", doc)]) == 2
+        assert f"layer 1: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("params", ["0.1,0,inf", "0.1,nan,1", "0.1,-inf,1"])
+    def test_non_finite_residual_parameters_exit_2(self, tmp_path, capsys, params):
+        layer = {"kind": "residual", "n_in": 5, "n_out": 5, "weights": f"residual:{params}"}
+        doc = {"layers": [layer], "top_capacity": "uniform"}
+        assert main(["chain", _write_spec(tmp_path, "bad.json", doc)]) == 2
+        assert "layer 0: v = " in capsys.readouterr().err
+
+    def test_operators_past_spec_budget_exit_2(self, tmp_path, capsys, monkeypatch):
+        layer = {"kind": "dense", "n_in": 4, "n_out": 4, "weights": "uniform:1"}
+        # room for three 4 x 4 operators: the fourth layer is refused before it is built
+        monkeypatch.setattr("capnet.cli._SPEC_OPERATOR_BUDGET_BYTES", 3 * 4 * 4 * 8)
+        path = _write_spec(tmp_path, "four.json", {"layers": [layer] * 4, "top_capacity": "uniform"})
+        assert main(["chain", path]) == 2
+        assert "layer 3: its 4x4 operator takes the chain past" in capsys.readouterr().err
+        doc = {"layers": [layer] * 3, "top_capacity": "uniform"}
+        assert main(["chain", _write_spec(tmp_path, "three.json", doc)]) == 0
+
+    def test_huge_layer_refused_before_allocating(self, tmp_path, capsys):
+        # 10^5 x 10^5 floats would need 75 GiB
+        layer = {"kind": "dense", "n_in": 10**5, "n_out": 10**5, "weights": "uniform:1"}
+        doc = {"layers": [layer], "top_capacity": "uniform"}
+        assert main(["chain", _write_spec(tmp_path, "huge.json", doc)]) == 2
+        assert "512 MiB spec operator limit" in capsys.readouterr().err
+
     def test_unknown_kind_names_layer(self, tmp_path, capsys):
         doc = {
             "layers": [{"kind": "conv", "n_in": 4, "n_out": 4, "weights": "uniform:1"}],
@@ -266,6 +309,11 @@ class TestPde:
     def test_unstable_eps_exits_1(self, capsys):
         assert main(["pde", "--eps", "0.8"]) == 1
 
+    @pytest.mark.parametrize("flag, value", [("--D", "inf"), ("--v", "nan")])
+    def test_non_finite_generator_exits_2(self, capsys, flag, value):
+        assert main(["pde", flag, value]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
     def test_levels_requested_next_to_levels_reached(self, capsys):
         # eps * 2 * Dcoef doubles per level: 0.2, 0.4 and 0.8 are stable, 1.6 is not
         code, out = _run(capsys, ["pde", "--n", "201", "--refinements", "4"])
@@ -290,6 +338,7 @@ class TestErf:
         assert doc["width_ratio"] == pytest.approx(2.0, rel=0.10)
         assert 0.45 <= doc["fitted_exponent"] <= 0.55
         assert doc["ratio_depth"] == 25
+        assert doc["fit_points"] == sum(sigma >= 2.0 for _, sigma in doc["per_depth_std"][1:])
 
     def test_specfile_chain(self, tmp_path, capsys):
         path = _write_spec(tmp_path, "deep.json", _residual_spec(201, 100))
@@ -420,3 +469,77 @@ class TestLogging:
         monkeypatch.delenv("CAPNET_LOG", raising=False)
         assert main(["nu", "relu"]) == 0
         assert "decoupling scale" not in capsys.readouterr().err
+
+
+# Valid documents covering every layer kind and every top_capacity form.
+_FUZZ_BASES = [
+    {
+        "layers": [
+            {"kind": "dense", "n_in": 5, "n_out": 4, "weights": "random_gaussian:1",
+             "activation": "pseudo_random"},
+            {"kind": "differential", "n_in": 4, "n_out": 4, "weights": "random_gaussian:2",
+             "activation": "pseudo_random", "eps": 0.3},
+        ],
+        "top_capacity": [1.0, 0.5, 0.0, 0.25],
+    },
+    {
+        "layers": [
+            {"kind": "residual", "n_in": 6, "n_out": 6, "weights": "residual:0.1,0.2,1.0"},
+            {"kind": "dense", "n_in": 6, "n_out": 6, "weights": "uniform:3"},
+        ],
+        "top_capacity": "dirac:2",
+    },
+    {
+        "layers": [{"kind": "differential", "n_in": 3, "n_out": 3, "eps": 2,
+                    "weights": "random_gaussian:7"}],
+        "top_capacity": "uniform",
+    },
+]
+
+_ODD_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 8),
+    st.sampled_from([-(10**18), 2**31, 2**63, 10**18]),
+    st.sampled_from([0.0, -0.0, 0.5, 1e-308, 1e308, -1e308, math.inf, -math.inf, math.nan]),
+    st.sampled_from([
+        "", "relu", "pseudo_random:nan", "leaky_relu:inf", "uniform", "uniform:0",
+        "uniform:1000000000", "random_gaussian:-1", "random_gaussian:1e3",
+        "random_gaussian:99999999999999999999", "residual:0.1,0,inf", "residual:nan,0,1",
+        "residual:1e308,1e308,1e308", "residual:0.1,0", "dirac:-1", "dirac:99", "dirac:x",
+    ]),
+    # no "/": a weights path can only name a file in the working directory
+    st.text(alphabet="abcdefxyz019:,.-_ ", max_size=12),
+    st.lists(st.one_of(st.floats(allow_nan=True), st.integers(-2, 2), st.none()), max_size=6),
+    st.builds(dict),
+    st.builds(lambda: [[1.0, 2.0]]),
+    st.builds(lambda: [{}]),
+)
+
+
+@st.composite
+def _mutated_spec(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(_FUZZ_BASES)))
+    for _ in range(draw(st.integers(1, 3))):
+        layers = doc.get("layers")
+        targets = [doc]
+        if isinstance(layers, list):
+            targets += [layer for layer in layers if isinstance(layer, dict)]
+        target = draw(st.sampled_from(targets))
+        keys = sorted(target) + ["kind", "eps", "activation", "extra"]
+        key = draw(st.sampled_from(keys))
+        if draw(st.booleans()) and key in target:
+            del target[key]
+        else:
+            target[key] = draw(_ODD_VALUES)
+    return doc
+
+
+class TestSpecFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_mutated_spec())
+    def test_malformed_documents_raise_spec_errors(self, doc):
+        try:
+            parse_network_spec(doc)
+        except (SpecError, StabilityError):
+            pass

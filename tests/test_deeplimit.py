@@ -114,6 +114,14 @@ class TestResidualGenerator:
         with pytest.raises(ValueError, match="Dcoef"):
             residual_generator(11, 0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "v, dcoef", [(0.0, math.inf), (0.0, math.nan), (math.nan, 1.0), (-math.inf, 1.0)]
+    )
+    def test_non_finite_parameters_rejected(self, v, dcoef):
+        with pytest.raises(ValueError, match="must be finite") as info:
+            residual_generator(11, v, dcoef)
+        assert not isinstance(info.value, StabilityError)
+
     def test_unknown_boundary_rejected(self):
         with pytest.raises(ValueError, match="boundary"):
             residual_generator(11, 0.0, 1.0, "absorbing")

@@ -5,8 +5,105 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capnet.jsonfmt import canonical_dumps
+
+
+def _normalize_reference(obj):
+    if isinstance(obj, np.ndarray):
+        return [_normalize_reference(x) for x in obj.tolist()]
+    if isinstance(obj, (np.bool_,)):
+        return bool(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, (list, tuple)):
+        return [_normalize_reference(x) for x in obj]
+    if isinstance(obj, dict):
+        return {str(k): _normalize_reference(v) for k, v in obj.items()}
+    return obj
+
+
+def _emit_reference(obj, indent, pieces):
+    pad = "  " * indent
+    if obj is None:
+        pieces.append("null")
+    elif isinstance(obj, bool):
+        pieces.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        pieces.append(repr(obj))
+    elif isinstance(obj, float):
+        pieces.append(format(obj, ".17g") if math.isfinite(obj) else "null")
+    elif isinstance(obj, str):
+        pieces.append(json.dumps(obj))
+    elif isinstance(obj, list):
+        if not obj:
+            pieces.append("[]")
+            return
+        pieces.append("[\n")
+        for i, item in enumerate(obj):
+            pieces.append(pad + "  ")
+            _emit_reference(item, indent + 1, pieces)
+            pieces.append(",\n" if i + 1 < len(obj) else "\n")
+        pieces.append(pad + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            pieces.append("{}")
+            return
+        pieces.append("{\n")
+        keys = sorted(obj)
+        for i, key in enumerate(keys):
+            pieces.append(pad + "  " + json.dumps(key) + ": ")
+            _emit_reference(obj[key], indent + 1, pieces)
+            pieces.append(",\n" if i + 1 < len(keys) else "\n")
+        pieces.append(pad + "}")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _dumps_reference(obj):
+    """The two-pass emitter: normalize the whole document, then write it."""
+    pieces = []
+    _emit_reference(_normalize_reference(obj), 0, pieces)
+    return "".join(pieces)
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    _FLOATS,
+    st.text(max_size=8),
+    st.builds(np.bool_, st.booleans()),
+    st.builds(np.int64, st.integers(-(2**63), 2**63 - 1)),
+    st.builds(np.int8, st.integers(-128, 127)),
+    st.builds(np.float64, _FLOATS),
+    st.builds(np.float32, st.floats(width=32)),
+)
+_ARRAYS = st.one_of(
+    st.lists(_FLOATS, max_size=5).map(lambda xs: np.array(xs, dtype=float)),
+    st.lists(st.integers(-5, 5), min_size=1, max_size=6).map(lambda xs: np.array(xs).reshape(-1, 1)),
+    st.lists(st.booleans(), max_size=4).map(lambda xs: np.array(xs, dtype=bool)),
+)
+_DOCUMENTS = st.recursive(
+    st.one_of(_SCALARS, _ARRAYS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=4), st.integers(-3, 3)), inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCUMENTS)
+def test_single_pass_matches_two_pass_reference(doc):
+    assert canonical_dumps(doc) == _dumps_reference(doc)
 
 
 def test_keys_sorted():
