@@ -29,17 +29,13 @@ from capnet.analyze import (
 )
 from capnet.augment import (
     Activation,
-    AugmentedLayout,
-    AugmentedSpace,
     DecouplingReport,
     augmented_capacity_basis,
     augmented_spatial_profile,
     build_augmented_covariance,
     build_augmented_projection,
-    build_differential_projection,
     decoupling_nu,
     estimate_nu_monte_carlo,
-    linear_stacked_basis,
 )
 from capnet.core import (
     CapacityBasis,
@@ -62,8 +58,6 @@ from capnet.deeplimit import (
     compare_markov_pde,
     evolve_markov,
     gaussian_solution,
-    random_layer_chain,
-    residual_generator,
 )
 from capnet.oracle import (
     EmpiricalReport,
@@ -90,8 +84,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Activation",
-    "AugmentedLayout",
-    "AugmentedSpace",
     "CapacityBasis",
     "ConvergenceReport",
     "CovarianceMatrix",
@@ -116,7 +108,6 @@ __all__ = [
     "augmented_spatial_profile",
     "build_augmented_covariance",
     "build_augmented_projection",
-    "build_differential_projection",
     "capacity_of_subspace",
     "compare_markov_pde",
     "decoupling_nu",
@@ -130,15 +121,12 @@ __all__ = [
     "fit_optimal_last_layer",
     "gaussian_solution",
     "gram_capacity_basis",
-    "linear_stacked_basis",
     "max_path_weight",
     "orthonormal_basis",
     "propagate_chain",
     "propagate_single",
     "propagation_matrix",
     "pseudo_random_eta",
-    "random_layer_chain",
-    "residual_generator",
     "shatter_analysis",
     "spatial_profile",
     "stationarity_noise_floor",

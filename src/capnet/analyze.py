@@ -20,7 +20,7 @@ from .deeplimit import (
     DeepLimitConfig,
     ResidualGenerator,
     _pmf_std,
-    _walk,
+    evolve_markov,
 )
 from .propagate import LayerChain, propagate_chain
 
@@ -111,8 +111,8 @@ class ShatterReport:
             raise ValueError("L and r must be positive integers")
         if self.uniform_weight != uniform_path_weight(self.r, self.L):
             raise ValueError("uniform_weight must equal r**-L")
-        if self.eps is not None and self.eps <= 0:
-            raise ValueError("eps must be positive when given")
+        if self.eps is not None and not self.eps > 0:
+            raise ValueError(f"eps must be positive when given, got {self.eps!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -155,7 +155,7 @@ def erf_profile(
         depth = cfg.L
         if not 0 <= x0 < n:
             raise ValueError(f"x0 must be in [0, {n})")
-        rows = _walk(source, cfg, SpatialCapacity.dirac(n, x0), keep_all=True)
+        rows = evolve_markov(source, cfg, SpatialCapacity.dirac(n, x0))
         _check_capacity_values(rows)
         blocks = [rows]
     else:

@@ -17,7 +17,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (
-    DEFAULT_RANK_TOL,
     CapacityBasis,
     CovarianceMatrix,
     ProjectionMatrix,
@@ -27,15 +26,11 @@ from .core import (
 
 __all__ = [
     "Activation",
-    "AugmentedLayout",
-    "AugmentedSpace",
     "DecouplingReport",
     "build_augmented_projection",
-    "build_differential_projection",
     "build_augmented_covariance",
     "decoupling_nu",
     "estimate_nu_monte_carlo",
-    "linear_stacked_basis",
     "augmented_capacity_basis",
     "augmented_spatial_profile",
 ]
@@ -176,82 +171,6 @@ def _normalized_slopes(kind: str, leak: float) -> tuple:
 
 
 @dataclass(frozen=True)
-class AugmentedLayout:
-    """Index map between augmented coordinates and (block j, input i) pairs.
-
-    Standard layout: dimension n*m, row ``j*n + i`` holds ``eta_j * y_i``.
-    Differential layout (square layers only): dimension n*(n+1); the first n
-    rows are the un-modified inputs, row ``n + j*n + i`` holds the block-j
-    correction.
-    """
-
-    kind: str
-    n: int
-    m: int
-
-    def __post_init__(self):
-        if self.kind not in ("standard", "differential"):
-            raise ValueError(f"unknown layout kind {self.kind!r}")
-        if self.n < 1 or self.m < 1:
-            raise ValueError("layout dimensions must be positive")
-        if self.kind == "differential" and self.n != self.m:
-            raise ValueError("differential layout requires a square layer")
-
-    @property
-    def dim(self) -> int:
-        if self.kind == "standard":
-            return self.n * self.m
-        return self.n * (self.n + 1)
-
-    def input_index(self) -> np.ndarray:
-        """Original input coordinate of each augmented row."""
-        repeated = np.tile(np.arange(self.n), self.m)
-        if self.kind == "standard":
-            return repeated
-        return np.concatenate([np.arange(self.n), repeated])
-
-    def block_index(self) -> np.ndarray:
-        """Block j of each augmented row; -1 marks un-modified input rows."""
-        blocks = np.repeat(np.arange(self.m), self.n)
-        if self.kind == "standard":
-            return blocks
-        return np.concatenate([np.full(self.n, -1), blocks])
-
-
-@dataclass(frozen=True)
-class AugmentedSpace:
-    """Augmented projection, covariance, and their shared index layout."""
-
-    p_tilde: np.ndarray
-    sigma_tilde: CovarianceMatrix
-    layout: AugmentedLayout
-
-    def __post_init__(self):
-        p_tilde = np.asarray(self.p_tilde, dtype=float)
-        if p_tilde.shape != (self.layout.dim, self.layout.m):
-            raise ValueError(
-                f"p_tilde shape {p_tilde.shape} does not match layout "
-                f"({self.layout.dim}, {self.layout.m})"
-            )
-        if self.sigma_tilde.dim != self.layout.dim:
-            raise ValueError("sigma_tilde dimension does not match layout")
-        support = self.block_support()
-        if np.any(p_tilde[~support] != 0.0):
-            raise ValueError("p_tilde has entries outside its block structure")
-        object.__setattr__(self, "p_tilde", p_tilde)
-
-    def block_support(self) -> np.ndarray:
-        """Boolean mask of the rows each p_tilde column may touch."""
-        blocks = self.layout.block_index()
-        inputs = self.layout.input_index()
-        cols = np.arange(self.layout.m)
-        if self.layout.kind == "standard":
-            return blocks[:, None] == cols[None, :]
-        identity_part = (blocks[:, None] == -1) & (inputs[:, None] == cols[None, :])
-        return identity_part | (blocks[:, None] == cols[None, :])
-
-
-@dataclass(frozen=True)
 class DecouplingReport:
     """Closed-form and Monte Carlo decoupling coefficients for one activation."""
 
@@ -281,22 +200,6 @@ def build_augmented_projection(p: ProjectionMatrix) -> np.ndarray:
     for j in range(m):
         p_tilde[j * n : (j + 1) * n, j] = p.column(j)
     return p_tilde
-
-
-def build_differential_projection(p: ProjectionMatrix, eps: float) -> np.ndarray:
-    """Residual-layer projection: identity block over ``sqrt(eps)`` times ``P~``.
-
-    Shape (n*(n+1), n).  Column squared norms are 1 + eps; normalization is
-    applied downstream where capacities are formed, not here.
-    """
-    if p.n_in != p.n_out:
-        raise ValueError(f"differential layers require square P, got {p.n_in}x{p.n_out}")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    n = p.n_in
-    top = np.eye(n)
-    bottom = math.sqrt(eps) * build_augmented_projection(p)
-    return np.vstack([top, bottom])
 
 
 def build_augmented_covariance(
@@ -368,27 +271,15 @@ def estimate_nu_monte_carlo(act: Activation, n_samples: int, seed: int) -> Decou
     return DecouplingReport(nu=nu, nu_hat=mean, stderr=stderr, n_samples=n_samples)
 
 
-def linear_stacked_basis(k: CapacityBasis, m: int) -> CapacityBasis:
-    """Augmented basis for linear activations: each of the m blocks is K/sqrt(m)."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    stacked = np.tile(k.columns / math.sqrt(m), (m, 1))
-    return CapacityBasis(stacked)
-
-
 def augmented_capacity_basis(
     sigma_tilde: CovarianceMatrix,
     p_tilde: np.ndarray,
     k_phi: CapacityBasis,
-    white_input: bool = False,
-    tol: float = DEFAULT_RANK_TOL,
 ) -> CapacityBasis:
-    """Capacity basis in the augmented input space.
+    """Capacity basis in the augmented input space: ``Sigma~ P~ K_phi`` orthonormalized.
 
-    With white inputs and a block-diagonal ``Sigma~`` (pseudo-random regime,
-    standard construction) the columns of ``P~ K_phi`` are already orthonormal
-    and are returned directly.  Otherwise the span of
-    ``Sigma~ P~ K_phi`` is orthonormalized.
+    With white inputs and a block-diagonal ``Sigma~`` (pseudo-random regime)
+    it spans the columns of ``P~ K_phi`` themselves.
     """
     p_tilde = np.asarray(p_tilde, dtype=float)
     if p_tilde.shape[0] != sigma_tilde.dim:
@@ -400,19 +291,18 @@ def augmented_capacity_basis(
             f"p_tilde has {p_tilde.shape[1]} columns but k_phi ambient dim is "
             f"{k_phi.ambient_dim}"
         )
-    if white_input:
-        return CapacityBasis(p_tilde @ k_phi.columns)
-    return orthonormal_basis(sigma_tilde.entries @ p_tilde @ k_phi.columns, tol=tol)
+    return orthonormal_basis(sigma_tilde.entries @ p_tilde @ k_phi.columns)
 
 
-def augmented_spatial_profile(
-    k_tilde: CapacityBasis, layout: AugmentedLayout
-) -> SpatialCapacity:
-    """Per-input-coordinate capacities, aggregated across all blocks."""
-    if k_tilde.ambient_dim != layout.dim:
-        raise ValueError(
-            f"basis ambient dim {k_tilde.ambient_dim} does not match layout dim {layout.dim}"
-        )
+def augmented_spatial_profile(k_tilde: CapacityBasis, n: int) -> SpatialCapacity:
+    """Per-input-coordinate capacities over n inputs, aggregated across all blocks.
+
+    Row ``j*n + i`` of the augmented space belongs to input i.
+    """
+    dim = k_tilde.ambient_dim
+    if n < 1 or dim % n:
+        raise ValueError(f"basis ambient dim {dim} is not a multiple of n = {n}")
     row_mass = np.sum(k_tilde.columns**2, axis=1)
-    values = np.bincount(layout.input_index(), weights=row_mass, minlength=layout.n)
+    # bincount, not reshape(m, n).sum(axis=0): the two round differently
+    values = np.bincount(np.tile(np.arange(n), dim // n), weights=row_mass, minlength=n)
     return SpatialCapacity(values)

@@ -22,7 +22,7 @@ from . import __version__
 from .analyze import erf_profile, shatter_analysis, uniform_path_weight
 from .augment import Activation, decoupling_nu, estimate_nu_monte_carlo
 from .core import ProjectionMatrix, SpatialCapacity
-from .deeplimit import DeepLimitConfig, StabilityError, compare_markov_pde, residual_generator
+from .deeplimit import DeepLimitConfig, ResidualGenerator, StabilityError, compare_markov_pde
 from .jsonfmt import canonical_dumps
 from .oracle import ExperimentConfig, empirical_spatial_capacity
 from .propagate import Layer, LayerChain, PropagationOperator, propagate_chain
@@ -149,7 +149,7 @@ def _build_layer(entry, index: int, seeds: List[int], spare_bytes: int) -> Layer
             operator = PropagationOperator.uniform_window(n_in, r)
         except ValueError as exc:
             raise _fail(index, str(exc)) from None
-        return Layer.from_operator(operator)
+        return Layer(operator)
 
     if weights.startswith("residual:"):
         if kind != "residual":
@@ -166,7 +166,7 @@ def _build_layer(entry, index: int, seeds: List[int], spare_bytes: int) -> Layer
         except ValueError:
             raise _fail(index, f"non-numeric residual parameters in {weights!r}") from None
         try:
-            return Layer.from_operator(residual_generator(n_in, v, dcoef, "periodic").step(eps))
+            return Layer(ResidualGenerator(n_in, v, dcoef).step(eps))
         except StabilityError as exc:
             raise StabilityError(f"layer {index}: {exc}") from None
         except ValueError as exc:
@@ -337,7 +337,7 @@ def cmd_layer(args) -> int:
 
 
 def cmd_pde(args) -> int:
-    generator = residual_generator(args.n, args.v, args.D, args.boundary)
+    generator = ResidualGenerator(args.n, args.v, args.D, args.boundary)
     cfg = DeepLimitConfig(eps=args.eps, L=args.L)
     probe = args.probe if args.probe is not None else args.n // 2
     kappa = SpatialCapacity.dirac(args.n, probe)
@@ -364,7 +364,7 @@ def cmd_erf(args) -> int:
         source = load_network_spec(args.specfile).chain
         cfg, n, depth = None, source.n_out, len(source)
     else:
-        source = residual_generator(args.n, args.v, args.D, args.boundary)
+        source = ResidualGenerator(args.n, args.v, args.D, args.boundary)
         cfg, n, depth = DeepLimitConfig(eps=args.eps, L=args.L), args.n, args.L
     if args.ratio_depth is not None and not 1 <= args.ratio_depth <= depth:
         raise SpecError(f"ratio depth must be in [1, {depth}]")

@@ -13,10 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_RANK_TOL = 1e-10
+# Singular values below this fraction of the largest count as zero.
+_RANK_TOL = 1e-10
+# Asymmetry and negative eigenvalues below this fraction of the norm are rounding.
+_PSD_TOL = 1e-8
 
 __all__ = [
-    "DEFAULT_RANK_TOL",
     "CovarianceMatrix",
     "ProjectionMatrix",
     "CapacityBasis",
@@ -44,19 +46,18 @@ class CovarianceMatrix:
     """Symmetric positive semi-definite second-moment matrix of the inputs."""
 
     entries: np.ndarray
-    tol: float = 1e-8
 
     def __post_init__(self):
         entries = _as_matrix(self.entries, "covariance")
         if entries.shape[0] != entries.shape[1]:
             raise ValueError(f"covariance must be square, got {entries.shape}")
-        if not np.allclose(entries, entries.T, atol=self.tol * max(1.0, _specnorm(entries))):
+        if not np.allclose(entries, entries.T, atol=_PSD_TOL * max(1.0, _specnorm(entries))):
             raise ValueError("covariance must be symmetric")
         entries = 0.5 * (entries + entries.T)
         scale = _specnorm(entries)
         if scale > 0:
             lo = np.linalg.eigvalsh(entries)[0]
-            if lo < -self.tol * scale:
+            if lo < -_PSD_TOL * scale:
                 raise ValueError(f"covariance is not PSD (min eigenvalue {lo:.3e})")
         object.__setattr__(self, "entries", entries)
 
@@ -181,13 +182,6 @@ class SubspaceSelector:
         return cls(e)
 
     @classmethod
-    def coordinates(cls, ambient_dim: int, indices) -> "SubspaceSelector":
-        basis = np.zeros((ambient_dim, len(indices)))
-        for col, i in enumerate(indices):
-            basis[i, col] = 1.0
-        return cls(basis)
-
-    @classmethod
     def full(cls, ambient_dim: int) -> "SubspaceSelector":
         return cls(np.eye(ambient_dim))
 
@@ -272,32 +266,28 @@ class ParamMap:
         return cls(jac)
 
 
-def orthonormal_basis(matrix, tol: float = DEFAULT_RANK_TOL) -> CapacityBasis:
+def orthonormal_basis(matrix) -> CapacityBasis:
     """Orthonormal basis of the column space of ``matrix`` via rank-revealing SVD.
 
-    Singular values below ``tol * sigma_max`` are treated as zero.  An all-zero
+    Singular values below ``1e-10 * sigma_max`` are treated as zero.  An all-zero
     matrix yields an empty (rank-0) basis rather than an error, so degenerate
     layers keep total-capacity bookkeeping consistent.
     """
     matrix = _as_matrix(matrix, "matrix")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if matrix.size == 0 or not np.any(matrix):
         return CapacityBasis(np.zeros((matrix.shape[0], 0)))
     u, s, _ = np.linalg.svd(matrix, full_matrices=False)
-    rank = int(np.sum(s > tol * s[0]))
+    rank = int(np.sum(s > _RANK_TOL * s[0]))
     return CapacityBasis(u[:, :rank])
 
 
-def gram_capacity_basis(params: ParamMap, tol: float = DEFAULT_RANK_TOL) -> CapacityBasis:
+def gram_capacity_basis(params: ParamMap) -> CapacityBasis:
     """Feature-space capacity basis from the parameter jacobian.
 
-    Eigenvectors of ``J J^T`` with eigenvalue above ``tol * lambda_max``,
+    Eigenvectors of ``J J^T`` with eigenvalue above ``1e-10 * lambda_max``,
     ordered by decreasing eigenvalue.  The rank equals the number of
     independent parameters.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     jac = params.jacobian
     gram = jac @ jac.T
     if not np.any(gram):
@@ -305,7 +295,7 @@ def gram_capacity_basis(params: ParamMap, tol: float = DEFAULT_RANK_TOL) -> Capa
     eigvals, eigvecs = np.linalg.eigh(gram)
     order = np.argsort(eigvals)[::-1]
     eigvals, eigvecs = eigvals[order], eigvecs[:, order]
-    rank = int(np.sum(eigvals > tol * eigvals[0]))
+    rank = int(np.sum(eigvals > _RANK_TOL * eigvals[0]))
     return CapacityBasis(eigvecs[:, :rank])
 
 

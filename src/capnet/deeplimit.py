@@ -18,7 +18,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .core import SpatialCapacity
-from .propagate import Layer, LayerChain, PropagationOperator
+from .propagate import PropagationOperator
 
 __all__ = [
     "StabilityError",
@@ -26,11 +26,9 @@ __all__ = [
     "DeepLimitConfig",
     "PdeField",
     "ConvergenceReport",
-    "residual_generator",
     "evolve_markov",
     "gaussian_solution",
     "compare_markov_pde",
-    "random_layer_chain",
 ]
 
 _BOUNDARY_MASS_TOL = 1e-6
@@ -83,7 +81,7 @@ class ResidualGenerator:
     n: int
     v: float
     Dcoef: float
-    boundary: str
+    boundary: str = "periodic"
     up: float = field(init=False, compare=False)
     down: float = field(init=False, compare=False)
     diag: np.ndarray = field(init=False, compare=False, repr=False)
@@ -93,6 +91,8 @@ class ResidualGenerator:
             raise ValueError(f"v = {self.v:g} and Dcoef = {self.Dcoef:g} must be finite")
         if self.Dcoef <= 0:
             raise ValueError("Dcoef must be positive")
+        if not math.isfinite(2.0 * self.Dcoef):
+            raise ValueError(f"Dcoef = {self.Dcoef:g} overflows: 2*Dcoef is not finite")
         if abs(self.v) / 2.0 > self.Dcoef:
             raise ValueError(
                 f"|v|/2 = {abs(self.v) / 2:g} exceeds Dcoef = {self.Dcoef:g}; "
@@ -130,8 +130,8 @@ class ResidualGenerator:
         return math.inf if drop <= 0 else 1.0 / drop
 
     def _check_eps(self, eps: float) -> None:
-        if eps <= 0:
-            raise ValueError("eps must be positive")
+        if not eps > 0:
+            raise ValueError(f"eps must be positive, got {eps!r}")
         if eps >= self.max_stable_eps():
             raise StabilityError(
                 f"eps = {eps:g} makes I + eps*Delta negative; "
@@ -156,19 +156,14 @@ class DeepLimitConfig:
     L: int
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not self.eps > 0:
+            raise ValueError(f"eps must be positive, got {self.eps!r}")
         if self.L < 1:
             raise ValueError("L must be a positive integer")
 
     @property
     def total_time(self) -> float:
         return self.eps * self.L
-
-    def t_of_layer(self, layer: int) -> float:
-        if layer < 0 or layer > self.L:
-            raise ValueError(f"layer must be in [0, {self.L}]")
-        return (self.L - layer) / self.L
 
 
 @dataclass(frozen=True)
@@ -215,40 +210,22 @@ class PdeField:
         values[index] = 1.0 / h
         return cls(grid=np.arange(n) * h, values=values, t=t)
 
-    @classmethod
-    def from_capacity(cls, kappa: SpatialCapacity, h: float = 1.0, t: float = 0.0) -> "PdeField":
-        return cls(grid=np.arange(kappa.n) * h, values=kappa.values / h, t=t)
-
-
-def residual_generator(
-    n: int, v: float, Dcoef: float, boundary: str = "periodic"
-) -> ResidualGenerator:
-    """Drift-diffusion generator on ``n`` cells; see :class:`ResidualGenerator`."""
-    return ResidualGenerator(n=n, v=v, Dcoef=Dcoef, boundary=boundary)
-
 
 def evolve_markov(
-    gen: ResidualGenerator, cfg: DeepLimitConfig, kappa_top: SpatialCapacity
-) -> List[SpatialCapacity]:
-    """Apply ``I + eps*Delta`` L times; element k is the profile after k steps.
-
-    The first element is ``kappa_top`` (t = 0), the last the input-space
-    profile (t = 1).  Total capacity is conserved throughout.  Each step
-    applies the three stencil weights to shifted slices, O(n) per step; the
-    L+1 profiles are kept in one array, refused past a 2 GiB budget.
-    """
-    rows = _walk(gen, cfg, kappa_top, keep_all=True)
-    return [kappa_top] + [SpatialCapacity(row) for row in rows[1:]]
-
-
-def _walk(
-    gen: ResidualGenerator, cfg: DeepLimitConfig, kappa_top: SpatialCapacity, keep_all: bool
+    gen: ResidualGenerator,
+    cfg: DeepLimitConfig,
+    kappa_top: SpatialCapacity,
+    keep_all: bool = True,
 ) -> np.ndarray:
     """Apply ``I + eps*Delta`` L times to ``kappa_top`` on the stencil.
 
-    Returns the (L+1) x n trajectory when ``keep_all``, refused past the
-    2 GiB budget before allocating.  Otherwise returns the last profile
-    alone: two O(n) buffers take turns as the source and target of a step.
+    Returns the (L+1) x n trajectory: row k is the profile after k steps,
+    row 0 is ``kappa_top`` (t = 0) and row L the input-space profile
+    (t = 1).  The trajectory is refused past a 2 GiB budget before
+    allocating.  With ``keep_all=False`` only row L is returned: two O(n)
+    buffers take turns as the source and target of a step.  Each step
+    applies the three stencil weights to shifted slices, O(n) per step, and
+    conserves the total capacity.
     """
     if kappa_top.n != gen.n:
         raise ValueError(f"capacity has {kappa_top.n} entries, generator expects {gen.n}")
@@ -329,10 +306,6 @@ class ConvergenceReport:
     markov_std: float
     levels_requested: int
 
-    @property
-    def sup_error(self) -> float:
-        return self.sup_errors[0]
-
 
 def _refined_inputs(
     gen: ResidualGenerator, cfg: DeepLimitConfig, kappa_top: SpatialCapacity, scale: int
@@ -340,9 +313,7 @@ def _refined_inputs(
     if scale == 1:
         return gen, cfg, kappa_top
     n_fine = scale * (gen.n - 1) + 1
-    gen_fine = residual_generator(
-        n_fine, gen.v * scale, gen.Dcoef * scale * scale, gen.boundary
-    )
+    gen_fine = ResidualGenerator(n_fine, gen.v * scale, gen.Dcoef * scale * scale, gen.boundary)
     cfg_fine = DeepLimitConfig(eps=cfg.eps / scale, L=cfg.L * scale)
     values = np.zeros(n_fine)
     values[np.arange(gen.n) * scale] = kappa_top.values
@@ -379,7 +350,7 @@ def compare_markov_pde(
         gen_k, cfg_k, kappa_k = _refined_inputs(gen, cfg, kappa_top, scale)
         if level > 0 and cfg_k.eps >= gen_k.max_stable_eps():
             break
-        final = _walk(gen_k, cfg_k, kappa_k, keep_all=False)
+        final = evolve_markov(gen_k, cfg_k, kappa_k, keep_all=False)
         if level == 0:
             markov_std = float(_pmf_std(final[None])[0])
         h = 1.0 / scale
@@ -413,23 +384,3 @@ def compare_markov_pde(
         markov_std=markov_std,
         levels_requested=refinements + 1,
     )
-
-
-def random_layer_chain(
-    n: int, Dcoef: float, eps: float, L: int, seed: int
-) -> LayerChain:
-    """L residual layers with independent symmetric random drifts.
-
-    Each layer draws ``v_l`` uniformly from ``[-Dcoef/2, Dcoef/2]`` (zero
-    mean, so the ensemble-averaged profile drifts nowhere) and contributes
-    the operator ``I + eps*Delta_l`` on a periodic grid.  Deterministic for
-    a given seed.
-    """
-    rng = np.random.default_rng(seed)
-    v_max = Dcoef / 2.0
-    layers = []
-    for _ in range(L):
-        v_l = float(rng.uniform(-v_max, v_max))
-        gen = residual_generator(n, v_l, Dcoef, "periodic")
-        layers.append(Layer.from_operator(gen.step(eps)))
-    return LayerChain(tuple(layers))

@@ -15,18 +15,14 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .augment import (
-    Activation,
-    AugmentedLayout,
-    _derive_streams,
-    augmented_spatial_profile,
-)
+from .augment import Activation, _derive_streams, augmented_spatial_profile
 from .core import (
     CapacityBasis,
     CovarianceMatrix,
     ParamMap,
     ProjectionMatrix,
     SpatialCapacity,
+    _RANK_TOL,
     gram_capacity_basis,
     orthonormal_basis,
 )
@@ -134,9 +130,6 @@ class ExperimentConfig:
         """Feature-space capacity basis K_phi of the selector parametrization."""
         params = ParamMap.coordinate_selector(self.m, list(self.param_selector))
         return gram_capacity_basis(params)
-
-    def layout(self) -> AugmentedLayout:
-        return AugmentedLayout("standard", self.n, self.m)
 
 
 @dataclass(frozen=True)
@@ -324,7 +317,7 @@ def _row_target(target: Callable[[np.ndarray], np.ndarray]) -> _ChunkTarget:
     return lambda y, feats: target(y)
 
 
-def _deficient_columns(matrix: np.ndarray, tol: float = 1e-10) -> list:
+def _deficient_columns(matrix: np.ndarray) -> list:
     """Columns that add no new direction, by a sequential projection sweep."""
     basis = []
     deficient = []
@@ -334,7 +327,7 @@ def _deficient_columns(matrix: np.ndarray, tol: float = 1e-10) -> list:
         for b in basis:
             w -= (b @ w) * b
         norm = np.linalg.norm(w)
-        if norm <= tol * scale:
+        if norm <= _RANK_TOL * scale:
             deficient.append(j)
         else:
             basis.append(w / norm)
@@ -347,7 +340,7 @@ def _constrained_fit(config: ExperimentConfig, moments: _Moments) -> np.ndarray:
     r11 = moments.r[:k, :k]
     # R11 has the singular values and column inner products of F_sel
     singvals = np.linalg.svd(r11, compute_uv=False)
-    rank = int(np.sum(singvals > 1e-10 * singvals[0])) if singvals[0] > 0 else 0
+    rank = int(np.sum(singvals > _RANK_TOL * singvals[0])) if singvals[0] > 0 else 0
     if rank < k:
         bad = [config.param_selector[j] for j in _deficient_columns(r11)]
         raise ValueError(f"selected feature columns {bad} are rank deficient")
@@ -471,7 +464,7 @@ def empirical_spatial_capacity(
     moments = _stream(config, sampler, _generic_target(config))
     k_phi = config.selector_basis()
     k_tilde = _capacity_basis(moments.cross.sum(axis=0), config.n_samples, k_phi)
-    kappa_hat = augmented_spatial_profile(k_tilde, config.layout())
+    kappa_hat = augmented_spatial_profile(k_tilde, config.n)
     x_tilde = _stationarity_gap(
         config, _constrained_fit(config, moments), _full_fit(config, moments)
     )

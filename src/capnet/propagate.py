@@ -113,10 +113,6 @@ class Layer:
         act = activation if activation is not None else Activation.pseudo_random()
         return cls(differential_propagation_matrix(projection, eps), act)
 
-    @classmethod
-    def from_operator(cls, operator: PropagationOperator) -> "Layer":
-        return cls(operator)
-
     @property
     def n_in(self) -> int:
         return self.operator.n_in
@@ -157,7 +153,7 @@ class LayerChain:
 
     @classmethod
     def of_operators(cls, operators: Sequence[PropagationOperator]) -> "LayerChain":
-        return cls(tuple(Layer.from_operator(op) for op in operators))
+        return cls(tuple(Layer(op) for op in operators))
 
 
 def propagation_matrix(p) -> PropagationOperator:
@@ -225,8 +221,8 @@ def differential_propagation_matrix(p: ProjectionMatrix, eps: float) -> Propagat
     """
     if p.n_in != p.n_out:
         raise ValueError(f"differential layers require square P, got {p.n_in}x{p.n_out}")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps!r}")
     n = p.n_in
     # evaluated as (I + eps P o P) / (1 + eps): same matrix, and the identity
     # entries divide out exactly in the small cases quoted in the docs

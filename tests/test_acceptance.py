@@ -16,7 +16,6 @@ import numpy as np
 from capnet.analyze import erf_profile, shatter_analysis, uniform_path_weight
 from capnet.augment import (
     Activation,
-    AugmentedLayout,
     augmented_capacity_basis,
     augmented_spatial_profile,
     build_augmented_covariance,
@@ -34,9 +33,9 @@ from capnet.core import (
 )
 from capnet.deeplimit import (
     DeepLimitConfig,
+    ResidualGenerator,
     compare_markov_pde,
     evolve_markov,
-    residual_generator,
 )
 from capnet.oracle import (
     ExperimentConfig,
@@ -90,7 +89,7 @@ def test_criterion_02_linear_equivalence():
         k_tilde = augmented_capacity_basis(
             sigma_tilde, build_augmented_projection(p), k_phi
         )
-        augmented = augmented_spatial_profile(k_tilde, AugmentedLayout("standard", n, m))
+        augmented = augmented_spatial_profile(k_tilde, n)
         original = spatial_profile(
             orthonormal_basis(sigma.entries @ p.matrix @ k_phi.columns)
         )
@@ -136,11 +135,11 @@ def test_criterion_05_deep_limit():
     # eps=0.1, Dcoef=1, v=0, L=100, n=201, Dirac: std sqrt(20) within 5%,
     # sup gap to the Gaussian closed form 2% of its peak, under 5 s
     start = time.perf_counter()
-    gen = residual_generator(n=201, v=0.0, Dcoef=1.0, boundary="periodic")
+    gen = ResidualGenerator(n=201, v=0.0, Dcoef=1.0, boundary="periodic")
     cfg = DeepLimitConfig(eps=0.1, L=100)
     probe = SpatialCapacity.dirac(201, 100)
 
-    final = evolve_markov(gen, cfg, probe)[-1]
+    final = SpatialCapacity(evolve_markov(gen, cfg, probe, keep_all=False))
     std = _pmf_std(final.values)
     assert abs(std - math.sqrt(20.0)) <= 0.05 * math.sqrt(20.0)
 
@@ -153,7 +152,7 @@ def test_criterion_05_deep_limit():
 def test_criterion_06_erf_scaling():
     # Dirac probe width grows like sqrt(depth): the 100-layer width is twice
     # the 25-layer width within 10%, and the log-log slope sits in [0.45, 0.55]
-    gen = residual_generator(n=201, v=0.0, Dcoef=1.0, boundary="periodic")
+    gen = ResidualGenerator(n=201, v=0.0, Dcoef=1.0, boundary="periodic")
     wide = erf_profile(gen, 100, DeepLimitConfig(eps=0.1, L=100))
     narrow = erf_profile(gen, 100, DeepLimitConfig(eps=0.1, L=25))
     ratio = wide.per_depth_std[-1][1] / narrow.per_depth_std[-1][1]
@@ -167,7 +166,7 @@ def test_criterion_07_shattering():
     # and its continuum estimate exp(-1) sits within 6% of the product
     assert uniform_path_weight(3, 5) == 1.0 / 243.0
 
-    gen = residual_generator(n=11, v=0.0, Dcoef=0.5, boundary="periodic")
+    gen = ResidualGenerator(n=11, v=0.0, Dcoef=0.5, boundary="periodic")
     op = PropagationOperator(np.eye(11) + 0.1 * gen.matrix)
     chain = LayerChain.of_operators([op] * 10)
     report = shatter_analysis(chain, r=3, eps=0.1)

@@ -24,14 +24,14 @@ from capnet.core import ProjectionMatrix, SpatialCapacity
 from capnet.deeplimit import (
     _BOUNDARY_MASS_TOL,
     DeepLimitConfig,
+    ResidualGenerator,
     evolve_markov,
-    residual_generator,
 )
 from capnet.propagate import Layer, LayerChain, PropagationOperator
 
 
 def _residual_chain(eps, L, n=11, Dcoef=0.5):
-    gen = residual_generator(n, 0.0, Dcoef, "periodic")
+    gen = ResidualGenerator(n, 0.0, Dcoef, "periodic")
     op = PropagationOperator(np.eye(n) + eps * gen.matrix)
     return LayerChain.of_operators([op] * L)
 
@@ -59,9 +59,9 @@ def _erf_reference(gen, x0, cfg):
     stds, flagged = [], False
     walked = evolve_markov(gen, cfg, SpatialCapacity.dirac(gen.n, x0))
     for steps, profile in enumerate(walked):
-        if profile.values[0] + profile.values[-1] > _BOUNDARY_MASS_TOL * profile.total:
+        if profile[0] + profile[-1] > _BOUNDARY_MASS_TOL * profile.sum():
             flagged = True
-        stds.append((cfg.L - steps, _pmf_std_reference(profile.values)))
+        stds.append((cfg.L - steps, _pmf_std_reference(profile)))
     return tuple(stds), flagged
 
 
@@ -82,7 +82,7 @@ class TestErfProfile:
         self, n, dcoef, drift, fraction, L, boundary, where, offset, block_rows
     ):
         # drift is v / (2 Dcoef), so |v|/2 <= Dcoef always holds
-        gen = residual_generator(n, 2.0 * dcoef * drift, dcoef, boundary)
+        gen = ResidualGenerator(n, 2.0 * dcoef * drift, dcoef, boundary)
         cfg = DeepLimitConfig(eps=fraction * gen.max_stable_eps(), L=L)
         x0 = {"low": min(offset, n - 1), "middle": n // 2, "high": max(n - 1 - offset, 0)}[where]
         # blocks of a few rows, so that block edges fall inside the trajectory
@@ -110,22 +110,22 @@ class TestErfProfile:
         "bad, message", [(math.nan, "non-finite"), (math.inf, "non-finite"), (-1e-9, "negative")]
     )
     def test_trajectory_checked_like_capacity_profiles(self, bad, message):
-        gen = residual_generator(11, 0.0, 1.0)
+        gen = ResidualGenerator(11, 0.0, 1.0)
         rows = np.full((4, 11), 1.0 / 11)
         rows[2, 7] = bad
-        with mock.patch("capnet.analyze._walk", return_value=rows):
+        with mock.patch("capnet.analyze.evolve_markov", return_value=rows):
             with pytest.raises(ValueError, match=message):
                 erf_profile(gen, 5, DeepLimitConfig(eps=0.1, L=3))
 
     def test_fit_points_count_widths_of_two_cells_or_more(self):
         # width sqrt(0.18 k) after k steps reaches 2 cells at k = 23: steps 23..100 qualify
-        gen = residual_generator(201, 0.0, 0.9, "periodic")
+        gen = ResidualGenerator(201, 0.0, 0.9, "periodic")
         report = erf_profile(gen, 100, DeepLimitConfig(eps=0.1, L=100))
         assert report.fit_points == 78
         assert report.to_dict()["fit_points"] == 78
 
     def test_width_doubles_from_25_to_100_layers(self):
-        gen = residual_generator(201, 0.0, 1.0, "periodic")
+        gen = ResidualGenerator(201, 0.0, 1.0, "periodic")
         wide = erf_profile(gen, 100, DeepLimitConfig(eps=0.1, L=100))
         narrow = erf_profile(gen, 100, DeepLimitConfig(eps=0.1, L=25))
         sigma_100 = wide.per_depth_std[-1][1]
@@ -133,14 +133,14 @@ class TestErfProfile:
         assert sigma_100 / sigma_25 == pytest.approx(2.0, rel=0.10)
 
     def test_exponent_is_one_half(self):
-        gen = residual_generator(201, 0.0, 1.0, "periodic")
+        gen = ResidualGenerator(201, 0.0, 1.0, "periodic")
         report = erf_profile(gen, 100, DeepLimitConfig(eps=0.1, L=100))
         assert 0.45 <= report.fitted_exponent <= 0.55
         assert report.fit_residual <= 1e-6
         assert not report.boundary_flagged
 
     def test_width_matches_gaussian_prediction(self):
-        gen = residual_generator(201, 0.0, 0.8, "periodic")
+        gen = ResidualGenerator(201, 0.0, 0.8, "periodic")
         cfg = DeepLimitConfig(eps=0.1, L=100)
         report = erf_profile(gen, 100, cfg)
         predicted = math.sqrt(2.0 * 0.8 * cfg.total_time)
@@ -154,19 +154,19 @@ class TestErfProfile:
         assert report.fit_points == 0
 
     def test_width_non_decreasing_for_diffusion(self):
-        gen = residual_generator(201, 0.0, 1.0, "periodic")
+        gen = ResidualGenerator(201, 0.0, 1.0, "periodic")
         report = erf_profile(gen, 100, DeepLimitConfig(eps=0.1, L=100))
         widths = [sigma for _, sigma in report.per_depth_std]
         assert all(a <= b + 1e-12 for a, b in zip(widths, widths[1:]))
 
     def test_probe_layer_listed_first(self):
-        gen = residual_generator(51, 0.0, 1.0, "periodic")
+        gen = ResidualGenerator(51, 0.0, 1.0, "periodic")
         report = erf_profile(gen, 25, DeepLimitConfig(eps=0.1, L=10))
         assert report.per_depth_std[0] == (10, 0.0)
         assert report.per_depth_std[-1][0] == 0
 
     def test_edge_probe_flagged(self):
-        gen = residual_generator(51, 0.0, 1.0, "periodic")
+        gen = ResidualGenerator(51, 0.0, 1.0, "periodic")
         report = erf_profile(gen, 0, DeepLimitConfig(eps=0.1, L=10))
         assert report.boundary_flagged
 
@@ -182,17 +182,17 @@ class TestErfProfile:
             erf_profile(chain, 5, DeepLimitConfig(eps=0.1, L=5))
 
     def test_generator_without_config_rejected(self):
-        gen = residual_generator(51, 0.0, 1.0)
+        gen = ResidualGenerator(51, 0.0, 1.0)
         with pytest.raises(ValueError, match="DeepLimitConfig"):
             erf_profile(gen, 25)
 
     def test_probe_out_of_range_rejected(self):
-        gen = residual_generator(51, 0.0, 1.0)
+        gen = ResidualGenerator(51, 0.0, 1.0)
         with pytest.raises(ValueError, match="x0"):
             erf_profile(gen, 51, DeepLimitConfig(eps=0.1, L=5))
 
     def test_serializes(self):
-        gen = residual_generator(51, 0.0, 1.0, "periodic")
+        gen = ResidualGenerator(51, 0.0, 1.0, "periodic")
         payload = erf_profile(gen, 25, DeepLimitConfig(eps=0.1, L=5)).to_dict()
         assert payload["probe_index"] == 25
         assert len(payload["per_depth_std"]) == 6

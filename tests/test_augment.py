@@ -5,17 +5,13 @@ import pytest
 
 from capnet.augment import (
     Activation,
-    AugmentedLayout,
-    AugmentedSpace,
     DecouplingReport,
     augmented_capacity_basis,
     augmented_spatial_profile,
     build_augmented_covariance,
     build_augmented_projection,
-    build_differential_projection,
     decoupling_nu,
     estimate_nu_monte_carlo,
-    linear_stacked_basis,
 )
 from capnet.core import (
     CapacityBasis,
@@ -30,6 +26,11 @@ from capnet.core import (
 
 def _random_projection(rng, n, m):
     return ProjectionMatrix.from_raw(rng.standard_normal((n, m)))
+
+
+def _linear_stacked(k, m):
+    """Augmented basis for linear activations: each of the m blocks is K/sqrt(m)."""
+    return CapacityBasis(np.tile(k.columns / np.sqrt(m), (m, 1)))
 
 
 def _modified_gram_schmidt(matrix, tol=1e-10):
@@ -139,35 +140,6 @@ class TestBuildAugmentedProjection:
             n, m = int(rng.integers(2, 7)), int(rng.integers(1, 7))
             p_tilde = build_augmented_projection(_random_projection(rng, n, m))
             np.testing.assert_allclose(p_tilde.T @ p_tilde, np.eye(m), atol=1e-12)
-
-
-class TestBuildDifferentialProjection:
-    def test_small_eps_column_norms_near_one(self):
-        p = _random_projection(np.random.default_rng(3), 3, 3)
-        p_tilde = build_differential_projection(p, eps=1e-12)
-        np.testing.assert_allclose(np.linalg.norm(p_tilde, axis=0), 1.0, atol=1e-6)
-
-    def test_scalar_case(self):
-        p_tilde = build_differential_projection(ProjectionMatrix(np.array([[1.0]])), eps=1.0)
-        np.testing.assert_allclose(p_tilde, [[1.0], [1.0]])
-
-    def test_column_squared_norms(self):
-        p = _random_projection(np.random.default_rng(4), 2, 2)
-        p_tilde = build_differential_projection(p, eps=0.25)
-        assert p_tilde.shape == (6, 2)
-        np.testing.assert_allclose(
-            np.linalg.norm(p_tilde, axis=0) ** 2, [1.25, 1.25], atol=1e-12
-        )
-
-    def test_rejects_non_square(self):
-        p = _random_projection(np.random.default_rng(5), 3, 2)
-        with pytest.raises(ValueError, match="square"):
-            build_differential_projection(p, eps=0.5)
-
-    def test_rejects_nonpositive_eps(self):
-        p = _random_projection(np.random.default_rng(6), 2, 2)
-        with pytest.raises(ValueError, match="eps"):
-            build_differential_projection(p, eps=0.0)
 
 
 class TestBuildAugmentedCovariance:
@@ -284,23 +256,12 @@ class TestEstimateNuMonteCarlo:
 
 
 class TestLinearStackedBasis:
-    def test_m_one_unchanged(self):
-        k = orthonormal_basis(np.random.default_rng(9).standard_normal((4, 2)))
-        stacked = linear_stacked_basis(k, m=1)
-        np.testing.assert_array_equal(stacked.columns, k.columns)
-
-    def test_identity_blocks(self):
-        stacked = linear_stacked_basis(CapacityBasis(np.eye(2)), m=2)
-        np.testing.assert_allclose(stacked.columns[:2], np.eye(2) / np.sqrt(2.0))
-        np.testing.assert_allclose(stacked.columns[2:], np.eye(2) / np.sqrt(2.0))
-        np.testing.assert_allclose(np.linalg.norm(stacked.columns, axis=0), 1.0)
-
     def test_capacities_transfer_to_augmented_space(self):
         rng = np.random.default_rng(10)
         for _ in range(20):
             n, m = int(rng.integers(2, 6)), int(rng.integers(1, 5))
             k = orthonormal_basis(rng.standard_normal((n, int(rng.integers(1, n + 1)))))
-            k_tilde = linear_stacked_basis(k, m)
+            k_tilde = _linear_stacked(k, m)
             s = SubspaceSelector(np.linalg.qr(rng.standard_normal((n, n)))[0][:, :2])
             s_tilde = SubspaceSelector(np.tile(s.basis / np.sqrt(m), (m, 1)))
             assert capacity_of_subspace(k_tilde, s_tilde) == pytest.approx(
@@ -312,9 +273,7 @@ class TestLinearStackedBasis:
         for _ in range(20):
             n, m = int(rng.integers(2, 6)), int(rng.integers(1, 5))
             k = orthonormal_basis(rng.standard_normal((n, int(rng.integers(1, n + 1)))))
-            aggregated = augmented_spatial_profile(
-                linear_stacked_basis(k, m), AugmentedLayout("standard", n, m)
-            )
+            aggregated = augmented_spatial_profile(_linear_stacked(k, m), n)
             np.testing.assert_allclose(
                 aggregated.values, spatial_profile(k).values, atol=1e-10
             )
@@ -325,20 +284,19 @@ class TestAugmentedCapacityBasis:
         p = _random_projection(np.random.default_rng(12), 3, 3)
         p_tilde = build_augmented_projection(p)
         sigma_tilde = CovarianceMatrix.identity(9)
-        k_tilde = augmented_capacity_basis(
-            sigma_tilde, p_tilde, CapacityBasis(np.eye(3)), white_input=True
-        )
+        k_tilde = augmented_capacity_basis(sigma_tilde, p_tilde, CapacityBasis(np.eye(3)))
         assert k_tilde.rank == 3
-        np.testing.assert_array_equal(k_tilde.columns, p_tilde)
+        np.testing.assert_allclose(k_tilde.projector(), p_tilde @ p_tilde.T, atol=1e-12)
 
     def test_white_input_single_feature(self):
         p = _random_projection(np.random.default_rng(13), 3, 2)
         p_tilde = build_augmented_projection(p)
         k_phi = CapacityBasis(np.array([[1.0], [0.0]]))
-        k_tilde = augmented_capacity_basis(
-            CovarianceMatrix.identity(6), p_tilde, k_phi, white_input=True
+        k_tilde = augmented_capacity_basis(CovarianceMatrix.identity(6), p_tilde, k_phi)
+        assert k_tilde.rank == 1
+        np.testing.assert_allclose(
+            k_tilde.projector(), np.outer(p_tilde[:, 0], p_tilde[:, 0]), atol=1e-12
         )
-        np.testing.assert_array_equal(k_tilde.columns[:, 0], p_tilde[:, 0])
 
     def test_correlated_case_matches_gram_schmidt_oracle(self):
         rng = np.random.default_rng(14)
@@ -348,7 +306,7 @@ class TestAugmentedCapacityBasis:
         sigma = CovarianceMatrix(a @ a.T + 0.5 * np.eye(2))
         sigma_tilde = build_augmented_covariance(sigma, Activation.relu(), m=2)
         k_phi = CapacityBasis(np.eye(2))
-        k_tilde = augmented_capacity_basis(sigma_tilde, p_tilde, k_phi, white_input=False)
+        k_tilde = augmented_capacity_basis(sigma_tilde, p_tilde, k_phi)
         oracle = _modified_gram_schmidt(sigma_tilde.entries @ p_tilde @ k_phi.columns)
         np.testing.assert_allclose(
             k_tilde.projector(), oracle @ oracle.T, atol=1e-9
@@ -369,56 +327,15 @@ class TestAugmentedCapacityBasis:
 
 class TestLayoutAndSpace:
     def test_standard_layout_indexing(self):
-        layout = AugmentedLayout("standard", n=3, m=2)
-        assert layout.dim == 6
-        np.testing.assert_array_equal(layout.input_index(), [0, 1, 2, 0, 1, 2])
-        np.testing.assert_array_equal(layout.block_index(), [0, 0, 0, 1, 1, 1])
-
-    def test_differential_layout_indexing(self):
-        layout = AugmentedLayout("differential", n=2, m=2)
-        assert layout.dim == 6
-        np.testing.assert_array_equal(layout.input_index(), [0, 1, 0, 1, 0, 1])
-        np.testing.assert_array_equal(layout.block_index(), [-1, -1, 0, 0, 1, 1])
-
-    def test_differential_layout_requires_square(self):
-        with pytest.raises(ValueError, match="square"):
-            AugmentedLayout("differential", n=3, m=2)
-
-    def test_space_accepts_consistent_construction(self):
-        p = _random_projection(np.random.default_rng(16), 2, 2)
-        space = AugmentedSpace(
-            p_tilde=build_augmented_projection(p),
-            sigma_tilde=build_augmented_covariance(
-                CovarianceMatrix.identity(2), Activation.relu(), m=2
-            ),
-            layout=AugmentedLayout("standard", 2, 2),
-        )
-        assert space.p_tilde.shape == (4, 2)
-
-    def test_space_rejects_out_of_block_entries(self):
-        p = _random_projection(np.random.default_rng(17), 2, 2)
-        p_tilde = build_augmented_projection(p)
-        p_tilde[3, 0] = 0.1
-        with pytest.raises(ValueError, match="block structure"):
-            AugmentedSpace(
-                p_tilde=p_tilde,
-                sigma_tilde=CovarianceMatrix.identity(4),
-                layout=AugmentedLayout("standard", 2, 2),
-            )
-
-    def test_space_accepts_differential_construction(self):
-        p = _random_projection(np.random.default_rng(18), 2, 2)
-        space = AugmentedSpace(
-            p_tilde=build_differential_projection(p, eps=0.5),
-            sigma_tilde=CovarianceMatrix.identity(6),
-            layout=AugmentedLayout("differential", 2, 2),
-        )
-        assert space.p_tilde.shape == (6, 2)
+        # n=3, m=2: row j*n + i of the augmented space belongs to input i
+        k = CapacityBasis(np.eye(6)[:, [1, 3, 4]])
+        profile = augmented_spatial_profile(k, 3)
+        np.testing.assert_array_equal(profile.values, [1.0, 2.0, 0.0])
 
     def test_profile_layout_mismatch(self):
         k = CapacityBasis(np.eye(4))
-        with pytest.raises(ValueError, match="layout"):
-            augmented_spatial_profile(k, AugmentedLayout("standard", 3, 2))
+        with pytest.raises(ValueError, match="not a multiple of n = 3"):
+            augmented_spatial_profile(k, 3)
 
 
 class TestDecouplingReport:

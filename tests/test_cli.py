@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from capnet.analyze import erf_profile
 from capnet.cli import SpecError, main, parse_network_spec
-from capnet.deeplimit import DeepLimitConfig, StabilityError, residual_generator
+from capnet.deeplimit import DeepLimitConfig, ResidualGenerator, StabilityError
 from capnet.jsonfmt import canonical_dumps
 
 
@@ -210,6 +210,19 @@ class TestChain:
         assert main(["chain", _write_spec(tmp_path, "bad.json", doc)]) == 2
         assert "layer 0: v = " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ("nan,0,1", "eps must be positive, got nan"),
+            ("0.1,0,1e308", "Dcoef = 1e+308 overflows"),
+        ],
+    )
+    def test_nan_eps_and_overflowing_dcoef_exit_2(self, tmp_path, capsys, params, message):
+        layer = {"kind": "residual", "n_in": 5, "n_out": 5, "weights": f"residual:{params}"}
+        doc = {"layers": [layer], "top_capacity": "uniform"}
+        assert main(["chain", _write_spec(tmp_path, "bad.json", doc)]) == 2
+        assert f"layer 0: {message}" in capsys.readouterr().err
+
     def test_operators_past_spec_budget_exit_2(self, tmp_path, capsys, monkeypatch):
         layer = {"kind": "dense", "n_in": 4, "n_out": 4, "weights": "uniform:1"}
         # room for three 4 x 4 operators: the fourth layer is refused before it is built
@@ -314,6 +327,17 @@ class TestPde:
         assert main(["pde", flag, value]) == 2
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--eps", "nan", "eps must be positive, got nan"),
+            ("--D", "1e308", "Dcoef = 1e+308 overflows"),
+        ],
+    )
+    def test_nan_eps_and_overflowing_dcoef_exit_2(self, capsys, flag, value, message):
+        assert main(["pde", flag, value]) == 2
+        assert message in capsys.readouterr().err
+
     def test_levels_requested_next_to_levels_reached(self, capsys):
         # eps * 2 * Dcoef doubles per level: 0.2, 0.4 and 0.8 are stable, 1.6 is not
         code, out = _run(capsys, ["pde", "--n", "201", "--refinements", "4"])
@@ -360,6 +384,10 @@ class TestErf:
         assert main(["erf", path, "--ratio-depth", "1"]) == 2
         assert "width 1 layers below the probe is 0" in capsys.readouterr().err
 
+    def test_nan_eps_exits_2(self, capsys):
+        assert main(["erf", "--eps", "nan"]) == 2
+        assert "eps must be positive, got nan" in capsys.readouterr().err
+
     def test_trajectory_past_memory_budget_exits_2(self, capsys):
         # 100,001 profiles of 100,001 cells would need 75 GiB
         assert main(["erf", "--n", "100001", "--L", "100000"]) == 2
@@ -374,7 +402,7 @@ class TestErf:
         code, out = _run(capsys, ["erf", "--v", "0.4", "--ratio-depth", "30"])
         assert code == 0
         doc = json.loads(out)
-        gen = residual_generator(201, 0.4, 1.0)
+        gen = ResidualGenerator(201, 0.4, 1.0)
         shallow = erf_profile(gen, 100, DeepLimitConfig(eps=0.1, L=30))
         assert doc["width_ratio"] == doc["per_depth_std"][-1][1] / shallow.per_depth_std[-1][1]
 
@@ -408,6 +436,11 @@ class TestShatter:
         assert doc["max_path_weight"] == pytest.approx(0.8**10, rel=1e-12)
         assert doc["uniform_weight"] == pytest.approx(3.0**-10, rel=1e-12)
         assert doc["L"] == 10
+
+    def test_nan_eps_exits_2(self, tmp_path, capsys):
+        path = _write_spec(tmp_path, "deep.json", _residual_spec(21, 2, top="dirac:10"))
+        assert main(["shatter", path, "--eps", "nan"]) == 2
+        assert "eps must be positive when given, got nan" in capsys.readouterr().err
 
     def test_modes_are_exclusive(self, tmp_path, capsys):
         path = _write_spec(tmp_path, "deep.json", _residual_spec(21, 2, top="dirac:10"))

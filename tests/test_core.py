@@ -33,7 +33,7 @@ def _modified_gram_schmidt(matrix: np.ndarray, tol: float = 1e-10) -> np.ndarray
 
 class TestOrthonormalBasis:
     def test_identity_full_rank(self):
-        basis = orthonormal_basis(np.eye(3), tol=1e-10)
+        basis = orthonormal_basis(np.eye(3))
         assert basis.rank == 3
         np.testing.assert_allclose(basis.projector(), np.eye(3), atol=1e-12)
 
@@ -66,10 +66,6 @@ class TestOrthonormalBasis:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             orthonormal_basis(np.array([[1.0, np.nan], [0.0, 1.0]]))
-
-    def test_nonpositive_tol_rejected(self):
-        with pytest.raises(ValueError, match="tol"):
-            orthonormal_basis(np.eye(2), tol=0.0)
 
 
 class TestGramCapacityBasis:

@@ -14,15 +14,25 @@ from capnet.deeplimit import (
     ConvergenceReport,
     DeepLimitConfig,
     PdeField,
+    ResidualGenerator,
     StabilityError,
-    _walk,
     compare_markov_pde,
     evolve_markov,
     gaussian_solution,
-    random_layer_chain,
-    residual_generator,
 )
-from capnet.propagate import PropagationOperator, propagate_chain, propagate_single
+from capnet.propagate import (
+    Layer,
+    LayerChain,
+    PropagationOperator,
+    propagate_chain,
+    propagate_single,
+)
+
+
+def _random_drift_chain(n, dcoef, eps, L, seed):
+    """L periodic residual layers I + eps*Delta_l, drift v_l uniform in [-Dcoef/2, Dcoef/2]."""
+    drifts = np.random.default_rng(seed).uniform(-dcoef / 2.0, dcoef / 2.0, L)
+    return LayerChain(tuple(Layer(ResidualGenerator(n, v, dcoef).step(eps)) for v in drifts))
 
 
 def _moments(values):
@@ -68,24 +78,24 @@ def _dense_gaussian(initial, v, dcoef, t):
 
 class TestResidualGenerator:
     def test_stencil_entries(self):
-        gen = residual_generator(7, 0.4, 1.0, "periodic")
+        gen = ResidualGenerator(7, 0.4, 1.0, "periodic")
         assert gen.matrix[3, 2] == pytest.approx(1.2)  # towards larger index
         assert gen.matrix[2, 3] == pytest.approx(0.8)
         assert gen.matrix[3, 3] == pytest.approx(-2.0)
 
     def test_periodic_wraps(self):
-        gen = residual_generator(5, 0.4, 1.0, "periodic")
+        gen = ResidualGenerator(5, 0.4, 1.0, "periodic")
         assert gen.matrix[0, 4] == pytest.approx(1.2)
         assert gen.matrix[4, 0] == pytest.approx(0.8)
 
     def test_columns_sum_to_zero(self):
         for boundary in ("periodic", "reflecting"):
             for v in (0.0, 0.3, -0.5):
-                gen = residual_generator(9, v, 0.7, boundary)
+                gen = ResidualGenerator(9, v, 0.7, boundary)
                 assert np.abs(gen.matrix.sum(axis=0)).max() <= 1e-12
 
     def test_reflecting_folds_flux_into_diagonal(self):
-        gen = residual_generator(6, 0.6, 1.0, "reflecting")
+        gen = ResidualGenerator(6, 0.6, 1.0, "reflecting")
         assert gen.matrix[0, 0] == pytest.approx(-2.0 + (1.0 - 0.3))
         assert gen.matrix[5, 5] == pytest.approx(-2.0 + (1.0 + 0.3))
         assert gen.matrix[0, 5] == 0.0
@@ -94,58 +104,64 @@ class TestResidualGenerator:
     @pytest.mark.parametrize("boundary", ["periodic", "reflecting"])
     @pytest.mark.parametrize("n", [3, 4, 17])
     def test_matrix_equals_column_loop(self, boundary, n):
-        gen = residual_generator(n, -0.35, 0.8, boundary)
+        gen = ResidualGenerator(n, -0.35, 0.8, boundary)
         np.testing.assert_array_equal(gen.matrix, _dense_generator(n, -0.35, 0.8, boundary))
 
     def test_stencil_weights(self):
-        gen = residual_generator(6, 0.6, 1.0, "reflecting")
+        gen = ResidualGenerator(6, 0.6, 1.0, "reflecting")
         assert (gen.up, gen.down) == (1.3, 0.7)
         np.testing.assert_array_equal(gen.diag, np.diag(gen.matrix))
 
     def test_max_stable_eps(self):
-        gen = residual_generator(5, 0.0, 2.0)
+        gen = ResidualGenerator(5, 0.0, 2.0)
         assert gen.max_stable_eps() == pytest.approx(0.25)
 
     def test_drift_dominating_diffusion_rejected(self):
         with pytest.raises(ValueError, match="exceeds Dcoef"):
-            residual_generator(11, 2.5, 1.0)
+            ResidualGenerator(11, 2.5, 1.0)
 
     def test_nonpositive_diffusion_rejected(self):
         with pytest.raises(ValueError, match="Dcoef"):
-            residual_generator(11, 0.0, 0.0)
+            ResidualGenerator(11, 0.0, 0.0)
 
     @pytest.mark.parametrize(
         "v, dcoef", [(0.0, math.inf), (0.0, math.nan), (math.nan, 1.0), (-math.inf, 1.0)]
     )
     def test_non_finite_parameters_rejected(self, v, dcoef):
         with pytest.raises(ValueError, match="must be finite") as info:
-            residual_generator(11, v, dcoef)
+            ResidualGenerator(11, v, dcoef)
+        assert not isinstance(info.value, StabilityError)
+
+    def test_overflowing_diffusion_rejected(self):
+        # 2 * 1e308 overflows, which would make the stability bound 0
+        with pytest.raises(ValueError, match="overflows") as info:
+            ResidualGenerator(11, 0.1, 1e308)
         assert not isinstance(info.value, StabilityError)
 
     def test_unknown_boundary_rejected(self):
         with pytest.raises(ValueError, match="boundary"):
-            residual_generator(11, 0.0, 1.0, "absorbing")
+            ResidualGenerator(11, 0.0, 1.0, "absorbing")
 
     def test_tiny_grid_rejected(self):
         with pytest.raises(ValueError, match="3 grid points"):
-            residual_generator(2, 0.0, 1.0)
+            ResidualGenerator(2, 0.0, 1.0)
 
     def test_step_is_identity_plus_eps_generator(self):
-        gen = residual_generator(9, 0.3, 0.7, "reflecting")
+        gen = ResidualGenerator(9, 0.3, 0.7, "reflecting")
         step = gen.step(0.2)
         assert isinstance(step, PropagationOperator)
         np.testing.assert_array_equal(step.matrix, np.eye(9) + 0.2 * gen.matrix)
 
     def test_step_rejects_nonpositive_eps(self):
-        gen = residual_generator(9, 0.0, 1.0)
-        for eps in (0.0, -0.1):
+        gen = ResidualGenerator(9, 0.0, 1.0)
+        for eps in (0.0, -0.1, math.nan):
             with pytest.raises(ValueError, match="positive") as info:
                 gen.step(eps)
             assert not isinstance(info.value, StabilityError)
 
     def test_step_rejects_eps_at_stability_bound(self):
         with pytest.raises(StabilityError, match="below 0.5"):
-            residual_generator(9, 0.0, 1.0).step(0.5)
+            ResidualGenerator(9, 0.0, 1.0).step(0.5)
 
 
 class TestDeepLimitConfig:
@@ -153,22 +169,13 @@ class TestDeepLimitConfig:
         cfg = DeepLimitConfig(eps=0.1, L=100)
         assert cfg.total_time == pytest.approx(10.0)
 
-    def test_depth_time_runs_backwards(self):
-        cfg = DeepLimitConfig(eps=0.5, L=4)
-        assert cfg.t_of_layer(4) == 0.0
-        assert cfg.t_of_layer(0) == 1.0
-        assert cfg.t_of_layer(3) == pytest.approx(0.25)
-
-    def test_layer_out_of_range(self):
-        cfg = DeepLimitConfig(eps=0.5, L=4)
-        with pytest.raises(ValueError, match="layer"):
-            cfg.t_of_layer(5)
-
     def test_bad_parameters(self):
         with pytest.raises(ValueError, match="eps"):
             DeepLimitConfig(eps=0.0, L=4)
         with pytest.raises(ValueError, match="L"):
             DeepLimitConfig(eps=0.5, L=0)
+        with pytest.raises(ValueError, match="eps must be positive, got nan"):
+            DeepLimitConfig(eps=math.nan, L=4)
 
 
 class TestPdeField:
@@ -177,12 +184,6 @@ class TestPdeField:
         assert field.values[5] == pytest.approx(2.0)
         assert field.mass == pytest.approx(1.0)
         assert field.h == pytest.approx(0.5)
-
-    def test_from_capacity(self):
-        kappa = SpatialCapacity(np.array([0.0, 2.0, 1.0]))
-        field = PdeField.from_capacity(kappa, h=0.5)
-        assert np.allclose(field.values, [0.0, 4.0, 2.0])
-        assert field.mass == pytest.approx(3.0)
 
     def test_grid_value_mismatch_rejected(self):
         with pytest.raises(ValueError, match="match"):
@@ -212,13 +213,13 @@ class TestPdeField:
 class TestEvolveMarkov:
     def test_one_step_is_propagate_single(self):
         # the discrete step must be I + eps*Delta; only the summation order may differ
-        gen = residual_generator(21, 0.3, 1.0, "periodic")
+        gen = ResidualGenerator(21, 0.3, 1.0, "periodic")
         cfg = DeepLimitConfig(eps=0.2, L=1)
         kappa = SpatialCapacity.dirac(21, 10)
         step = PropagationOperator(np.eye(21) + cfg.eps * gen.matrix)
         expected = propagate_single(step, kappa)
         got = evolve_markov(gen, cfg, kappa)[1]
-        np.testing.assert_allclose(got.values, expected.values, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(got, expected.values, rtol=1e-14, atol=0)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -231,10 +232,10 @@ class TestEvolveMarkov:
     )
     def test_stencil_step_matches_dense_step(self, n, dcoef, drift, fraction, boundary, seed):
         # drift is v / (2 Dcoef), so |v|/2 <= Dcoef always holds
-        gen = residual_generator(n, 2.0 * dcoef * drift, dcoef, boundary)
+        gen = ResidualGenerator(n, 2.0 * dcoef * drift, dcoef, boundary)
         eps = fraction * gen.max_stable_eps()
         kappa = SpatialCapacity(np.random.default_rng(seed).random(n))
-        got = evolve_markov(gen, DeepLimitConfig(eps=eps, L=1), kappa)[1].values
+        got = evolve_markov(gen, DeepLimitConfig(eps=eps, L=1), kappa)[1]
         expected = gen.step(eps).matrix @ kappa.values
         np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
 
@@ -242,62 +243,62 @@ class TestEvolveMarkov:
         # (L+1) * n * 8 bytes just over the budget; the check runs before allocating
         n = 1001
         L = _TRAJECTORY_BUDGET_BYTES // (8 * n)
-        gen = residual_generator(n, 0.0, 1.0)
+        gen = ResidualGenerator(n, 0.0, 1.0)
         with pytest.raises(ValueError, match="2 GiB trajectory limit") as info:
             evolve_markov(gen, DeepLimitConfig(eps=0.1, L=L), SpatialCapacity.dirac(n, 500))
         assert not isinstance(info.value, StabilityError)
 
     def test_profile_list_layout(self):
-        gen = residual_generator(11, 0.0, 1.0)
+        gen = ResidualGenerator(11, 0.0, 1.0)
         kappa = SpatialCapacity.dirac(11, 5)
-        profiles = evolve_markov(gen, DeepLimitConfig(eps=0.1, L=7), kappa)
-        assert len(profiles) == 8
-        assert profiles[0] is kappa
+        rows = evolve_markov(gen, DeepLimitConfig(eps=0.1, L=7), kappa)
+        assert rows.shape == (8, 11)
+        np.testing.assert_array_equal(rows[0], kappa.values)
 
     def test_mass_conserved_over_thousand_steps(self):
-        gen = residual_generator(51, 0.4, 0.9, "periodic")
-        profiles = evolve_markov(
+        gen = ResidualGenerator(51, 0.4, 0.9, "periodic")
+        rows = evolve_markov(
             gen, DeepLimitConfig(eps=0.3, L=1000), SpatialCapacity.dirac(51, 25)
         )
-        drift = max(abs(p.total - 1.0) for p in profiles)
+        drift = np.abs(rows.sum(axis=1) - 1.0).max()
         assert drift <= 1e-9
 
     def test_profiles_stay_nonnegative(self):
-        gen = residual_generator(31, 0.5, 1.0, "reflecting")
-        profiles = evolve_markov(
+        gen = ResidualGenerator(31, 0.5, 1.0, "reflecting")
+        rows = evolve_markov(
             gen, DeepLimitConfig(eps=0.4, L=400), SpatialCapacity.dirac(31, 3)
         )
-        assert min(p.values.min() for p in profiles) >= 0.0
+        assert rows.min() >= 0.0
 
     def test_variance_grows_linearly(self):
         # var after l steps is 2*Dcoef*eps*l while no mass reaches the seam
-        gen = residual_generator(201, 0.0, 1.0, "periodic")
-        profiles = evolve_markov(
+        gen = ResidualGenerator(201, 0.0, 1.0, "periodic")
+        rows = evolve_markov(
             gen, DeepLimitConfig(eps=0.1, L=100), SpatialCapacity.dirac(201, 100)
         )
         for l in range(10, 101, 10):
-            _, var = _moments(profiles[l].values)
+            _, var = _moments(rows[l])
             assert var == pytest.approx(2.0 * 1.0 * 0.1 * l, rel=0.02)
 
     def test_dirac_spread_after_hundred_layers(self):
-        gen = residual_generator(201, 0.0, 1.0, "periodic")
+        gen = ResidualGenerator(201, 0.0, 1.0, "periodic")
         final = evolve_markov(
             gen, DeepLimitConfig(eps=0.1, L=100), SpatialCapacity.dirac(201, 100)
         )[-1]
-        _, var = _moments(final.values)
+        _, var = _moments(final)
         assert math.sqrt(var) == pytest.approx(math.sqrt(20.0), rel=0.05)
 
     def test_drift_moves_the_mean(self):
-        gen = residual_generator(201, 0.2, 1.0, "periodic")
+        gen = ResidualGenerator(201, 0.2, 1.0, "periodic")
         final = evolve_markov(
             gen, DeepLimitConfig(eps=0.1, L=100), SpatialCapacity.dirac(201, 100)
         )[-1]
-        mean, _ = _moments(final.values)
+        mean, _ = _moments(final)
         assert mean == pytest.approx(100.0 + 0.2 * 0.1 * 100, abs=1e-9)
 
     def test_matches_exact_exponential_moments(self):
         # eigendecomposition of the symmetric v=0 generator gives e^{Delta t}
-        gen = residual_generator(121, 0.0, 0.7, "periodic")
+        gen = ResidualGenerator(121, 0.0, 0.7, "periodic")
         eigvals, eigvecs = np.linalg.eigh(gen.matrix)
         start = SpatialCapacity.dirac(121, 60).values
         for t in (1.0, 3.0):
@@ -307,11 +308,11 @@ class TestEvolveMarkov:
         markov = evolve_markov(
             gen, DeepLimitConfig(eps=0.01, L=300), SpatialCapacity.dirac(121, 60)
         )[-1]
-        _, var_markov = _moments(markov.values)
+        _, var_markov = _moments(markov)
         assert var_markov == pytest.approx(2.0 * 0.7 * 3.0, rel=1e-12)
 
     def test_unstable_eps_rejected_with_bound(self):
-        gen = residual_generator(11, 0.0, 1.0)
+        gen = ResidualGenerator(11, 0.0, 1.0)
         with pytest.raises(StabilityError, match="below 0.5"):
             evolve_markov(gen, DeepLimitConfig(eps=0.6, L=5), SpatialCapacity.dirac(11, 5))
 
@@ -319,7 +320,7 @@ class TestEvolveMarkov:
         assert issubclass(StabilityError, ValueError)
 
     def test_dimension_mismatch_rejected(self):
-        gen = residual_generator(11, 0.0, 1.0)
+        gen = ResidualGenerator(11, 0.0, 1.0)
         with pytest.raises(ValueError, match="11"):
             evolve_markov(gen, DeepLimitConfig(eps=0.1, L=5), SpatialCapacity.dirac(9, 4))
 
@@ -381,34 +382,34 @@ class TestGaussianSolution:
 
 class TestCompareMarkovPde:
     def test_gap_within_two_percent_of_peak(self):
-        gen = residual_generator(201, 0.0, 1.0, "periodic")
+        gen = ResidualGenerator(201, 0.0, 1.0, "periodic")
         cfg = DeepLimitConfig(eps=0.1, L=100)
         report = compare_markov_pde(gen, cfg, SpatialCapacity.dirac(201, 100))
         assert report.rel_errors[0] <= 0.02
         assert not report.boundary_flagged
 
     def test_halving_eps_shrinks_the_gap(self):
-        gen = residual_generator(201, 0.0, 1.0, "periodic")
+        gen = ResidualGenerator(201, 0.0, 1.0, "periodic")
         cfg = DeepLimitConfig(eps=0.1, L=100)
         report = compare_markov_pde(gen, cfg, SpatialCapacity.dirac(201, 100))
         assert report.eps_levels == (0.1, 0.05, 0.025)
         assert report.rel_errors[1] < report.rel_errors[0]
 
     def test_empirical_order_at_least_one(self):
-        gen = residual_generator(201, 0.0, 1.0, "periodic")
+        gen = ResidualGenerator(201, 0.0, 1.0, "periodic")
         cfg = DeepLimitConfig(eps=0.1, L=100)
         report = compare_markov_pde(gen, cfg, SpatialCapacity.dirac(201, 100))
         assert report.overall_order >= 1.0
 
     def test_drifting_probe_converges_too(self):
-        gen = residual_generator(201, 0.2, 1.0, "periodic")
+        gen = ResidualGenerator(201, 0.2, 1.0, "periodic")
         cfg = DeepLimitConfig(eps=0.1, L=100)
         report = compare_markov_pde(gen, cfg, SpatialCapacity.dirac(201, 100))
         assert report.rel_errors[0] <= 0.02
         assert report.overall_order >= 1.0
 
     def test_finer_standalone_run_stays_within_two_percent(self):
-        gen = residual_generator(201, 0.0, 1.0, "periodic")
+        gen = ResidualGenerator(201, 0.0, 1.0, "periodic")
         cfg = DeepLimitConfig(eps=0.05, L=200)
         report = compare_markov_pde(gen, cfg, SpatialCapacity.dirac(201, 100), refinements=0)
         assert report.eps_levels == (0.05,)
@@ -417,44 +418,38 @@ class TestCompareMarkovPde:
 
     def test_refinement_stops_at_stability_bound(self):
         # halving eps while quadrupling cell diffusion doubles eps*2*Dcoef
-        gen = residual_generator(201, 0.0, 1.0, "periodic")
+        gen = ResidualGenerator(201, 0.0, 1.0, "periodic")
         cfg = DeepLimitConfig(eps=0.3, L=30)
         report = compare_markov_pde(gen, cfg, SpatialCapacity.dirac(201, 100))
         assert report.eps_levels == (0.3,)
 
     def test_narrow_grid_is_flagged(self):
-        gen = residual_generator(21, 0.0, 1.0, "periodic")
+        gen = ResidualGenerator(21, 0.0, 1.0, "periodic")
         cfg = DeepLimitConfig(eps=0.1, L=100)
         report = compare_markov_pde(gen, cfg, SpatialCapacity.dirac(21, 10), refinements=0)
         assert report.boundary_flagged
-
-    def test_sup_error_is_first_level(self):
-        gen = residual_generator(201, 0.0, 1.0, "periodic")
-        cfg = DeepLimitConfig(eps=0.1, L=100)
-        report = compare_markov_pde(gen, cfg, SpatialCapacity.dirac(201, 100))
-        assert report.sup_error == report.sup_errors[0]
 
     def test_two_spike_probe(self):
         values = np.zeros(201)
         values[80] = 1.0
         values[120] = 2.0
-        gen = residual_generator(201, 0.0, 1.0, "periodic")
+        gen = ResidualGenerator(201, 0.0, 1.0, "periodic")
         cfg = DeepLimitConfig(eps=0.1, L=100)
         report = compare_markov_pde(gen, cfg, SpatialCapacity(values))
         assert report.rel_errors[0] <= 0.02
         assert report.rel_errors[-1] < report.rel_errors[0]
 
     def test_markov_std_is_width_of_coarsest_profile(self):
-        gen = residual_generator(101, 0.3, 1.0, "periodic")
+        gen = ResidualGenerator(101, 0.3, 1.0, "periodic")
         cfg = DeepLimitConfig(eps=0.1, L=50)
         kappa = SpatialCapacity.dirac(101, 50)
         report = compare_markov_pde(gen, cfg, kappa, refinements=1)
-        final = evolve_markov(gen, cfg, kappa)[-1]
-        _, var = _moments(final.values)
+        final = evolve_markov(gen, cfg, kappa, keep_all=False)
+        _, var = _moments(final)
         assert report.markov_std == math.sqrt(var)
 
     def test_unstable_coarsest_level_raises(self):
-        gen = residual_generator(21, 0.0, 1.0)
+        gen = ResidualGenerator(21, 0.0, 1.0)
         cfg = DeepLimitConfig(eps=0.6, L=10)
         with pytest.raises(StabilityError, match="below 0.5"):
             compare_markov_pde(gen, cfg, SpatialCapacity.dirac(21, 10), refinements=0)
@@ -462,13 +457,13 @@ class TestCompareMarkovPde:
     def test_unstable_finer_level_stops_quietly(self):
         # each level doubles eps * 2 * Dcoef: 0.4 and 0.8 are stable, level 2's
         # 1.6 is not, so two of the five levels asked for come back
-        gen = residual_generator(41, 0.0, 1.0)
+        gen = ResidualGenerator(41, 0.0, 1.0)
         cfg = DeepLimitConfig(eps=0.2, L=10)
         report = compare_markov_pde(gen, cfg, SpatialCapacity.dirac(41, 20), refinements=4)
         assert report.eps_levels == (0.2, 0.1)
 
     def test_levels_requested_counts_levels_asked_for(self):
-        gen = residual_generator(41, 0.0, 1.0)
+        gen = ResidualGenerator(41, 0.0, 1.0)
         cfg = DeepLimitConfig(eps=0.2, L=10)
         report = compare_markov_pde(gen, cfg, SpatialCapacity.dirac(41, 20), refinements=4)
         assert report.levels_requested == 5
@@ -476,7 +471,7 @@ class TestCompareMarkovPde:
 
     def test_wide_grid_memory_is_linear(self):
         # dense n x n steps and kernels at n = 4001 would need 128 MiB each
-        gen = residual_generator(4001, 0.0, 1.0)
+        gen = ResidualGenerator(4001, 0.0, 1.0)
         cfg = DeepLimitConfig(eps=0.1, L=20)
         tracemalloc.start()
         try:
@@ -488,7 +483,7 @@ class TestCompareMarkovPde:
 
     def test_levels_step_two_buffers(self):
         # the trajectory of 2001 profiles would be 64 MB; only the last is read
-        gen = residual_generator(4001, 0.0, 1.0)
+        gen = ResidualGenerator(4001, 0.0, 1.0)
         cfg = DeepLimitConfig(eps=0.1, L=2000)
         tracemalloc.start()
         try:
@@ -500,36 +495,22 @@ class TestCompareMarkovPde:
 
     @pytest.mark.parametrize("L", [1, 2, 7, 8])
     def test_two_buffer_walk_ends_on_the_trajectory(self, L):
-        gen = residual_generator(31, 0.4, 1.0, "reflecting")
+        gen = ResidualGenerator(31, 0.4, 1.0, "reflecting")
         cfg = DeepLimitConfig(eps=0.2, L=L)
         kappa = SpatialCapacity(np.random.default_rng(L).random(31))
-        last = _walk(gen, cfg, kappa, keep_all=False)
-        np.testing.assert_array_equal(last, evolve_markov(gen, cfg, kappa)[-1].values)
+        last = evolve_markov(gen, cfg, kappa, keep_all=False)
+        np.testing.assert_array_equal(last, evolve_markov(gen, cfg, kappa)[-1])
 
     def test_negative_refinements_rejected(self):
-        gen = residual_generator(21, 0.0, 1.0)
+        gen = ResidualGenerator(21, 0.0, 1.0)
         cfg = DeepLimitConfig(eps=0.1, L=10)
         with pytest.raises(ValueError, match="refinements"):
             compare_markov_pde(gen, cfg, SpatialCapacity.dirac(21, 10), refinements=-1)
 
 
 class TestRandomLayerChain:
-    def test_deterministic_per_seed(self):
-        first = random_layer_chain(41, 1.0, 0.1, 12, seed=7)
-        second = random_layer_chain(41, 1.0, 0.1, 12, seed=7)
-        for a, b in zip(first.layers, second.layers):
-            assert np.array_equal(a.operator.matrix, b.operator.matrix)
-
-    def test_seeds_differ(self):
-        first = random_layer_chain(41, 1.0, 0.1, 12, seed=7)
-        second = random_layer_chain(41, 1.0, 0.1, 12, seed=8)
-        assert not all(
-            np.array_equal(a.operator.matrix, b.operator.matrix)
-            for a, b in zip(first.layers, second.layers)
-        )
-
     def test_layers_are_residual_and_stochastic(self):
-        chain = random_layer_chain(41, 1.0, 0.1, 12, seed=3)
+        chain = _random_drift_chain(41, 1.0, 0.1, 12, seed=3)
         assert len(chain) == 12
         for layer in chain.layers:
             matrix = layer.operator.matrix
@@ -541,7 +522,7 @@ class TestRandomLayerChain:
         # drifts are drawn symmetrically, so 32 seeds average to no net shift
         displacements = []
         for seed in range(32):
-            chain = random_layer_chain(101, 1.0, 0.1, 30, seed=seed)
+            chain = _random_drift_chain(101, 1.0, 0.1, 30, seed=seed)
             profile = propagate_chain(chain, SpatialCapacity.dirac(101, 50))[0]
             mean, _ = _moments(profile.values)
             displacements.append(mean - 50.0)
@@ -550,10 +531,10 @@ class TestRandomLayerChain:
         assert abs(displacements.mean()) <= 3.0 * stderr
 
     def test_mass_conserved_through_chain(self):
-        chain = random_layer_chain(41, 1.0, 0.1, 50, seed=11)
+        chain = _random_drift_chain(41, 1.0, 0.1, 50, seed=11)
         profiles = propagate_chain(chain, SpatialCapacity.dirac(41, 20))
         assert max(abs(p.total - 1.0) for p in profiles) <= 1e-9
 
     def test_unstable_parameters_rejected(self):
         with pytest.raises(StabilityError, match="below"):
-            random_layer_chain(41, 1.0, 0.6, 5, seed=0)
+            _random_drift_chain(41, 1.0, 0.6, 5, seed=0)

@@ -4,17 +4,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from capnet import oracle
-from capnet.augment import (
-    Activation,
-    AugmentedLayout,
-    augmented_spatial_profile,
-    build_augmented_projection,
-    linear_stacked_basis,
-)
+from capnet.augment import Activation, augmented_spatial_profile, build_augmented_projection
 from capnet.core import (
     CapacityBasis,
     ProjectionMatrix,
@@ -447,7 +441,7 @@ class TestEmpiricalSpatialCapacity:
             capacity_of_subspace(k_input, s), abs=1e-6
         )
         np.testing.assert_allclose(
-            augmented_spatial_profile(k_tilde, AugmentedLayout("standard", n, m)).values,
+            augmented_spatial_profile(k_tilde, n).values,
             np.sum(k_input.columns**2, axis=1),
             atol=1e-6,
         )
@@ -509,6 +503,12 @@ def _batch_reference(config, target, sampler=None):
     whole feature matrix.  Only z = y P is taken from the pass's chunks: the
     pseudo-random eta hashes the bits of z, and BLAS may round a row of y P
     differently in a batch of another size.
+
+    Returns the values and, under the same keys, their rounding scales: the
+    size each is computed from times the condition number of the matrix it
+    is solved or orthonormalized from.  That is cond(F_sel) |a*| for a*,
+    cond(M) |X~| for the residual, the largest block cond(M_b) |X~| for the
+    floor and cond(M) for kappa, where M = Sigma~_hat P~ K_phi.
     """
     take, eta_key = _sample_inputs(config.n, config.n_samples, config.seed, sampler)
     y = take(config.n_samples)
@@ -522,23 +522,33 @@ def _batch_reference(config, target, sampler=None):
     p_tilde = build_augmented_projection(config.p)
     k_phi = config.selector_basis().columns
 
-    def capacity_basis(block):
-        return orthonormal_basis(block.T @ block / block.shape[0] @ p_tilde @ k_phi)
+    def ranked(block):
+        """Sigma~_hat P~ K_phi of a block of samples: what orthonormal_basis ranks."""
+        return block.T @ block / block.shape[0] @ p_tilde @ k_phi
 
-    k_tilde = capacity_basis(rows)
-    kappa = augmented_spatial_profile(k_tilde, config.layout()).values
+    full = ranked(rows)
+    edges = np.linspace(0, config.n_samples, 9, dtype=int)
+    blocks = [ranked(rows[a:b]) for a, b in zip(edges[:-1], edges[1:])]
+    k_tilde = orthonormal_basis(full)
+    kappa = augmented_spatial_profile(k_tilde, config.n).values
     selected = list(config.param_selector)
     a_star = np.zeros(config.m)
     a_star[selected] = np.linalg.lstsq(feats[:, selected], t, rcond=None)[0]
     a_full = np.linalg.lstsq(feats, t, rcond=None)[0]
     x_tilde = p_tilde @ (a_star - a_full)
     residual = float(np.linalg.norm(k_tilde.columns.T @ x_tilde))
-    edges = np.linspace(0, config.n_samples, 9, dtype=int)
     floor = np.mean([
-        np.linalg.norm(capacity_basis(rows[a:b]).columns.T @ x_tilde)
-        for a, b in zip(edges[:-1], edges[1:])
+        np.linalg.norm(orthonormal_basis(block).columns.T @ x_tilde) for block in blocks
     ]) / math.sqrt(8)
-    return kappa, a_star, residual, float(floor)
+    values = dict(kappa=kappa, a_star=a_star, residual=residual, floor=float(floor))
+    gap = np.linalg.norm(x_tilde)
+    scales = dict(
+        kappa=np.linalg.cond(full),
+        a_star=np.linalg.cond(feats[:, selected]) * np.linalg.norm(a_star),
+        residual=np.linalg.cond(full) * gap,
+        floor=max(np.linalg.cond(block) for block in blocks) * gap,
+    )
+    return values, scales
 
 
 _ACTIVATIONS = {
@@ -557,20 +567,27 @@ class TestSinglePass:
         n_samples=st.integers(1000, 2600),
         chunk_rows=st.integers(5, 400),
         custom_sampler=st.booleans(),
-        data=st.data(),
+        seed=st.integers(0, 2**31 - 1),
+        picks=st.lists(st.integers(0, 5), min_size=1, max_size=6, unique=True),
     )
+    # where the two forms once differed by 2e-12 to 6e-12: tanh features with
+    # m > n, and a relu fit with |a*| = 72
+    @example(n=2, m=4, activation="custom", n_samples=1000, chunk_rows=5,
+             custom_sampler=False, seed=160000, picks=[0, 1, 2])
+    @example(n=2, m=6, activation="custom", n_samples=1000, chunk_rows=5,
+             custom_sampler=False, seed=0, picks=[0, 1, 2, 3])
+    @example(n=2, m=6, activation="custom", n_samples=1000, chunk_rows=5,
+             custom_sampler=False, seed=4858, picks=[0, 1, 2, 3])
+    @example(n=2, m=2, activation="relu", n_samples=1000, chunk_rows=5,
+             custom_sampler=True, seed=3673, picks=[0, 1])
     def test_stream_equals_batch(
-        self, n, m, activation, n_samples, chunk_rows, custom_sampler, data
+        self, n, m, activation, n_samples, chunk_rows, custom_sampler, seed, picks
     ):
-        seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
         try:
             p = _random_projection(np.random.default_rng(seed), n, m)
         except ValueError:
             assume(False)  # duplicate columns, possible when n = 1
-        selector = data.draw(
-            st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True),
-            label="selector",
-        )
+        selector = sorted({i % m for i in picks})
         config = ExperimentConfig(p, _ACTIVATIONS[activation], selector, n_samples, seed)
         scales = np.linspace(0.5, 2.0, n)
 
@@ -589,17 +606,24 @@ class TestSinglePass:
         chunk_bytes = chunk_rows * 8 * (n + 1) * (m + 1)
         with mock.patch.object(oracle, "_CHUNK_BYTES", chunk_bytes):
             try:
-                kappa, a_star, residual, floor = _batch_reference(config, target, sampler)
+                ref, scale = _batch_reference(config, target, sampler)
             except ValueError:
                 assume(False)  # rank-deficient selected features
+            # 1e-12, unless ten unit roundoffs of the value's rounding scale are
+            # more: where a* and X~ are large or Sigma~ P~ K_phi is poorly
+            # conditioned (tanh features of m > n columns are nearly
+            # collinear), the two forms round apart by more than 1e-12
+            tol = {key: max(1e-12, 10 * np.finfo(float).eps * s) for key, s in scale.items()}
             streamed = fit_optimal_last_layer(config, target, sampler)
-            np.testing.assert_allclose(streamed, a_star, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(streamed, ref["a_star"], rtol=0, atol=tol["a_star"])
             got = verify_stationarity(config, streamed, target, sampler)
-            assert abs(got - residual) <= 1e-12
+            assert abs(got - ref["residual"]) <= tol["residual"]
             got = stationarity_noise_floor(config, streamed, target, sampler)
-            assert abs(got - floor) <= 1e-12
+            assert abs(got - ref["floor"]) <= tol["floor"]
             report = empirical_spatial_capacity(config, sampler)
-        np.testing.assert_allclose(report.kappa_hat.values, kappa, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            report.kappa_hat.values, ref["kappa"], rtol=0, atol=tol["kappa"]
+        )
 
     @pytest.mark.parametrize("custom", [False, True])
     def test_chunked_draw_equals_one_draw(self, custom):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capnet.augment import Activation
+from capnet.augment import Activation, build_augmented_projection
 from capnet.core import ProjectionMatrix, SpatialCapacity
 from capnet.propagate import (
     Layer,
@@ -222,8 +222,24 @@ class TestDifferentialPropagationMatrix:
 
     def test_rejects_nonpositive_eps(self):
         p = ProjectionMatrix.identity(2)
-        with pytest.raises(ValueError, match="eps"):
-            differential_propagation_matrix(p, 0.0)
+        for eps in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="eps must be positive"):
+                differential_propagation_matrix(p, eps)
+
+    def test_matches_residual_augmented_space(self):
+        # the residual layer's augmented projection stacks I over sqrt(eps) P~;
+        # column j's squared entries, summed per input and divided by its
+        # squared norm 1 + eps, give column j of the operator
+        rng = np.random.default_rng(14)
+        p = ProjectionMatrix.from_raw(rng.standard_normal((4, 4)))
+        for eps in (0.1, 0.5, 2.0):
+            p_res = np.vstack([np.eye(4), np.sqrt(eps) * build_augmented_projection(p)])
+            inputs = np.tile(np.arange(4), 5)
+            mass = np.stack([np.bincount(inputs, weights=col**2) for col in p_res.T], axis=1)
+            np.testing.assert_allclose(mass.sum(axis=0), 1.0 + eps, atol=1e-12)
+            np.testing.assert_allclose(
+                differential_propagation_matrix(p, eps).matrix, mass / (1.0 + eps), atol=1e-12
+            )
 
 
 class TestOperatorAndLayerValidation:
@@ -282,7 +298,7 @@ def _random_chains(draw):
             p = ProjectionMatrix.from_raw(rng.standard_normal((n, n_out)))
             layers.append(Layer.standard(p, Activation.pseudo_random()))
         else:
-            layers.append(Layer.from_operator(_random_stochastic(rng, n, n_out)))
+            layers.append(Layer(_random_stochastic(rng, n, n_out)))
         n = n_out
     top = SpatialCapacity(rng.random(n) * draw(st.floats(0.1, 10.0)))
     return LayerChain(tuple(layers)), top
