@@ -44,8 +44,8 @@ Sampler = Callable[[np.random.Generator, int, int], np.ndarray]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _NOISE_BLOCKS = 8
-# Per-chunk temporaries of a pass over the samples stay near this size.
-_CHUNK_BYTES = 8 * 2**20
+# A chunk's inputs y, pre-activations z and etas stay near this size.
+_CHUNK_BYTES = 2**20
 # Largest array the oracle holds whole: its block cross moments, or a custom
 # sampler's batch.
 _MEMORY_BUDGET_BYTES = 2 * 2**30
@@ -64,12 +64,15 @@ class PseudoRandomSign:
         object.__setattr__(self, "seed", int(self.seed) & _MASK64)
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        z = x + np.uint64(0x9E3779B97F4A7C15)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
+def _splitmix64(h: np.ndarray) -> np.ndarray:
+    """splitmix64's increment and finalizer, applied to the uint64 array h in place."""
+    shifted = np.empty_like(h)
+    h += np.uint64(0x9E3779B97F4A7C15)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        h ^= np.right_shift(h, np.uint64(shift), out=shifted)
+        h *= np.uint64(mult)
+    h ^= np.right_shift(h, np.uint64(31), out=shifted)
+    return h
 
 
 def pseudo_random_eta(z, prs: PseudoRandomSign):
@@ -80,16 +83,19 @@ def pseudo_random_eta(z, prs: PseudoRandomSign):
     same (z, seed) always yields the same value, while arbitrarily close
     inputs give effectively independent signs.
     """
-    z_arr = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z_arr)):
+    h = np.array(z, dtype=float)
+    if not np.all(np.isfinite(h)):
         raise ValueError("pseudo_random_eta requires finite z")
-    bits = np.ascontiguousarray(z_arr + 0.0).view(np.uint64)
-    seed_hash = _splitmix64(np.uint64(prs.seed))
-    h = _splitmix64(bits ^ seed_hash)
-    signs = np.where((h >> np.uint64(63)).astype(bool), prs.sigma, -prs.sigma)
-    if np.isscalar(z) or z_arr.ndim == 0:
-        return float(signs.reshape(-1)[0])
-    return signs.reshape(z_arr.shape)
+    h += 0.0
+    h = h.view(np.uint64)
+    h ^= _splitmix64(np.array([prs.seed], dtype=np.uint64))[0]
+    h = _splitmix64(h)
+    h >>= np.uint64(63)
+    signs = h * (2.0 * prs.sigma)
+    signs -= prs.sigma
+    if np.isscalar(z) or signs.ndim == 0:
+        return float(signs)
+    return signs
 
 
 @dataclass(frozen=True)
@@ -226,15 +232,21 @@ def _chunks(take, eta_key: int, p: ProjectionMatrix, act: Activation, n_samples:
     """Yield ``(block, y, z, eta)`` for consecutive chunks of the samples.
 
     A chunk never straddles two jackknife blocks.  Chunk rows are sized from
-    ``_CHUNK_BYTES`` at (n+1)*(m+1) floats a row, so per-chunk temporaries
-    stay bounded at any layer size.
+    ``_CHUNK_BYTES`` at n + 2m + 2 floats a row, about what a row of y, z
+    and eta takes, but never below 2(m+1), so that the streamed QR of the
+    (m+1)-column feature block stays amortized.
+
+    z = y P is summed in a fixed order, so each row's bits, which the
+    pseudo-random eta hashes, do not depend on the chunk size or on the BLAS
+    build.
     """
-    rows = max(1, _CHUNK_BYTES // (8 * (p.n_in + 1) * (p.n_out + 1)))
+    n, m = p.n_in, p.n_out
+    rows = max(2 * (m + 1), _CHUNK_BYTES // (8 * (n + 2 * m + 2)))
     edges = _block_edges(n_samples)
     for block, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
         for start in range(a, b, rows):
             y = take(min(rows, b - start))
-            z = y @ p.matrix
+            z = np.einsum("ri,ij->rj", y, p.matrix, optimize=False)
             yield block, y, z, act.eta(z, key=eta_key)
 
 
@@ -270,13 +282,14 @@ def empirical_sigma_tilde(
 class _Moments:
     """What one pass over the samples leaves behind.
 
-    ``cross[b]`` sums ``x~_s f(z_s)^T`` over jackknife block b, which has
-    ``counts[b]`` samples.  Since ``x~_s^T P~ e_j = f(z_sj)``, the sum over
-    blocks divided by N is ``Sigma~_hat P~``.  ``r`` is the R factor of
-    ``[F_sel | F_rest | t]``: the feature columns in the order ``order``
-    (selected first), then the target.  Its columns have the inner products
-    of those sample columns, so least squares on ``r`` solve least squares
-    on the samples.
+    ``cross[b]`` sums ``x~_s f(z_s)_sel^T`` over jackknife block b, which
+    has ``counts[b]`` samples: one column per selected coordinate, the only
+    columns ``K_phi`` reads.  Since ``x~_s^T P~ e_j = f(z_sj)``, the sum
+    over blocks divided by N is ``(Sigma~_hat P~)[:, selector]``.  ``r`` is
+    the R factor of ``[F_sel | F_rest | t]``: the feature columns in the
+    order ``order`` (selected first), then the target.  Its columns have the
+    inner products of those sample columns, so least squares on ``r`` solve
+    least squares on the samples.
     """
 
     cross: np.ndarray
@@ -294,21 +307,24 @@ def _stream(
 ) -> _Moments:
     """One pass over the samples, in chunks."""
     n, m = config.n, config.m
+    selected = list(config.param_selector)
+    k = len(selected)
     _check_budget(
-        8 * _NOISE_BLOCKS * n * m * m,
-        f"{_NOISE_BLOCKS} block cross moments of {n * m} x {m} floats",
+        8 * _NOISE_BLOCKS * n * m * k,
+        f"{_NOISE_BLOCKS} block cross moments of {n * m} x {k} floats",
     )
     take, eta_key = _sample_inputs(n, config.n_samples, config.seed, sampler)
-    selected = list(config.param_selector)
     order = np.array(selected + [j for j in range(m) if j not in selected])
-    cross = np.zeros((_NOISE_BLOCKS, n * m, m))
+    cross = np.zeros((_NOISE_BLOCKS, n * m, k))
     r = np.zeros((m + 1, m + 1))
     for block, y, z, eta in _chunks(take, eta_key, config.p, config.activation, config.n_samples):
         feats = eta * z
         t = np.asarray(target(y, feats), dtype=float)
         if t.shape != (y.shape[0],):
             raise ValueError(f"target returned shape {t.shape}, expected ({y.shape[0]},)")
-        cross[block] += _augment(y, eta).T @ feats
+        for col, c in enumerate(selected):
+            # row-block j of x~ f_c is eta_j f_c y, as in _augment
+            cross[block, :, col] += ((eta * feats[:, [c]]).T @ y).reshape(-1)
         r = np.linalg.qr(np.vstack([r, np.column_stack([feats[:, order], t])]), mode="r")
     return _Moments(cross, np.diff(_block_edges(config.n_samples)), r, order)
 
@@ -360,9 +376,17 @@ def _full_fit(config: ExperimentConfig, moments: _Moments) -> np.ndarray:
     return a_full
 
 
-def _capacity_basis(cross: np.ndarray, rows: int, k_phi: CapacityBasis) -> CapacityBasis:
-    """Orthonormal basis of ``Sigma~_hat P~ K_phi`` from a cross moment over ``rows`` samples."""
-    return orthonormal_basis(cross / rows @ k_phi.columns)
+def _selected_rows(config: ExperimentConfig) -> np.ndarray:
+    """``K_phi``'s rows on the selector; its other rows are exactly 0."""
+    return config.selector_basis().columns[list(config.param_selector)]
+
+
+def _capacity_basis(cross: np.ndarray, rows: int, k_sel: np.ndarray) -> CapacityBasis:
+    """Orthonormal basis of ``Sigma~_hat P~ K_phi`` from a selected-column moment.
+
+    ``cross`` sums over ``rows`` samples; ``k_sel`` is ``K_phi`` on the selector.
+    """
+    return orthonormal_basis(cross / rows @ k_sel)
 
 
 def _residual(k_tilde: CapacityBasis, x_tilde: np.ndarray) -> float:
@@ -375,10 +399,10 @@ def _stationarity_gap(config: ExperimentConfig, a_star, a_full: np.ndarray) -> n
     return (config.p.matrix * gap).T.reshape(-1)
 
 
-def _noise_floor(moments: _Moments, k_phi: CapacityBasis, x_tilde: np.ndarray) -> float:
+def _noise_floor(moments: _Moments, k_sel: np.ndarray, x_tilde: np.ndarray) -> float:
     """Jackknife: the mean residual under each block's moment, scaled by 1/sqrt(blocks)."""
     block_residuals = [
-        _residual(_capacity_basis(cross, rows, k_phi), x_tilde)
+        _residual(_capacity_basis(cross, rows, k_sel), x_tilde)
         for cross, rows in zip(moments.cross, moments.counts)
     ]
     return float(np.mean(block_residuals) / math.sqrt(_NOISE_BLOCKS))
@@ -416,7 +440,7 @@ def verify_stationarity(
     """
     moments = _stream(config, sampler, _row_target(target))
     x_tilde = _stationarity_gap(config, a_star, _full_fit(config, moments))
-    k_tilde = _capacity_basis(moments.cross.sum(axis=0), config.n_samples, config.selector_basis())
+    k_tilde = _capacity_basis(moments.cross.sum(axis=0), config.n_samples, _selected_rows(config))
     return _residual(k_tilde, x_tilde)
 
 
@@ -435,7 +459,7 @@ def stationarity_noise_floor(
     """
     moments = _stream(config, sampler, _row_target(target))
     x_tilde = _stationarity_gap(config, a_star, _full_fit(config, moments))
-    return _noise_floor(moments, config.selector_basis(), x_tilde)
+    return _noise_floor(moments, _selected_rows(config), x_tilde)
 
 
 def _generic_target(config: ExperimentConfig) -> _ChunkTarget:
@@ -459,11 +483,13 @@ def empirical_spatial_capacity(
     One pass over the samples, in chunks, yields everything: the block cross
     moments ``x~ f(z)^T`` give ``Sigma~_hat P~`` and the jackknife floor, and
     a streamed R factor of the features and a generic target gives both
-    least-squares fits.  Memory is O(chunk*n*m + 8*n*m*m), flat in N.
+    least-squares fits.  Only the k = |selector| columns of the moment that
+    ``K_phi`` reads are accumulated, so memory is O(chunk*(n+m) + 8*n*m*k),
+    flat in N.
     """
     moments = _stream(config, sampler, _generic_target(config))
-    k_phi = config.selector_basis()
-    k_tilde = _capacity_basis(moments.cross.sum(axis=0), config.n_samples, k_phi)
+    k_sel = _selected_rows(config)
+    k_tilde = _capacity_basis(moments.cross.sum(axis=0), config.n_samples, k_sel)
     kappa_hat = augmented_spatial_profile(k_tilde, config.n)
     x_tilde = _stationarity_gap(
         config, _constrained_fit(config, moments), _full_fit(config, moments)
@@ -471,7 +497,7 @@ def empirical_spatial_capacity(
     measured = dict(
         kappa_hat=kappa_hat,
         stationarity_residual=_residual(k_tilde, x_tilde),
-        stationarity_noise_floor=_noise_floor(moments, k_phi, x_tilde),
+        stationarity_noise_floor=_noise_floor(moments, k_sel, x_tilde),
     )
 
     if sampler is not None:

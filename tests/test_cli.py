@@ -479,8 +479,10 @@ class TestVerify:
         assert doc["stationarity_residual"] <= 4.0 * doc["stationarity_noise_floor"]
 
     def test_block_moments_past_budget_exit_2(self, capsys):
-        # 8 blocks of (n*m) x m floats: 3.8 GiB at n = m = 400, refused before allocating
-        argv = ["verify", "--n", "400", "--m", "400", "--selector", "0,1", "--mc", "20000"]
+        # 8 blocks of (n*m) x k floats: 2.4 GiB at n = m = 400 and k = 256, refused
+        # before allocating
+        selector = ",".join(map(str, range(256)))
+        argv = ["verify", "--n", "400", "--m", "400", "--selector", selector, "--mc", "20000"]
         assert main(argv) == 2
         assert "2 GiB oracle memory limit" in capsys.readouterr().err
 

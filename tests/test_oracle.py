@@ -93,6 +93,29 @@ class TestPseudoRandomEta:
         with pytest.raises(ValueError, match="sigma"):
             PseudoRandomSign(seed=0, sigma=0.0)
 
+    # Signs of the hash as first released: +0.0, -0.0, the smallest subnormal,
+    # 1e300, -1e300 and then np.linspace(-3, 3, 59).  Any change to the
+    # finalizer, the seed mixing or the sign bit shows up here.
+    _GOLDEN_Z = np.concatenate([[0.0, -0.0, 5e-324, 1e300, -1e300], np.linspace(-3, 3, 59)])
+    _GOLDEN_SIGNS = {
+        0: "++-+-+----++++--+-++---++++------++-+---+-++++-++++-+++----++++-",
+        2**64 - 1: "----------+---++--++++----+-+--+-+--+--+---++++-+---+-+-++--++++",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(_GOLDEN_SIGNS))
+    @pytest.mark.parametrize("sigma", [1.0, 0.37])
+    def test_golden_bits(self, seed, sigma):
+        prs = PseudoRandomSign(seed=seed, sigma=sigma)
+        expected = np.array([sigma if c == "+" else -sigma for c in self._GOLDEN_SIGNS[seed]])
+        np.testing.assert_array_equal(pseudo_random_eta(self._GOLDEN_Z, prs), expected)
+        grid = pseudo_random_eta(self._GOLDEN_Z[5:17].reshape(3, 4), prs)
+        np.testing.assert_array_equal(grid, expected[5:17].reshape(3, 4))
+        for z, want in zip(self._GOLDEN_Z, expected):
+            scalar = pseudo_random_eta(float(z), prs)
+            zero_d = pseudo_random_eta(np.array(z), prs)
+            assert isinstance(scalar, float) and isinstance(zero_d, float)
+            assert scalar == zero_d == want
+
 
 class TestEmpiricalSigmaTilde:
     def test_linear_blocks_all_equal(self):
@@ -651,7 +674,8 @@ class TestSinglePass:
             seen.append(y.copy())
             return y[:, 0]
 
-        with mock.patch.object(oracle, "_CHUNK_BYTES", 100 * 8 * 4 * 4):
+        # n + 2m + 2 floats a row at n = m = 3
+        with mock.patch.object(oracle, "_CHUNK_BYTES", 100 * 8 * (3 + 2 * 3 + 2)):
             fit_optimal_last_layer(config, target)
         assert len(seen) == 8 * 4  # 375 rows a block, in chunks of 100
         np.testing.assert_array_equal(np.vstack(seen), _features(config)[0])
@@ -666,7 +690,9 @@ class TestSinglePass:
         a_gen = np.random.default_rng(aux).standard_normal(config.m)
 
         def target(y):
-            return config.activation.apply(y @ config.p.matrix, key=eta_key) @ a_gen
+            # z in the oracle's fixed summation order, so eta hashes the same bits
+            z = np.einsum("ri,ij->rj", y, config.p.matrix, optimize=False)
+            return config.activation.apply(z, key=eta_key) @ a_gen
 
         report = empirical_spatial_capacity(config)
         a_star = fit_optimal_last_layer(config, target)
@@ -693,13 +719,69 @@ class TestSinglePass:
         assert peaks[1] <= 1.1 * peaks[0]
 
 
+class TestChunkInvariance:
+    """The pass gives the same answer however the samples are chunked.
+
+    The pseudo-random eta hashes the exact bits of z = y P, so z must not
+    depend on how many rows a chunk has: a flipped sign moves the moment by
+    about 1/N.  z and eta are therefore bit-identical across chunk sizes.
+    The moment itself is summed chunk by chunk, so kappa, the residual and
+    the floor may differ by its summation rounding, here below 1e-12.
+    """
+
+    @pytest.mark.parametrize("n, m, selector", [(16, 2, (0, 1)), (8, 1, (0,))])
+    def test_same_bits_and_estimates_for_any_chunking(self, n, m, selector):
+        p = _random_projection(np.random.default_rng(90), n, m)
+        config = ExperimentConfig(p, Activation.pseudo_random(), selector, 40_000, seed=40)
+        # 17 and 1001 rows, the default, and whole jackknife blocks of 5,000 rows
+        per_row = 8 * (n + 2 * m + 2)
+        zs, etas, reports = [], [], []
+        for chunk_bytes in (17 * per_row, 1001 * per_row, oracle._CHUNK_BYTES, 5000 * per_row):
+            with mock.patch.object(oracle, "_CHUNK_BYTES", chunk_bytes):
+                take, eta_key = _sample_inputs(n, config.n_samples, config.seed, None)
+                chunks = list(
+                    oracle._chunks(take, eta_key, p, config.activation, config.n_samples)
+                )
+                zs.append(np.vstack([chunk[2] for chunk in chunks]))
+                etas.append(np.vstack([chunk[3] for chunk in chunks]))
+                reports.append(empirical_spatial_capacity(config))
+        # the last setting reads each jackknife block as one chunk
+        assert [len(chunk[1]) for chunk in chunks] == [5000] * 8
+        for z, eta, report in zip(zs[1:], etas[1:], reports[1:]):
+            np.testing.assert_array_equal(z, zs[0])
+            np.testing.assert_array_equal(eta, etas[0])
+            np.testing.assert_allclose(
+                report.kappa_hat.values, reports[0].kappa_hat.values, rtol=0, atol=1e-12
+            )
+            assert report.stationarity_residual == pytest.approx(
+                reports[0].stationarity_residual, abs=1e-12
+            )
+            assert report.stationarity_noise_floor == pytest.approx(
+                reports[0].stationarity_noise_floor, abs=1e-12
+            )
+
+
+class TestSelectedMoment:
+    @pytest.mark.parametrize("activation", [Activation.pseudo_random(), Activation.relu()])
+    def test_block_moments_are_sigma_tilde_p_tilde_on_the_selector(self, activation):
+        # the k-column moment the pass keeps is (Sigma~_hat P~)[:, selector]
+        p = _random_projection(np.random.default_rng(91), 3, 4)
+        config = ExperimentConfig(p, activation, (0, 2, 3), 4000, seed=41)
+        moments = oracle._stream(config, None, lambda y, feats: y[:, 0])
+        sigma_tilde = empirical_sigma_tilde(p, activation, None, config.n_samples, config.seed)
+        expected = (sigma_tilde.entries @ build_augmented_projection(p))[:, [0, 2, 3]]
+        np.testing.assert_allclose(
+            moments.cross.sum(axis=0) / config.n_samples, expected, rtol=1e-10, atol=1e-12
+        )
+
+
 class TestMemoryGuards:
     def test_block_moments_past_budget_refused(self):
-        # 8 blocks of (n*m) x m floats: n = m = 400 needs 3.8 GiB
-        n = m = 400
-        assert 8 * 8 * n * m * m > _MEMORY_BUDGET_BYTES
+        # 8 blocks of (n*m) x k floats: n = m = 400 and k = 256 need 2.4 GiB
+        n, k = 400, 256
+        assert 8 * 8 * n * n * k > _MEMORY_BUDGET_BYTES
         config = ExperimentConfig(
-            ProjectionMatrix(np.eye(n)), Activation.pseudo_random(), (0, 1), 1000, seed=0
+            ProjectionMatrix(np.eye(n)), Activation.pseudo_random(), range(k), 1000, seed=0
         )
         with pytest.raises(ValueError, match="2 GiB oracle memory limit"):
             empirical_spatial_capacity(config)
