@@ -14,7 +14,7 @@ import logging
 import os
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .jsonfmt import canonical_dumps
 from .oracle import ExperimentConfig, empirical_spatial_capacity
 from .propagate import Layer, LayerChain, PropagationOperator, propagate_chain
 
-__all__ = ["NetworkSpec", "RunReport", "SpecError", "load_network_spec", "main"]
+__all__ = ["NetworkSpec", "SpecError", "load_network_spec", "main"]
 
 log = logging.getLogger("capnet")
 
@@ -64,147 +64,100 @@ class NetworkSpec:
         return hashlib.sha256(canonical_dumps(self.document).encode()).hexdigest()
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """Per-interface capacity profiles with their totals and run metadata."""
-
-    profiles: Tuple[SpatialCapacity, ...]
-    metadata: Dict[str, object]
-
-    def to_dict(self) -> dict:
-        return {
-            "metadata": dict(self.metadata),
-            "profiles": [list(p.values) for p in self.profiles],
-            "totals": [p.total for p in self.profiles],
-        }
-
-
-def _fail(index: int, message: str) -> SpecError:
-    return SpecError(f"layer {index}: {message}")
-
-
-def _parse_weight_matrix(entry: dict, index: int, seeds: List[int]) -> np.ndarray:
+def _parse_weight_matrix(entry: dict, seeds: List[int]) -> np.ndarray:
     text = entry["weights"]
     n_in, n_out = entry["n_in"], entry["n_out"]
     if text.startswith("random_gaussian:"):
         try:
             seed = int(text.split(":", 1)[1])
         except ValueError:
-            raise _fail(index, f"bad seed in {text!r}") from None
+            raise SpecError(f"bad seed in {text!r}") from None
         if seed < 0:
-            raise _fail(index, f"seed in {text!r} must be non-negative")
+            raise SpecError(f"seed in {text!r} must be non-negative")
         seeds.append(seed)
         return np.random.default_rng(seed).standard_normal((n_in, n_out))
     try:
         matrix = np.loadtxt(text, delimiter=",", ndmin=2)
     except OSError:
-        raise _fail(index, f"cannot read weights file {text!r}") from None
+        raise SpecError(f"cannot read weights file {text!r}") from None
     except ValueError as exc:
-        raise _fail(index, f"weights file {text!r} is not numeric: {exc}") from None
+        raise SpecError(f"weights file {text!r} is not numeric: {exc}") from None
     if matrix.shape != (n_in, n_out):
-        raise _fail(
-            index, f"weights are {matrix.shape[0]}x{matrix.shape[1]}, spec says {n_in}x{n_out}"
+        raise SpecError(
+            f"weights are {matrix.shape[0]}x{matrix.shape[1]}, spec says {n_in}x{n_out}"
         )
     return matrix
 
 
-def _build_layer(entry, index: int, seeds: List[int], spare_bytes: int) -> Layer:
+def _build_layer(entry, seeds: List[int], spare_bytes: int) -> Layer:
+    """One layer of a spec; its errors are prefixed with the layer's index by the caller."""
     if not isinstance(entry, dict):
-        raise _fail(index, "each layer must be an object")
+        raise SpecError("each layer must be an object")
     unknown = set(entry) - _LAYER_KEYS
     if unknown:
-        raise _fail(index, f"unknown fields {sorted(unknown)}")
+        raise SpecError(f"unknown fields {sorted(unknown)}")
     for key in ("kind", "n_in", "n_out", "weights"):
         if key not in entry:
-            raise _fail(index, f"missing field {key!r}")
+            raise SpecError(f"missing field {key!r}")
     kind, weights = entry["kind"], entry["weights"]
     if kind not in ("dense", "residual", "differential"):
-        raise _fail(index, f"unknown kind {kind!r}")
+        raise SpecError(f"unknown kind {kind!r}")
     if not isinstance(weights, str):
-        raise _fail(index, "weights must be a string")
+        raise SpecError("weights must be a string")
     n_in, n_out = entry["n_in"], entry["n_out"]
     if not all(type(size) is int and size > 0 for size in (n_in, n_out)):
-        raise _fail(index, "n_in and n_out must be positive integers")
+        raise SpecError("n_in and n_out must be positive integers")
     if 8 * n_in * n_out > spare_bytes:
-        raise _fail(
-            index,
+        raise SpecError(
             f"its {n_in}x{n_out} operator takes the chain past the "
-            f"{_SPEC_OPERATOR_BUDGET_BYTES // 2**20} MiB spec operator limit",
+            f"{_SPEC_OPERATOR_BUDGET_BYTES // 2**20} MiB spec operator limit"
         )
     if "activation" in entry and not isinstance(entry["activation"], str):
-        raise _fail(index, f"activation must be a string, got {entry['activation']!r}")
+        raise SpecError(f"activation must be a string, got {entry['activation']!r}")
 
     if weights.startswith("uniform:"):
         if kind == "differential":
-            raise _fail(index, "uniform weights cannot be differential")
+            raise SpecError("uniform weights cannot be differential")
         if "activation" in entry:
-            raise _fail(index, "uniform weights take no activation")
+            raise SpecError("uniform weights take no activation")
         if n_in != n_out:
-            raise _fail(index, "uniform weights need n_in == n_out")
+            raise SpecError("uniform weights need n_in == n_out")
         try:
             r = int(weights.split(":", 1)[1])
         except ValueError:
-            raise _fail(index, f"bad window in {weights!r}") from None
-        try:
-            operator = PropagationOperator.uniform_window(n_in, r)
-        except ValueError as exc:
-            raise _fail(index, str(exc)) from None
-        return Layer(operator)
+            raise SpecError(f"bad window in {weights!r}") from None
+        return Layer(PropagationOperator.uniform_window(n_in, r))
 
     if weights.startswith("residual:"):
         if kind != "residual":
-            raise _fail(index, "residual weights need kind residual")
+            raise SpecError("residual weights need kind residual")
         if "activation" in entry:
-            raise _fail(index, "residual weights take no activation")
+            raise SpecError("residual weights take no activation")
         if n_in != n_out:
-            raise _fail(index, "residual weights need n_in == n_out")
+            raise SpecError("residual weights need n_in == n_out")
         parts = weights.split(":", 1)[1].split(",")
         if len(parts) != 3:
-            raise _fail(index, f"expected residual:<eps>,<v>,<D>, got {weights!r}")
+            raise SpecError(f"expected residual:<eps>,<v>,<D>, got {weights!r}")
         try:
             eps, v, dcoef = (float(p) for p in parts)
         except ValueError:
-            raise _fail(index, f"non-numeric residual parameters in {weights!r}") from None
-        try:
-            return Layer(ResidualGenerator(n_in, v, dcoef).step(eps))
-        except StabilityError as exc:
-            raise StabilityError(f"layer {index}: {exc}") from None
-        except ValueError as exc:
-            raise _fail(index, str(exc)) from None
+            raise SpecError(f"non-numeric residual parameters in {weights!r}") from None
+        return Layer(ResidualGenerator(n_in, v, dcoef).step(eps))
 
-    matrix = _parse_weight_matrix(entry, index, seeds)
-    try:
-        projection = ProjectionMatrix.from_raw(matrix)
-    except ValueError as exc:
-        raise _fail(index, str(exc)) from None
+    projection = ProjectionMatrix.from_raw(_parse_weight_matrix(entry, seeds))
     if kind == "differential":
         if "eps" not in entry:
-            raise _fail(index, "differential layers need eps")
+            raise SpecError("differential layers need eps")
         eps = entry["eps"]
         if isinstance(eps, bool) or not isinstance(eps, (int, float)):
-            raise _fail(index, f"eps must be a number, got {eps!r}")
-        activation = None
-        if "activation" in entry:
-            try:
-                activation = Activation.parse(entry["activation"])
-            except ValueError as exc:
-                raise _fail(index, str(exc)) from None
-        try:
-            return Layer.differential(projection, eps, activation)
-        except ValueError as exc:
-            raise _fail(index, str(exc)) from None
+            raise SpecError(f"eps must be a number, got {eps!r}")
+        activation = Activation.parse(entry["activation"]) if "activation" in entry else None
+        return Layer.differential(projection, eps, activation)
     if kind == "residual":
-        raise _fail(index, "kind residual needs residual:<eps>,<v>,<D> weights")
+        raise SpecError("kind residual needs residual:<eps>,<v>,<D> weights")
     if "activation" not in entry:
-        raise _fail(index, "dense layers need an activation")
-    try:
-        activation = Activation.parse(entry["activation"])
-    except ValueError as exc:
-        raise _fail(index, str(exc)) from None
-    try:
-        return Layer.standard(projection, activation)
-    except ValueError as exc:
-        raise _fail(index, str(exc)) from None
+        raise SpecError("dense layers need an activation")
+    return Layer.standard(projection, Activation.parse(entry["activation"]))
 
 
 def _parse_top_capacity(value, n: int) -> SpatialCapacity:
@@ -246,7 +199,12 @@ def parse_network_spec(document) -> NetworkSpec:
     layers: List[Layer] = []
     spare_bytes = _SPEC_OPERATOR_BUDGET_BYTES
     for i, entry in enumerate(layers_doc):
-        layers.append(_build_layer(entry, i, seeds, spare_bytes))
+        try:
+            layers.append(_build_layer(entry, seeds, spare_bytes))
+        except StabilityError as exc:
+            raise StabilityError(f"layer {i}: {exc}") from None
+        except ValueError as exc:
+            raise SpecError(f"layer {i}: {exc}") from None
         spare_bytes -= layers[-1].operator.matrix.nbytes
     for i, (a, b) in enumerate(zip(layers, layers[1:])):
         if a.n_out != b.n_in:
@@ -314,15 +272,16 @@ def _run_chain(args, single_layer: bool) -> int:
         raise SpecError(f"layer command needs exactly 1 layer, spec has {len(spec.chain)}")
     log.info("propagating through %d layers", len(spec.chain))
     profiles = propagate_chain(spec.chain, spec.top)
-    report = RunReport(
-        profiles=tuple(profiles),
-        metadata={
+    report = {
+        "metadata": {
             "seeds": list(spec.seeds),
             "spec_hash": spec.spec_hash(),
             "version": __version__,
         },
-    )
-    _emit_json(report.to_dict(), args.out)
+        "profiles": [list(p.values) for p in profiles],
+        "totals": [p.total for p in profiles],
+    }
+    _emit_json(report, args.out)
     if args.csv is not None:
         _write_text(_profiles_csv(profiles), args.csv)
     return 0
@@ -453,27 +412,25 @@ def build_parser() -> argparse.ArgumentParser:
         p_run.add_argument("--csv")
         p_run.set_defaults(handler=handler)
 
-    p_pde = sub.add_parser("pde", help="Markov chain against the diffusion closed form")
-    p_pde.add_argument("--n", type=int, default=201)
-    p_pde.add_argument("--eps", type=float, default=0.1)
-    p_pde.add_argument("--L", type=int, default=100)
-    p_pde.add_argument("--D", type=float, default=1.0)
-    p_pde.add_argument("--v", type=float, default=0.0)
-    p_pde.add_argument("--boundary", choices=["periodic", "reflecting"], default="periodic")
-    p_pde.add_argument("--probe", type=int)
+    # the residual walk that pde and erf both run
+    walk = argparse.ArgumentParser(add_help=False)
+    walk.add_argument("--n", type=int, default=201)
+    walk.add_argument("--eps", type=float, default=0.1)
+    walk.add_argument("--L", type=int, default=100)
+    walk.add_argument("--D", type=float, default=1.0)
+    walk.add_argument("--v", type=float, default=0.0)
+    walk.add_argument("--boundary", choices=["periodic", "reflecting"], default="periodic")
+    walk.add_argument("--probe", type=int)
+
+    p_pde = sub.add_parser(
+        "pde", parents=[walk], help="Markov chain against the diffusion closed form"
+    )
     p_pde.add_argument("--refinements", type=int, default=2)
     p_pde.add_argument("--out")
     p_pde.set_defaults(handler=cmd_pde)
 
-    p_erf = sub.add_parser("erf", help="effective receptive field widths")
+    p_erf = sub.add_parser("erf", parents=[walk], help="effective receptive field widths")
     p_erf.add_argument("specfile", nargs="?")
-    p_erf.add_argument("--n", type=int, default=201)
-    p_erf.add_argument("--eps", type=float, default=0.1)
-    p_erf.add_argument("--L", type=int, default=100)
-    p_erf.add_argument("--D", type=float, default=1.0)
-    p_erf.add_argument("--v", type=float, default=0.0)
-    p_erf.add_argument("--boundary", choices=["periodic", "reflecting"], default="periodic")
-    p_erf.add_argument("--probe", type=int)
     p_erf.add_argument("--ratio-depth", type=int, dest="ratio_depth")
     p_erf.add_argument("--out")
     p_erf.set_defaults(handler=cmd_erf)

@@ -224,6 +224,8 @@ class SpatialCapacity:
 
     @classmethod
     def dirac(cls, n: int, index: int, mass: float = 1.0) -> "SpatialCapacity":
+        if not 0 <= index < n:
+            raise ValueError(f"dirac index {index} out of range [0, {n})")
         v = np.zeros(n)
         v[index] = mass
         return cls(v)

@@ -34,6 +34,10 @@ __all__ = [
 _BOUNDARY_MASS_TOL = 1e-6
 # Largest Markov trajectory evolve_markov allocates: (L+1) * n float64 values.
 _TRAJECTORY_BUDGET_BYTES = 2 * 2**30
+# Longest walk evolve_markov runs, each about a minute of stepping: a step
+# costs some 6-8 us on small grids and some 2 ns a cell on wide ones.
+_MAX_WALK_STEPS = 10**7
+_MAX_WALK_CELL_STEPS = 3 * 10**10
 
 
 # Rows per block of _pmf_std: its temporaries stay near this many bytes.
@@ -206,6 +210,8 @@ class PdeField:
     @classmethod
     def dirac(cls, n: int, index: int, h: float = 1.0, t: float = 0.0) -> "PdeField":
         """Unit mass concentrated on one grid point (density 1/h there)."""
+        if not 0 <= index < n:
+            raise ValueError(f"dirac index {index} out of range [0, {n})")
         values = np.zeros(n)
         values[index] = 1.0 / h
         return cls(grid=np.arange(n) * h, values=values, t=t)
@@ -222,7 +228,8 @@ def evolve_markov(
     Returns the (L+1) x n trajectory: row k is the profile after k steps,
     row 0 is ``kappa_top`` (t = 0) and row L the input-space profile
     (t = 1).  The trajectory is refused past a 2 GiB budget before
-    allocating.  With ``keep_all=False`` only row L is returned: two O(n)
+    allocating, and the walk past 10**7 steps or 3*10**10 cell-steps before
+    its first step.  With ``keep_all=False`` only row L is returned: two O(n)
     buffers take turns as the source and target of a step.  Each step
     applies the three stencil weights to shifted slices, O(n) per step, and
     conserves the total capacity.
@@ -230,13 +237,18 @@ def evolve_markov(
     if kappa_top.n != gen.n:
         raise ValueError(f"capacity has {kappa_top.n} entries, generator expects {gen.n}")
     gen._check_eps(cfg.eps)
+    size = (cfg.L + 1) * gen.n * 8
+    if keep_all and size > _TRAJECTORY_BUDGET_BYTES:
+        raise ValueError(
+            f"{cfg.L + 1} profiles of {gen.n} cells need {size / 2**30:.1f} GiB, "
+            f"over the {_TRAJECTORY_BUDGET_BYTES / 2**30:g} GiB trajectory limit"
+        )
+    if cfg.L > _MAX_WALK_STEPS or cfg.L * gen.n > _MAX_WALK_CELL_STEPS:
+        raise ValueError(
+            f"{cfg.L} steps of {gen.n} cells are past the walk limit of "
+            f"{_MAX_WALK_STEPS:,} steps and {_MAX_WALK_CELL_STEPS:,} cell-steps"
+        )
     if keep_all:
-        size = (cfg.L + 1) * gen.n * 8
-        if size > _TRAJECTORY_BUDGET_BYTES:
-            raise ValueError(
-                f"{cfg.L + 1} profiles of {gen.n} cells need {size / 2**30:.1f} GiB, "
-                f"over the {_TRAJECTORY_BUDGET_BYTES / 2**30:g} GiB trajectory limit"
-            )
         rows = np.empty((cfg.L + 1, gen.n))
         steps = zip(rows, rows[1:])
     else:

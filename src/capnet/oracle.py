@@ -39,15 +39,15 @@ __all__ = [
     "empirical_spatial_capacity",
 ]
 
-# sampler(rng, count, n) -> (count, n) array of input vectors
+# sampler(rng, count, n) -> (count, n) input vectors, called once per chunk in order
 Sampler = Callable[[np.random.Generator, int, int], np.ndarray]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _NOISE_BLOCKS = 8
 # A chunk's inputs y, pre-activations z and etas stay near this size.
 _CHUNK_BYTES = 2**20
-# Largest array the oracle holds whole: its block cross moments, or a custom
-# sampler's batch.
+# Largest array the oracle holds whole: its block cross moments, refused
+# before allocating.
 _MEMORY_BUDGET_BYTES = 2 * 2**30
 
 
@@ -185,67 +185,41 @@ class EmpiricalReport:
         return out
 
 
-def _check_budget(nbytes: int, what: str) -> None:
-    """Refuse, before allocating, an array the oracle would hold past its budget."""
-    if nbytes > _MEMORY_BUDGET_BYTES:
-        raise ValueError(
-            f"{what} need {nbytes / 2**30:.1f} GiB, over the "
-            f"{_MEMORY_BUDGET_BYTES / 2**30:g} GiB oracle memory limit"
-        )
-
-
-def _sample_inputs(config_n: int, n_samples: int, seed: int, sampler: Optional[Sampler]):
-    """A reader ``take(rows)`` of the next sampled inputs, and the eta key.
-
-    ``sampler=None`` draws i.i.d. standard normals as they are read: numpy's
-    Generator gives the same rows in chunks as in one call, so the inputs do
-    not depend on how they are read, and memory stays flat in ``n_samples``.
-    A custom sampler is called once for the whole (n_samples, config_n)
-    batch, which is refused past the memory budget before the call.
-    """
-    stream, eta_key, _ = _derive_streams(seed)
-    rng = np.random.default_rng(stream)
-    if sampler is None:
-        return lambda rows: rng.standard_normal((rows, config_n)), eta_key
-    _check_budget(8 * n_samples * config_n, f"a sampler batch of {n_samples} x {config_n} inputs")
-    batch = np.asarray(sampler(rng, n_samples, config_n), dtype=float)
-    if batch.shape != (n_samples, config_n):
-        raise ValueError(
-            f"sampler returned shape {batch.shape}, expected ({n_samples}, {config_n})"
-        )
-    start = 0
-
-    def take(rows: int) -> np.ndarray:
-        nonlocal start
-        start += rows
-        return batch[start - rows : start]
-
-    return take, eta_key
-
-
 def _block_edges(n_samples: int) -> np.ndarray:
     """Sample index bounds of the contiguous jackknife blocks."""
     return np.linspace(0, n_samples, _NOISE_BLOCKS + 1, dtype=int)
 
 
-def _chunks(take, eta_key: int, p: ProjectionMatrix, act: Activation, n_samples: int):
+def _chunks(
+    p: ProjectionMatrix, act: Activation, sampler: Optional[Sampler], n_samples: int, seed: int
+):
     """Yield ``(block, y, z, eta)`` for consecutive chunks of the samples.
 
-    A chunk never straddles two jackknife blocks.  Chunk rows are sized from
-    ``_CHUNK_BYTES`` at n + 2m + 2 floats a row, about what a row of y, z
-    and eta takes, but never below 2(m+1), so that the streamed QR of the
-    (m+1)-column feature block stays amortized.
+    Each chunk's inputs come from one ``sampler(rng, rows, n)`` call, in
+    sample order, so a sampler must act row by row; ``sampler=None`` draws
+    i.i.d. standard normals, which numpy's Generator gives the same in
+    chunks as in one call.  A chunk never straddles two jackknife blocks.
+    Chunk rows are sized from ``_CHUNK_BYTES`` at n + 2m + 2 floats a row,
+    about what a row of y, z and eta takes, but never below 2(m+1), so that
+    the streamed QR of the (m+1)-column feature block stays amortized.
+    Memory is therefore flat in ``n_samples`` for every sampler.
 
     z = y P is summed in a fixed order, so each row's bits, which the
     pseudo-random eta hashes, do not depend on the chunk size or on the BLAS
     build.
     """
+    stream, eta_key, _ = _derive_streams(seed)
+    rng = np.random.default_rng(stream)
+    draw = sampler or (lambda gen, count, dim: gen.standard_normal((count, dim)))
     n, m = p.n_in, p.n_out
     rows = max(2 * (m + 1), _CHUNK_BYTES // (8 * (n + 2 * m + 2)))
     edges = _block_edges(n_samples)
     for block, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
         for start in range(a, b, rows):
-            y = take(min(rows, b - start))
+            count = min(rows, b - start)
+            y = np.asarray(draw(rng, count, n), dtype=float)
+            if y.shape != (count, n):
+                raise ValueError(f"sampler returned shape {y.shape}, expected ({count}, {n})")
             z = np.einsum("ri,ij->rj", y, p.matrix, optimize=False)
             yield block, y, z, act.eta(z, key=eta_key)
 
@@ -269,9 +243,8 @@ def empirical_sigma_tilde(
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be at least 1000")
-    take, eta_key = _sample_inputs(p.n_in, n_samples, seed, sampler)
     acc = np.zeros((p.n_in * p.n_out,) * 2)
-    for _, y, _, eta in _chunks(take, eta_key, p, act, n_samples):
+    for _, y, _, eta in _chunks(p, act, sampler, n_samples, seed):
         rows = _augment(y, eta)
         acc += rows.T @ rows
     acc /= n_samples
@@ -309,15 +282,18 @@ def _stream(
     n, m = config.n, config.m
     selected = list(config.param_selector)
     k = len(selected)
-    _check_budget(
-        8 * _NOISE_BLOCKS * n * m * k,
-        f"{_NOISE_BLOCKS} block cross moments of {n * m} x {k} floats",
-    )
-    take, eta_key = _sample_inputs(n, config.n_samples, config.seed, sampler)
+    nbytes = 8 * _NOISE_BLOCKS * n * m * k
+    if nbytes > _MEMORY_BUDGET_BYTES:
+        raise ValueError(
+            f"{_NOISE_BLOCKS} block cross moments of {n * m} x {k} floats need "
+            f"{nbytes / 2**30:.1f} GiB, over the {_MEMORY_BUDGET_BYTES / 2**30:g} GiB "
+            "oracle memory limit"
+        )
     order = np.array(selected + [j for j in range(m) if j not in selected])
     cross = np.zeros((_NOISE_BLOCKS, n * m, k))
     r = np.zeros((m + 1, m + 1))
-    for block, y, z, eta in _chunks(take, eta_key, config.p, config.activation, config.n_samples):
+    chunks = _chunks(config.p, config.activation, sampler, config.n_samples, config.seed)
+    for block, y, z, eta in chunks:
         feats = eta * z
         t = np.asarray(target(y, feats), dtype=float)
         if t.shape != (y.shape[0],):

@@ -156,25 +156,13 @@ class LayerChain:
         return cls(tuple(Layer(op) for op in operators))
 
 
-def propagation_matrix(p) -> PropagationOperator:
-    """Entrywise-squared projection with columns renormalized to sum 1.
+def propagation_matrix(p: ProjectionMatrix) -> PropagationOperator:
+    """Entrywise-squared projection ``P o P`` with columns renormalized to sum 1.
 
-    Accepts a ProjectionMatrix or a raw weight matrix; raw columns need not
-    be unit norm, the squared columns are normalized either way.
+    P's columns have unit norm, so the sums differ from 1 by rounding only.
     """
-    if isinstance(p, ProjectionMatrix):
-        matrix = p.matrix
-    else:
-        matrix = np.asarray(p, dtype=float)
-        if matrix.ndim != 2:
-            raise ValueError(f"weights must be 2-dimensional, got shape {matrix.shape}")
-        if not np.all(np.isfinite(matrix)):
-            raise ValueError("weights contain non-finite entries")
-    squared = matrix**2
-    sums = squared.sum(axis=0)
-    if np.any(sums == 0):
-        raise ValueError(f"weights have a zero column at index {int(np.argmin(sums))}")
-    return PropagationOperator(squared / sums)
+    squared = p.matrix**2
+    return PropagationOperator(squared / squared.sum(axis=0))
 
 
 def propagate_single(

@@ -346,6 +346,16 @@ class TestPde:
         assert doc["levels_requested"] == 5
         assert doc["eps_levels"] == [0.1, 0.05, 0.025]
 
+    @pytest.mark.parametrize("probe", ["201", "-1"])
+    def test_probe_out_of_range_exits_2(self, capsys, probe):
+        assert main(["pde", "--probe", probe, "--refinements", "0"]) == 2
+        assert f"dirac index {probe} out of range [0, 201)" in capsys.readouterr().err
+
+    def test_walk_past_step_limit_exits_2(self, capsys):
+        # about 9 minutes of stepping at some 6 us a step
+        assert main(["pde", "--n", "3", "--L", "100000000", "--refinements", "0"]) == 2
+        assert "walk limit of 10,000,000 steps" in capsys.readouterr().err
+
     def test_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["pde", "--n", "101", "--L", "50", "--out"]
@@ -392,6 +402,11 @@ class TestErf:
         # 100,001 profiles of 100,001 cells would need 75 GiB
         assert main(["erf", "--n", "100001", "--L", "100000"]) == 2
         assert "2 GiB trajectory limit" in capsys.readouterr().err
+
+    def test_walk_past_step_limit_exits_2(self, capsys):
+        # its 1.9 GB trajectory is inside the 2 GiB budget; 8*10**7 steps are not
+        assert main(["erf", "--n", "3", "--L", "80000000"]) == 2
+        assert "walk limit of 10,000,000 steps" in capsys.readouterr().err
 
     @pytest.mark.parametrize("depth", ["0", "101"])
     def test_generator_ratio_depth_out_of_range_exits_2(self, capsys, depth):

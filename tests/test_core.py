@@ -275,6 +275,11 @@ class TestTypeValidation:
         assert cap.total == 3.0
         assert cap.n == 4
 
+    @pytest.mark.parametrize("index", [-1, 4])
+    def test_spatial_capacity_dirac_index_out_of_range(self, index):
+        with pytest.raises(ValueError, match=r"dirac index -?\d out of range \[0, 4\)"):
+            SpatialCapacity.dirac(4, index)
+
     def test_param_map_shape_accessors(self):
         params = ParamMap(np.ones((4, 6)))
         assert params.m == 4 and params.p == 6

@@ -185,6 +185,11 @@ class TestPdeField:
         assert field.mass == pytest.approx(1.0)
         assert field.h == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("index", [-1, 11])
+    def test_dirac_index_out_of_range(self, index):
+        with pytest.raises(ValueError, match=r"out of range \[0, 11\)"):
+            PdeField.dirac(11, index)
+
     def test_grid_value_mismatch_rejected(self):
         with pytest.raises(ValueError, match="match"):
             PdeField(grid=np.arange(4.0), values=np.zeros(3))
@@ -247,6 +252,14 @@ class TestEvolveMarkov:
         with pytest.raises(ValueError, match="2 GiB trajectory limit") as info:
             evolve_markov(gen, DeepLimitConfig(eps=0.1, L=L), SpatialCapacity.dirac(n, 500))
         assert not isinstance(info.value, StabilityError)
+
+    @pytest.mark.parametrize("n, L", [(3, 10**7 + 1), (40_001, 10**6)])
+    def test_walk_past_step_limits_refused(self, n, L):
+        # past 10**7 steps, or past 3*10**10 cell-steps: 40,001 * 10**6 is 4*10**10
+        gen = ResidualGenerator(n, 0.0, 1.0)
+        cfg = DeepLimitConfig(eps=0.1, L=L)
+        with pytest.raises(ValueError, match="walk limit"):
+            evolve_markov(gen, cfg, SpatialCapacity.dirac(n, 1), keep_all=False)
 
     def test_profile_list_layout(self):
         gen = ResidualGenerator(11, 0.0, 1.0)

@@ -22,7 +22,6 @@ from capnet.oracle import (
     ExperimentConfig,
     PseudoRandomSign,
     SpatialCapacity,
-    _sample_inputs,
     empirical_sigma_tilde,
     empirical_spatial_capacity,
     fit_optimal_last_layer,
@@ -36,11 +35,18 @@ def _random_projection(rng, n, m):
     return ProjectionMatrix.from_raw(rng.standard_normal((n, m)))
 
 
+def _inputs(config, sampler=None):
+    """The config's sampled inputs (N, n) and pre-activations (N, m), from the pass's chunks."""
+    chunks = list(
+        oracle._chunks(config.p, config.activation, sampler, config.n_samples, config.seed)
+    )
+    return np.vstack([chunk[1] for chunk in chunks]), np.vstack([chunk[2] for chunk in chunks])
+
+
 def _features(config, sampler=None):
-    """The config's sampled inputs (N, n), drawn whole, and their features (N, m)."""
-    take, eta_key = _sample_inputs(config.n, config.n_samples, config.seed, sampler)
-    y = take(config.n_samples)
-    return y, config.activation.apply(y @ config.p.matrix, key=eta_key)
+    """The config's sampled inputs (N, n) and their features (N, m)."""
+    y, z = _inputs(config, sampler)
+    return y, config.activation.apply(z, key=oracle._derive_streams(config.seed)[1])
 
 
 class TestPseudoRandomEta:
@@ -523,9 +529,9 @@ def _batch_reference(config, target, sampler=None):
 
     This is the direct form the single pass replaces: it holds the N x n*m
     augmented samples, forms Sigma~_hat, and solves least squares on the
-    whole feature matrix.  Only z = y P is taken from the pass's chunks: the
-    pseudo-random eta hashes the bits of z, and BLAS may round a row of y P
-    differently in a batch of another size.
+    whole feature matrix.  The inputs y and z = y P are taken from the pass's
+    chunks: the pseudo-random eta hashes the bits of z, and BLAS may round a
+    row of y P differently in a batch of another size.
 
     Returns the values and, under the same keys, their rounding scales: the
     size each is computed from times the condition number of the matrix it
@@ -533,11 +539,8 @@ def _batch_reference(config, target, sampler=None):
     cond(M) |X~| for the residual, the largest block cond(M_b) |X~| for the
     floor and cond(M) for kappa, where M = Sigma~_hat P~ K_phi.
     """
-    take, eta_key = _sample_inputs(config.n, config.n_samples, config.seed, sampler)
-    y = take(config.n_samples)
-    take, _ = _sample_inputs(config.n, config.n_samples, config.seed, sampler)
-    chunks = oracle._chunks(take, eta_key, config.p, config.activation, config.n_samples)
-    z = np.vstack([chunk[2] for chunk in chunks])
+    eta_key = oracle._derive_streams(config.seed)[1]
+    y, z = _inputs(config, sampler)
     rows = np.einsum("sj,si->sji", config.activation.eta(z, key=eta_key), y)
     rows = rows.reshape(config.n_samples, config.n * config.m)
     feats = config.activation.apply(z, key=eta_key)
@@ -626,7 +629,8 @@ class TestSinglePass:
         # keep to well-posed fits: rounding in both forms grows with the
         # conditioning of F, which bounds that of its selected columns
         assume(np.linalg.cond(_features(config, sampler)[1]) < 1e3)
-        chunk_bytes = chunk_rows * 8 * (n + 1) * (m + 1)
+        # n + 2m + 2 floats a row, as the pass sizes its chunks
+        chunk_bytes = chunk_rows * 8 * (n + 2 * m + 2)
         with mock.patch.object(oracle, "_CHUNK_BYTES", chunk_bytes):
             try:
                 ref, scale = _batch_reference(config, target, sampler)
@@ -648,20 +652,50 @@ class TestSinglePass:
             report.kappa_hat.values, ref["kappa"], rtol=0, atol=tol["kappa"]
         )
 
-    @pytest.mark.parametrize("custom", [False, True])
-    def test_chunked_draw_equals_one_draw(self, custom):
-        def sampler(rng, count, n):
-            return rng.standard_normal((count, n)) + np.arange(count)[:, None]
+    def test_chunked_draw_equals_one_draw(self):
+        config = ExperimentConfig(
+            _random_projection(np.random.default_rng(79), 5, 1),
+            Activation.relu(), (0,), 10_000, seed=3,
+        )
+        whole = np.random.default_rng(oracle._derive_streams(3)[0]).standard_normal((10_000, 5))
+        # chunks of the 4-row floor, of 1001 rows and of whole jackknife blocks
+        for rows in (1, 1001, 1250):
+            with mock.patch.object(oracle, "_CHUNK_BYTES", rows * 8 * (5 + 2 + 2)):
+                np.testing.assert_array_equal(_inputs(config)[0], whole)
 
-        take, _ = _sample_inputs(5, 10_000, 3, sampler if custom else None)
-        whole = take(10_000)
-        take, _ = _sample_inputs(5, 10_000, 3, sampler if custom else None)
-        parts = [take(rows) for rows in (1, 4095, 4096, 1808)]
-        np.testing.assert_array_equal(np.vstack(parts), whole)
-        if custom:
-            np.testing.assert_array_equal(
-                whole, sampler(np.random.default_rng(oracle._derive_streams(3)[0]), 10_000, 5)
-            )
+    def test_sampler_called_once_per_chunk_in_order(self):
+        config = ExperimentConfig(
+            _random_projection(np.random.default_rng(80), 3, 3),
+            Activation.relu(), (0, 2), 3000, seed=30,
+        )
+        drawn, seen = [], []
+
+        def sampler(rng, count, n):
+            drawn.append(rng.standard_normal((count, n)) + 1.0)
+            return drawn[-1]
+
+        def target(y):
+            seen.append(y.copy())
+            return y[:, 0]
+
+        with mock.patch.object(oracle, "_CHUNK_BYTES", 100 * 8 * (3 + 2 * 3 + 2)):
+            fit_optimal_last_layer(config, target, sampler)
+        # 375 rows a jackknife block, drawn in chunks of at most 100
+        assert [len(y) for y in drawn] == [100, 100, 100, 75] * 8
+        np.testing.assert_array_equal(np.vstack(seen), np.vstack(drawn))
+
+    @pytest.mark.parametrize("activation", [Activation.pseudo_random(), Activation.relu()])
+    def test_row_wise_sampler_gives_the_default_kappa(self, activation):
+        config = ExperimentConfig(
+            _random_projection(np.random.default_rng(84), 4, 5), activation, (1, 3), 6000, seed=33
+        )
+        default = empirical_spatial_capacity(config)
+        custom = empirical_spatial_capacity(
+            config, sampler=lambda rng, count, n: rng.standard_normal((count, n))
+        )
+        np.testing.assert_array_equal(custom.kappa_hat.values, default.kappa_hat.values)
+        assert custom.stationarity_residual == default.stationarity_residual
+        assert custom.kappa_theory is None and "refused" in custom.caveat
 
     def test_target_called_once_per_chunk_in_order(self):
         config = ExperimentConfig(
@@ -738,9 +772,8 @@ class TestChunkInvariance:
         zs, etas, reports = [], [], []
         for chunk_bytes in (17 * per_row, 1001 * per_row, oracle._CHUNK_BYTES, 5000 * per_row):
             with mock.patch.object(oracle, "_CHUNK_BYTES", chunk_bytes):
-                take, eta_key = _sample_inputs(n, config.n_samples, config.seed, None)
                 chunks = list(
-                    oracle._chunks(take, eta_key, p, config.activation, config.n_samples)
+                    oracle._chunks(p, config.activation, None, config.n_samples, config.seed)
                 )
                 zs.append(np.vstack([chunk[2] for chunk in chunks]))
                 etas.append(np.vstack([chunk[3] for chunk in chunks]))
@@ -785,16 +818,3 @@ class TestMemoryGuards:
         )
         with pytest.raises(ValueError, match="2 GiB oracle memory limit"):
             empirical_spatial_capacity(config)
-
-    def test_sampler_batch_past_budget_refused_before_call(self):
-        def sampler(rng, count, n):
-            raise AssertionError("the sampler must not be called")
-
-        config = ExperimentConfig(
-            _random_projection(np.random.default_rng(83), 4, 4),
-            Activation.pseudo_random(), (0, 1), 10**8, seed=0,
-        )
-        with pytest.raises(ValueError, match="2 GiB oracle memory limit"):
-            empirical_spatial_capacity(config, sampler=sampler)
-        with pytest.raises(ValueError, match="2 GiB oracle memory limit"):
-            empirical_sigma_tilde(config.p, config.activation, sampler, 10**8, seed=0)
