@@ -9,7 +9,7 @@ whose maximal weight decays exponentially with depth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -55,6 +55,7 @@ class ErfReport:
     fitted_exponent: float
     fit_residual: float
     boundary_flagged: bool
+    fit_points: int = field(init=False)
 
     def __post_init__(self):
         if self.probe_index < 0:
@@ -64,20 +65,7 @@ class ErfReport:
         for layer, sigma in self.per_depth_std:
             if sigma < 0:
                 raise ValueError(f"negative width at layer {layer}")
-
-    @property
-    def fit_points(self) -> int:
-        return len(_fit_pairs(self.per_depth_std))
-
-    def to_dict(self) -> dict:
-        return {
-            "probe_index": self.probe_index,
-            "per_depth_std": [[layer, sigma] for layer, sigma in self.per_depth_std],
-            "fitted_exponent": self.fitted_exponent,
-            "fit_points": self.fit_points,
-            "fit_residual": self.fit_residual,
-            "boundary_flagged": self.boundary_flagged,
-        }
+        object.__setattr__(self, "fit_points", len(_fit_pairs(self.per_depth_std)))
 
 
 def _fit_pairs(per_depth_std) -> List[Tuple[int, float]]:
@@ -113,16 +101,8 @@ class ShatterReport:
             raise ValueError("uniform_weight must equal r**-L")
         if self.eps is not None and not self.eps > 0:
             raise ValueError(f"eps must be positive when given, got {self.eps!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "max_path_weight": self.max_path_weight,
-            "continuum_estimate": self.continuum_estimate,
-            "uniform_weight": self.uniform_weight,
-            "L": self.L,
-            "r": self.r,
-            "eps": self.eps,
-        }
+        if self.eps is not None and not math.isfinite(self.eps):
+            raise ValueError(f"eps must be finite when given, got {self.eps!r}")
 
 
 def erf_profile(
@@ -142,24 +122,23 @@ def erf_profile(
     if isinstance(source, LayerChain):
         if cfg is not None:
             raise ValueError("cfg only applies to a generator source")
-        n = source.n_out
-        depth = len(source)
-        if not 0 <= x0 < n:
-            raise ValueError(f"x0 must be in [0, {n})")
-        interfaces = propagate_chain(source, SpatialCapacity.dirac(n, x0))
-        blocks = [profile.values[None] for profile in reversed(interfaces)]  # probe layer first
+        n, depth = source.n_out, len(source)
     elif isinstance(source, ResidualGenerator):
         if cfg is None:
             raise ValueError("a generator source needs a DeepLimitConfig")
-        n = source.n
-        depth = cfg.L
-        if not 0 <= x0 < n:
-            raise ValueError(f"x0 must be in [0, {n})")
-        rows = evolve_markov(source, cfg, SpatialCapacity.dirac(n, x0))
-        _check_capacity_values(rows)
-        blocks = [rows]
+        n, depth = source.n, cfg.L
     else:
         raise TypeError("source must be a LayerChain or a ResidualGenerator")
+    if not 0 <= x0 < n:
+        raise ValueError(f"x0 must be in [0, {n})")
+    probe = SpatialCapacity.dirac(n, x0)
+    if isinstance(source, LayerChain):
+        interfaces = propagate_chain(source, probe)
+        blocks = [profile.values[None] for profile in reversed(interfaces)]  # probe layer first
+    else:
+        rows = evolve_markov(source, cfg, probe)
+        _check_capacity_values(rows)
+        blocks = [rows]
 
     flagged = any(
         np.any(rows[:, 0] + rows[:, -1] > _BOUNDARY_MASS_TOL * rows.sum(axis=1))

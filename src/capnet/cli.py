@@ -57,9 +57,6 @@ class NetworkSpec:
     top: SpatialCapacity
     seeds: Tuple[int, ...]
 
-    def to_dict(self) -> dict:
-        return self.document
-
     def spec_hash(self) -> str:
         return hashlib.sha256(canonical_dumps(self.document).encode()).hexdigest()
 
@@ -235,7 +232,7 @@ def _write_text(text: str, path: Optional[str]) -> None:
             handle.write(text)
 
 
-def _emit_json(doc: dict, path: Optional[str]) -> None:
+def _emit_json(doc: object, path: Optional[str]) -> None:
     _write_text(canonical_dumps(doc) + "\n", path)
 
 
@@ -253,16 +250,7 @@ def cmd_nu(args) -> int:
     if args.mc is None:
         _emit_json({"nu": decoupling_nu(activation)}, args.out)
         return 0
-    report = estimate_nu_monte_carlo(activation, args.mc, args.seed)
-    _emit_json(
-        {
-            "n_samples": report.n_samples,
-            "nu": report.nu,
-            "nu_hat": report.nu_hat,
-            "stderr": report.stderr,
-        },
-        args.out,
-    )
+    _emit_json(estimate_nu_monte_carlo(activation, args.mc, args.seed), args.out)
     return 0
 
 
@@ -301,20 +289,7 @@ def cmd_pde(args) -> int:
     probe = args.probe if args.probe is not None else args.n // 2
     kappa = SpatialCapacity.dirac(args.n, probe)
     log.info("pde comparison: n=%d eps=%g L=%d", args.n, args.eps, args.L)
-    report = compare_markov_pde(generator, cfg, kappa, refinements=args.refinements)
-    _emit_json(
-        {
-            "boundary_flagged": report.boundary_flagged,
-            "eps_levels": list(report.eps_levels),
-            "levels_requested": report.levels_requested,
-            "markov_std": report.markov_std,
-            "orders": list(report.orders),
-            "overall_order": report.overall_order,
-            "rel_errors": list(report.rel_errors),
-            "sup_errors": list(report.sup_errors),
-        },
-        args.out,
-    )
+    _emit_json(compare_markov_pde(generator, cfg, kappa, refinements=args.refinements), args.out)
     return 0
 
 
@@ -328,8 +303,7 @@ def cmd_erf(args) -> int:
     if args.ratio_depth is not None and not 1 <= args.ratio_depth <= depth:
         raise SpecError(f"ratio depth must be in [1, {depth}]")
     probe = args.probe if args.probe is not None else n // 2
-    report = erf_profile(source, probe, cfg)
-    doc = report.to_dict()
+    report = doc = erf_profile(source, probe, cfg)
     if args.ratio_depth is not None:
         # per_depth_std[k] is the width after k layers below the probe
         width = report.per_depth_std[args.ratio_depth][1]
@@ -337,8 +311,8 @@ def cmd_erf(args) -> int:
             raise SpecError(
                 f"width {args.ratio_depth} layers below the probe is 0; width_ratio is undefined"
             )
-        doc["ratio_depth"] = args.ratio_depth
-        doc["width_ratio"] = report.per_depth_std[-1][1] / width
+        ratio = report.per_depth_std[-1][1] / width
+        doc = dict(vars(report), ratio_depth=args.ratio_depth, width_ratio=ratio)
     _emit_json(doc, args.out)
     return 0
 
@@ -367,8 +341,7 @@ def cmd_shatter(args) -> int:
         return 0
     spec = load_network_spec(args.specfile)
     r = args.r if args.r is not None else spec.chain.n_in
-    report = shatter_analysis(spec.chain, r, eps=args.eps)
-    _emit_json(report.to_dict(), args.out)
+    _emit_json(shatter_analysis(spec.chain, r, eps=args.eps), args.out)
     return 0
 
 

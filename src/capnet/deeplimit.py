@@ -217,6 +217,14 @@ class PdeField:
         return cls(grid=np.arange(n) * h, values=values, t=t)
 
 
+def _check_walk(gen: ResidualGenerator, cfg: DeepLimitConfig) -> None:
+    if cfg.L > _MAX_WALK_STEPS or cfg.L * gen.n > _MAX_WALK_CELL_STEPS:
+        raise ValueError(
+            f"{cfg.L} steps of {gen.n} cells are past the walk limit of "
+            f"{_MAX_WALK_STEPS:,} steps and {_MAX_WALK_CELL_STEPS:,} cell-steps"
+        )
+
+
 def evolve_markov(
     gen: ResidualGenerator,
     cfg: DeepLimitConfig,
@@ -243,11 +251,7 @@ def evolve_markov(
             f"{cfg.L + 1} profiles of {gen.n} cells need {size / 2**30:.1f} GiB, "
             f"over the {_TRAJECTORY_BUDGET_BYTES / 2**30:g} GiB trajectory limit"
         )
-    if cfg.L > _MAX_WALK_STEPS or cfg.L * gen.n > _MAX_WALK_CELL_STEPS:
-        raise ValueError(
-            f"{cfg.L} steps of {gen.n} cells are past the walk limit of "
-            f"{_MAX_WALK_STEPS:,} steps and {_MAX_WALK_CELL_STEPS:,} cell-steps"
-        )
+    _check_walk(gen, cfg)
     if keep_all:
         rows = np.empty((cfg.L + 1, gen.n))
         steps = zip(rows, rows[1:])
@@ -344,28 +348,32 @@ def compare_markov_pde(
     ``Dcoef*eps*L``.  Each refinement halves eps, doubles L (fixed total
     depth-time), and halves the grid spacing, rescaling the generator to cell
     units.  Refinement stops early if a halved step would break the
-    stability bound; an unstable coarsest level raises StabilityError.  Each
-    level keeps only its last Markov profile, stepping two O(n) buffers.  A
-    fixed grid cannot work here: with the spacing frozen the chain converges
-    to the lattice walk, not to the PDE, and the gap saturates instead of
-    shrinking.
+    stability bound; an unstable coarsest level raises StabilityError.  Every
+    level that will run is checked against the walk limit before the first
+    step.  Each level keeps only its last Markov profile, stepping two O(n)
+    buffers.  A fixed grid cannot work here: with the spacing frozen the
+    chain converges to the lattice walk, not to the PDE, and the gap
+    saturates instead of shrinking.
     """
     if refinements < 0:
         raise ValueError("refinements must be non-negative")
+    levels = []
+    for level in range(refinements + 1):
+        gen_k, cfg_k, kappa_k = _refined_inputs(gen, cfg, kappa_top, 2**level)
+        if level > 0 and cfg_k.eps >= gen_k.max_stable_eps():
+            break
+        _check_walk(gen_k, cfg_k)
+        levels.append((gen_k, cfg_k, kappa_k))
     eps_levels: List[float] = []
     sup_errors: List[float] = []
     rel_errors: List[float] = []
     flagged = False
     markov_std = math.nan
-    for level in range(refinements + 1):
-        scale = 2**level
-        gen_k, cfg_k, kappa_k = _refined_inputs(gen, cfg, kappa_top, scale)
-        if level > 0 and cfg_k.eps >= gen_k.max_stable_eps():
-            break
+    for level, (gen_k, cfg_k, kappa_k) in enumerate(levels):
         final = evolve_markov(gen_k, cfg_k, kappa_k, keep_all=False)
         if level == 0:
             markov_std = float(_pmf_std(final[None])[0])
-        h = 1.0 / scale
+        h = 1.0 / 2**level
         initial = PdeField(
             grid=np.arange(gen_k.n) * h, values=kappa_k.values / h, t=0.0
         )

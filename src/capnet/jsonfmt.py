@@ -3,10 +3,13 @@
 Keys are sorted, floats carry at most 17 significant digits (enough to
 round-trip any double), indentation is two spaces with LF newlines, and
 non-finite floats serialize as null since JSON has no spelling for them.
+A numpy value is written as the plain value it stands for, and a dataclass
+instance as the object of its fields, keyed by field name.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from typing import Any
@@ -59,6 +62,9 @@ def _emit(obj: Any, indent: int, pieces: list) -> None:
         _emit(int(obj), indent, pieces)
     elif isinstance(obj, np.floating):
         _emit(float(obj), indent, pieces)
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        # shallow: asdict would deep-copy every field first
+        _emit({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, indent, pieces)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 

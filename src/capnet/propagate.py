@@ -8,13 +8,14 @@ top-down, ``kappa^{l-1} = D_l kappa^l``, conserving the total.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .augment import Activation
-from .core import ProjectionMatrix, SpatialCapacity
+from .core import ProjectionMatrix, SpatialCapacity, _as_matrix
 
 __all__ = [
     "PropagationOperator",
@@ -36,11 +37,7 @@ class PropagationOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=float)
-        if matrix.ndim != 2:
-            raise ValueError(f"operator must be 2-dimensional, got shape {matrix.shape}")
-        if not np.all(np.isfinite(matrix)):
-            raise ValueError("operator contains non-finite entries")
+        matrix = _as_matrix(self.matrix, "operator")
         if matrix.size and matrix.min() < 0:
             raise ValueError(f"operator has negative entry {matrix.min():.3e}")
         sums = matrix.sum(axis=0)
@@ -211,6 +208,8 @@ def differential_propagation_matrix(p: ProjectionMatrix, eps: float) -> Propagat
         raise ValueError(f"differential layers require square P, got {p.n_in}x{p.n_out}")
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps!r}")
+    if not math.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps!r}")
     n = p.n_in
     # evaluated as (I + eps P o P) / (1 + eps): same matrix, and the identity
     # entries divide out exactly in the small cases quoted in the docs

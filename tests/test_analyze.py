@@ -1,6 +1,7 @@
 """Tests for receptive-field widths and path-weight shattering."""
 
 import functools
+import json
 import math
 import operator
 from unittest import mock
@@ -27,6 +28,7 @@ from capnet.deeplimit import (
     ResidualGenerator,
     evolve_markov,
 )
+from capnet.jsonfmt import canonical_dumps
 from capnet.propagate import Layer, LayerChain, PropagationOperator
 
 
@@ -122,7 +124,7 @@ class TestErfProfile:
         gen = ResidualGenerator(201, 0.0, 0.9, "periodic")
         report = erf_profile(gen, 100, DeepLimitConfig(eps=0.1, L=100))
         assert report.fit_points == 78
-        assert report.to_dict()["fit_points"] == 78
+        assert json.loads(canonical_dumps(report))["fit_points"] == 78
 
     def test_width_doubles_from_25_to_100_layers(self):
         gen = ResidualGenerator(201, 0.0, 1.0, "periodic")
@@ -193,7 +195,7 @@ class TestErfProfile:
 
     def test_serializes(self):
         gen = ResidualGenerator(51, 0.0, 1.0, "periodic")
-        payload = erf_profile(gen, 25, DeepLimitConfig(eps=0.1, L=5)).to_dict()
+        payload = json.loads(canonical_dumps(erf_profile(gen, 25, DeepLimitConfig(eps=0.1, L=5))))
         assert payload["probe_index"] == 25
         assert len(payload["per_depth_std"]) == 6
         assert isinstance(payload["boundary_flagged"], bool)
@@ -330,7 +332,7 @@ class TestShatterAnalysis:
         assert report.eps == 0.1
 
     def test_serializes(self):
-        payload = shatter_analysis(_residual_chain(0.1, 5), r=2).to_dict()
+        payload = json.loads(canonical_dumps(shatter_analysis(_residual_chain(0.1, 5), r=2)))
         assert payload["eps"] is None
         assert payload["L"] == 5
         assert payload["uniform_weight"] == 1.0 / 32.0
@@ -351,6 +353,20 @@ class TestShatterAnalysis:
                 uniform_weight=0.3,
                 L=1,
                 r=2,
+            )
+
+    @pytest.mark.parametrize(
+        "eps, message", [(0.0, "positive"), (math.nan, "positive"), (math.inf, "finite")]
+    )
+    def test_report_eps_must_be_positive_and_finite(self, eps, message):
+        with pytest.raises(ValueError, match=f"eps must be {message} when given"):
+            ShatterReport(
+                max_path_weight=0.5,
+                continuum_estimate=0.5,
+                uniform_weight=0.5,
+                L=1,
+                r=2,
+                eps=eps,
             )
 
     def test_erf_report_validation(self):

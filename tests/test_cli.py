@@ -1,17 +1,21 @@
 """End-to-end tests of the command-line interface."""
 
 import copy
+import dataclasses
 import json
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capnet.analyze import erf_profile
+from capnet.analyze import ErfReport, ShatterReport, erf_profile
+from capnet.augment import DecouplingReport
 from capnet.cli import SpecError, main, parse_network_spec
-from capnet.deeplimit import DeepLimitConfig, ResidualGenerator, StabilityError
+from capnet.deeplimit import ConvergenceReport, DeepLimitConfig, ResidualGenerator, StabilityError
 from capnet.jsonfmt import canonical_dumps
 
 
@@ -159,8 +163,8 @@ class TestChain:
     def test_spec_round_trip(self):
         doc = _residual_spec(21, 2, top="uniform")
         spec = parse_network_spec(doc)
-        again = parse_network_spec(json.loads(canonical_dumps(spec.to_dict())))
-        assert again.to_dict() == spec.to_dict()
+        again = parse_network_spec(json.loads(canonical_dumps(spec.document)))
+        assert again.document == spec.document
         assert again.spec_hash() == spec.spec_hash()
 
     def test_unstable_eps_exits_1(self, tmp_path, capsys):
@@ -178,6 +182,17 @@ class TestChain:
         path = _write_spec(tmp_path, "bad.json", _residual_spec(11, 1, eps=eps, top="uniform"))
         assert main(["chain", path]) == 2
         assert "layer 0: eps must be positive" in capsys.readouterr().err
+
+    def test_infinite_differential_eps_exits_2_naming_eps(self, tmp_path, capsys):
+        # json reads Infinity; (I + inf P o P) / (1 + inf) would be inf/inf
+        layer = {"kind": "differential", "n_in": 4, "n_out": 4, "eps": math.inf,
+                 "weights": "random_gaussian:3", "activation": "pseudo_random"}
+        doc = {"layers": [layer], "top_capacity": "uniform"}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["chain", _write_spec(tmp_path, "bad.json", doc)]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "layer 0: eps must be finite, got inf" in capsys.readouterr().err
 
     @pytest.mark.parametrize("eps", ["0.5", True, None, [0.5]])
     def test_non_numeric_differential_eps_exits_2(self, tmp_path, capsys, eps):
@@ -356,6 +371,14 @@ class TestPde:
         assert main(["pde", "--n", "3", "--L", "100000000", "--refinements", "0"]) == 2
         assert "walk limit of 10,000,000 steps" in capsys.readouterr().err
 
+    def test_finer_level_past_walk_limit_exits_2_before_walking(self, capsys):
+        # level 7 is 128,000 steps of 256,001 cells; levels 0-6 would step for some 45 s
+        start = time.perf_counter()
+        argv = ["pde", "--n", "2001", "--L", "1000", "--eps", "0.001", "--refinements", "7"]
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 2.0
+        assert "128000 steps of 256001 cells are past the walk limit" in capsys.readouterr().err
+
     def test_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["pde", "--n", "101", "--L", "50", "--out"]
@@ -457,6 +480,12 @@ class TestShatter:
         assert main(["shatter", path, "--eps", "nan"]) == 2
         assert "eps must be positive when given, got nan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps", ["inf", "1e400"])
+    def test_infinite_eps_exits_2(self, tmp_path, capsys, eps):
+        path = _write_spec(tmp_path, "deep.json", _residual_spec(21, 2, top="dirac:10"))
+        assert main(["shatter", path, "--eps", eps]) == 2
+        assert "eps must be finite when given, got inf" in capsys.readouterr().err
+
     def test_modes_are_exclusive(self, tmp_path, capsys):
         path = _write_spec(tmp_path, "deep.json", _residual_spec(21, 2, top="dirac:10"))
         assert main(["shatter", path, "--uniform", "r=2", "L=2"]) == 2
@@ -465,6 +494,24 @@ class TestShatter:
     def test_malformed_uniform_tokens(self, capsys):
         assert main(["shatter", "--uniform", "r=x", "L=5"]) == 2
         assert main(["shatter", "--uniform", "r=3", "q=5"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, report, extra",
+    [
+        (["pde"], ConvergenceReport, []),
+        (["nu", "relu", "--mc", "20000"], DecouplingReport, []),
+        (["erf"], ErfReport, []),
+        (["erf", "--ratio-depth", "25"], ErfReport, ["ratio_depth", "width_ratio"]),
+        (["shatter", "SPEC"], ShatterReport, []),
+    ],
+)
+def test_printed_keys_are_the_report_fields(tmp_path, capsys, argv, report, extra):
+    spec = _write_spec(tmp_path, "deep.json", _residual_spec(21, 3, top="dirac:10"))
+    code, out = _run(capsys, [spec if arg == "SPEC" else arg for arg in argv])
+    assert code == 0
+    fields = [field.name for field in dataclasses.fields(report)]
+    assert sorted(json.loads(out)) == sorted(fields + extra)
 
 
 class TestVerify:

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -513,6 +514,17 @@ class TestCompareMarkovPde:
         kappa = SpatialCapacity(np.random.default_rng(L).random(31))
         last = evolve_markov(gen, cfg, kappa, keep_all=False)
         np.testing.assert_array_equal(last, evolve_markov(gen, cfg, kappa)[-1])
+
+    def test_finer_level_past_walk_limit_refused_before_any_walk(self):
+        # level 7 is 128,000 steps of 256,001 cells, past 3*10**10 cell-steps;
+        # levels 0-6 are within the limits and would step for some 45 s
+        gen = ResidualGenerator(2001, 0.0, 1.0)
+        cfg = DeepLimitConfig(eps=0.001, L=1000)
+        walk = mock.Mock(side_effect=AssertionError("walked before the limit check"))
+        with mock.patch("capnet.deeplimit.evolve_markov", walk):
+            with pytest.raises(ValueError, match="128000 steps of 256001 cells"):
+                compare_markov_pde(gen, cfg, SpatialCapacity.dirac(2001, 1000), refinements=7)
+        walk.assert_not_called()
 
     def test_negative_refinements_rejected(self):
         gen = ResidualGenerator(21, 0.0, 1.0)

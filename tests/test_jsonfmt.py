@@ -1,5 +1,6 @@
 """Tests for deterministic JSON emission."""
 
+import dataclasses
 import json
 import math
 
@@ -143,6 +144,27 @@ def test_nested_layout():
     assert "\n" in text and text.startswith("{") and not text.endswith("\n")
 
 
+@dataclasses.dataclass(frozen=True)
+class _Inner:
+    values: np.ndarray
+    label: str
+
+
+@dataclasses.dataclass(frozen=True)
+class _Outer:
+    inner: _Inner
+    pairs: tuple
+    count: int = dataclasses.field(init=False, default=2)
+
+
+def test_dataclass_written_by_its_fields():
+    doc = _Outer(inner=_Inner(values=np.arange(2.0), label="x"), pairs=((1, 0.5),))
+    expected = {"inner": {"values": [0.0, 1.0], "label": "x"}, "pairs": [[1, 0.5]], "count": 2}
+    assert canonical_dumps(doc) == canonical_dumps(expected)
+    assert canonical_dumps([doc]) == canonical_dumps([expected])
+
+
 def test_unserializable_rejected():
-    with pytest.raises(TypeError, match="serialize"):
-        canonical_dumps({"f": object()})
+    for value in (object(), _Outer):  # a dataclass class is not an instance
+        with pytest.raises(TypeError, match="serialize"):
+            canonical_dumps({"f": value})

@@ -222,6 +222,10 @@ class TestDifferentialPropagationMatrix:
             with pytest.raises(ValueError, match="eps must be positive"):
                 differential_propagation_matrix(p, eps)
 
+    def test_rejects_infinite_eps(self):
+        with pytest.raises(ValueError, match="eps must be finite, got inf"):
+            differential_propagation_matrix(ProjectionMatrix.identity(2), float("inf"))
+
     def test_matches_residual_augmented_space(self):
         # the residual layer's augmented projection stacks I over sqrt(eps) P~;
         # column j's squared entries, summed per input and divided by its
