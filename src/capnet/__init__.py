@@ -4,7 +4,7 @@ The package answers one question at several levels of the stack: given a
 trained readout with a limited parameter budget, where in the input space
 do those parameters end up constraining the model?
 
-- :mod:`capnet.core`: capacity bases, subspace selectors, spatial profiles.
+- :mod:`capnet.core`: capacity bases, subspace capacities, spatial profiles.
 - :mod:`capnet.augment`: the augmented input space that linearizes one
   non-linear layer, and the decoupling coefficient of an activation.
 - :mod:`capnet.propagate`: column-stochastic backward propagation of

@@ -11,7 +11,7 @@ regimes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -44,7 +44,8 @@ class Activation:
     """Pointwise activation ``f(z) = eta_z * z``.
 
     Piecewise-linear kinds have ``eta_z = alpha`` for z <= 0 and ``beta`` for
-    z > 0, normalized so that ``alpha**2 + beta**2 = 2``.  The pseudo-random
+    z > 0, normalized so that ``alpha**2 + beta**2 = 2``; both are derived
+    from ``kind`` and ``leak``, never passed.  The pseudo-random
     kind draws a fixed random sign ``eta_z = +-sigma`` per distinct z (see
     :func:`capnet.oracle.pseudo_random_eta`).  Custom kinds carry an arbitrary
     pointwise function and have no closed-form treatment.
@@ -52,8 +53,8 @@ class Activation:
 
     kind: str
     leak: float = 0.0
-    alpha: Optional[float] = None
-    beta: Optional[float] = None
+    alpha: Optional[float] = field(init=False, default=None)
+    beta: Optional[float] = field(init=False, default=None)
     sigma: float = 1.0
     custom_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
@@ -141,9 +142,9 @@ class Activation:
         if self.kind == "pseudo_random":
             if key is None:
                 raise ValueError("pseudo_random eta requires a key")
-            from .oracle import PseudoRandomSign, pseudo_random_eta
+            from .oracle import pseudo_random_eta
 
-            return pseudo_random_eta(z, PseudoRandomSign(seed=key, sigma=self.sigma))
+            return pseudo_random_eta(z, key, self.sigma)
         out = np.asarray(self.custom_fn(z), dtype=float)
         at_zero = z == 0
         if np.any(out[at_zero] != 0):

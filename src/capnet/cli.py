@@ -336,6 +336,9 @@ def cmd_shatter(args) -> int:
     if (args.specfile is None) == (args.uniform is None):
         raise SpecError("shatter needs a spec file or --uniform r=<int> L=<int>")
     if args.uniform is not None:
+        for option in ("r", "eps"):
+            if getattr(args, option) is not None:
+                raise SpecError(f"--{option} cannot be combined with --uniform")
         r, depth = _parse_uniform_tokens(args.uniform)
         _emit_json({"L": depth, "r": r, "uniform_weight": uniform_path_weight(r, depth)}, args.out)
         return 0

@@ -22,7 +22,6 @@ __all__ = [
     "CovarianceMatrix",
     "ProjectionMatrix",
     "CapacityBasis",
-    "SubspaceSelector",
     "SpatialCapacity",
     "ParamMap",
     "orthonormal_basis",
@@ -154,38 +153,6 @@ class CapacityBasis:
         return self.columns @ self.columns.T
 
 
-@dataclass(frozen=True)
-class SubspaceSelector:
-    """Orthonormal columns selecting a subspace of the ambient space."""
-
-    basis: np.ndarray
-
-    def __post_init__(self):
-        basis = _as_matrix(self.basis, "subspace selector")
-        k = basis.shape[1]
-        if not np.allclose(basis.T @ basis, np.eye(k), atol=1e-10):
-            raise ValueError("selector columns are not orthonormal")
-        object.__setattr__(self, "basis", basis)
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.basis.shape[1]
-
-    @classmethod
-    def coordinate(cls, ambient_dim: int, index: int) -> "SubspaceSelector":
-        e = np.zeros((ambient_dim, 1))
-        e[index, 0] = 1.0
-        return cls(e)
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "SubspaceSelector":
-        return cls(np.eye(ambient_dim))
-
-
 def _check_capacity_values(values: np.ndarray) -> None:
     """Refuse capacity entries that are non-finite or below -1e-10, in an array of any shape.
 
@@ -301,13 +268,13 @@ def gram_capacity_basis(params: ParamMap) -> CapacityBasis:
     return CapacityBasis(eigvecs[:, :rank])
 
 
-def capacity_of_subspace(basis: CapacityBasis, selector: SubspaceSelector) -> float:
-    """Capacity allocated to the selected subspace: ``||K^T S||_F^2``."""
+def capacity_of_subspace(basis: CapacityBasis, selector: CapacityBasis) -> float:
+    """Capacity allocated to the subspace spanned by ``selector``: ``||K^T S||_F^2``."""
     if basis.ambient_dim != selector.ambient_dim:
         raise ValueError(
             f"ambient dimension mismatch: basis {basis.ambient_dim}, selector {selector.ambient_dim}"
         )
-    return float(np.sum((basis.columns.T @ selector.basis) ** 2))
+    return float(np.sum((basis.columns.T @ selector.columns) ** 2))
 
 
 def spatial_profile(basis: CapacityBasis) -> SpatialCapacity:

@@ -24,7 +24,6 @@ __all__ = [
     "StabilityError",
     "ResidualGenerator",
     "DeepLimitConfig",
-    "PdeField",
     "ConvergenceReport",
     "evolve_markov",
     "gaussian_solution",
@@ -38,6 +37,9 @@ _TRAJECTORY_BUDGET_BYTES = 2 * 2**30
 # costs some 6-8 us on small grids and some 2 ns a cell on wide ones.
 _MAX_WALK_STEPS = 10**7
 _MAX_WALK_CELL_STEPS = 3 * 10**10
+# Widest grid compare_markov_pde evaluates the closed form on: the direct
+# convolution costs some 0.15-0.3 ns per n**2, about a minute at this width.
+_MAX_CLOSED_FORM_CELLS = 5 * 10**5
 
 
 # Rows per block of _pmf_std: its temporaries stay near this many bytes.
@@ -170,53 +172,6 @@ class DeepLimitConfig:
         return self.eps * self.L
 
 
-@dataclass(frozen=True)
-class PdeField:
-    """Density samples on an equally spaced grid at one depth-time."""
-
-    grid: np.ndarray
-    values: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if grid.ndim != 1 or grid.size < 2:
-            raise ValueError("grid must be a vector of at least 2 points")
-        if values.shape != grid.shape:
-            raise ValueError("values must match the grid")
-        if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
-            raise ValueError("field contains non-finite entries")
-        steps = np.diff(grid)
-        if np.any(np.abs(steps - steps[0]) > 1e-9 * max(1.0, abs(steps[0]))):
-            raise ValueError("grid must be equally spaced")
-        if steps[0] <= 0:
-            raise ValueError("grid must be increasing")
-        if values.size and values.min() < -1e-9:
-            raise ValueError(f"field has negative value {values.min():.3e}")
-        if self.t < 0:
-            raise ValueError("t must be non-negative")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def h(self) -> float:
-        return float(self.grid[1] - self.grid[0])
-
-    @property
-    def mass(self) -> float:
-        return float(self.values.sum() * self.h)
-
-    @classmethod
-    def dirac(cls, n: int, index: int, h: float = 1.0, t: float = 0.0) -> "PdeField":
-        """Unit mass concentrated on one grid point (density 1/h there)."""
-        if not 0 <= index < n:
-            raise ValueError(f"dirac index {index} out of range [0, {n})")
-        values = np.zeros(n)
-        values[index] = 1.0 / h
-        return cls(grid=np.arange(n) * h, values=values, t=t)
-
-
 def _check_walk(gen: ResidualGenerator, cfg: DeepLimitConfig) -> None:
     if cfg.L > _MAX_WALK_STEPS or cfg.L * gen.n > _MAX_WALK_CELL_STEPS:
         raise ValueError(
@@ -273,31 +228,38 @@ def evolve_markov(
     return rows if keep_all else rows[cfg.L % 2]
 
 
-def gaussian_solution(initial: PdeField, v: float, Dcoef: float, t: float) -> PdeField:
-    """Heat-kernel convolution of the initial data, by the trapezoid rule.
+def gaussian_solution(values, h: float, v: float, Dcoef: float, t: float) -> np.ndarray:
+    """Heat-kernel convolution of the initial density, by the trapezoid rule.
 
-    Evaluates ``pi(t, x) = int G(x - y - v t) pi(0, y) dy`` with the Gaussian
-    kernel of variance ``2 Dcoef t`` on the initial field's own grid;
-    ``t = 0`` returns the initial field unchanged.  On an equally spaced grid
-    the kernel depends on ``i - j`` only, so its 2n-1 samples are convolved
-    with the weighted field in O(n) memory.
+    ``values`` are density samples on the grid ``x_i = i*h``.  Evaluates
+    ``pi(t, x) = int G(x - y - v t) pi(0, y) dy`` with the Gaussian kernel of
+    variance ``2 Dcoef t`` on that grid; ``t = 0`` returns a copy of the
+    values.  The kernel depends on ``i - j`` only, so its 2n-1 samples are
+    convolved with the weighted values in O(n) memory and O(n**2) time.
     """
-    if Dcoef <= 0:
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or values.size < 2:
+        raise ValueError("values must be a vector of at least 2 points")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values contain non-finite entries")
+    if values.min() < -1e-9:
+        raise ValueError(f"values have negative entry {values.min():.3e}")
+    if not (h > 0 and math.isfinite(h)):
+        raise ValueError(f"h must be positive and finite, got {h!r}")
+    if not Dcoef > 0:
         raise ValueError("Dcoef must be positive")
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be non-negative")
     if t == 0:
-        return PdeField(grid=initial.grid, values=initial.values.copy(), t=initial.t)
+        return values.copy()
     spread = 4.0 * Dcoef * t
-    x = initial.grid
-    n = x.size
-    gap = np.arange(1 - n, n) * initial.h - v * t  # x_i - x_j - v t at i - j = 1-n .. n-1
+    n = values.size
+    gap = np.arange(1 - n, n) * h - v * t  # x_i - x_j - v t at i - j = 1-n .. n-1
     kernel = np.exp(-(gap**2) / spread) / math.sqrt(math.pi * spread)
-    weights = np.full(n, initial.h)
+    weights = np.full(n, h)
     weights[0] *= 0.5
     weights[-1] *= 0.5
-    values = np.convolve(kernel, weights * initial.values, mode="valid")
-    return PdeField(grid=x, values=values, t=initial.t + t)
+    return np.convolve(kernel, weights * values, mode="valid")
 
 
 @dataclass(frozen=True)
@@ -349,11 +311,12 @@ def compare_markov_pde(
     depth-time), and halves the grid spacing, rescaling the generator to cell
     units.  Refinement stops early if a halved step would break the
     stability bound; an unstable coarsest level raises StabilityError.  Every
-    level that will run is checked against the walk limit before the first
-    step.  Each level keeps only its last Markov profile, stepping two O(n)
-    buffers.  A fixed grid cannot work here: with the spacing frozen the
-    chain converges to the lattice walk, not to the PDE, and the gap
-    saturates instead of shrinking.
+    level that will run is checked against the walk limit and the closed
+    form's width limit of 5*10**5 cells before the first step.  Each level
+    keeps only its last Markov profile, stepping two O(n) buffers.  A fixed
+    grid cannot work here: with the spacing frozen the chain converges to
+    the lattice walk, not to the PDE, and the gap saturates instead of
+    shrinking.
     """
     if refinements < 0:
         raise ValueError("refinements must be non-negative")
@@ -363,6 +326,11 @@ def compare_markov_pde(
         if level > 0 and cfg_k.eps >= gen_k.max_stable_eps():
             break
         _check_walk(gen_k, cfg_k)
+        if gen_k.n > _MAX_CLOSED_FORM_CELLS:
+            raise ValueError(
+                f"a closed form on {gen_k.n:,} cells is past the limit of "
+                f"{_MAX_CLOSED_FORM_CELLS:,} cells"
+            )
         levels.append((gen_k, cfg_k, kappa_k))
     eps_levels: List[float] = []
     sup_errors: List[float] = []
@@ -374,15 +342,14 @@ def compare_markov_pde(
         if level == 0:
             markov_std = float(_pmf_std(final[None])[0])
         h = 1.0 / 2**level
-        initial = PdeField(
-            grid=np.arange(gen_k.n) * h, values=kappa_k.values / h, t=0.0
-        )
         total_time = cfg.total_time
-        pde = gaussian_solution(initial, gen.v * total_time, gen.Dcoef * total_time, 1.0)
-        if pde.mass < kappa_top.total * (1.0 - _BOUNDARY_MASS_TOL):
+        pde = gaussian_solution(
+            kappa_k.values / h, h, gen.v * total_time, gen.Dcoef * total_time, 1.0
+        )
+        if pde.sum() * h < kappa_top.total * (1.0 - _BOUNDARY_MASS_TOL):
             flagged = True
-        gap = float(np.max(np.abs(final / h - pde.values)))
-        peak = float(np.max(pde.values))
+        gap = float(np.max(np.abs(final / h - pde)))
+        peak = float(np.max(pde))
         eps_levels.append(cfg_k.eps)
         sup_errors.append(gap)
         rel_errors.append(gap / peak if peak > 0 else 0.0)

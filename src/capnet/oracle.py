@@ -28,7 +28,6 @@ from .core import (
 )
 
 __all__ = [
-    "PseudoRandomSign",
     "ExperimentConfig",
     "EmpiricalReport",
     "pseudo_random_eta",
@@ -51,19 +50,6 @@ _CHUNK_BYTES = 2**20
 _MEMORY_BUDGET_BYTES = 2 * 2**30
 
 
-@dataclass(frozen=True)
-class PseudoRandomSign:
-    """Deterministic map z -> eta(z) in {-sigma, +sigma}, drawn once per value."""
-
-    seed: int
-    sigma: float = 1.0
-
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        object.__setattr__(self, "seed", int(self.seed) & _MASK64)
-
-
 def _splitmix64(h: np.ndarray) -> np.ndarray:
     """splitmix64's increment and finalizer, applied to the uint64 array h in place."""
     shifted = np.empty_like(h)
@@ -75,24 +61,26 @@ def _splitmix64(h: np.ndarray) -> np.ndarray:
     return h
 
 
-def pseudo_random_eta(z, prs: PseudoRandomSign):
-    """Hash-based sign activation multiplier.
+def pseudo_random_eta(z, seed: int, sigma: float = 1.0):
+    """Hash-based sign activation multiplier ``eta(z)`` in {-sigma, +sigma}.
 
     The IEEE-754 bit pattern of z (with -0 canonicalized to +0) is mixed with
-    the seed through a 64-bit finalizer; one output bit picks the sign.  The
-    same (z, seed) always yields the same value, while arbitrarily close
-    inputs give effectively independent signs.
+    the seed, taken modulo 2**64, through a 64-bit finalizer; one output bit
+    picks the sign.  The same (z, seed) always yields the same value, while
+    arbitrarily close inputs give effectively independent signs.
     """
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
     h = np.array(z, dtype=float)
     if not np.all(np.isfinite(h)):
         raise ValueError("pseudo_random_eta requires finite z")
     h += 0.0
     h = h.view(np.uint64)
-    h ^= _splitmix64(np.array([prs.seed], dtype=np.uint64))[0]
+    h ^= _splitmix64(np.array([int(seed) & _MASK64], dtype=np.uint64))[0]
     h = _splitmix64(h)
     h >>= np.uint64(63)
-    signs = h * (2.0 * prs.sigma)
-    signs -= prs.sigma
+    signs = h * (2.0 * sigma)
+    signs -= sigma
     if np.isscalar(z) or signs.ndim == 0:
         return float(signs)
     return signs

@@ -17,7 +17,6 @@ from capnet.core import (
     CapacityBasis,
     CovarianceMatrix,
     ProjectionMatrix,
-    SubspaceSelector,
     capacity_of_subspace,
     orthonormal_basis,
     spatial_profile,
@@ -90,6 +89,12 @@ class TestActivation:
         act = Activation.relu()
         assert act.alpha == 0.0
         assert act.beta == pytest.approx(np.sqrt(2.0))
+
+    @pytest.mark.parametrize("kind", ["relu", "pseudo_random"])
+    @pytest.mark.parametrize("slope", ["alpha", "beta"])
+    def test_slopes_cannot_be_passed(self, kind, slope):
+        with pytest.raises(TypeError, match=slope):
+            Activation(kind, **{slope: 5.0})
 
     def test_custom_requires_fn(self):
         with pytest.raises(ValueError, match="custom_fn"):
@@ -262,8 +267,8 @@ class TestLinearStackedBasis:
             n, m = int(rng.integers(2, 6)), int(rng.integers(1, 5))
             k = orthonormal_basis(rng.standard_normal((n, int(rng.integers(1, n + 1)))))
             k_tilde = _linear_stacked(k, m)
-            s = SubspaceSelector(np.linalg.qr(rng.standard_normal((n, n)))[0][:, :2])
-            s_tilde = SubspaceSelector(np.tile(s.basis / np.sqrt(m), (m, 1)))
+            s = CapacityBasis(np.linalg.qr(rng.standard_normal((n, n)))[0][:, :2])
+            s_tilde = CapacityBasis(np.tile(s.columns / np.sqrt(m), (m, 1)))
             assert capacity_of_subspace(k_tilde, s_tilde) == pytest.approx(
                 capacity_of_subspace(k, s), abs=1e-10
             )

@@ -379,6 +379,14 @@ class TestPde:
         assert time.perf_counter() - start < 2.0
         assert "128000 steps of 256001 cells are past the walk limit" in capsys.readouterr().err
 
+    def test_grid_past_closed_form_limit_exits_2(self, capsys):
+        # within every walk limit, but the direct convolution would run for minutes
+        start = time.perf_counter()
+        assert main(["pde", "--n", "2000001", "--L", "1", "--refinements", "0"]) == 2
+        assert time.perf_counter() - start < 2.0
+        err = capsys.readouterr().err
+        assert "closed form on 2,000,001 cells is past the limit of 500,000 cells" in err
+
     def test_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["pde", "--n", "101", "--L", "50", "--out"]
@@ -490,6 +498,13 @@ class TestShatter:
         path = _write_spec(tmp_path, "deep.json", _residual_spec(21, 2, top="dirac:10"))
         assert main(["shatter", path, "--uniform", "r=2", "L=2"]) == 2
         assert main(["shatter"]) == 2
+
+    @pytest.mark.parametrize("option, value", [("--eps", "nan"), ("--eps", "0.5"), ("--r", "9")])
+    def test_uniform_refuses_r_and_eps(self, capsys, option, value):
+        assert main(["shatter", "--uniform", "r=3", "L=5", option, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{option} cannot be combined with --uniform" in captured.err
 
     def test_malformed_uniform_tokens(self, capsys):
         assert main(["shatter", "--uniform", "r=x", "L=5"]) == 2

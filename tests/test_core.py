@@ -7,7 +7,6 @@ from capnet.core import (
     ParamMap,
     ProjectionMatrix,
     SpatialCapacity,
-    SubspaceSelector,
     capacity_of_subspace,
     gram_capacity_basis,
     orthonormal_basis,
@@ -99,24 +98,24 @@ class TestGramCapacityBasis:
 class TestCapacityOfSubspace:
     def test_identity_basis_coordinate_direction(self):
         k = CapacityBasis(np.eye(2))
-        s = SubspaceSelector.coordinate(2, 0)
+        s = CapacityBasis(np.eye(2)[:, [0]])
         assert capacity_of_subspace(k, s) == pytest.approx(1.0)
 
     def test_diagonal_column_splits_evenly(self):
         k = CapacityBasis(np.array([[1.0], [1.0]]) / np.sqrt(2.0))
-        s = SubspaceSelector.coordinate(2, 0)
+        s = CapacityBasis(np.eye(2)[:, [0]])
         assert capacity_of_subspace(k, s) == pytest.approx(0.5)
 
     def test_full_space_recovers_rank(self):
         rng = np.random.default_rng(11)
         k = orthonormal_basis(rng.standard_normal((7, 4)))
         assert k.rank == 4
-        total = capacity_of_subspace(k, SubspaceSelector.full(7))
+        total = capacity_of_subspace(k, CapacityBasis(np.eye(7)))
         assert total == pytest.approx(4.0, abs=1e-10)
 
     def test_dimension_mismatch_rejected(self):
         k = CapacityBasis(np.eye(3))
-        s = SubspaceSelector.coordinate(4, 0)
+        s = CapacityBasis(np.eye(4)[:, [0]])
         with pytest.raises(ValueError, match="mismatch"):
             capacity_of_subspace(k, s)
 
@@ -139,7 +138,7 @@ class TestSpatialProfile:
         k = orthonormal_basis(rng.standard_normal((6, 3)))
         profile = spatial_profile(k)
         for i in range(6):
-            s = SubspaceSelector.coordinate(6, i)
+            s = CapacityBasis(np.eye(6)[:, [i]])
             assert profile.values[i] == pytest.approx(capacity_of_subspace(k, s))
 
 
@@ -154,7 +153,7 @@ class TestProperties:
             cuts = sorted(rng.choice(np.arange(1, n), size=min(2, n - 1), replace=False))
             parts = np.split(np.arange(n), cuts)
             total = sum(
-                capacity_of_subspace(k, SubspaceSelector(q[:, idx])) for idx in parts
+                capacity_of_subspace(k, CapacityBasis(q[:, idx])) for idx in parts
             )
             assert total == pytest.approx(k.rank, abs=1e-9)
 
@@ -164,8 +163,8 @@ class TestProperties:
             n = int(rng.integers(3, 9))
             k = orthonormal_basis(rng.standard_normal((n, int(rng.integers(1, n)))))
             q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-            small = capacity_of_subspace(k, SubspaceSelector(q[:, :1]))
-            large = capacity_of_subspace(k, SubspaceSelector(q[:, :3]))
+            small = capacity_of_subspace(k, CapacityBasis(q[:, :1]))
+            large = capacity_of_subspace(k, CapacityBasis(q[:, :3]))
             assert large >= small - 1e-12
 
     def test_gram_and_svd_projectors_agree(self):
@@ -189,7 +188,7 @@ class TestProperties:
             k = orthonormal_basis(rng.standard_normal((n, r)))
             rot, _ = np.linalg.qr(rng.standard_normal((r, r)))
             rotated = CapacityBasis(k.columns @ rot)
-            s = SubspaceSelector(np.linalg.qr(rng.standard_normal((n, n)))[0][:, :2])
+            s = CapacityBasis(np.linalg.qr(rng.standard_normal((n, n)))[0][:, :2])
             assert capacity_of_subspace(rotated, s) == pytest.approx(
                 capacity_of_subspace(k, s), abs=1e-10
             )
@@ -264,7 +263,7 @@ class TestTypeValidation:
 
     def test_selector_requires_orthonormal_columns(self):
         with pytest.raises(ValueError, match="orthonormal"):
-            SubspaceSelector(np.array([[2.0], [0.0]]))
+            CapacityBasis(np.array([[2.0], [0.0]]))
 
     def test_spatial_capacity_rejects_negative_mass(self):
         with pytest.raises(ValueError, match="negative"):

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from capnet.core import SpatialCapacity
 from capnet.deeplimit import (
+    _MAX_CLOSED_FORM_CELLS,
     _TRAJECTORY_BUDGET_BYTES,
     ConvergenceReport,
     DeepLimitConfig,
-    PdeField,
     ResidualGenerator,
     StabilityError,
     compare_markov_pde,
@@ -65,16 +65,23 @@ def _dense_generator(n, v, dcoef, boundary):
     return matrix
 
 
-def _dense_gaussian(initial, v, dcoef, t):
+def _dense_gaussian(values, h, v, dcoef, t):
     """The closed form with the full n x n kernel, as a reference for the convolution."""
     spread = 4.0 * dcoef * t
-    x = initial.grid
+    x = np.arange(values.size) * h
     gap = x[:, None] - x[None, :] - v * t
     kernel = np.exp(-(gap**2) / spread) / math.sqrt(math.pi * spread)
-    weights = np.full(x.size, initial.h)
+    weights = np.full(x.size, h)
     weights[0] *= 0.5
     weights[-1] *= 0.5
-    return kernel @ (weights * initial.values)
+    return kernel @ (weights * values)
+
+
+def _dirac_density(n, index, h=1.0):
+    """Unit mass on one grid point: density 1/h there."""
+    values = np.zeros(n)
+    values[index] = 1.0 / h
+    return values
 
 
 class TestResidualGenerator:
@@ -177,43 +184,6 @@ class TestDeepLimitConfig:
             DeepLimitConfig(eps=0.5, L=0)
         with pytest.raises(ValueError, match="eps must be positive, got nan"):
             DeepLimitConfig(eps=math.nan, L=4)
-
-
-class TestPdeField:
-    def test_dirac_mass(self):
-        field = PdeField.dirac(11, 5, h=0.5)
-        assert field.values[5] == pytest.approx(2.0)
-        assert field.mass == pytest.approx(1.0)
-        assert field.h == pytest.approx(0.5)
-
-    @pytest.mark.parametrize("index", [-1, 11])
-    def test_dirac_index_out_of_range(self, index):
-        with pytest.raises(ValueError, match=r"out of range \[0, 11\)"):
-            PdeField.dirac(11, index)
-
-    def test_grid_value_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="match"):
-            PdeField(grid=np.arange(4.0), values=np.zeros(3))
-
-    def test_uneven_grid_rejected(self):
-        with pytest.raises(ValueError, match="equally spaced"):
-            PdeField(grid=np.array([0.0, 1.0, 3.0]), values=np.zeros(3))
-
-    def test_decreasing_grid_rejected(self):
-        with pytest.raises(ValueError, match="increasing"):
-            PdeField(grid=np.array([2.0, 1.0, 0.0]), values=np.zeros(3))
-
-    def test_negative_values_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
-            PdeField(grid=np.arange(3.0), values=np.array([0.0, -1e-6, 0.0]))
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError, match="t"):
-            PdeField(grid=np.arange(3.0), values=np.zeros(3), t=-1.0)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            PdeField(grid=np.arange(3.0), values=np.array([0.0, np.nan, 0.0]))
 
 
 class TestEvolveMarkov:
@@ -341,37 +311,34 @@ class TestEvolveMarkov:
 
 class TestGaussianSolution:
     def test_zero_time_returns_initial(self):
-        initial = PdeField.dirac(11, 5, t=0.25)
-        out = gaussian_solution(initial, 0.3, 1.0, 0.0)
-        assert np.array_equal(out.values, initial.values)
-        assert out.t == 0.25
+        initial = _dirac_density(11, 5)
+        out = gaussian_solution(initial, 1.0, 0.3, 1.0, 0.0)
+        assert np.array_equal(out, initial)
+        assert out is not initial
 
     def test_dirac_becomes_exact_kernel(self):
-        initial = PdeField.dirac(201, 100)
-        out = gaussian_solution(initial, 0.0, 1.0, 10.0)
-        x = initial.grid
+        out = gaussian_solution(_dirac_density(201, 100), 1.0, 0.0, 1.0, 10.0)
+        x = np.arange(201.0)
         exact = np.exp(-((x - 100.0) ** 2) / 40.0) / math.sqrt(40.0 * math.pi)
-        assert np.max(np.abs(out.values - exact)) <= 1e-14
+        assert np.max(np.abs(out - exact)) <= 1e-14
 
     def test_peak_height(self):
-        out = gaussian_solution(PdeField.dirac(201, 100), 0.0, 1.0, 10.0)
-        assert out.values.max() == pytest.approx(1.0 / math.sqrt(40.0 * math.pi))
+        out = gaussian_solution(_dirac_density(201, 100), 1.0, 0.0, 1.0, 10.0)
+        assert out.max() == pytest.approx(1.0 / math.sqrt(40.0 * math.pi))
 
     def test_mass_conserved_on_wide_grid(self):
-        initial = PdeField.dirac(401, 200)
-        out = gaussian_solution(initial, 0.5, 1.0, 8.0)
-        assert out.mass == pytest.approx(1.0, abs=1e-12)
+        out = gaussian_solution(_dirac_density(401, 200), 1.0, 0.5, 1.0, 8.0)
+        assert out.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_drift_shifts_the_peak(self):
-        out = gaussian_solution(PdeField.dirac(201, 100), 2.0, 1.0, 4.0)
-        assert int(np.argmax(out.values)) == 108
+        out = gaussian_solution(_dirac_density(201, 100), 1.0, 2.0, 1.0, 4.0)
+        assert int(np.argmax(out)) == 108
 
     def test_semigroup_composition(self):
-        initial = PdeField.dirac(401, 200)
-        one = gaussian_solution(initial, 0.0, 1.0, 8.0)
-        two = gaussian_solution(gaussian_solution(initial, 0.0, 1.0, 3.0), 0.0, 1.0, 5.0)
-        assert np.max(np.abs(one.values - two.values)) <= 1e-6
-        assert two.t == pytest.approx(8.0)
+        initial = _dirac_density(401, 200)
+        one = gaussian_solution(initial, 1.0, 0.0, 1.0, 8.0)
+        two = gaussian_solution(gaussian_solution(initial, 1.0, 0.0, 1.0, 3.0), 1.0, 0.0, 1.0, 5.0)
+        assert np.max(np.abs(one - two)) <= 1e-6
 
     @pytest.mark.parametrize(
         "n, h, v, dcoef, t",
@@ -379,19 +346,39 @@ class TestGaussianSolution:
     )
     def test_matches_dense_kernel(self, n, h, v, dcoef, t):
         values = np.random.default_rng(n).random(n)
-        initial = PdeField(grid=np.arange(n) * h, values=values, t=0.5)
-        out = gaussian_solution(initial, v, dcoef, t)
-        expected = _dense_gaussian(initial, v, dcoef, t)
-        np.testing.assert_allclose(out.values, expected, rtol=1e-12, atol=1e-15)
-        assert out.t == 0.5 + t
+        out = gaussian_solution(values, h, v, dcoef, t)
+        expected = _dense_gaussian(values, h, v, dcoef, t)
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "values", [np.zeros(1), np.zeros((3, 3))], ids=["one_point", "matrix"]
+    )
+    def test_values_must_be_a_vector(self, values):
+        with pytest.raises(ValueError, match="vector of at least 2 points"):
+            gaussian_solution(values, 1.0, 0.0, 1.0, 1.0)
+
+    def test_negative_values_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            gaussian_solution(np.array([0.0, -1e-6, 0.0]), 1.0, 0.0, 1.0, 1.0)
+
+    def test_non_finite_values_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            gaussian_solution(np.array([0.0, np.nan, 0.0]), 1.0, 0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("h", [0.0, -1.0, math.inf, math.nan])
+    def test_spacing_must_be_positive_and_finite(self, h):
+        with pytest.raises(ValueError, match="h must be positive and finite"):
+            gaussian_solution(np.zeros(3), h, 0.0, 1.0, 1.0)
 
     def test_negative_time_rejected(self):
-        with pytest.raises(ValueError, match="t"):
-            gaussian_solution(PdeField.dirac(11, 5), 0.0, 1.0, -1.0)
+        for t in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="t must be non-negative"):
+                gaussian_solution(_dirac_density(11, 5), 1.0, 0.0, 1.0, t)
 
     def test_nonpositive_diffusion_rejected(self):
-        with pytest.raises(ValueError, match="Dcoef"):
-            gaussian_solution(PdeField.dirac(11, 5), 0.0, 0.0, 1.0)
+        for dcoef in (0.0, math.nan):
+            with pytest.raises(ValueError, match="Dcoef must be positive"):
+                gaussian_solution(_dirac_density(11, 5), 1.0, 0.0, dcoef, 1.0)
 
 
 class TestCompareMarkovPde:
@@ -524,6 +511,18 @@ class TestCompareMarkovPde:
         with mock.patch("capnet.deeplimit.evolve_markov", walk):
             with pytest.raises(ValueError, match="128000 steps of 256001 cells"):
                 compare_markov_pde(gen, cfg, SpatialCapacity.dirac(2001, 1000), refinements=7)
+        walk.assert_not_called()
+
+    def test_finer_level_past_closed_form_limit_refused_before_any_walk(self):
+        # level 1 has 2 * 300,000 + 1 cells; level 0 is within every limit
+        n = 300_001
+        assert n <= _MAX_CLOSED_FORM_CELLS < 2 * n - 1
+        gen = ResidualGenerator(n, 0.0, 1.0)
+        cfg = DeepLimitConfig(eps=0.1, L=1)
+        walk = mock.Mock(side_effect=AssertionError("walked before the limit check"))
+        with mock.patch("capnet.deeplimit.evolve_markov", walk):
+            with pytest.raises(ValueError, match="600,001 cells is past the limit of 500,000"):
+                compare_markov_pde(gen, cfg, SpatialCapacity.dirac(n, n // 2), refinements=1)
         walk.assert_not_called()
 
     def test_negative_refinements_rejected(self):

@@ -12,7 +12,6 @@ from capnet.augment import Activation, augmented_spatial_profile, build_augmente
 from capnet.core import (
     CapacityBasis,
     ProjectionMatrix,
-    SubspaceSelector,
     capacity_of_subspace,
     orthonormal_basis,
 )
@@ -20,7 +19,6 @@ from capnet.oracle import (
     _MEMORY_BUDGET_BYTES,
     EmpiricalReport,
     ExperimentConfig,
-    PseudoRandomSign,
     SpatialCapacity,
     empirical_sigma_tilde,
     empirical_spatial_capacity,
@@ -51,53 +49,55 @@ def _features(config, sampler=None):
 
 class TestPseudoRandomEta:
     def test_deterministic(self):
-        prs = PseudoRandomSign(seed=42)
         z = np.random.default_rng(0).standard_normal(1000)
-        np.testing.assert_array_equal(pseudo_random_eta(z, prs), pseudo_random_eta(z, prs))
+        np.testing.assert_array_equal(pseudo_random_eta(z, 42), pseudo_random_eta(z, 42))
 
     def test_scalar_round_trip(self):
-        prs = PseudoRandomSign(seed=42, sigma=1.5)
-        out = pseudo_random_eta(0.3, prs)
+        out = pseudo_random_eta(0.3, 42, sigma=1.5)
         assert isinstance(out, float)
         assert out in (-1.5, 1.5)
-        assert out == pseudo_random_eta(0.3, prs)
+        assert out == pseudo_random_eta(0.3, 42, sigma=1.5)
 
     def test_values_are_plus_minus_sigma(self):
-        prs = PseudoRandomSign(seed=9, sigma=2.0)
-        out = pseudo_random_eta(np.linspace(-3, 3, 500), prs)
+        out = pseudo_random_eta(np.linspace(-3, 3, 500), 9, sigma=2.0)
         assert set(np.unique(out)) == {-2.0, 2.0}
 
     def test_negative_zero_canonicalized(self):
-        prs = PseudoRandomSign(seed=3)
-        assert pseudo_random_eta(-0.0, prs) == pseudo_random_eta(0.0, prs)
+        assert pseudo_random_eta(-0.0, 3) == pseudo_random_eta(0.0, 3)
 
     def test_mean_vanishes(self):
-        prs = PseudoRandomSign(seed=17)
         z = np.random.default_rng(1).standard_normal(100_000)
-        mean = pseudo_random_eta(z, prs).mean()
+        mean = pseudo_random_eta(z, 17).mean()
         assert abs(mean) <= 3.0 / np.sqrt(z.size)
 
     def test_decorrelation_at_tiny_separation(self):
-        prs = PseudoRandomSign(seed=23)
         z = np.random.default_rng(2).standard_normal(10_000)
-        eta_a = pseudo_random_eta(z, prs)
-        eta_b = pseudo_random_eta(z + 1e-12, prs)
+        eta_a = pseudo_random_eta(z, 23)
+        eta_b = pseudo_random_eta(z + 1e-12, 23)
         corr = np.corrcoef(eta_a, eta_b)[0, 1]
         assert abs(corr) <= 3.0 / np.sqrt(z.size)
 
     def test_different_seeds_differ(self):
         z = np.linspace(-2, 2, 1000)
-        a = pseudo_random_eta(z, PseudoRandomSign(seed=1))
-        b = pseudo_random_eta(z, PseudoRandomSign(seed=2))
+        a = pseudo_random_eta(z, 1)
+        b = pseudo_random_eta(z, 2)
         assert np.any(a != b)
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="finite"):
-            pseudo_random_eta(np.array([0.1, np.nan]), PseudoRandomSign(seed=0))
+            pseudo_random_eta(np.array([0.1, np.nan]), 0)
 
     def test_rejects_nonpositive_sigma(self):
-        with pytest.raises(ValueError, match="sigma"):
-            PseudoRandomSign(seed=0, sigma=0.0)
+        for sigma in (0.0, -1.0):
+            with pytest.raises(ValueError, match="sigma must be positive"):
+                pseudo_random_eta(0.3, 0, sigma=sigma)
+
+    def test_seed_taken_modulo_2_64(self):
+        z = np.linspace(-3, 3, 59)
+        top = pseudo_random_eta(z, 2**64 - 1)
+        np.testing.assert_array_equal(pseudo_random_eta(z, -1), top)
+        np.testing.assert_array_equal(pseudo_random_eta(z, 2**65 - 1), top)
+        np.testing.assert_array_equal(pseudo_random_eta(z, 2**64), pseudo_random_eta(z, 0))
 
     # Signs of the hash as first released: +0.0, -0.0, the smallest subnormal,
     # 1e300, -1e300 and then np.linspace(-3, 3, 59).  Any change to the
@@ -111,14 +111,13 @@ class TestPseudoRandomEta:
     @pytest.mark.parametrize("seed", sorted(_GOLDEN_SIGNS))
     @pytest.mark.parametrize("sigma", [1.0, 0.37])
     def test_golden_bits(self, seed, sigma):
-        prs = PseudoRandomSign(seed=seed, sigma=sigma)
         expected = np.array([sigma if c == "+" else -sigma for c in self._GOLDEN_SIGNS[seed]])
-        np.testing.assert_array_equal(pseudo_random_eta(self._GOLDEN_Z, prs), expected)
-        grid = pseudo_random_eta(self._GOLDEN_Z[5:17].reshape(3, 4), prs)
+        np.testing.assert_array_equal(pseudo_random_eta(self._GOLDEN_Z, seed, sigma), expected)
+        grid = pseudo_random_eta(self._GOLDEN_Z[5:17].reshape(3, 4), seed, sigma)
         np.testing.assert_array_equal(grid, expected[5:17].reshape(3, 4))
         for z, want in zip(self._GOLDEN_Z, expected):
-            scalar = pseudo_random_eta(float(z), prs)
-            zero_d = pseudo_random_eta(np.array(z), prs)
+            scalar = pseudo_random_eta(float(z), seed, sigma)
+            zero_d = pseudo_random_eta(np.array(z), seed, sigma)
             assert isinstance(scalar, float) and isinstance(zero_d, float)
             assert scalar == zero_d == want
 
@@ -464,8 +463,8 @@ class TestEmpiricalSpatialCapacity:
         k_phi = np.eye(m)[:, selector]
         k_tilde = orthonormal_basis(sigma_tilde.entries @ p_tilde @ k_phi)
         k_input = orthonormal_basis(sigma_hat @ p.matrix[:, selector])
-        s = SubspaceSelector(np.linalg.qr(rng.standard_normal((n, n)))[0][:, :2])
-        s_tilde = SubspaceSelector(np.tile(s.basis / np.sqrt(m), (m, 1)))
+        s = CapacityBasis(np.linalg.qr(rng.standard_normal((n, n)))[0][:, :2])
+        s_tilde = CapacityBasis(np.tile(s.columns / np.sqrt(m), (m, 1)))
         assert capacity_of_subspace(k_tilde, s_tilde) == pytest.approx(
             capacity_of_subspace(k_input, s), abs=1e-6
         )
