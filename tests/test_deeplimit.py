@@ -309,6 +309,16 @@ class TestEvolveMarkov:
             evolve_markov(gen, DeepLimitConfig(eps=0.1, L=5), SpatialCapacity.dirac(9, 4))
 
 
+class TestPdeField:
+    """The PDE field as gaussian_solution takes it: samples on i*h at time t."""
+
+    def test_negative_time_rejected(self):
+        # an all-zero field is refused at negative time before any convolution
+        for t in (-1.0, -math.inf):
+            with pytest.raises(ValueError, match="t must be non-negative"):
+                gaussian_solution(np.zeros(3), 1.0, 0.0, 1.0, t)
+
+
 class TestGaussianSolution:
     def test_zero_time_returns_initial(self):
         initial = _dirac_density(11, 5)
