@@ -19,8 +19,10 @@ from .deeplimit import (
     _BOUNDARY_MASS_TOL,
     DeepLimitConfig,
     ResidualGenerator,
+    _block_rows,
+    _check_trajectory,
     _pmf_std,
-    evolve_markov,
+    _walk,
 )
 from .propagate import LayerChain, propagate_chain
 
@@ -115,9 +117,12 @@ def erf_profile(
     Accepts either a layer chain or a residual generator with its depth
     configuration.  The run is flagged when probe mass touches the first or
     last grid cell at any layer, since widths measured across the edge are
-    unreliable.  A generator's (L+1) x n trajectory is validated, flagged and
-    measured with whole-array reductions; a chain's interfaces may differ in
-    width, so each is measured on its own.
+    unreliable.  A generator's walk is validated, flagged and measured in
+    blocks of about 1 MiB of rows as it is stepped, so no more than one block
+    of profiles is held at a time; the walk is still refused up front past
+    the 2 GiB trajectory limit of :func:`evolve_markov`, since the report
+    grows with L.  A chain's interfaces may differ in width, so each is
+    measured on its own.
     """
     if isinstance(source, LayerChain):
         if cfg is not None:
@@ -134,17 +139,17 @@ def erf_profile(
     probe = SpatialCapacity.dirac(n, x0)
     if isinstance(source, LayerChain):
         interfaces = propagate_chain(source, probe)
-        blocks = [profile.values[None] for profile in reversed(interfaces)]  # probe layer first
+        blocks = (profile.values[None] for profile in reversed(interfaces))  # probe layer first
     else:
-        rows = evolve_markov(source, cfg, probe)
-        _check_capacity_values(rows)
-        blocks = [rows]
+        _check_trajectory(source, cfg, probe, keep_all=True)
+        blocks = _walk(source, cfg, probe, _block_rows(n))
 
-    flagged = any(
-        np.any(rows[:, 0] + rows[:, -1] > _BOUNDARY_MASS_TOL * rows.sum(axis=1))
-        for rows in blocks
-    )
-    widths = np.concatenate([_pmf_std(rows) for rows in blocks]).tolist()
+    flagged = False
+    widths: List[float] = []
+    for rows in blocks:
+        _check_capacity_values(rows)
+        flagged |= bool(np.any(rows[:, 0] + rows[:, -1] > _BOUNDARY_MASS_TOL * rows.sum(axis=1)))
+        widths.extend(_pmf_std(rows).tolist())
     stds = tuple(zip(range(depth, -1, -1), widths))
 
     points = [

@@ -62,8 +62,8 @@ class Activation:
         valid = _CLOSED_FORM_KINDS + ("custom",)
         if self.kind not in valid:
             raise ValueError(f"unknown activation kind {self.kind!r}")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
         if self.kind in _PIECEWISE_KINDS:
             alpha, beta = _normalized_slopes(self.kind, self.leak)
             object.__setattr__(self, "alpha", alpha)

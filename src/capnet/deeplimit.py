@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -42,8 +42,14 @@ _MAX_WALK_CELL_STEPS = 3 * 10**10
 _MAX_CLOSED_FORM_CELLS = 5 * 10**5
 
 
-# Rows per block of _pmf_std: its temporaries stay near this many bytes.
+# Bytes per block of rows: erf_profile reduces its walk in blocks of this
+# size, and the temporaries of _pmf_std stay near it.
 _STD_BLOCK_BYTES = 2**20
+
+
+def _block_rows(n: int) -> int:
+    """Rows of n cells in one block of about _STD_BLOCK_BYTES, at least 2."""
+    return max(2, _STD_BLOCK_BYTES // (8 * n))
 
 
 def _pmf_std(rows: np.ndarray) -> np.ndarray:
@@ -56,7 +62,7 @@ def _pmf_std(rows: np.ndarray) -> np.ndarray:
     n = rows.shape[1]
     idx = np.arange(n)
     stds = np.empty(rows.shape[0])
-    block = max(1, _STD_BLOCK_BYTES // (8 * n))
+    block = _block_rows(n)
     for start in range(0, rows.shape[0], block):
         values = rows[start : start + block]
         total = values.sum(axis=1)
@@ -180,6 +186,59 @@ def _check_walk(gen: ResidualGenerator, cfg: DeepLimitConfig) -> None:
         )
 
 
+def _check_trajectory(
+    gen: ResidualGenerator, cfg: DeepLimitConfig, kappa_top: SpatialCapacity, keep_all: bool
+) -> None:
+    """Refuse a walk before its first step.
+
+    ``keep_all`` applies the 2 GiB trajectory limit: a caller that keeps, or
+    reports on, every one of the L+1 profiles sets it.
+    """
+    if kappa_top.n != gen.n:
+        raise ValueError(f"capacity has {kappa_top.n} entries, generator expects {gen.n}")
+    gen._check_eps(cfg.eps)
+    size = (cfg.L + 1) * gen.n * 8
+    if keep_all and size > _TRAJECTORY_BUDGET_BYTES:
+        raise ValueError(
+            f"{cfg.L + 1} profiles of {gen.n} cells need {size / 2**30:.1f} GiB, "
+            f"over the {_TRAJECTORY_BUDGET_BYTES / 2**30:g} GiB trajectory limit"
+        )
+    _check_walk(gen, cfg)
+
+
+def _walk(
+    gen: ResidualGenerator, cfg: DeepLimitConfig, kappa_top: SpatialCapacity, block_rows: int
+) -> Iterator[np.ndarray]:
+    """Yield the L+1 profiles of the walk as consecutive blocks of rows.
+
+    The blocks are views of one reused buffer of ``block_rows`` rows (at
+    least 2; fewer if the walk is shorter), so each must be read before the
+    next is asked for, and the last block may be shorter.  Trajectory row k
+    sits in buffer row k modulo the buffer's rows.  Each step applies the
+    three stencil weights to shifted slices, O(n) per step, and conserves
+    the total capacity.
+    """
+    rows = np.empty((min(block_rows, cfg.L + 1), gen.n))
+    rows[0] = kappa_top.values
+    # the entries of I + eps*Delta: same products as the dense step, summed per cell
+    keep = 1.0 + cfg.eps * gen.diag
+    up = cfg.eps * gen.up
+    down = cfg.eps * gen.down
+    count = len(rows)
+    for k in range(1, cfg.L + 1):
+        j = k % count
+        if j == 0:
+            yield rows
+        x, y = rows[j - 1], rows[j]
+        np.multiply(keep, x, out=y)
+        y[1:] += up * x[:-1]
+        y[:-1] += down * x[1:]
+        if gen.boundary == "periodic":
+            y[0] += up * x[-1]
+            y[-1] += down * x[0]
+    yield rows[: cfg.L % count + 1]
+
+
 def evolve_markov(
     gen: ResidualGenerator,
     cfg: DeepLimitConfig,
@@ -193,39 +252,14 @@ def evolve_markov(
     (t = 1).  The trajectory is refused past a 2 GiB budget before
     allocating, and the walk past 10**7 steps or 3*10**10 cell-steps before
     its first step.  With ``keep_all=False`` only row L is returned: two O(n)
-    buffers take turns as the source and target of a step.  Each step
-    applies the three stencil weights to shifted slices, O(n) per step, and
-    conserves the total capacity.
+    buffers take turns as the source and target of a step.  Both run the
+    block walk that ``erf_profile`` reduces 1 MiB at a time: the trajectory
+    as one block of L+1 rows, the last profile through blocks of two.
     """
-    if kappa_top.n != gen.n:
-        raise ValueError(f"capacity has {kappa_top.n} entries, generator expects {gen.n}")
-    gen._check_eps(cfg.eps)
-    size = (cfg.L + 1) * gen.n * 8
-    if keep_all and size > _TRAJECTORY_BUDGET_BYTES:
-        raise ValueError(
-            f"{cfg.L + 1} profiles of {gen.n} cells need {size / 2**30:.1f} GiB, "
-            f"over the {_TRAJECTORY_BUDGET_BYTES / 2**30:g} GiB trajectory limit"
-        )
-    _check_walk(gen, cfg)
-    if keep_all:
-        rows = np.empty((cfg.L + 1, gen.n))
-        steps = zip(rows, rows[1:])
-    else:
-        rows = np.empty((2, gen.n))
-        steps = ((rows[k % 2], rows[1 - k % 2]) for k in range(cfg.L))
-    rows[0] = kappa_top.values
-    # the entries of I + eps*Delta: same products as the dense step, summed per cell
-    keep = 1.0 + cfg.eps * gen.diag
-    up = cfg.eps * gen.up
-    down = cfg.eps * gen.down
-    for x, y in steps:
-        np.multiply(keep, x, out=y)
-        y[1:] += up * x[:-1]
-        y[:-1] += down * x[1:]
-        if gen.boundary == "periodic":
-            y[0] += up * x[-1]
-            y[-1] += down * x[0]
-    return rows if keep_all else rows[cfg.L % 2]
+    _check_trajectory(gen, cfg, kappa_top, keep_all)
+    for rows in _walk(gen, cfg, kappa_top, cfg.L + 1 if keep_all else 2):
+        pass
+    return rows if keep_all else rows[-1]
 
 
 def gaussian_solution(values, h: float, v: float, Dcoef: float, t: float) -> np.ndarray:

@@ -69,8 +69,8 @@ def pseudo_random_eta(z, seed: int, sigma: float = 1.0):
     picks the sign.  The same (z, seed) always yields the same value, while
     arbitrarily close inputs give effectively independent signs.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
     h = np.array(z, dtype=float)
     if not np.all(np.isfinite(h)):
         raise ValueError("pseudo_random_eta requires finite z")

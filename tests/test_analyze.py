@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import operator
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -115,9 +116,21 @@ class TestErfProfile:
         gen = ResidualGenerator(11, 0.0, 1.0)
         rows = np.full((4, 11), 1.0 / 11)
         rows[2, 7] = bad
-        with mock.patch("capnet.analyze.evolve_markov", return_value=rows):
+        # the bad entry sits in the second block of the walk
+        with mock.patch("capnet.analyze._walk", return_value=iter([rows[:2], rows[2:]])):
             with pytest.raises(ValueError, match=message):
                 erf_profile(gen, 5, DeepLimitConfig(eps=0.1, L=3))
+
+    def test_walk_reduced_one_block_at_a_time(self):
+        # the 20,001 x 401 trajectory would be 64 MB; the report itself is a few MB
+        gen = ResidualGenerator(401, 0.0, 0.25)
+        tracemalloc.start()
+        try:
+            erf_profile(gen, 205, DeepLimitConfig(eps=0.1, L=20000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_fit_points_count_widths_of_two_cells_or_more(self):
         # width sqrt(0.18 k) after k steps reaches 2 cells at k = 23: steps 23..100 qualify

@@ -92,6 +92,11 @@ class TestPseudoRandomEta:
             with pytest.raises(ValueError, match="sigma must be positive"):
                 pseudo_random_eta(0.3, 0, sigma=sigma)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            pseudo_random_eta(0.3, 0, sigma=sigma)
+
     def test_seed_taken_modulo_2_64(self):
         z = np.linspace(-3, 3, 59)
         top = pseudo_random_eta(z, 2**64 - 1)
