@@ -19,8 +19,6 @@ from .deeplimit import (
     _BOUNDARY_MASS_TOL,
     DeepLimitConfig,
     ResidualGenerator,
-    _block_rows,
-    _check_trajectory,
     _pmf_std,
     _walk,
 )
@@ -141,8 +139,7 @@ def erf_profile(
         interfaces = propagate_chain(source, probe)
         blocks = (profile.values[None] for profile in reversed(interfaces))  # probe layer first
     else:
-        _check_trajectory(source, cfg, probe, keep_all=True)
-        blocks = _walk(source, cfg, probe, _block_rows(n))
+        blocks = _walk(source, cfg, probe, keep_all=True)
 
     flagged = False
     widths: List[float] = []

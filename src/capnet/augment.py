@@ -37,6 +37,15 @@ __all__ = [
 
 _PIECEWISE_KINDS = ("linear", "relu", "leaky_relu", "abs")
 _CLOSED_FORM_KINDS = _PIECEWISE_KINDS + ("pseudo_random",)
+# Largest pseudo_random sigma: a Monte Carlo estimate sums squared products
+# of scale sigma**4, which stays finite over 10**8 samples below this.
+_MAX_SIGMA = 1e75
+
+
+def _check_sigma(sigma: float) -> None:
+    """Refuse a pseudo_random sigma that is not in (0, _MAX_SIGMA); NaN included."""
+    if not 0 < sigma < _MAX_SIGMA:
+        raise ValueError(f"sigma must be positive and below {_MAX_SIGMA:g}, got {sigma!r}")
 
 
 @dataclass(frozen=True)
@@ -62,8 +71,7 @@ class Activation:
         valid = _CLOSED_FORM_KINDS + ("custom",)
         if self.kind not in valid:
             raise ValueError(f"unknown activation kind {self.kind!r}")
-        if not 0 < self.sigma < math.inf:
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
+        _check_sigma(self.sigma)
         if self.kind in _PIECEWISE_KINDS:
             alpha, beta = _normalized_slopes(self.kind, self.leak)
             object.__setattr__(self, "alpha", alpha)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -186,13 +186,24 @@ def _check_walk(gen: ResidualGenerator, cfg: DeepLimitConfig) -> None:
         )
 
 
-def _check_trajectory(
-    gen: ResidualGenerator, cfg: DeepLimitConfig, kappa_top: SpatialCapacity, keep_all: bool
-) -> None:
-    """Refuse a walk before its first step.
+def _walk(
+    gen: ResidualGenerator,
+    cfg: DeepLimitConfig,
+    kappa_top: SpatialCapacity,
+    keep_all: bool,
+    block_rows: Optional[int] = None,
+) -> Iterator[np.ndarray]:
+    """Yield the L+1 profiles of the walk as consecutive blocks of rows.
 
-    ``keep_all`` applies the 2 GiB trajectory limit: a caller that keeps, or
-    reports on, every one of the L+1 profiles sets it.
+    The walk is refused at the first ``next()``, before its first step:
+    ``keep_all`` applies the 2 GiB trajectory limit, for a caller that keeps,
+    or reports on, every one of the L+1 profiles.  The blocks are views of
+    one reused buffer of ``block_rows`` rows (at least 2, by default about
+    1 MiB; fewer if the walk is shorter), so each must be read before the
+    next is asked for, and the last block may be shorter.  Trajectory row k
+    sits in buffer row k modulo the buffer's rows.  Each step applies the
+    three stencil weights to shifted slices, O(n) per step, and conserves
+    the total capacity.
     """
     if kappa_top.n != gen.n:
         raise ValueError(f"capacity has {kappa_top.n} entries, generator expects {gen.n}")
@@ -204,20 +215,8 @@ def _check_trajectory(
             f"over the {_TRAJECTORY_BUDGET_BYTES / 2**30:g} GiB trajectory limit"
         )
     _check_walk(gen, cfg)
-
-
-def _walk(
-    gen: ResidualGenerator, cfg: DeepLimitConfig, kappa_top: SpatialCapacity, block_rows: int
-) -> Iterator[np.ndarray]:
-    """Yield the L+1 profiles of the walk as consecutive blocks of rows.
-
-    The blocks are views of one reused buffer of ``block_rows`` rows (at
-    least 2; fewer if the walk is shorter), so each must be read before the
-    next is asked for, and the last block may be shorter.  Trajectory row k
-    sits in buffer row k modulo the buffer's rows.  Each step applies the
-    three stencil weights to shifted slices, O(n) per step, and conserves
-    the total capacity.
-    """
+    if block_rows is None:
+        block_rows = _block_rows(gen.n)
     rows = np.empty((min(block_rows, cfg.L + 1), gen.n))
     rows[0] = kappa_top.values
     # the entries of I + eps*Delta: same products as the dense step, summed per cell
@@ -256,8 +255,7 @@ def evolve_markov(
     block walk that ``erf_profile`` reduces 1 MiB at a time: the trajectory
     as one block of L+1 rows, the last profile through blocks of two.
     """
-    _check_trajectory(gen, cfg, kappa_top, keep_all)
-    for rows in _walk(gen, cfg, kappa_top, cfg.L + 1 if keep_all else 2):
+    for rows in _walk(gen, cfg, kappa_top, keep_all, cfg.L + 1 if keep_all else 2):
         pass
     return rows if keep_all else rows[-1]
 

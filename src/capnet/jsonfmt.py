@@ -38,15 +38,7 @@ def _emit(obj: Any, indent: int, pieces: list) -> None:
         pieces.append("[\n")
         for i, item in enumerate(obj):
             pieces.append(pad + "  ")
-            # plain floats and ints, the bulk of long lists, are written inline;
-            # bool, numpy scalars and containers take the general branch
-            kind = type(item)
-            if kind is float:
-                pieces.append(format(item, ".17g") if math.isfinite(item) else "null")
-            elif kind is int:
-                pieces.append(repr(item))
-            else:
-                _emit(item, indent + 1, pieces)
+            _emit(item, indent + 1, pieces)
             pieces.append(",\n" if i + 1 < len(obj) else "\n")
         pieces.append(pad + "]")
     elif isinstance(obj, dict):

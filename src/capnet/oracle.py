@@ -15,7 +15,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .augment import Activation, _derive_streams, augmented_spatial_profile
+from .augment import Activation, _check_sigma, _derive_streams, augmented_spatial_profile
 from .core import (
     CapacityBasis,
     CovarianceMatrix,
@@ -69,8 +69,7 @@ def pseudo_random_eta(z, seed: int, sigma: float = 1.0):
     picks the sign.  The same (z, seed) always yields the same value, while
     arbitrarily close inputs give effectively independent signs.
     """
-    if not 0 < sigma < math.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
+    _check_sigma(sigma)
     h = np.array(z, dtype=float)
     if not np.all(np.isfinite(h)):
         raise ValueError("pseudo_random_eta requires finite z")

@@ -73,10 +73,10 @@ class TestNu:
     def test_unparsable_activation_exits_2(self, capsys):
         assert main(["nu", "bogus"]) == 2
 
-    @pytest.mark.parametrize("sigma", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-inf", "1e200"])
     @pytest.mark.parametrize("command", [["nu"], ["nu", "--mc", "2000"], ["verify", "--activation"]])
-    def test_non_finite_sigma_exits_2(self, capsys, command, sigma):
-        # a NaN or infinite sigma used to give "nu_hat": null, or a message about a matrix
+    def test_bad_sigma_exits_2(self, capsys, command, sigma):
+        # such a sigma used to give "nu_hat": null, a traceback or a message about a matrix
         assert main(command + [f"pseudo_random:{sigma}"]) == 2
         assert f"bad pseudo_random sigma '{sigma}'" in capsys.readouterr().err
 

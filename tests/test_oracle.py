@@ -88,14 +88,10 @@ class TestPseudoRandomEta:
             pseudo_random_eta(np.array([0.1, np.nan]), 0)
 
     def test_rejects_nonpositive_sigma(self):
-        for sigma in (0.0, -1.0):
+        # NaN, the infinities and a sigma whose sigma**4 overflows are refused too
+        for sigma in (0.0, -1.0, math.nan, math.inf, -math.inf, 1e200):
             with pytest.raises(ValueError, match="sigma must be positive"):
                 pseudo_random_eta(0.3, 0, sigma=sigma)
-
-    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
-    def test_rejects_non_finite_sigma(self, sigma):
-        with pytest.raises(ValueError, match="sigma must be positive and finite"):
-            pseudo_random_eta(0.3, 0, sigma=sigma)
 
     def test_seed_taken_modulo_2_64(self):
         z = np.linspace(-3, 3, 59)
