@@ -182,7 +182,7 @@ def max_path_weight(chain: LayerChain) -> Tuple[float, float]:
     """
     diagonals = []
     for i, layer in enumerate(chain.layers):
-        matrix = layer.operator.matrix
+        matrix = layer.matrix
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"layer {i} is not square: shape {matrix.shape}")
         diagonals.append(np.diag(matrix))
@@ -214,7 +214,7 @@ def enumerate_path_weights(chain: LayerChain, i_l: int, i_L: int) -> Tuple[float
     entry of the product matrix.  Guarded to at most 10^6 paths; bigger
     chains must use the matrix product instead.
     """
-    operators = [layer.operator.matrix for layer in chain.layers]
+    operators = [layer.matrix for layer in chain.layers]
     if not 0 <= i_l < chain.n_in:
         raise ValueError(f"i_l must be in [0, {chain.n_in})")
     if not 0 <= i_L < chain.n_out:

@@ -5,7 +5,8 @@ linearly on the augmented inputs ``(eta_j * y_i)``, indexed by (block j,
 input i).  This module builds the block projection ``P~``, the augmented
 covariance ``Sigma~`` with its decoupling coefficient ``nu``, and the
 augmented capacity bases for the linear, ReLU-family, and pseudo-random
-regimes.
+regimes.  The pseudo-random activation is literal: a hash of each input
+value's bits picks its sign.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "estimate_nu_monte_carlo",
     "augmented_capacity_basis",
     "augmented_spatial_profile",
+    "pseudo_random_eta",
 ]
 
 _PIECEWISE_KINDS = ("linear", "relu", "leaky_relu", "abs")
@@ -40,12 +42,51 @@ _CLOSED_FORM_KINDS = _PIECEWISE_KINDS + ("pseudo_random",)
 # Largest pseudo_random sigma: a Monte Carlo estimate sums squared products
 # of scale sigma**4, which stays finite over 10**8 samples below this.
 _MAX_SIGMA = 1e75
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+# Most samples estimate_nu_monte_carlo draws: it holds every draw at once, some
+# 32-38 bytes a sample, so this is about 2 GiB.
+_MAX_NU_SAMPLES = 5 * 10**7
 
 
 def _check_sigma(sigma: float) -> None:
     """Refuse a pseudo_random sigma that is not in (0, _MAX_SIGMA); NaN included."""
     if not 0 < sigma < _MAX_SIGMA:
         raise ValueError(f"sigma must be positive and below {_MAX_SIGMA:g}, got {sigma!r}")
+
+
+def _splitmix64(h: np.ndarray) -> np.ndarray:
+    """splitmix64's increment and finalizer, applied to the uint64 array h in place."""
+    shifted = np.empty_like(h)
+    h += np.uint64(0x9E3779B97F4A7C15)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        h ^= np.right_shift(h, np.uint64(shift), out=shifted)
+        h *= np.uint64(mult)
+    h ^= np.right_shift(h, np.uint64(31), out=shifted)
+    return h
+
+
+def pseudo_random_eta(z, seed: int, sigma: float = 1.0):
+    """Hash-based sign activation multiplier ``eta(z)`` in {-sigma, +sigma}.
+
+    The IEEE-754 bit pattern of z (with -0 canonicalized to +0) is mixed with
+    the seed, taken modulo 2**64, through a 64-bit finalizer; one output bit
+    picks the sign.  The same (z, seed) always yields the same value, while
+    arbitrarily close inputs give effectively independent signs.
+    """
+    _check_sigma(sigma)
+    h = np.array(z, dtype=float)
+    if not np.all(np.isfinite(h)):
+        raise ValueError("pseudo_random_eta requires finite z")
+    h += 0.0
+    h = h.view(np.uint64)
+    h ^= _splitmix64(np.array([int(seed) & _MASK64], dtype=np.uint64))[0]
+    h = _splitmix64(h)
+    h >>= np.uint64(63)
+    signs = h * (2.0 * sigma)
+    signs -= sigma
+    if np.isscalar(z) or signs.ndim == 0:
+        return float(signs)
+    return signs
 
 
 @dataclass(frozen=True)
@@ -56,7 +97,7 @@ class Activation:
     z > 0, normalized so that ``alpha**2 + beta**2 = 2``; both are derived
     from ``kind`` and ``leak``, never passed.  The pseudo-random
     kind draws a fixed random sign ``eta_z = +-sigma`` per distinct z (see
-    :func:`capnet.oracle.pseudo_random_eta`).  Custom kinds carry an arbitrary
+    :func:`pseudo_random_eta`).  Custom kinds carry an arbitrary
     pointwise function and have no closed-form treatment.
     """
 
@@ -72,6 +113,9 @@ class Activation:
         if self.kind not in valid:
             raise ValueError(f"unknown activation kind {self.kind!r}")
         _check_sigma(self.sigma)
+        # 2 * (leak**2 + 1) is the largest number the slopes and nu are formed from
+        if self.kind == "leaky_relu" and not math.isfinite(2.0 * (self.leak * self.leak + 1.0)):
+            raise ValueError(f"leaky_relu slope must have a finite square, got {self.leak!r}")
         if self.kind in _PIECEWISE_KINDS:
             alpha, beta = _normalized_slopes(self.kind, self.leak)
             object.__setattr__(self, "alpha", alpha)
@@ -150,8 +194,6 @@ class Activation:
         if self.kind == "pseudo_random":
             if key is None:
                 raise ValueError("pseudo_random eta requires a key")
-            from .oracle import pseudo_random_eta
-
             return pseudo_random_eta(z, key, self.sigma)
         out = np.asarray(self.custom_fn(z), dtype=float)
         at_zero = z == 0
@@ -265,6 +307,8 @@ def estimate_nu_monte_carlo(act: Activation, n_samples: int, seed: int) -> Decou
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be at least 1000")
+    if n_samples > _MAX_NU_SAMPLES:
+        raise ValueError(f"n_samples {n_samples:,} is past the nu limit of {_MAX_NU_SAMPLES:,}")
     samples, eta_key, _ = _derive_streams(seed)
     z = np.random.default_rng(samples).standard_normal((n_samples, 2))
     prod = act.eta(z[:, 0], key=eta_key) * act.eta(z[:, 1], key=eta_key)

@@ -25,7 +25,13 @@ from .core import ProjectionMatrix, SpatialCapacity
 from .deeplimit import DeepLimitConfig, ResidualGenerator, StabilityError, compare_markov_pde
 from .jsonfmt import canonical_dumps
 from .oracle import ExperimentConfig, empirical_spatial_capacity
-from .propagate import Layer, LayerChain, PropagationOperator, propagate_chain
+from .propagate import (
+    LayerChain,
+    PropagationOperator,
+    differential_propagation_matrix,
+    propagate_chain,
+    propagation_matrix,
+)
 
 __all__ = ["NetworkSpec", "SpecError", "load_network_spec", "main"]
 
@@ -86,8 +92,8 @@ def _parse_weight_matrix(entry: dict, seeds: List[int]) -> np.ndarray:
     return matrix
 
 
-def _build_layer(entry, seeds: List[int], spare_bytes: int) -> Layer:
-    """One layer of a spec; its errors are prefixed with the layer's index by the caller."""
+def _build_layer(entry, seeds: List[int], spare_bytes: int) -> PropagationOperator:
+    """One layer's operator; its errors are prefixed with the layer's index by the caller."""
     if not isinstance(entry, dict):
         raise SpecError("each layer must be an object")
     unknown = set(entry) - _LAYER_KEYS
@@ -123,7 +129,7 @@ def _build_layer(entry, seeds: List[int], spare_bytes: int) -> Layer:
             r = int(weights.split(":", 1)[1])
         except ValueError:
             raise SpecError(f"bad window in {weights!r}") from None
-        return Layer(PropagationOperator.uniform_window(n_in, r))
+        return PropagationOperator.uniform_window(n_in, r)
 
     if weights.startswith("residual:"):
         if kind != "residual":
@@ -139,22 +145,29 @@ def _build_layer(entry, seeds: List[int], spare_bytes: int) -> Layer:
             eps, v, dcoef = (float(p) for p in parts)
         except ValueError:
             raise SpecError(f"non-numeric residual parameters in {weights!r}") from None
-        return Layer(ResidualGenerator(n_in, v, dcoef).step(eps))
+        return ResidualGenerator(n_in, v, dcoef).step(eps)
 
     projection = ProjectionMatrix.from_raw(_parse_weight_matrix(entry, seeds))
+    if kind == "residual":
+        raise SpecError("kind residual needs residual:<eps>,<v>,<D> weights")
     if kind == "differential":
         if "eps" not in entry:
             raise SpecError("differential layers need eps")
         eps = entry["eps"]
         if isinstance(eps, bool) or not isinstance(eps, (int, float)):
             raise SpecError(f"eps must be a number, got {eps!r}")
-        activation = Activation.parse(entry["activation"]) if "activation" in entry else None
-        return Layer.differential(projection, eps, activation)
-    if kind == "residual":
-        raise SpecError("kind residual needs residual:<eps>,<v>,<D> weights")
-    if "activation" not in entry:
+    elif "activation" not in entry:
         raise SpecError("dense layers need an activation")
-    return Layer.standard(projection, Activation.parse(entry["activation"]))
+    # D = P o P holds under total decoupling, so it describes pseudo_random layers only
+    activation = Activation.parse(entry.get("activation", "pseudo_random"))
+    if activation.kind != "pseudo_random":
+        raise SpecError(
+            f"activation {activation.kind!r} has no closed-form chain propagation; "
+            "only pseudo_random is eligible"
+        )
+    if kind == "differential":
+        return differential_propagation_matrix(projection, eps)
+    return propagation_matrix(projection)
 
 
 def _parse_top_capacity(value, n: int) -> SpatialCapacity:
@@ -193,7 +206,7 @@ def parse_network_spec(document) -> NetworkSpec:
     if "top_capacity" not in document:
         raise SpecError("spec needs top_capacity")
     seeds: List[int] = []
-    layers: List[Layer] = []
+    layers: List[PropagationOperator] = []
     spare_bytes = _SPEC_OPERATOR_BUDGET_BYTES
     for i, entry in enumerate(layers_doc):
         try:
@@ -202,13 +215,13 @@ def parse_network_spec(document) -> NetworkSpec:
             raise StabilityError(f"layer {i}: {exc}") from None
         except ValueError as exc:
             raise SpecError(f"layer {i}: {exc}") from None
-        spare_bytes -= layers[-1].operator.matrix.nbytes
+        spare_bytes -= layers[-1].matrix.nbytes
     for i, (a, b) in enumerate(zip(layers, layers[1:])):
         if a.n_out != b.n_in:
             raise SpecError(
                 f"layer {i + 1}: n_in = {b.n_in} does not match layer {i} n_out = {a.n_out}"
             )
-    chain = LayerChain(tuple(layers))
+    chain = LayerChain(layers)
     top = _parse_top_capacity(document["top_capacity"], chain.n_out)
     return NetworkSpec(document=document, chain=chain, top=top, seeds=tuple(seeds))
 

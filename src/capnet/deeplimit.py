@@ -55,21 +55,16 @@ def _block_rows(n: int) -> int:
 def _pmf_std(rows: np.ndarray) -> np.ndarray:
     """Standard deviation of the grid index under each row's profile, in cells.
 
-    Takes a 2-D block of profiles and returns one width per row, in the
+    Takes a 2-D block of profiles, one walk block at most, so that the
+    temporaries stay near its size, and returns one width per row, in the
     centred form ``sum((i - mean)**2 * v) / sum(v)``.  Each row is reduced
     contiguously, so a row's width has the bits a lone 1-D profile would get.
     """
-    n = rows.shape[1]
-    idx = np.arange(n)
-    stds = np.empty(rows.shape[0])
-    block = _block_rows(n)
-    for start in range(0, rows.shape[0], block):
-        values = rows[start : start + block]
-        total = values.sum(axis=1)
-        mean = (idx * values).sum(axis=1) / total
-        var = ((idx - mean[:, None]) ** 2 * values).sum(axis=1) / total
-        np.sqrt(np.maximum(var, 0.0), out=stds[start : start + block])
-    return stds
+    idx = np.arange(rows.shape[1])
+    total = rows.sum(axis=1)
+    mean = (idx * rows).sum(axis=1) / total
+    var = ((idx - mean[:, None]) ** 2 * rows).sum(axis=1) / total
+    return np.sqrt(np.maximum(var, 0.0))
 
 
 class StabilityError(ValueError):

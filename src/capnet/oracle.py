@@ -1,10 +1,11 @@
 """Monte Carlo ground truth for the closed-form capacity results.
 
-Implements a literal pseudo-random activation (a deterministic hash sign per
-input value), empirical augmented covariances, least-squares optimal last
+Implements empirical augmented covariances, least-squares optimal last
 layers, a stationarity check for those optima, and empirical spatial
-capacities compared against the closed form.  Every estimate reads the
-samples once, in chunks, so memory does not grow with the sample count.
+capacities compared against the closed form, on samples passed through an
+:class:`~capnet.augment.Activation` (the pseudo-random one hashes each
+input value to a sign).  Every estimate reads the samples once, in chunks,
+so memory does not grow with the sample count.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .augment import Activation, _check_sigma, _derive_streams, augmented_spatial_profile
+from .augment import Activation, _derive_streams, augmented_spatial_profile
 from .core import (
     CapacityBasis,
     CovarianceMatrix,
@@ -30,7 +31,6 @@ from .core import (
 __all__ = [
     "ExperimentConfig",
     "EmpiricalReport",
-    "pseudo_random_eta",
     "empirical_sigma_tilde",
     "fit_optimal_last_layer",
     "verify_stationarity",
@@ -41,48 +41,15 @@ __all__ = [
 # sampler(rng, count, n) -> (count, n) input vectors, called once per chunk in order
 Sampler = Callable[[np.random.Generator, int, int], np.ndarray]
 
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 _NOISE_BLOCKS = 8
 # A chunk's inputs y, pre-activations z and etas stay near this size.
 _CHUNK_BYTES = 2**20
 # Largest array the oracle holds whole: its block cross moments, refused
 # before allocating.
 _MEMORY_BUDGET_BYTES = 2 * 2**30
-
-
-def _splitmix64(h: np.ndarray) -> np.ndarray:
-    """splitmix64's increment and finalizer, applied to the uint64 array h in place."""
-    shifted = np.empty_like(h)
-    h += np.uint64(0x9E3779B97F4A7C15)
-    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-        h ^= np.right_shift(h, np.uint64(shift), out=shifted)
-        h *= np.uint64(mult)
-    h ^= np.right_shift(h, np.uint64(31), out=shifted)
-    return h
-
-
-def pseudo_random_eta(z, seed: int, sigma: float = 1.0):
-    """Hash-based sign activation multiplier ``eta(z)`` in {-sigma, +sigma}.
-
-    The IEEE-754 bit pattern of z (with -0 canonicalized to +0) is mixed with
-    the seed, taken modulo 2**64, through a 64-bit finalizer; one output bit
-    picks the sign.  The same (z, seed) always yields the same value, while
-    arbitrarily close inputs give effectively independent signs.
-    """
-    _check_sigma(sigma)
-    h = np.array(z, dtype=float)
-    if not np.all(np.isfinite(h)):
-        raise ValueError("pseudo_random_eta requires finite z")
-    h += 0.0
-    h = h.view(np.uint64)
-    h ^= _splitmix64(np.array([int(seed) & _MASK64], dtype=np.uint64))[0]
-    h = _splitmix64(h)
-    h >>= np.uint64(63)
-    signs = h * (2.0 * sigma)
-    signs -= sigma
-    if np.isscalar(z) or signs.ndim == 0:
-        return float(signs)
-    return signs
+# Most samples a run takes: about a minute at n = m = 8 with 3 selected
+# columns, where a sample costs some 0.3-0.8 us.
+_MAX_SAMPLES = 10**8
 
 
 @dataclass(frozen=True)
@@ -110,6 +77,10 @@ class ExperimentConfig:
         object.__setattr__(self, "param_selector", tuple(sorted(selector)))
         if self.n_samples < 1000:
             raise ValueError("n_samples must be at least 1000")
+        if self.n_samples > _MAX_SAMPLES:
+            raise ValueError(
+                f"n_samples {self.n_samples:,} is past the oracle limit of {_MAX_SAMPLES:,}"
+            )
 
     @property
     def n(self) -> int:

@@ -2,24 +2,25 @@
 
 In the pseudo-random regime each layer turns feature-space capacity into
 input-space capacity through the column-stochastic operator ``D = P o P``
-(entrywise square, columns renormalized).  Chains apply the operators
-top-down, ``kappa^{l-1} = D_l kappa^l``, conserving the total.
+(entrywise square, columns renormalized).  A chain is a tuple of such
+operators, and nothing else: it applies them top-down,
+``kappa^{l-1} = D_l kappa^l``, conserving the total.  The rule holds under
+total decoupling only, so the CLI's spec parser, which builds operators
+from projections, refuses any activation other than pseudo_random.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .augment import Activation
 from .core import ProjectionMatrix, SpatialCapacity, _as_matrix
 
 __all__ = [
     "PropagationOperator",
-    "Layer",
     "LayerChain",
     "propagation_matrix",
     "propagate_single",
@@ -82,48 +83,10 @@ class PropagationOperator:
 
 
 @dataclass(frozen=True)
-class Layer:
-    """One chain element: its column-stochastic operator.
-
-    Layers built from a projection carry the activation the closed form
-    assumes; ``standard`` squares the projection columns and
-    ``differential`` builds the residual-layer operator
-    ``I + eps/(1+eps) (P o P - I)``.
-    """
-
-    operator: PropagationOperator
-    activation: Optional[Activation] = None
-
-    @classmethod
-    def standard(cls, projection: ProjectionMatrix, activation: Activation) -> "Layer":
-        if activation is None:
-            raise ValueError("projection-based layers require an activation")
-        return cls(propagation_matrix(projection), activation)
-
-    @classmethod
-    def differential(
-        cls,
-        projection: ProjectionMatrix,
-        eps: float,
-        activation: Optional[Activation] = None,
-    ) -> "Layer":
-        act = activation if activation is not None else Activation.pseudo_random()
-        return cls(differential_propagation_matrix(projection, eps), act)
-
-    @property
-    def n_in(self) -> int:
-        return self.operator.n_in
-
-    @property
-    def n_out(self) -> int:
-        return self.operator.n_out
-
-
-@dataclass(frozen=True)
 class LayerChain:
-    """Layers in forward order: layers[0] reads the inputs, layers[-1] is the top."""
+    """Operators in forward order: layers[0] reads the inputs, layers[-1] is the top."""
 
-    layers: Tuple[Layer, ...]
+    layers: Tuple[PropagationOperator, ...]
 
     def __post_init__(self):
         layers = tuple(self.layers)
@@ -147,10 +110,6 @@ class LayerChain:
     @property
     def n_out(self) -> int:
         return self.layers[-1].n_out
-
-    @classmethod
-    def of_operators(cls, operators: Sequence[PropagationOperator]) -> "LayerChain":
-        return cls(tuple(Layer(op) for op in operators))
 
 
 def propagation_matrix(p: ProjectionMatrix) -> PropagationOperator:
@@ -177,23 +136,15 @@ def propagate_chain(chain: LayerChain, kappa_top: SpatialCapacity) -> List[Spati
     """All interface profiles, top-down: result[l] is the capacity entering layer l+1.
 
     ``result[len(chain)]`` is ``kappa_top`` itself and ``result[0]`` the
-    input-space profile.  Closed-form chain propagation holds in the
-    pseudo-random regime only; any layer whose activation is another kind
-    is refused by name.
+    input-space profile.
     """
-    for i, layer in enumerate(chain.layers):
-        if layer.activation is not None and layer.activation.kind != "pseudo_random":
-            raise ValueError(
-                f"layer {i} activation {layer.activation.kind!r} has no closed-form "
-                "chain propagation; only pseudo_random is eligible"
-            )
     if chain.n_out != kappa_top.n:
         raise ValueError(
             f"chain top dimension {chain.n_out} does not match capacity {kappa_top.n}"
         )
     profiles = [kappa_top]
     for layer in reversed(chain.layers):
-        profiles.append(propagate_single(layer.operator, profiles[-1]))
+        profiles.append(propagate_single(layer, profiles[-1]))
     profiles.reverse()
     return profiles
 

@@ -123,7 +123,7 @@ def test_criterion_04_conservation():
         for n_in, n_out in zip(dims[:-1], dims[1:]):
             raw = rng.random((n_in, n_out)) + 0.05
             ops.append(PropagationOperator(raw / raw.sum(axis=0)))
-        chain = LayerChain.of_operators(ops)
+        chain = LayerChain(ops)
         top = SpatialCapacity(rng.random(dims[-1]) + 0.1)
         profiles = propagate_chain(chain, top)
         assert len(profiles) == 101
@@ -168,7 +168,7 @@ def test_criterion_07_shattering():
 
     gen = ResidualGenerator(n=11, v=0.0, Dcoef=0.5, boundary="periodic")
     op = PropagationOperator(np.eye(11) + 0.1 * gen.matrix)
-    chain = LayerChain.of_operators([op] * 10)
+    chain = LayerChain([op] * 10)
     report = shatter_analysis(chain, r=3, eps=0.1)
 
     assert report.max_path_weight == functools.reduce(operator.mul, [0.9] * 10)

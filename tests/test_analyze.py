@@ -21,7 +21,6 @@ from capnet.analyze import (
     shatter_analysis,
     uniform_path_weight,
 )
-from capnet.augment import Activation
 from capnet.core import ProjectionMatrix, SpatialCapacity
 from capnet.deeplimit import (
     _BOUNDARY_MASS_TOL,
@@ -30,13 +29,13 @@ from capnet.deeplimit import (
     evolve_markov,
 )
 from capnet.jsonfmt import canonical_dumps
-from capnet.propagate import Layer, LayerChain, PropagationOperator
+from capnet.propagate import LayerChain, PropagationOperator, propagation_matrix
 
 
 def _residual_chain(eps, L, n=11, Dcoef=0.5):
     gen = ResidualGenerator(n, 0.0, Dcoef, "periodic")
     op = PropagationOperator(np.eye(n) + eps * gen.matrix)
-    return LayerChain.of_operators([op] * L)
+    return LayerChain([op] * L)
 
 
 def _random_tridiagonal(rng, n):
@@ -98,12 +97,11 @@ class TestErfProfile:
     def test_chain_of_changing_widths(self):
         # interfaces of 6, 4 and 5 cells: the profiles cannot be stacked into one array
         rng = np.random.default_rng(0)
-        pseudo_random = Activation.pseudo_random()
         chain = LayerChain(
-            tuple(
-                Layer.standard(ProjectionMatrix.from_raw(rng.standard_normal(shape)), pseudo_random)
+            [
+                propagation_matrix(ProjectionMatrix.from_raw(rng.standard_normal(shape)))
                 for shape in ((6, 4), (4, 5))
-            )
+            ]
         )
         report = erf_profile(chain, 2)
         assert report.per_depth_std == ((2, 0.0), (1, 1.1191331204469774), (0, 1.323526348645144))
@@ -162,7 +160,7 @@ class TestErfProfile:
         assert report.per_depth_std[-1][1] == pytest.approx(predicted, rel=0.05)
 
     def test_identity_layer_has_zero_width(self):
-        chain = LayerChain.of_operators([PropagationOperator(np.eye(11))])
+        chain = LayerChain([PropagationOperator(np.eye(11))])
         report = erf_profile(chain, 5)
         assert report.per_depth_std == ((1, 0.0), (0, 0.0))
         assert math.isnan(report.fitted_exponent)
@@ -223,13 +221,13 @@ class TestMaxPathWeight:
         assert abs(direct - continuum) / continuum <= 0.06
 
     def test_identity_chain_weight_one(self):
-        chain = LayerChain.of_operators([PropagationOperator(np.eye(7))] * 4)
+        chain = LayerChain([PropagationOperator(np.eye(7))] * 4)
         direct, continuum = max_path_weight(chain)
         assert direct == 1.0
         assert continuum == 1.0
 
     def test_uniform_diagonal_matches_closed_form(self):
-        chain = LayerChain.of_operators([PropagationOperator.uniform(6)] * 4)
+        chain = LayerChain([PropagationOperator.uniform(6)] * 4)
         direct, _ = max_path_weight(chain)
         assert direct == pytest.approx(uniform_path_weight(6, 4), rel=1e-12)
 
@@ -253,7 +251,7 @@ class TestMaxPathWeight:
         wide = np.abs(rng.random((3, 5))) + 0.1
         op = PropagationOperator(wide / wide.sum(axis=0))
         with pytest.raises(ValueError, match="square"):
-            max_path_weight(LayerChain.of_operators([op]))
+            max_path_weight(LayerChain([op]))
 
 
 class TestUniformPathWeight:
@@ -280,7 +278,7 @@ class TestEnumeratePathWeights:
     def test_single_layer_is_matrix_entry(self):
         rng = np.random.default_rng(3)
         op = _random_tridiagonal(rng, 5)
-        chain = LayerChain.of_operators([op])
+        chain = LayerChain([op])
         total, best = enumerate_path_weights(chain, 1, 2)
         assert total == op.matrix[1, 2]
         assert best == total
@@ -288,7 +286,7 @@ class TestEnumeratePathWeights:
     def test_total_recovers_product_entry(self):
         rng = np.random.default_rng(5)
         ops = [_random_tridiagonal(rng, 4) for _ in range(3)]
-        chain = LayerChain.of_operators(ops)
+        chain = LayerChain(ops)
         product = ops[0].matrix @ ops[1].matrix @ ops[2].matrix
         for i_l in range(4):
             for i_L in range(4):
@@ -298,7 +296,7 @@ class TestEnumeratePathWeights:
 
     def test_uniform_window_paths_all_equal(self):
         op = PropagationOperator.uniform_window(6, 2)
-        chain = LayerChain.of_operators([op] * 3)
+        chain = LayerChain([op] * 3)
         total, best = enumerate_path_weights(chain, 4, 3)
         assert best == 0.125
         assert total == pytest.approx(round(total * 8) / 8, abs=1e-15)
@@ -306,7 +304,7 @@ class TestEnumeratePathWeights:
     def test_disconnected_endpoints_have_zero_weight(self):
         # this window only moves mass towards larger indices
         op = PropagationOperator.uniform_window(6, 2)
-        chain = LayerChain.of_operators([op] * 3)
+        chain = LayerChain([op] * 3)
         total, best = enumerate_path_weights(chain, 2, 3)
         assert total == 0.0
         assert best == 0.0
@@ -314,7 +312,7 @@ class TestEnumeratePathWeights:
     def test_column_sums_of_product_are_one(self):
         rng = np.random.default_rng(11)
         ops = [_random_tridiagonal(rng, 5) for _ in range(4)]
-        chain = LayerChain.of_operators(ops)
+        chain = LayerChain(ops)
         for i_L in range(5):
             column = sum(
                 enumerate_path_weights(chain, i_l, i_L)[0] for i_l in range(5)
@@ -322,12 +320,12 @@ class TestEnumeratePathWeights:
             assert column == pytest.approx(1.0, abs=1e-10)
 
     def test_path_guard(self):
-        chain = LayerChain.of_operators([PropagationOperator.uniform(40)] * 5)
+        chain = LayerChain([PropagationOperator.uniform(40)] * 5)
         with pytest.raises(ValueError, match="paths"):
             enumerate_path_weights(chain, 0, 0)
 
     def test_bad_endpoints_rejected(self):
-        chain = LayerChain.of_operators([PropagationOperator.uniform(4)] * 2)
+        chain = LayerChain([PropagationOperator.uniform(4)] * 2)
         with pytest.raises(ValueError, match="i_l"):
             enumerate_path_weights(chain, 4, 0)
         with pytest.raises(ValueError, match="i_L"):

@@ -80,6 +80,13 @@ class TestNu:
         assert main(command + [f"pseudo_random:{sigma}"]) == 2
         assert f"bad pseudo_random sigma '{sigma}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("slope", ["nan", "inf", "-inf", "1e200", "1e154"])
+    @pytest.mark.parametrize("command", [["nu"], ["nu", "--mc", "2000"], ["verify", "--activation"]])
+    def test_bad_leaky_relu_slope_exits_2(self, capsys, command, slope):
+        # nan and inf gave "nu": null, 1e200 an OverflowError and 1e154 a nu of 0
+        assert main(command + [f"leaky_relu:{slope}"]) == 2
+        assert f"bad leaky_relu slope '{slope}'" in capsys.readouterr().err
+
     def test_missing_argument_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["nu"])
@@ -306,6 +313,14 @@ class TestChain:
         assert main(["chain", _write_spec(tmp_path, "bad.json", doc)]) == 2
         assert "relu" in capsys.readouterr().err
 
+    def test_activation_needed_by_dense_and_defaulted_by_differential(self, tmp_path, capsys):
+        dense = {"kind": "dense", "n_in": 4, "n_out": 4, "weights": "random_gaussian:3"}
+        differential = dict(dense, kind="differential", eps=0.3)
+        for layer, code in ((differential, 0), (dense, 2)):
+            path = _write_spec(tmp_path, "spec.json", {"layers": [layer], "top_capacity": "uniform"})
+            assert main(["chain", path]) == code
+        assert "layer 0: dense layers need an activation" in capsys.readouterr().err
+
     def test_weights_file_loaded(self, tmp_path, capsys):
         weights = tmp_path / "w.csv"
         weights.write_text("1.0,0.0\n0.0,1.0\n")
@@ -329,6 +344,25 @@ class TestChain:
     def test_layer_command_rejects_deep_specs(self, tmp_path, capsys):
         path = _write_spec(tmp_path, "two.json", _residual_spec(21, 2, top="dirac:10"))
         assert main(["layer", path]) == 2
+
+
+@pytest.mark.parametrize("command", ["chain", "layer", "erf", "shatter"])
+@pytest.mark.parametrize("kind", ["dense", "differential"])
+@pytest.mark.parametrize("activation", ["relu", "abs", "linear", "leaky_relu:0.2"])
+def test_non_pseudo_random_layer_refused_by_every_command(
+    tmp_path, capsys, command, kind, activation
+):
+    # D = P o P describes pseudo_random layers only; shatter used to report on the others
+    good = {"kind": "dense", "n_in": 4, "n_out": 4, "weights": "random_gaussian:1",
+            "activation": "pseudo_random"}
+    bad = dict(good, kind=kind, weights="random_gaussian:2", activation=activation)
+    if kind == "differential":
+        bad["eps"] = 0.3
+    path = _write_spec(tmp_path, "spec.json", {"layers": [good, bad], "top_capacity": "uniform"})
+    assert main([command, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"layer 1: activation '{activation.partition(':')[0]}'" in captured.err
 
 
 class TestPde:
@@ -569,6 +603,21 @@ class TestVerify:
         argv = ["verify", "--n", "400", "--m", "400", "--selector", selector, "--mc", "20000"]
         assert main(argv) == 2
         assert "2 GiB oracle memory limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (["nu", "relu", "--mc", "10000000000000"], "nu limit of 50,000,000"),
+        (["verify", "--mc", "100000001"], "oracle limit of 100,000,000"),
+    ],
+)
+def test_sample_count_past_limit_exits_2_before_sampling(capsys, argv, limit):
+    # nu used to die of a MemoryError, and verify to sample for as long as asked
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 2.0
+    assert limit in capsys.readouterr().err
 
 
 class TestLogging:

@@ -22,7 +22,6 @@ from capnet.deeplimit import (
     gaussian_solution,
 )
 from capnet.propagate import (
-    Layer,
     LayerChain,
     PropagationOperator,
     propagate_chain,
@@ -33,7 +32,7 @@ from capnet.propagate import (
 def _random_drift_chain(n, dcoef, eps, L, seed):
     """L periodic residual layers I + eps*Delta_l, drift v_l uniform in [-Dcoef/2, Dcoef/2]."""
     drifts = np.random.default_rng(seed).uniform(-dcoef / 2.0, dcoef / 2.0, L)
-    return LayerChain(tuple(Layer(ResidualGenerator(n, v, dcoef).step(eps)) for v in drifts))
+    return LayerChain([ResidualGenerator(n, v, dcoef).step(eps) for v in drifts])
 
 
 def _moments(values):
@@ -547,7 +546,7 @@ class TestRandomLayerChain:
         chain = _random_drift_chain(41, 1.0, 0.1, 12, seed=3)
         assert len(chain) == 12
         for layer in chain.layers:
-            matrix = layer.operator.matrix
+            matrix = layer.matrix
             # I + eps*Delta with diagonal 1 - 2*Dcoef*eps, whatever the drift
             np.testing.assert_allclose(np.diag(matrix), 0.8, rtol=0, atol=1e-15)
             assert np.abs(matrix.sum(axis=0) - 1.0).max() <= 1e-12

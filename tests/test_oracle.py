@@ -8,7 +8,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from capnet import oracle
-from capnet.augment import Activation, augmented_spatial_profile, build_augmented_projection
+from capnet.augment import (
+    Activation,
+    augmented_spatial_profile,
+    build_augmented_projection,
+    pseudo_random_eta,
+)
 from capnet.core import (
     CapacityBasis,
     ProjectionMatrix,
@@ -23,7 +28,6 @@ from capnet.oracle import (
     empirical_sigma_tilde,
     empirical_spatial_capacity,
     fit_optimal_last_layer,
-    pseudo_random_eta,
     stationarity_noise_floor,
     verify_stationarity,
 )

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capnet.augment import Activation, build_augmented_projection
+from capnet.augment import build_augmented_projection
 from capnet.core import ProjectionMatrix, SpatialCapacity
 from capnet.propagate import (
-    Layer,
     LayerChain,
     PropagationOperator,
     differential_propagation_matrix,
@@ -83,7 +82,7 @@ class TestPropagateSingle:
 
 class TestPropagateChain:
     def test_identity_chain(self):
-        chain = LayerChain.of_operators([PropagationOperator.identity(3)] * 4)
+        chain = LayerChain([PropagationOperator.identity(3)] * 4)
         kappa = SpatialCapacity(np.array([1.0, 0.5, 0.0]))
         profiles = propagate_chain(chain, kappa)
         assert len(profiles) == 5
@@ -91,7 +90,7 @@ class TestPropagateChain:
             np.testing.assert_array_equal(profile.values, kappa.values)
 
     def test_two_uniform_layers(self):
-        chain = LayerChain.of_operators([PropagationOperator.uniform(2)] * 2)
+        chain = LayerChain([PropagationOperator.uniform(2)] * 2)
         profiles = propagate_chain(chain, SpatialCapacity(np.array([2.0, 0.0])))
         np.testing.assert_allclose(profiles[0].values, [1.0, 1.0])
         np.testing.assert_allclose(profiles[1].values, [1.0, 1.0])
@@ -102,7 +101,7 @@ class TestPropagateChain:
         ops = [
             _random_stochastic(rng, dims[i], dims[i + 1]) for i in range(3)
         ]
-        chain = LayerChain.of_operators(ops)
+        chain = LayerChain(ops)
         kappa_top = SpatialCapacity(rng.random(dims[3]))
         profiles = propagate_chain(chain, kappa_top)
         product = ops[0].matrix @ ops[1].matrix @ ops[2].matrix
@@ -115,7 +114,7 @@ class TestPropagateChain:
         d1 = _random_stochastic(rng, 3, 4)
         d2 = _random_stochastic(rng, 4, 2)
         kappa = SpatialCapacity(rng.random(2))
-        chain = LayerChain.of_operators([d1, d2])
+        chain = LayerChain([d1, d2])
         profiles = propagate_chain(chain, kappa)
         np.testing.assert_array_equal(
             profiles[0].values,
@@ -125,7 +124,7 @@ class TestPropagateChain:
     def test_long_chain_conserves_total(self):
         rng = np.random.default_rng(5)
         ops = [_random_stochastic(rng, 5, 5) for _ in range(1000)]
-        chain = LayerChain.of_operators(ops)
+        chain = LayerChain(ops)
         kappa = SpatialCapacity(rng.random(5) * 2)
         profiles = propagate_chain(chain, kappa)
         for profile in profiles:
@@ -135,24 +134,13 @@ class TestPropagateChain:
         rng = np.random.default_rng(6)
         ops = [_random_stochastic(rng, 4, 4) for _ in range(10)]
         kappa = SpatialCapacity(rng.random(4))
-        for profile in propagate_chain(LayerChain.of_operators(ops), kappa):
+        for profile in propagate_chain(LayerChain(ops), kappa):
             assert profile.values.max() <= kappa.total + 1e-12
-
-    def test_non_eligible_activation_named(self):
-        p = ProjectionMatrix.from_raw(np.random.default_rng(7).standard_normal((3, 3)))
-        chain = LayerChain(
-            (
-                Layer.standard(p, Activation.pseudo_random()),
-                Layer.standard(p, Activation.relu()),
-            )
-        )
-        with pytest.raises(ValueError, match="layer 1 activation 'relu'"):
-            propagate_chain(chain, SpatialCapacity(np.ones(3)))
 
     def test_projection_layers_propagate(self):
         rng = np.random.default_rng(8)
         p = ProjectionMatrix.from_raw(rng.standard_normal((4, 4)))
-        chain = LayerChain((Layer.standard(p, Activation.pseudo_random()),))
+        chain = LayerChain([propagation_matrix(p)])
         kappa = SpatialCapacity(np.array([1.0, 0.0, 2.0, 0.0]))
         profiles = propagate_chain(chain, kappa)
         np.testing.assert_allclose(
@@ -160,7 +148,7 @@ class TestPropagateChain:
         )
 
     def test_top_dimension_checked(self):
-        chain = LayerChain.of_operators([PropagationOperator.identity(3)])
+        chain = LayerChain([PropagationOperator.identity(3)])
         with pytest.raises(ValueError, match="top dimension"):
             propagate_chain(chain, SpatialCapacity(np.ones(2)))
 
@@ -261,18 +249,14 @@ class TestOperatorAndLayerValidation:
         with pytest.raises(ValueError, match="window"):
             PropagationOperator.uniform_window(3, 4)
 
-    def test_projection_layer_needs_activation(self):
-        with pytest.raises(ValueError, match="activation"):
-            Layer.standard(ProjectionMatrix.identity(2), None)
-
     def test_differential_layer_needs_eps(self):
         p = ProjectionMatrix.identity(2)
         with pytest.raises(ValueError, match="eps"):
-            Layer.differential(p, eps=0.0)
+            differential_propagation_matrix(p, eps=0.0)
 
     def test_chain_dimension_compatibility(self):
         with pytest.raises(ValueError, match="layer 1 expects"):
-            LayerChain.of_operators(
+            LayerChain(
                 [PropagationOperator.identity(2), PropagationOperator.identity(3)]
             )
 
@@ -283,7 +267,7 @@ class TestOperatorAndLayerValidation:
 
 @st.composite
 def _random_chains(draw):
-    """A chain mixing standard, differential and operator-only layers, and a top profile."""
+    """A chain mixing standard, differential and other stochastic operators, and a top profile."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(2, 6))
     layers = []
@@ -291,17 +275,17 @@ def _random_chains(draw):
     for kind in draw(st.lists(kinds, min_size=1, max_size=8)):
         if kind == "differential":
             p = ProjectionMatrix.from_raw(rng.standard_normal((n, n)))
-            layers.append(Layer.differential(p, draw(st.floats(1e-3, 10.0))))
+            layers.append(differential_propagation_matrix(p, draw(st.floats(1e-3, 10.0))))
             continue
         n_out = draw(st.integers(2, 6))
         if kind == "standard":
             p = ProjectionMatrix.from_raw(rng.standard_normal((n, n_out)))
-            layers.append(Layer.standard(p, Activation.pseudo_random()))
+            layers.append(propagation_matrix(p))
         else:
-            layers.append(Layer(_random_stochastic(rng, n, n_out)))
+            layers.append(_random_stochastic(rng, n, n_out))
         n = n_out
     top = SpatialCapacity(rng.random(n) * draw(st.floats(0.1, 10.0)))
-    return LayerChain(tuple(layers)), top
+    return LayerChain(layers), top
 
 
 class TestChainProperties:
@@ -310,7 +294,7 @@ class TestChainProperties:
     def test_operators_stochastic_and_totals_conserved(self, chain_and_top):
         chain, top = chain_and_top
         for layer in chain.layers:
-            matrix = layer.operator.matrix
+            matrix = layer.matrix
             assert matrix.min() >= 0.0
             assert np.abs(matrix.sum(axis=0) - 1.0).max() <= 1e-10
         profiles = propagate_chain(chain, top)
