@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -62,21 +62,15 @@ class ErfReport:
             raise ValueError("probe_index must be a grid index")
         if not self.per_depth_std:
             raise ValueError("per_depth_std must not be empty")
+        depth = self.per_depth_std[0][0]
+        points = 0
         for layer, sigma in self.per_depth_std:
             if sigma < 0:
                 raise ValueError(f"negative width at layer {layer}")
-        object.__setattr__(self, "fit_points", len(_fit_pairs(self.per_depth_std)))
-
-
-def _fit_pairs(per_depth_std) -> List[Tuple[int, float]]:
-    """The (layer, width) pairs of the power-law fit: widths of at least 2 cells
-    at the layers below the probe layer, which ``per_depth_std`` lists first."""
-    depth = per_depth_std[0][0]
-    return [
-        (layer, sigma)
-        for layer, sigma in per_depth_std
-        if sigma >= _MIN_FIT_SIGMA and layer < depth
-    ]
+            # the fit's layers lie below the probe layer, which per_depth_std lists first
+            if sigma >= _MIN_FIT_SIGMA and layer < depth:
+                points += 1
+        object.__setattr__(self, "fit_points", points)
 
 
 @dataclass(frozen=True)
@@ -142,20 +136,22 @@ def erf_profile(
         blocks = _walk(source, cfg, probe, keep_all=True)
 
     flagged = False
-    widths: List[float] = []
+    widths = np.empty(depth + 1)
+    done = 0
     for rows in blocks:
         _check_capacity_values(rows)
         flagged |= bool(np.any(rows[:, 0] + rows[:, -1] > _BOUNDARY_MASS_TOL * rows.sum(axis=1)))
-        widths.extend(_pmf_std(rows).tolist())
-    stds = tuple(zip(range(depth, -1, -1), widths))
+        widths[done : done + len(rows)] = _pmf_std(rows)
+        done += len(rows)
+    stds = tuple(zip(range(depth, -1, -1), widths.tolist()))
 
-    points = [
-        (math.log(depth - layer), math.log(sigma))
-        for layer, sigma in _fit_pairs(stds)
-    ]
-    if len(points) >= 2:
-        xs = np.array([p[0] for p in points])
-        ys = np.array([p[1] for p in points])
+    # widths[k] lies k layers below the probe; the fit takes k >= 1 and widths of 2 cells or more
+    fit = widths >= _MIN_FIT_SIGMA
+    fit[0] = False
+    if np.count_nonzero(fit) >= 2:
+        # math.log rather than np.log, whose last bits may differ
+        xs = np.fromiter(map(math.log, np.flatnonzero(fit).tolist()), float)
+        ys = np.fromiter(map(math.log, widths[fit].tolist()), float)
         design = np.stack([xs, np.ones_like(xs)], axis=1)
         coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
         exponent = float(coef[0])

@@ -8,6 +8,7 @@ with identical seeds produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import logging
@@ -23,7 +24,7 @@ from .analyze import erf_profile, shatter_analysis, uniform_path_weight
 from .augment import Activation, decoupling_nu, estimate_nu_monte_carlo
 from .core import ProjectionMatrix, SpatialCapacity
 from .deeplimit import DeepLimitConfig, ResidualGenerator, StabilityError, compare_markov_pde
-from .jsonfmt import canonical_dumps
+from .jsonfmt import canonical_dump, canonical_dumps
 from .oracle import ExperimentConfig, empirical_spatial_capacity
 from .propagate import (
     LayerChain,
@@ -237,24 +238,28 @@ def load_network_spec(path: str) -> NetworkSpec:
     return parse_network_spec(document)
 
 
-def _write_text(text: str, path: Optional[str]) -> None:
+@contextlib.contextmanager
+def _output(path: Optional[str]):
+    """A text handle on ``path``, or on stdout when no path is given."""
     if path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(path, "w", newline="\n") as handle:
-            handle.write(text)
+            yield handle
 
 
 def _emit_json(doc: object, path: Optional[str]) -> None:
-    _write_text(canonical_dumps(doc) + "\n", path)
+    with _output(path) as handle:
+        canonical_dump(doc, handle)
+        handle.write("\n")
 
 
-def _profiles_csv(profiles: Sequence[SpatialCapacity]) -> str:
-    lines = ["layer,coordinate,kappa"]
-    for layer, profile in enumerate(profiles):
-        for coordinate, kappa in enumerate(profile.values):
-            lines.append(f"{layer},{coordinate},{float(kappa)!r}")
-    return "\n".join(lines) + "\n"
+def _write_profiles_csv(profiles: Sequence[SpatialCapacity], path: Optional[str]) -> None:
+    with _output(path) as handle:
+        handle.write("layer,coordinate,kappa\n")
+        for layer, profile in enumerate(profiles):
+            for coordinate, kappa in enumerate(profile.values.tolist()):
+                handle.write(f"{layer},{coordinate},{kappa!r}\n")
 
 
 def cmd_nu(args) -> int:
@@ -284,7 +289,7 @@ def _run_chain(args, single_layer: bool) -> int:
     }
     _emit_json(report, args.out)
     if args.csv is not None:
-        _write_text(_profiles_csv(profiles), args.csv)
+        _write_profiles_csv(profiles, args.csv)
     return 0
 
 

@@ -43,7 +43,7 @@ _MAX_CLOSED_FORM_CELLS = 5 * 10**5
 
 
 # Bytes per block of rows: erf_profile reduces its walk in blocks of this
-# size, and the temporaries of _pmf_std stay near it.
+# size, and _pmf_std needs one temporary of the same size.
 _STD_BLOCK_BYTES = 2**20
 
 
@@ -55,15 +55,21 @@ def _block_rows(n: int) -> int:
 def _pmf_std(rows: np.ndarray) -> np.ndarray:
     """Standard deviation of the grid index under each row's profile, in cells.
 
-    Takes a 2-D block of profiles, one walk block at most, so that the
-    temporaries stay near its size, and returns one width per row, in the
-    centred form ``sum((i - mean)**2 * v) / sum(v)``.  Each row is reduced
-    contiguously, so a row's width has the bits a lone 1-D profile would get.
+    Takes a 2-D block of profiles, one walk block at most, and returns one
+    width per row, in the centred form ``sum((i - mean)**2 * v) / sum(v)``.
+    The products are formed in one block-sized temporary, reused through
+    ``out=``, so the reduction needs about one block beyond its input.  Each
+    row is reduced contiguously, so a row's width has the bits a lone 1-D
+    profile would get.
     """
     idx = np.arange(rows.shape[1])
     total = rows.sum(axis=1)
-    mean = (idx * rows).sum(axis=1) / total
-    var = ((idx - mean[:, None]) ** 2 * rows).sum(axis=1) / total
+    terms = np.multiply(idx, rows)
+    mean = terms.sum(axis=1) / total
+    np.subtract(idx, mean[:, None], out=terms)
+    np.square(terms, out=terms)
+    np.multiply(terms, rows, out=terms)
+    var = terms.sum(axis=1) / total
     return np.sqrt(np.maximum(var, 0.0))
 
 

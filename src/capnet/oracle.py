@@ -50,6 +50,10 @@ _MEMORY_BUDGET_BYTES = 2 * 2**30
 # Most samples a run takes: about a minute at n = m = 8 with 3 selected
 # columns, where a sample costs some 0.3-0.8 us.
 _MAX_SAMPLES = 10**8
+# Most work a run does, in samples times the n*m*k + (m+1)**2 moment entries
+# a sample updates (k selected columns): the work of the sample limit at that
+# default layer, since a sample of a wider layer costs more.
+_MAX_SAMPLE_WORK = _MAX_SAMPLES * (8 * 8 * 3 + 9**2)
 
 
 @dataclass(frozen=True)
@@ -233,13 +237,9 @@ class _Moments:
 _ChunkTarget = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def _stream(
-    config: ExperimentConfig, sampler: Optional[Sampler], target: _ChunkTarget
-) -> _Moments:
-    """One pass over the samples, in chunks."""
-    n, m = config.n, config.m
-    selected = list(config.param_selector)
-    k = len(selected)
+def _check_pass(config: ExperimentConfig) -> None:
+    """Refuse a pass past the oracle's memory limit, then past its work limit."""
+    n, m, k = config.n, config.m, len(config.param_selector)
     nbytes = 8 * _NOISE_BLOCKS * n * m * k
     if nbytes > _MEMORY_BUDGET_BYTES:
         raise ValueError(
@@ -247,6 +247,22 @@ def _stream(
             f"{nbytes / 2**30:.1f} GiB, over the {_MEMORY_BUDGET_BYTES / 2**30:g} GiB "
             "oracle memory limit"
         )
+    entries = n * m * k + (m + 1) ** 2
+    if config.n_samples * entries > _MAX_SAMPLE_WORK:
+        raise ValueError(
+            f"{config.n_samples:,} samples of {entries:,} moment entries each are past "
+            f"the oracle work limit of {_MAX_SAMPLE_WORK:,} sample-entries"
+        )
+
+
+def _stream(
+    config: ExperimentConfig, sampler: Optional[Sampler], target: _ChunkTarget
+) -> _Moments:
+    """One pass over the samples, in chunks."""
+    _check_pass(config)
+    n, m = config.n, config.m
+    selected = list(config.param_selector)
+    k = len(selected)
     order = np.array(selected + [j for j in range(m) if j not in selected])
     cross = np.zeros((_NOISE_BLOCKS, n * m, k))
     r = np.zeros((m + 1, m + 1))

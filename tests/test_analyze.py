@@ -67,6 +67,23 @@ def _erf_reference(gen, x0, cfg):
     return tuple(stds), flagged
 
 
+def _fit_reference(stds):
+    """The power-law fit from lists of (log depth, log width) pairs."""
+    depth = stds[0][0]
+    points = [
+        (math.log(depth - layer), math.log(sigma))
+        for layer, sigma in stds
+        if sigma >= 2.0 and layer < depth
+    ]
+    if len(points) < 2:
+        return math.nan, math.nan
+    xs = np.array([x for x, _ in points])
+    ys = np.array([y for _, y in points])
+    design = np.stack([xs, np.ones_like(xs)], axis=1)
+    coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
+    return float(coef[0]), float(np.sqrt(np.mean((design @ coef - ys) ** 2)))
+
+
 class TestErfProfile:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -93,6 +110,22 @@ class TestErfProfile:
         stds, flagged = _erf_reference(gen, x0, cfg)
         assert report.per_depth_std == stds
         assert report.boundary_flagged == flagged
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(3, 80),
+        dcoef=st.floats(0.05, 5.0),
+        drift=st.floats(-1.0, 1.0),
+        fraction=st.floats(0.01, 0.99),
+        L=st.integers(1, 400),
+    )
+    def test_fit_matches_a_list_based_fit_bit_for_bit(self, n, dcoef, drift, fraction, L):
+        gen = ResidualGenerator(n, 2.0 * dcoef * drift, dcoef)
+        report = erf_profile(gen, n // 2, DeepLimitConfig(eps=fraction * gen.max_stable_eps(), L=L))
+        exponent, residual = _fit_reference(report.per_depth_std)
+        assert report.fitted_exponent == exponent or math.isnan(exponent)
+        assert report.fit_residual == residual or math.isnan(residual)
+        assert math.isnan(report.fitted_exponent) == math.isnan(exponent)
 
     def test_chain_of_changing_widths(self):
         # interfaces of 6, 4 and 5 cells: the profiles cannot be stacked into one array

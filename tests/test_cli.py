@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capnet import jsonfmt
 from capnet.analyze import ErfReport, ShatterReport, erf_profile
 from capnet.augment import DecouplingReport
 from capnet.cli import SpecError, main, parse_network_spec
@@ -480,6 +482,19 @@ class TestErf:
         assert main(["erf", "--n", "3", "--L", "80000000"]) == 2
         assert "walk limit of 10,000,000 steps" in capsys.readouterr().err
 
+    def test_deep_report_written_in_bounded_memory(self, tmp_path):
+        # the 1 MB report of the deep-erf benchmark; joined whole, its 9 MiB of
+        # small strings put the traced peak at 11.5 MiB
+        argv = ["erf", "--n", "401", "--L", "20000", "--D", "0.25", "--eps", "0.1"]
+        argv += ["--ratio-depth", "5000", "--out", str(tmp_path / "erf.json")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
+
     @pytest.mark.parametrize("depth", ["0", "101"])
     def test_generator_ratio_depth_out_of_range_exits_2(self, capsys, depth):
         assert main(["erf", "--L", "100", "--ratio-depth", depth]) == 2
@@ -610,6 +625,12 @@ class TestVerify:
     [
         (["nu", "relu", "--mc", "10000000000000"], "nu limit of 50,000,000"),
         (["verify", "--mc", "100000001"], "oracle limit of 100,000,000"),
+        # one sample past the work limit at 64*64*64 + 65**2 moment entries a sample
+        (
+            ["verify", "--n", "64", "--m", "64", "--selector", ",".join(map(str, range(64)))]
+            + ["--mc", "102490"],
+            "oracle work limit of 27,300,000,000 sample-entries",
+        ),
     ],
 )
 def test_sample_count_past_limit_exits_2_before_sampling(capsys, argv, limit):
@@ -618,6 +639,37 @@ def test_sample_count_past_limit_exits_2_before_sampling(capsys, argv, limit):
     assert main(argv) == 2
     assert time.perf_counter() - start < 2.0
     assert limit in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["erf", "--L", "3000", "--ratio-depth", "25"],
+        ["chain", "SPEC"],
+    ],
+)
+def test_stdout_and_out_file_hold_the_same_bytes(tmp_path, capsysbinary, argv):
+    # reports large enough that the emitter writes them in many pieces
+    spec = _write_spec(tmp_path, "deep.json", _residual_spec(201, 30))
+    argv = [spec if arg == "SPEC" else arg for arg in argv]
+    csv_args = ["--csv", str(tmp_path / "a.csv")] if argv[0] == "chain" else []
+    assert main(argv + csv_args) == 0
+    printed = capsysbinary.readouterr().out
+    out = tmp_path / "out.json"
+    csv_args = ["--csv", str(tmp_path / "b.csv")] if argv[0] == "chain" else []
+    assert main(argv + ["--out", str(out)] + csv_args) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert out.read_bytes() == printed
+    assert printed.endswith(b"}\n") and printed.count(b"\n") > jsonfmt._FLUSH_PIECES
+    if argv[0] == "chain":
+        table = (tmp_path / "a.csv").read_bytes()
+        assert (tmp_path / "b.csv").read_bytes() == table
+        rows = [
+            f"{layer},{coordinate},{float(kappa)!r}\n"
+            for layer, profile in enumerate(json.loads(printed)["profiles"])
+            for coordinate, kappa in enumerate(profile)
+        ]
+        assert table == ("layer,coordinate,kappa\n" + "".join(rows)).encode()
 
 
 class TestLogging:

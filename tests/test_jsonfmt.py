@@ -1,6 +1,7 @@
 """Tests for deterministic JSON emission."""
 
 import dataclasses
+import io
 import json
 import math
 
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capnet.jsonfmt import canonical_dumps
+from capnet import jsonfmt
+from capnet.jsonfmt import canonical_dump, canonical_dumps
 
 
 def _normalize_reference(obj):
@@ -168,3 +170,29 @@ def test_unserializable_rejected():
     for value in (object(), _Outer):  # a dataclass class is not an instance
         with pytest.raises(TypeError, match="serialize"):
             canonical_dumps({"f": value})
+
+
+class _CountingWriter(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_streamed_dump_matches_the_string_across_many_flushes():
+    # a list, a dict and a tuple of pairs that each pass the flush size several times
+    items = [1 / 7, 3, True, np.float64(2.5), math.nan, -math.inf, (1, (0.5, None)), np.int64(-4)]
+    size = 2 * jsonfmt._FLUSH_PIECES
+    rows = [items[i % len(items)] for i in range(size)]
+    wide = {f"k{i:05d}": items[i % len(items)] for i in range(size)}
+    pairs = tuple((i, i / 3) for i in range(size))
+    inner = _Inner(values=np.arange(3.0), label="x")
+    doc = {"rows": rows, "wide": wide, "pairs": pairs, "inner": inner, "flag": False}
+    plain = dict(doc, inner={"values": [0.0, 1.0, 2.0], "label": "x"})
+    handle = _CountingWriter()
+    canonical_dump(doc, handle)
+    assert handle.getvalue() == canonical_dumps(doc) == _dumps_reference(plain)
+    assert handle.writes >= 10

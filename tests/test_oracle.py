@@ -21,6 +21,7 @@ from capnet.core import (
     orthonormal_basis,
 )
 from capnet.oracle import (
+    _MAX_SAMPLE_WORK,
     _MEMORY_BUDGET_BYTES,
     EmpiricalReport,
     ExperimentConfig,
@@ -822,3 +823,17 @@ class TestMemoryGuards:
         )
         with pytest.raises(ValueError, match="2 GiB oracle memory limit"):
             empirical_spatial_capacity(config)
+
+    @pytest.mark.parametrize(
+        "n, k, n_samples",
+        [
+            (8, 3, 100_000_000),  # the default layer at the sample limit: exactly the work limit
+            (64, 64, 102_489),  # the most samples of 64*64*64 + 65**2 moment entries
+        ],
+    )
+    def test_work_limit_admits_a_pass_at_it(self, n, k, n_samples):
+        config = ExperimentConfig(
+            ProjectionMatrix(np.eye(n)), Activation.pseudo_random(), range(k), n_samples, seed=0
+        )
+        assert n_samples * (n * n * k + (n + 1) ** 2) <= _MAX_SAMPLE_WORK
+        oracle._check_pass(config)  # refuses nothing; a pass this long is not run here
