@@ -9,7 +9,7 @@ whose maximal weight decays exponentially with depth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -55,22 +55,7 @@ class ErfReport:
     fitted_exponent: float
     fit_residual: float
     boundary_flagged: bool
-    fit_points: int = field(init=False)
-
-    def __post_init__(self):
-        if self.probe_index < 0:
-            raise ValueError("probe_index must be a grid index")
-        if not self.per_depth_std:
-            raise ValueError("per_depth_std must not be empty")
-        depth = self.per_depth_std[0][0]
-        points = 0
-        for layer, sigma in self.per_depth_std:
-            if sigma < 0:
-                raise ValueError(f"negative width at layer {layer}")
-            # the fit's layers lie below the probe layer, which per_depth_std lists first
-            if sigma >= _MIN_FIT_SIGMA and layer < depth:
-                points += 1
-        object.__setattr__(self, "fit_points", points)
+    fit_points: int
 
 
 @dataclass(frozen=True)
@@ -83,20 +68,6 @@ class ShatterReport:
     L: int
     r: int
     eps: Optional[float] = None
-
-    def __post_init__(self):
-        if not 0.0 < self.max_path_weight <= 1.0:
-            raise ValueError("max_path_weight must lie in (0, 1]")
-        if not 0.0 < self.continuum_estimate <= 1.0:
-            raise ValueError("continuum_estimate must lie in (0, 1]")
-        if self.L < 1 or self.r < 1:
-            raise ValueError("L and r must be positive integers")
-        if self.uniform_weight != uniform_path_weight(self.r, self.L):
-            raise ValueError("uniform_weight must equal r**-L")
-        if self.eps is not None and not self.eps > 0:
-            raise ValueError(f"eps must be positive when given, got {self.eps!r}")
-        if self.eps is not None and not math.isfinite(self.eps):
-            raise ValueError(f"eps must be finite when given, got {self.eps!r}")
 
 
 def erf_profile(
@@ -148,7 +119,8 @@ def erf_profile(
     # widths[k] lies k layers below the probe; the fit takes k >= 1 and widths of 2 cells or more
     fit = widths >= _MIN_FIT_SIGMA
     fit[0] = False
-    if np.count_nonzero(fit) >= 2:
+    fit_points = int(np.count_nonzero(fit))
+    if fit_points >= 2:
         # math.log rather than np.log, whose last bits may differ
         xs = np.fromiter(map(math.log, np.flatnonzero(fit).tolist()), float)
         ys = np.fromiter(map(math.log, widths[fit].tolist()), float)
@@ -165,6 +137,7 @@ def erf_profile(
         fitted_exponent=exponent,
         fit_residual=residual,
         boundary_flagged=flagged,
+        fit_points=fit_points,
     )
 
 
@@ -232,12 +205,20 @@ def enumerate_path_weights(chain: LayerChain, i_l: int, i_L: int) -> Tuple[float
 
 
 def shatter_analysis(chain: LayerChain, r: int, eps: Optional[float] = None) -> ShatterReport:
-    """Path-weight report for a chain against the uniform-r baseline."""
+    """Path-weight report for a chain against the uniform-r baseline.
+
+    A path weight too small for a float reads 0.0.
+    """
     direct, continuum = max_path_weight(chain)
+    uniform = uniform_path_weight(r, len(chain))
+    if eps is not None and not eps > 0:
+        raise ValueError(f"eps must be positive when given, got {eps!r}")
+    if eps is not None and not math.isfinite(eps):
+        raise ValueError(f"eps must be finite when given, got {eps!r}")
     return ShatterReport(
         max_path_weight=direct,
         continuum_estimate=continuum,
-        uniform_weight=uniform_path_weight(r, len(chain)),
+        uniform_weight=uniform,
         L=len(chain),
         r=r,
         eps=eps,

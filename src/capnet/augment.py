@@ -230,16 +230,6 @@ class DecouplingReport:
     stderr: float
     n_samples: int
 
-    def __post_init__(self):
-        if self.stderr < 0:
-            raise ValueError("stderr must be non-negative")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be positive")
-        if self.nu is not None and abs(self.nu_hat) > 1.0 + 3.0 * self.stderr:
-            raise ValueError(
-                f"nu_hat {self.nu_hat!r} outside [-1, 1] by more than 3 stderr"
-            )
-
 
 def build_augmented_projection(p: ProjectionMatrix) -> np.ndarray:
     """Block projection ``P~`` of shape (n*m, m): p_j in block row j of column j.

@@ -83,8 +83,9 @@ class ResidualGenerator:
 
     Column j sends ``up = Dcoef + v/2`` to cell j+1, ``down = Dcoef - v/2``
     to cell j-1 and keeps ``diag[j]``, which is ``-2 Dcoef`` except where a
-    reflecting edge folds the outgoing flux back in.  Periodic boundaries
-    wrap the stencil; ``matrix`` builds the dense form.  Columns sum to 0,
+    reflecting edge folds the outgoing flux back in.  Only ``up`` and
+    ``down`` are stored; ``diag`` and the dense ``matrix`` are built on
+    demand.  Periodic boundaries wrap the stencil.  Columns sum to 0,
     so ``I + eps*Delta`` is column-stochastic whenever it is entrywise
     non-negative.  ``v`` is measured in cells per unit depth and ``Dcoef``
     in cells squared per unit depth, with one cell per neuron; ``|v|/2``
@@ -97,7 +98,6 @@ class ResidualGenerator:
     boundary: str = "periodic"
     up: float = field(init=False, compare=False)
     down: float = field(init=False, compare=False)
-    diag: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.v) and math.isfinite(self.Dcoef)):
@@ -115,15 +115,17 @@ class ResidualGenerator:
             raise ValueError("generator needs at least 3 grid points")
         if self.boundary not in ("periodic", "reflecting"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
-        up = self.Dcoef + self.v / 2.0  # weight towards larger index
-        down = self.Dcoef - self.v / 2.0
+        object.__setattr__(self, "up", self.Dcoef + self.v / 2.0)  # towards larger index
+        object.__setattr__(self, "down", self.Dcoef - self.v / 2.0)
+
+    @property
+    def diag(self) -> np.ndarray:
+        """The n diagonal entries: ``-2 Dcoef``, plus the reflected flux at an edge."""
         diag = np.full(self.n, -2.0 * self.Dcoef)
         if self.boundary == "reflecting":
-            diag[0] += down
-            diag[-1] += up
-        object.__setattr__(self, "up", up)
-        object.__setattr__(self, "down", down)
-        object.__setattr__(self, "diag", diag)
+            diag[0] += self.down
+            diag[-1] += self.up
+        return diag
 
     @property
     def matrix(self) -> np.ndarray:
@@ -138,9 +140,12 @@ class ResidualGenerator:
         return matrix
 
     def max_stable_eps(self) -> float:
-        """Largest eps with ``eps * max(-diag) < 1`` (strict)."""
-        drop = float(np.max(-self.diag))
-        return math.inf if drop <= 0 else 1.0 / drop
+        """Largest eps with ``eps * max(-diag) < 1`` (strict).
+
+        ``max(-diag)`` is ``2 Dcoef``: n >= 3 leaves an interior cell, and a
+        reflecting edge only adds ``up, down >= 0`` back.
+        """
+        return 1.0 / (2.0 * self.Dcoef)
 
     def _check_eps(self, eps: float) -> None:
         if not eps > 0:
@@ -221,7 +226,10 @@ def _walk(
     rows = np.empty((min(block_rows, cfg.L + 1), gen.n))
     rows[0] = kappa_top.values
     # the entries of I + eps*Delta: same products as the dense step, summed per cell
-    keep = 1.0 + cfg.eps * gen.diag
+    keep = 1.0 + cfg.eps * (-2.0 * gen.Dcoef)
+    if gen.boundary == "reflecting":
+        keep_first = 1.0 + cfg.eps * (-2.0 * gen.Dcoef + gen.down)
+        keep_last = 1.0 + cfg.eps * (-2.0 * gen.Dcoef + gen.up)
     up = cfg.eps * gen.up
     down = cfg.eps * gen.down
     count = len(rows)
@@ -231,6 +239,9 @@ def _walk(
             yield rows
         x, y = rows[j - 1], rows[j]
         np.multiply(keep, x, out=y)
+        if gen.boundary == "reflecting":
+            y[0] = keep_first * x[0]
+            y[-1] = keep_last * x[-1]
         y[1:] += up * x[:-1]
         y[:-1] += down * x[1:]
         if gen.boundary == "periodic":

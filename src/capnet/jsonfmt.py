@@ -30,6 +30,9 @@ _FLUSH_PIECES = 4096
 
 
 def _emit(obj: Any, indent: int, pieces: list, write: Callable[[str], Any]) -> None:
+    if len(pieces) >= _FLUSH_PIECES:
+        write("".join(pieces))
+        pieces.clear()
     pad = "  " * indent
     if isinstance(obj, float):  # np.float64 included
         pieces.append(format(float(obj), ".17g") if math.isfinite(obj) else "null")
@@ -50,9 +53,6 @@ def _emit(obj: Any, indent: int, pieces: list, write: Callable[[str], Any]) -> N
             pieces.append(pad + "  ")
             _emit(item, indent + 1, pieces, write)
             pieces.append(",\n" if i + 1 < len(obj) else "\n")
-            if len(pieces) >= _FLUSH_PIECES:
-                write("".join(pieces))
-                pieces.clear()
         pieces.append(pad + "]")
     elif isinstance(obj, dict):
         if not obj:
@@ -65,9 +65,6 @@ def _emit(obj: Any, indent: int, pieces: list, write: Callable[[str], Any]) -> N
             pieces.append(pad + "  " + json.dumps(key) + ": ")
             _emit(items[key], indent + 1, pieces, write)
             pieces.append(",\n" if i + 1 < len(keys) else "\n")
-            if len(pieces) >= _FLUSH_PIECES:
-                write("".join(pieces))
-                pieces.clear()
         pieces.append(pad + "}")
     # a numpy value is written as the plain Python value it stands for
     elif isinstance(obj, np.ndarray):

@@ -44,8 +44,8 @@ Sampler = Callable[[np.random.Generator, int, int], np.ndarray]
 _NOISE_BLOCKS = 8
 # A chunk's inputs y, pre-activations z and etas stay near this size.
 _CHUNK_BYTES = 2**20
-# Largest array the oracle holds whole: its block cross moments, refused
-# before allocating.
+# Largest array the oracle holds whole: its block cross moments, or the
+# augmented second moment of empirical_sigma_tilde, refused before allocating.
 _MEMORY_BUDGET_BYTES = 2 * 2**30
 # Most samples a run takes: about a minute at n = m = 8 with 3 selected
 # columns, where a sample costs some 0.3-0.8 us.
@@ -182,6 +182,8 @@ def _chunks(
             y = np.asarray(draw(rng, count, n), dtype=float)
             if y.shape != (count, n):
                 raise ValueError(f"sampler returned shape {y.shape}, expected ({count}, {n})")
+            if not np.isfinite(y).all():
+                raise ValueError("sampler returned non-finite values")
             z = np.einsum("ri,ij->rj", y, p.matrix, optimize=False)
             yield block, y, z, act.eta(z, key=eta_key)
 
@@ -205,7 +207,14 @@ def empirical_sigma_tilde(
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be at least 1000")
-    acc = np.zeros((p.n_in * p.n_out,) * 2)
+    dim = p.n_in * p.n_out
+    if 8 * dim * dim > _MEMORY_BUDGET_BYTES:
+        raise ValueError(
+            f"an augmented second moment of {dim} x {dim} floats needs "
+            f"{8 * dim * dim / 2**30:.1f} GiB, over the {_MEMORY_BUDGET_BYTES / 2**30:g} GiB "
+            "oracle memory limit"
+        )
+    acc = np.zeros((dim, dim))
     for _, y, _, eta in _chunks(p, act, sampler, n_samples, seed):
         rows = _augment(y, eta)
         acc += rows.T @ rows
@@ -304,11 +313,9 @@ def _constrained_fit(config: ExperimentConfig, moments: _Moments) -> np.ndarray:
     """Least-squares readout on the selected features, from R's leading block."""
     k = len(config.param_selector)
     r11 = moments.r[:k, :k]
-    # R11 has the singular values and column inner products of F_sel
-    singvals = np.linalg.svd(r11, compute_uv=False)
-    rank = int(np.sum(singvals > _RANK_TOL * singvals[0])) if singvals[0] > 0 else 0
-    if rank < k:
-        bad = [config.param_selector[j] for j in _deficient_columns(r11)]
+    # R11 has the column inner products of F_sel
+    bad = [config.param_selector[j] for j in _deficient_columns(r11)]
+    if bad:
         raise ValueError(f"selected feature columns {bad} are rank deficient")
     a_star = np.zeros(config.m)
     a_star[list(config.param_selector)] = np.linalg.solve(r11, moments.r[:k, -1])

@@ -13,8 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capnet.analyze import (
-    ErfReport,
-    ShatterReport,
     enumerate_path_weights,
     erf_profile,
     max_path_weight,
@@ -381,44 +379,9 @@ class TestShatterAnalysis:
         assert payload["L"] == 5
         assert payload["uniform_weight"] == 1.0 / 32.0
 
-    def test_report_validation(self):
-        with pytest.raises(ValueError, match="max_path_weight"):
-            ShatterReport(
-                max_path_weight=1.5,
-                continuum_estimate=0.5,
-                uniform_weight=0.5,
-                L=1,
-                r=2,
-            )
-        with pytest.raises(ValueError, match="uniform_weight"):
-            ShatterReport(
-                max_path_weight=0.5,
-                continuum_estimate=0.5,
-                uniform_weight=0.3,
-                L=1,
-                r=2,
-            )
-
     @pytest.mark.parametrize(
         "eps, message", [(0.0, "positive"), (math.nan, "positive"), (math.inf, "finite")]
     )
     def test_report_eps_must_be_positive_and_finite(self, eps, message):
         with pytest.raises(ValueError, match=f"eps must be {message} when given"):
-            ShatterReport(
-                max_path_weight=0.5,
-                continuum_estimate=0.5,
-                uniform_weight=0.5,
-                L=1,
-                r=2,
-                eps=eps,
-            )
-
-    def test_erf_report_validation(self):
-        with pytest.raises(ValueError, match="negative width"):
-            ErfReport(
-                probe_index=0,
-                per_depth_std=((1, -0.5),),
-                fitted_exponent=0.5,
-                fit_residual=0.0,
-                boundary_flagged=False,
-            )
+            shatter_analysis(_residual_chain(0.1, 1), r=2, eps=eps)

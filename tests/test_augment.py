@@ -347,14 +347,6 @@ class TestLayoutAndSpace:
 
 
 class TestDecouplingReport:
-    def test_rejects_negative_stderr(self):
-        with pytest.raises(ValueError, match="stderr"):
-            DecouplingReport(nu=0.5, nu_hat=0.5, stderr=-1e-3, n_samples=1000)
-
-    def test_rejects_out_of_range_estimate(self):
-        with pytest.raises(ValueError, match="outside"):
-            DecouplingReport(nu=1.0, nu_hat=1.5, stderr=0.01, n_samples=1000)
-
     def test_allows_unknown_closed_form(self):
         report = DecouplingReport(nu=None, nu_hat=1.5, stderr=0.01, n_samples=1000)
         assert report.nu is None

@@ -4,6 +4,9 @@ import copy
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import capnet
 from capnet import jsonfmt
 from capnet.analyze import ErfReport, ShatterReport, erf_profile
 from capnet.augment import DecouplingReport
@@ -71,6 +75,14 @@ class TestNu:
         assert doc["nu"] == pytest.approx(1.44 / 2.08, rel=1e-12)
         assert abs(doc["nu_hat"] - doc["nu"]) <= 4.0 * doc["stderr"]
         assert doc["n_samples"] == 100000
+
+    def test_monte_carlo_estimate_far_outside_unit_interval_exits_0(self, capsys):
+        # |eta| = 100, so 1,000 samples put nu_hat at 1180 with a stderr of 314
+        code, out = _run(capsys, ["nu", "pseudo_random:100", "--mc", "1000", "--seed", "355"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["nu"] == 0
+        assert abs(doc["nu_hat"]) > 1.0 + 3.0 * doc["stderr"]
 
     def test_unparsable_activation_exits_2(self, capsys):
         assert main(["nu", "bogus"]) == 2
@@ -430,6 +442,31 @@ class TestPde:
         err = capsys.readouterr().err
         assert "closed form on 2,000,001 cells is past the limit of 500,000 cells" in err
 
+    def test_grid_past_closed_form_limit_exits_2_in_bounded_memory(self):
+        # no n-sized array is built before the closed-form limit refuses the grid.
+        # A process forked from pytest carries pytest's peak into its ru_maxrss,
+        # so the command is forked from a small launcher that reads it with wait4.
+        launcher = (
+            "import os, sys\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    os.execv(sys.executable, [sys.executable, '-m', 'capnet.cli'] + sys.argv[1:])\n"
+            "_, status, usage = os.wait4(pid, 0)\n"
+            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+        )
+        src = os.path.dirname(os.path.dirname(capnet.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", launcher, "pde", "--n", "20000000"],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        code, peak_kib = (int(word) for word in done.stdout.split())
+        assert code == 2
+        assert "closed form on 20,000,000 cells is past the limit of 500,000 cells" in done.stderr
+        assert peak_kib < 80 * 1024
+
     def test_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["pde", "--n", "101", "--L", "50", "--out"]
@@ -538,6 +575,27 @@ class TestShatter:
         assert doc["max_path_weight"] == pytest.approx(0.8**10, rel=1e-12)
         assert doc["uniform_weight"] == pytest.approx(3.0**-10, rel=1e-12)
         assert doc["L"] == 10
+
+    def test_deep_dense_path_weight_underflows_to_zero(self, tmp_path, capsys):
+        # 170 pseudo-random layers of width 96: the best stay-in-place weight is
+        # below the smallest double, and reads 0
+        layers = [
+            {
+                "kind": "dense",
+                "n_in": 96,
+                "n_out": 96,
+                "activation": "pseudo_random",
+                "weights": f"random_gaussian:{seed}",
+            }
+            for seed in range(170)
+        ]
+        path = _write_spec(tmp_path, "dense.json", {"layers": layers, "top_capacity": "uniform"})
+        code, out = _run(capsys, ["shatter", path])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["max_path_weight"] == 0.0
+        assert doc["continuum_estimate"] > 0.0
+        assert doc["uniform_weight"] == 0.0
 
     def test_nan_eps_exits_2(self, tmp_path, capsys):
         path = _write_spec(tmp_path, "deep.json", _residual_spec(21, 2, top="dirac:10"))

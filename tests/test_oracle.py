@@ -201,6 +201,23 @@ class TestEmpiricalSigmaTilde:
                 seed=8,
             )
 
+    def test_non_finite_sampler_refused(self):
+        config = ExperimentConfig(
+            _random_projection(np.random.default_rng(36), 4, 4),
+            Activation.linear(), (0, 1), 2000, seed=1,
+        )
+
+        def sampler(rng, count, n):
+            y = rng.standard_normal((count, n))
+            y[3, 0] = math.nan
+            return y
+
+        # no rank test catches NaN features, so the fit would return NaN weights
+        with pytest.raises(ValueError, match="sampler returned non-finite values"):
+            fit_optimal_last_layer(config, lambda y: y[:, 0], sampler)
+        with pytest.raises(ValueError, match="sampler returned non-finite values"):
+            empirical_spatial_capacity(config, sampler)
+
     def test_rejects_small_samples(self):
         p = _random_projection(np.random.default_rng(35), 2, 2)
         with pytest.raises(ValueError, match="1000"):
@@ -279,6 +296,21 @@ class TestFitOptimalLastLayer:
         )
         with pytest.raises(ValueError, match=r"\[2\] are rank deficient"):
             fit_optimal_last_layer(config, lambda y: y[:, 0])
+
+    def test_nearly_parallel_columns_never_name_an_empty_list(self):
+        # at an angle of 1.5e-10 the second column's residual is just above the
+        # 1e-10 rank tolerance: a refusal must name a column, or the fit runs
+        theta = 1.5e-10
+        u = np.array([1.0, 0.0, 0.0])
+        v = np.array([math.cos(theta), math.sin(theta), 0.0])
+        p = ProjectionMatrix(np.column_stack([u, v, [0.0, 0.0, 1.0]]))
+        config = ExperimentConfig(p, Activation.linear(), (0, 1), 2000, seed=13)
+        try:
+            a_star = fit_optimal_last_layer(config, lambda y: y[:, 0])
+        except ValueError as exc:
+            assert "columns []" not in str(exc)
+        else:
+            assert np.all(np.isfinite(a_star))
 
 
 class TestVerifyStationarity:
@@ -823,6 +855,18 @@ class TestMemoryGuards:
         )
         with pytest.raises(ValueError, match="2 GiB oracle memory limit"):
             empirical_spatial_capacity(config)
+
+    def test_augmented_second_moment_past_budget_refused_before_allocating(self):
+        # (n*m)**2 floats: n = m = 200 would need 12.8 GB
+        p = ProjectionMatrix(np.eye(200))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="2 GiB oracle memory limit"):
+                empirical_sigma_tilde(p, Activation.pseudo_random(), None, 1000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize(
         "n, k, n_samples",
