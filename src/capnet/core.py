@@ -87,16 +87,19 @@ class ProjectionMatrix:
             raise ValueError(
                 f"projection columns must have unit norm; column {bad} has norm {norms[bad]!r}"
             )
-        if matrix.shape[1] > 1:
-            # equal columns sit next to each other once sorted, lowest index first
-            order = np.lexsort(matrix)
-            ordered = matrix[:, order]
-            equal = np.flatnonzero(np.all(ordered[:, 1:] == ordered[:, :-1], axis=0))
-            if equal.size:
-                i = equal[np.argmin(order[equal])]
-                raise ValueError(
-                    f"projection columns {order[i]} and {order[i + 1]} are identical"
-                )
+        # one key per column: its bytes after + 0.0, which turns -0.0 into 0.0,
+        # so two finite columns have equal keys exactly when they are equal
+        keyed = matrix.T.copy()
+        keyed += 0.0
+        keys = keyed.view(f"V{8 * keyed.shape[1]}").ravel().tolist()
+        if len(set(keys)) < len(keys):
+            # groups keep the order of their first column, so the first group
+            # of two starts at the lowest column that has a later equal one
+            groups = {}
+            for j, key in enumerate(keys):
+                groups.setdefault(key, []).append(j)
+            i, k = next(g[:2] for g in groups.values() if len(g) > 1)
+            raise ValueError(f"projection columns {i} and {k} are identical")
         object.__setattr__(self, "matrix", matrix)
 
     @property
@@ -114,9 +117,15 @@ class ProjectionMatrix:
     def from_raw(cls, matrix) -> "ProjectionMatrix":
         """Build from raw weights, normalizing each column to unit length."""
         matrix = _as_matrix(matrix, "projection")
-        norms = np.linalg.norm(matrix, axis=0)
-        if np.any(norms == 0):
-            raise ValueError(f"projection has a zero column at index {int(np.argmin(norms))}")
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(matrix, axis=0)
+        bad = np.flatnonzero((norms == 0) | np.isinf(norms))
+        if bad.size:
+            j = int(bad[0])
+            if not matrix[:, j].any():
+                raise ValueError(f"projection has a zero column at index {j}")
+            flow = "overflows" if norms[j] else "underflows"
+            raise ValueError(f"projection column {j} has a squared norm that {flow} a float")
         return cls(matrix / norms)
 
     @classmethod

@@ -281,6 +281,8 @@ def _stream(
         t = np.asarray(target(y, feats), dtype=float)
         if t.shape != (y.shape[0],):
             raise ValueError(f"target returned shape {t.shape}, expected ({y.shape[0]},)")
+        if not np.isfinite(t).all():
+            raise ValueError("target returned non-finite values")
         for col, c in enumerate(selected):
             # row-block j of x~ f_c is eta_j f_c y, as in _augment
             cross[block, :, col] += ((eta * feats[:, [c]]).T @ y).reshape(-1)

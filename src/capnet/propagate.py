@@ -76,9 +76,8 @@ class PropagationOperator:
         if r < 1 or r > n:
             raise ValueError(f"window size must be in [1, {n}], got {r}")
         matrix = np.zeros((n, n))
-        offsets = np.arange(r) - (r - 1) // 2
-        for j in range(n):
-            matrix[(j + offsets) % n, j] = 1.0 / r
+        cols = np.arange(n)[:, None]
+        matrix[(cols + np.arange(r) - (r - 1) // 2) % n, cols] = 1.0 / r
         return cls(matrix)
 
 

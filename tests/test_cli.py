@@ -349,6 +349,24 @@ class TestChain:
         assert code == 0
         assert json.loads(out)["profiles"][0] == [1.0, 3.0]
 
+    @pytest.mark.parametrize("scale, flow", [("1e200", "overflows"), ("1e-170", "underflows")])
+    def test_weights_file_column_norm_out_of_float_range_exits_2(
+        self, tmp_path, capsys, scale, flow
+    ):
+        weights = tmp_path / "w.csv"
+        weights.write_text(f"{scale},1\n{scale},0\n")
+        doc = {
+            "layers": [
+                {"kind": "dense", "n_in": 2, "n_out": 2, "weights": str(weights),
+                 "activation": "pseudo_random"}
+            ],
+            "top_capacity": "uniform",
+        }
+        assert main(["chain", _write_spec(tmp_path, "file.json", doc)]) == 2
+        err = capsys.readouterr().err
+        assert f"layer 0: projection column 0 has a squared norm that {flow} a float" in err
+        assert "Warning" not in err
+
     def test_layer_command_single_step(self, tmp_path, capsys):
         path = _write_spec(tmp_path, "one.json", _residual_spec(21, 1, top="dirac:10"))
         code, out = _run(capsys, ["layer", path])

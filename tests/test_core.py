@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -243,6 +245,55 @@ class TestTypeValidation:
             else:
                 with pytest.raises(ValueError, match=f"columns {pair[0]} and {pair[1]} are"):
                     ProjectionMatrix(matrix)
+
+    @pytest.mark.parametrize("case", ["planted", "signed_zero", "several", "none"])
+    def test_wide_identical_columns_match_pairwise_loop(self, case):
+        # the same reference as above, at a width where the check must not sort
+        def first_pair(matrix):
+            m = matrix.shape[1]
+            for j in range(m):
+                for k in range(j + 1, m):
+                    if np.array_equal(matrix[:, j], matrix[:, k]):
+                        return j, k
+            return None
+
+        rng = np.random.default_rng(11)
+        matrix = rng.standard_normal((6, 300))
+        matrix /= np.linalg.norm(matrix, axis=0)
+        if case == "planted":
+            matrix[:, [41, 170, 299]] = matrix[:, [170]]
+        elif case == "signed_zero":
+            matrix[:, 90] = [0.6, 0.0, 0.8, 0.0, 0.0, 0.0]
+            matrix[:, 250] = [0.6, -0.0, 0.8, 0.0, -0.0, 0.0]
+        elif case == "several":
+            for group in ([7, 280], [120, 3, 260], [200, 50, 51, 299]):
+                matrix[:, group] = matrix[:, [group[0]]]
+        pair = first_pair(matrix)
+        assert (pair is None) == (case == "none")
+        if pair is None:
+            ProjectionMatrix(matrix)
+        else:
+            with pytest.raises(ValueError, match=f"columns {pair[0]} and {pair[1]} are identical"):
+                ProjectionMatrix(matrix)
+
+    def test_from_raw_traced_peak_within_four_matrices(self):
+        # the spec operator limit assumes building an operator takes at most 4x its size
+        weights = np.random.default_rng(12).standard_normal((1024, 1024))
+        tracemalloc.start()
+        try:
+            ProjectionMatrix.from_raw(weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * weights.nbytes
+
+    @pytest.mark.parametrize(
+        "weights, flow",
+        [([[1e200, 1.0], [1e200, 0.0]], "overflows"), ([[1e-170, 1.0], [1e-170, 0.0]], "underflows")],
+    )
+    def test_from_raw_refuses_squared_norm_out_of_float_range(self, weights, flow):
+        with pytest.raises(ValueError, match=f"column 0 has a squared norm that {flow} a float"):
+            ProjectionMatrix.from_raw(np.array(weights))
 
     def test_projection_from_raw_normalizes(self):
         p = ProjectionMatrix.from_raw(np.array([[3.0, 0.0], [4.0, 2.0]]))

@@ -218,6 +218,25 @@ class TestEmpiricalSigmaTilde:
         with pytest.raises(ValueError, match="sampler returned non-finite values"):
             empirical_spatial_capacity(config, sampler)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_target_refused(self, bad):
+        config = ExperimentConfig(
+            _random_projection(np.random.default_rng(36), 4, 4),
+            Activation.linear(), (0, 1), 2000, seed=1,
+        )
+
+        def target(y):
+            return y[:, 0] * bad
+
+        # unrefused, the fit returned [nan nan 0 0]
+        with pytest.raises(ValueError, match="target returned non-finite values"):
+            fit_optimal_last_layer(config, target)
+        a_star = np.array([1.0, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="target returned non-finite values"):
+            verify_stationarity(config, a_star, target)
+        with pytest.raises(ValueError, match="target returned non-finite values"):
+            stationarity_noise_floor(config, a_star, target)
+
     def test_rejects_small_samples(self):
         p = _random_projection(np.random.default_rng(35), 2, 2)
         with pytest.raises(ValueError, match="1000"):

@@ -245,6 +245,15 @@ class TestOperatorAndLayerValidation:
         np.testing.assert_allclose(d.matrix[[1, 2, 3], 2], 1 / 3)
         np.testing.assert_allclose(d.matrix[[4, 0, 1], 0], 1 / 3)
 
+    def test_uniform_window_matches_per_column_loop_bit_for_bit(self):
+        for n, r in [(n, r) for n in range(1, 13) for r in range(1, n + 1)] + [(96, 3), (96, 5)]:
+            reference = np.zeros((n, n))
+            offsets = np.arange(r) - (r - 1) // 2
+            for j in range(n):
+                reference[(j + offsets) % n, j] = 1.0 / r
+            matrix = PropagationOperator.uniform_window(n, r).matrix
+            assert matrix.tobytes() == reference.tobytes(), (n, r)
+
     def test_uniform_window_size_bounds(self):
         with pytest.raises(ValueError, match="window"):
             PropagationOperator.uniform_window(3, 4)
