@@ -30,12 +30,10 @@ __all__ = [
     "erf_profile",
     "max_path_weight",
     "uniform_path_weight",
-    "enumerate_path_weights",
     "shatter_analysis",
 ]
 
 _MIN_FIT_SIGMA = 2.0  # grid cells; below this the width statistic is too discrete
-_PATH_GUARD = 10**6
 
 
 @dataclass(frozen=True)
@@ -173,35 +171,6 @@ def uniform_path_weight(r: int, L: int) -> float:
         return 1.0 / float(r**L)
     except OverflowError:
         return 0.0
-
-
-def enumerate_path_weights(chain: LayerChain, i_l: int, i_L: int) -> Tuple[float, float]:
-    """Brute-force total and maximal single-path weight between two indices.
-
-    Materializes the weight of every index path from entry ``i_L`` at the top
-    to entry ``i_l`` at the bottom; the total recovers the ``(i_l, i_L)``
-    entry of the product matrix.  Guarded to at most 10^6 paths; bigger
-    chains must use the matrix product instead.
-    """
-    operators = [layer.matrix for layer in chain.layers]
-    if not 0 <= i_l < chain.n_in:
-        raise ValueError(f"i_l must be in [0, {chain.n_in})")
-    if not 0 <= i_L < chain.n_out:
-        raise ValueError(f"i_L must be in [0, {chain.n_out})")
-    count = 1
-    for matrix in operators[:-1]:
-        count *= matrix.shape[1]
-        if count > _PATH_GUARD:
-            raise ValueError(f"more than {_PATH_GUARD} paths; use the matrix product")
-    if len(operators) == 1:
-        value = float(operators[0][i_l, i_L])
-        return value, value
-    # weights[j_1, ..., j_{L-1}], one interface index added per factor
-    weights = operators[0][i_l, :]
-    for matrix in operators[1:-1]:
-        weights = weights[..., None] * matrix
-    weights = weights * operators[-1][:, i_L]
-    return float(weights.sum()), float(weights.max())
 
 
 def shatter_analysis(chain: LayerChain, r: int, eps: Optional[float] = None) -> ShatterReport:

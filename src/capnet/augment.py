@@ -120,8 +120,6 @@ class Activation:
             alpha, beta = _normalized_slopes(self.kind, self.leak)
             object.__setattr__(self, "alpha", alpha)
             object.__setattr__(self, "beta", beta)
-            if abs(alpha**2 + beta**2 - 2.0) > 1e-12:
-                raise ValueError("slope normalization failed")
         if self.kind == "custom" and self.custom_fn is None:
             raise ValueError("custom activation requires custom_fn")
 

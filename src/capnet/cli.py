@@ -272,10 +272,8 @@ def cmd_nu(args) -> int:
     return 0
 
 
-def _run_chain(args, single_layer: bool) -> int:
+def cmd_chain(args) -> int:
     spec = load_network_spec(args.specfile)
-    if single_layer and len(spec.chain) != 1:
-        raise SpecError(f"layer command needs exactly 1 layer, spec has {len(spec.chain)}")
     log.info("propagating through %d layers", len(spec.chain))
     profiles = propagate_chain(spec.chain, spec.top)
     report = {
@@ -291,14 +289,6 @@ def _run_chain(args, single_layer: bool) -> int:
     if args.csv is not None:
         _write_profiles_csv(profiles, args.csv)
     return 0
-
-
-def cmd_chain(args) -> int:
-    return _run_chain(args, single_layer=False)
-
-
-def cmd_layer(args) -> int:
-    return _run_chain(args, single_layer=True)
 
 
 def cmd_pde(args) -> int:
@@ -396,15 +386,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_nu.add_argument("--out")
     p_nu.set_defaults(handler=cmd_nu)
 
-    for name, aliases, handler in (
-        ("chain", ["propagate"], cmd_chain),
-        ("layer", [], cmd_layer),
-    ):
-        p_run = sub.add_parser(name, aliases=aliases, help="propagate a capacity profile")
-        p_run.add_argument("specfile")
-        p_run.add_argument("--out")
-        p_run.add_argument("--csv")
-        p_run.set_defaults(handler=handler)
+    p_chain = sub.add_parser("chain", help="propagate a capacity profile")
+    p_chain.add_argument("specfile")
+    p_chain.add_argument("--out")
+    p_chain.add_argument("--csv")
+    p_chain.set_defaults(handler=cmd_chain)
 
     # the residual walk that pde and erf both run
     walk = argparse.ArgumentParser(add_help=False)

@@ -17,15 +17,15 @@ import numpy as np
 _RANK_TOL = 1e-10
 # Asymmetry and negative eigenvalues below this fraction of the norm are rounding.
 _PSD_TOL = 1e-8
+# Most a projection column's norm may differ from 1, with no relative slack.
+_UNIT_NORM_TOL = 1e-12
 
 __all__ = [
     "CovarianceMatrix",
     "ProjectionMatrix",
     "CapacityBasis",
     "SpatialCapacity",
-    "ParamMap",
     "orthonormal_basis",
-    "gram_capacity_basis",
     "capacity_of_subspace",
     "spatial_profile",
 ]
@@ -73,6 +73,24 @@ def _specnorm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2)) if a.size else 0.0
 
 
+def _column_norms(matrix: np.ndarray) -> np.ndarray:
+    """Column norms of a finite projection matrix.
+
+    Refuses a zero column, and a non-zero one whose squared norm overflows or
+    underflows a float, which would read as a norm of inf or 0.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(matrix, axis=0)
+    bad = np.flatnonzero((norms == 0) | np.isinf(norms))
+    if bad.size:
+        j = int(bad[0])
+        if not matrix[:, j].any():
+            raise ValueError(f"projection has a zero column at index {j}")
+        flow = "overflows" if norms[j] else "underflows"
+        raise ValueError(f"projection column {j} has a squared norm that {flow} a float")
+    return norms
+
+
 @dataclass(frozen=True)
 class ProjectionMatrix:
     """First-layer weights: columns are the distinct, unit-norm projection vectors."""
@@ -81,9 +99,10 @@ class ProjectionMatrix:
 
     def __post_init__(self):
         matrix = _as_matrix(self.matrix, "projection")
-        norms = np.linalg.norm(matrix, axis=0)
-        if not np.allclose(norms, 1.0, atol=1e-12):
-            bad = int(np.argmax(np.abs(norms - 1.0)))
+        norms = _column_norms(matrix)
+        deviation = np.abs(norms - 1.0)
+        if deviation.size and deviation.max() > _UNIT_NORM_TOL:
+            bad = int(np.argmax(deviation))
             raise ValueError(
                 f"projection columns must have unit norm; column {bad} has norm {norms[bad]!r}"
             )
@@ -117,15 +136,7 @@ class ProjectionMatrix:
     def from_raw(cls, matrix) -> "ProjectionMatrix":
         """Build from raw weights, normalizing each column to unit length."""
         matrix = _as_matrix(matrix, "projection")
-        with np.errstate(over="ignore"):
-            norms = np.linalg.norm(matrix, axis=0)
-        bad = np.flatnonzero((norms == 0) | np.isinf(norms))
-        if bad.size:
-            j = int(bad[0])
-            if not matrix[:, j].any():
-                raise ValueError(f"projection has a zero column at index {j}")
-            flow = "overflows" if norms[j] else "underflows"
-            raise ValueError(f"projection column {j} has a squared norm that {flow} a float")
+        norms = _column_norms(matrix)
         return cls(matrix / norms)
 
     @classmethod
@@ -207,43 +218,6 @@ class SpatialCapacity:
         return cls(v)
 
 
-@dataclass(frozen=True)
-class ParamMap:
-    """Jacobian of the readout coefficients with respect to the free parameters.
-
-    Convention: ``jacobian[i, k] = d A_i / d W_k``, i.e. the coefficient vector
-    is ``A = jacobian @ W`` for a fixed linear parametrization.  Redundant
-    parametrizations (p > m, or rank-deficient jacobians) are allowed; rank is
-    resolved downstream.
-    """
-
-    jacobian: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "jacobian", _as_matrix(self.jacobian, "jacobian"))
-
-    @property
-    def m(self) -> int:
-        return self.jacobian.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.jacobian.shape[1]
-
-    @classmethod
-    def free(cls, m: int) -> "ParamMap":
-        """Every coefficient is an independent parameter."""
-        return cls(np.eye(m))
-
-    @classmethod
-    def coordinate_selector(cls, m: int, indices) -> "ParamMap":
-        """Parameters act on a subset of coefficients; the rest are frozen at 0."""
-        jac = np.zeros((m, len(indices)))
-        for col, i in enumerate(indices):
-            jac[i, col] = 1.0
-        return cls(jac)
-
-
 def orthonormal_basis(matrix) -> CapacityBasis:
     """Orthonormal basis of the column space of ``matrix`` via rank-revealing SVD.
 
@@ -259,26 +233,12 @@ def orthonormal_basis(matrix) -> CapacityBasis:
     return CapacityBasis(u[:, :rank])
 
 
-def gram_capacity_basis(params: ParamMap) -> CapacityBasis:
-    """Feature-space capacity basis from the parameter jacobian.
-
-    Eigenvectors of ``J J^T`` with eigenvalue above ``1e-10 * lambda_max``,
-    ordered by decreasing eigenvalue.  The rank equals the number of
-    independent parameters.
-    """
-    jac = params.jacobian
-    gram = jac @ jac.T
-    if not np.any(gram):
-        return CapacityBasis(np.zeros((params.m, 0)))
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    order = np.argsort(eigvals)[::-1]
-    eigvals, eigvecs = eigvals[order], eigvecs[:, order]
-    rank = int(np.sum(eigvals > _RANK_TOL * eigvals[0]))
-    return CapacityBasis(eigvecs[:, :rank])
-
-
 def capacity_of_subspace(basis: CapacityBasis, selector: CapacityBasis) -> float:
-    """Capacity allocated to the subspace spanned by ``selector``: ``||K^T S||_F^2``."""
+    """Capacity allocated to the subspace spanned by ``selector``: ``||K^T S||_F^2``.
+
+    This is the paper's definition of subspace capacity.  It depends on the
+    spans of K and S only, not on the bases chosen for them.
+    """
     if basis.ambient_dim != selector.ambient_dim:
         raise ValueError(
             f"ambient dimension mismatch: basis {basis.ambient_dim}, selector {selector.ambient_dim}"
@@ -287,6 +247,11 @@ def capacity_of_subspace(basis: CapacityBasis, selector: CapacityBasis) -> float
 
 
 def spatial_profile(basis: CapacityBasis) -> SpatialCapacity:
-    """Per-coordinate capacities; they sum to the basis rank."""
+    """Per-coordinate capacities; they sum to the basis rank.
+
+    Entry i is the paper's subspace capacity of coordinate axis i,
+    ``capacity_of_subspace(basis, e_i)``, so it depends on the span of the
+    basis only.
+    """
     values = np.sum(basis.columns**2, axis=1)
     return SpatialCapacity(values)

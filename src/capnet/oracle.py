@@ -1,11 +1,11 @@
 """Monte Carlo ground truth for the closed-form capacity results.
 
-Implements empirical augmented covariances, least-squares optimal last
-layers, a stationarity check for those optima, and empirical spatial
-capacities compared against the closed form, on samples passed through an
-:class:`~capnet.augment.Activation` (the pseudo-random one hashes each
-input value to a sign).  Every estimate reads the samples once, in chunks,
-so memory does not grow with the sample count.
+Implements least-squares optimal last layers, a stationarity check for
+those optima, and empirical spatial capacities compared against the closed
+form, on samples passed through an :class:`~capnet.augment.Activation`
+(the pseudo-random one hashes each input value to a sign).  Every
+estimate reads the samples once, in chunks, so memory does not grow with
+the sample count.
 """
 
 from __future__ import annotations
@@ -17,21 +17,11 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .augment import Activation, _derive_streams, augmented_spatial_profile
-from .core import (
-    CapacityBasis,
-    CovarianceMatrix,
-    ParamMap,
-    ProjectionMatrix,
-    SpatialCapacity,
-    _RANK_TOL,
-    gram_capacity_basis,
-    orthonormal_basis,
-)
+from .core import CapacityBasis, ProjectionMatrix, SpatialCapacity, _RANK_TOL, orthonormal_basis
 
 __all__ = [
     "ExperimentConfig",
     "EmpiricalReport",
-    "empirical_sigma_tilde",
     "fit_optimal_last_layer",
     "verify_stationarity",
     "stationarity_noise_floor",
@@ -44,8 +34,8 @@ Sampler = Callable[[np.random.Generator, int, int], np.ndarray]
 _NOISE_BLOCKS = 8
 # A chunk's inputs y, pre-activations z and etas stay near this size.
 _CHUNK_BYTES = 2**20
-# Largest array the oracle holds whole: its block cross moments, or the
-# augmented second moment of empirical_sigma_tilde, refused before allocating.
+# Largest array the oracle holds whole: its block cross moments, refused
+# before allocating.
 _MEMORY_BUDGET_BYTES = 2 * 2**30
 # Most samples a run takes: about a minute at n = m = 8 with 3 selected
 # columns, where a sample costs some 0.3-0.8 us.
@@ -61,7 +51,10 @@ class ExperimentConfig:
     """A constrained-last-layer experiment: layer, activation, trainable coords.
 
     The readout is ``A = W`` on ``param_selector`` and 0 elsewhere, so the
-    number of independent parameters equals ``len(param_selector)``.
+    number of independent parameters equals ``len(param_selector)``.  Its
+    capacity basis K_phi spans the selected coordinate axes; any basis of
+    that span gives the same capacities, so none is built.  The selector is
+    stored sorted.
     """
 
     p: ProjectionMatrix
@@ -94,11 +87,6 @@ class ExperimentConfig:
     def m(self) -> int:
         return self.p.n_out
 
-    def selector_basis(self) -> CapacityBasis:
-        """Feature-space capacity basis K_phi of the selector parametrization."""
-        params = ParamMap.coordinate_selector(self.m, list(self.param_selector))
-        return gram_capacity_basis(params)
-
 
 @dataclass(frozen=True)
 class EmpiricalReport:
@@ -117,20 +105,6 @@ class EmpiricalReport:
     stationarity_residual: float
     stationarity_noise_floor: Optional[float] = None
     caveat: str = ""
-
-    def __post_init__(self):
-        if not math.isfinite(self.stationarity_residual) or self.stationarity_residual < 0:
-            raise ValueError("stationarity_residual must be finite and non-negative")
-        floor = self.stationarity_noise_floor
-        if floor is not None and (not math.isfinite(floor) or floor < 0):
-            raise ValueError("stationarity_noise_floor must be finite and non-negative")
-        if (self.kappa_theory is None) != (self.max_abs_dev is None):
-            raise ValueError("kappa_theory and max_abs_dev must be absent together")
-        if self.max_abs_dev is not None:
-            if not math.isfinite(self.max_abs_dev) or self.max_abs_dev < 0:
-                raise ValueError("max_abs_dev must be finite and non-negative")
-        elif not self.caveat:
-            raise ValueError("a report without the closed-form comparison needs a caveat")
 
     def to_dict(self) -> dict:
         out = {
@@ -188,48 +162,15 @@ def _chunks(
             yield block, y, z, act.eta(z, key=eta_key)
 
 
-def _augment(y: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """Augmented samples (rows, n*m): row-block j holds eta(z_j) * y."""
-    return (eta[:, :, None] * y[:, None, :]).reshape(y.shape[0], -1)
-
-
-def empirical_sigma_tilde(
-    p: ProjectionMatrix,
-    act: Activation,
-    sampler: Optional[Sampler],
-    n_samples: int,
-    seed: int,
-) -> CovarianceMatrix:
-    """Sample average of the augmented second moment, symmetrized.
-
-    ``sampler=None`` draws i.i.d. standard-normal inputs.  Results are
-    bit-identical for a given (seed, n_samples).
-    """
-    if n_samples < 1000:
-        raise ValueError("n_samples must be at least 1000")
-    dim = p.n_in * p.n_out
-    if 8 * dim * dim > _MEMORY_BUDGET_BYTES:
-        raise ValueError(
-            f"an augmented second moment of {dim} x {dim} floats needs "
-            f"{8 * dim * dim / 2**30:.1f} GiB, over the {_MEMORY_BUDGET_BYTES / 2**30:g} GiB "
-            "oracle memory limit"
-        )
-    acc = np.zeros((dim, dim))
-    for _, y, _, eta in _chunks(p, act, sampler, n_samples, seed):
-        rows = _augment(y, eta)
-        acc += rows.T @ rows
-    acc /= n_samples
-    return CovarianceMatrix(0.5 * (acc + acc.T))
-
-
 @dataclass(frozen=True)
 class _Moments:
     """What one pass over the samples leaves behind.
 
     ``cross[b]`` sums ``x~_s f(z_s)_sel^T`` over jackknife block b, which
-    has ``counts[b]`` samples: one column per selected coordinate, the only
-    columns ``K_phi`` reads.  Since ``x~_s^T P~ e_j = f(z_sj)``, the sum
-    over blocks divided by N is ``(Sigma~_hat P~)[:, selector]``.  ``r`` is
+    has ``counts[b]`` samples: one column per selected coordinate.  Since
+    ``x~_s^T P~ e_j = f(z_sj)``, the sum over blocks divided by N is
+    ``(Sigma~_hat P~)[:, selector]``, whose column space is that of
+    ``Sigma~_hat P~ K_phi`` for every basis K_phi of the selected axes.  ``r`` is
     the R factor of ``[F_sel | F_rest | t]``: the feature columns in the
     order ``order`` (selected first), then the target.  Its columns have the
     inner products of those sample columns, so least squares on ``r`` solve
@@ -284,7 +225,7 @@ def _stream(
         if not np.isfinite(t).all():
             raise ValueError("target returned non-finite values")
         for col, c in enumerate(selected):
-            # row-block j of x~ f_c is eta_j f_c y, as in _augment
+            # column c of x~ f(z)^T: row-block j of x~ is eta_j y
             cross[block, :, col] += ((eta * feats[:, [c]]).T @ y).reshape(-1)
         r = np.linalg.qr(np.vstack([r, np.column_stack([feats[:, order], t])]), mode="r")
     return _Moments(cross, np.diff(_block_edges(config.n_samples)), r, order)
@@ -335,19 +276,6 @@ def _full_fit(config: ExperimentConfig, moments: _Moments) -> np.ndarray:
     return a_full
 
 
-def _selected_rows(config: ExperimentConfig) -> np.ndarray:
-    """``K_phi``'s rows on the selector; its other rows are exactly 0."""
-    return config.selector_basis().columns[list(config.param_selector)]
-
-
-def _capacity_basis(cross: np.ndarray, rows: int, k_sel: np.ndarray) -> CapacityBasis:
-    """Orthonormal basis of ``Sigma~_hat P~ K_phi`` from a selected-column moment.
-
-    ``cross`` sums over ``rows`` samples; ``k_sel`` is ``K_phi`` on the selector.
-    """
-    return orthonormal_basis(cross / rows @ k_sel)
-
-
 def _residual(k_tilde: CapacityBasis, x_tilde: np.ndarray) -> float:
     return float(np.linalg.norm(k_tilde.columns.T @ x_tilde))
 
@@ -358,10 +286,10 @@ def _stationarity_gap(config: ExperimentConfig, a_star, a_full: np.ndarray) -> n
     return (config.p.matrix * gap).T.reshape(-1)
 
 
-def _noise_floor(moments: _Moments, k_sel: np.ndarray, x_tilde: np.ndarray) -> float:
+def _noise_floor(moments: _Moments, x_tilde: np.ndarray) -> float:
     """Jackknife: the mean residual under each block's moment, scaled by 1/sqrt(blocks)."""
     block_residuals = [
-        _residual(_capacity_basis(cross, rows, k_sel), x_tilde)
+        _residual(orthonormal_basis(cross / rows), x_tilde)
         for cross, rows in zip(moments.cross, moments.counts)
     ]
     return float(np.mean(block_residuals) / math.sqrt(_NOISE_BLOCKS))
@@ -399,7 +327,7 @@ def verify_stationarity(
     """
     moments = _stream(config, sampler, _row_target(target))
     x_tilde = _stationarity_gap(config, a_star, _full_fit(config, moments))
-    k_tilde = _capacity_basis(moments.cross.sum(axis=0), config.n_samples, _selected_rows(config))
+    k_tilde = orthonormal_basis(moments.cross.sum(axis=0) / config.n_samples)
     return _residual(k_tilde, x_tilde)
 
 
@@ -418,7 +346,7 @@ def stationarity_noise_floor(
     """
     moments = _stream(config, sampler, _row_target(target))
     x_tilde = _stationarity_gap(config, a_star, _full_fit(config, moments))
-    return _noise_floor(moments, _selected_rows(config), x_tilde)
+    return _noise_floor(moments, x_tilde)
 
 
 def _generic_target(config: ExperimentConfig) -> _ChunkTarget:
@@ -443,12 +371,11 @@ def empirical_spatial_capacity(
     moments ``x~ f(z)^T`` give ``Sigma~_hat P~`` and the jackknife floor, and
     a streamed R factor of the features and a generic target gives both
     least-squares fits.  Only the k = |selector| columns of the moment that
-    ``K_phi`` reads are accumulated, so memory is O(chunk*(n+m) + 8*n*m*k),
-    flat in N.
+    span ``Sigma~_hat P~ K_phi`` are accumulated, so memory is
+    O(chunk*(n+m) + 8*n*m*k), flat in N.
     """
     moments = _stream(config, sampler, _generic_target(config))
-    k_sel = _selected_rows(config)
-    k_tilde = _capacity_basis(moments.cross.sum(axis=0), config.n_samples, k_sel)
+    k_tilde = orthonormal_basis(moments.cross.sum(axis=0) / config.n_samples)
     kappa_hat = augmented_spatial_profile(k_tilde, config.n)
     x_tilde = _stationarity_gap(
         config, _constrained_fit(config, moments), _full_fit(config, moments)
@@ -456,7 +383,7 @@ def empirical_spatial_capacity(
     measured = dict(
         kappa_hat=kappa_hat,
         stationarity_residual=_residual(k_tilde, x_tilde),
-        stationarity_noise_floor=_noise_floor(moments, k_sel, x_tilde),
+        stationarity_noise_floor=_noise_floor(moments, x_tilde),
     )
 
     if sampler is not None:

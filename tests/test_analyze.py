@@ -12,13 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capnet.analyze import (
-    enumerate_path_weights,
-    erf_profile,
-    max_path_weight,
-    shatter_analysis,
-    uniform_path_weight,
-)
+from capnet.analyze import erf_profile, max_path_weight, shatter_analysis, uniform_path_weight
 from capnet.core import ProjectionMatrix, SpatialCapacity
 from capnet.deeplimit import (
     _BOUNDARY_MASS_TOL,
@@ -34,6 +28,38 @@ def _residual_chain(eps, L, n=11, Dcoef=0.5):
     gen = ResidualGenerator(n, 0.0, Dcoef, "periodic")
     op = PropagationOperator(np.eye(n) + eps * gen.matrix)
     return LayerChain([op] * L)
+
+
+_PATH_GUARD = 10**6
+
+
+def enumerate_path_weights(chain: LayerChain, i_l: int, i_L: int):
+    """Brute-force total and maximal single-path weight between two indices.
+
+    Materializes the weight of every index path from entry ``i_L`` at the top
+    to entry ``i_l`` at the bottom; the total recovers the ``(i_l, i_L)``
+    entry of the product matrix.  Guarded to at most 10^6 paths; bigger
+    chains must use the matrix product instead.
+    """
+    operators = [layer.matrix for layer in chain.layers]
+    if not 0 <= i_l < chain.n_in:
+        raise ValueError(f"i_l must be in [0, {chain.n_in})")
+    if not 0 <= i_L < chain.n_out:
+        raise ValueError(f"i_L must be in [0, {chain.n_out})")
+    count = 1
+    for matrix in operators[:-1]:
+        count *= matrix.shape[1]
+        if count > _PATH_GUARD:
+            raise ValueError(f"more than {_PATH_GUARD} paths; use the matrix product")
+    if len(operators) == 1:
+        value = float(operators[0][i_l, i_L])
+        return value, value
+    # weights[j_1, ..., j_{L-1}], one interface index added per factor
+    weights = operators[0][i_l, :]
+    for matrix in operators[1:-1]:
+        weights = weights[..., None] * matrix
+    weights = weights * operators[-1][:, i_L]
+    return float(weights.sum()), float(weights.max())
 
 
 def _random_tridiagonal(rng, n):
@@ -324,6 +350,9 @@ class TestEnumeratePathWeights:
                 total, best = enumerate_path_weights(chain, i_l, i_L)
                 assert total == pytest.approx(product[i_l, i_L], abs=1e-12)
                 assert best <= total + 1e-15
+        # max_path_weight's stay-in-place path is one of the paths enumerated from i to i
+        best_loops = [enumerate_path_weights(chain, i, i)[1] for i in range(4)]
+        assert max_path_weight(chain)[0] <= max(best_loops)
 
     def test_uniform_window_paths_all_equal(self):
         op = PropagationOperator.uniform_window(6, 2)

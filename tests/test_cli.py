@@ -1,10 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import copy
 import dataclasses
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -20,7 +23,7 @@ import capnet
 from capnet import jsonfmt
 from capnet.analyze import ErfReport, ShatterReport, erf_profile
 from capnet.augment import DecouplingReport
-from capnet.cli import SpecError, main, parse_network_spec
+from capnet.cli import SpecError, build_parser, main, parse_network_spec
 from capnet.deeplimit import ConvergenceReport, DeepLimitConfig, ResidualGenerator, StabilityError
 from capnet.jsonfmt import canonical_dumps
 
@@ -159,13 +162,6 @@ class TestChain:
         assert report["totals"] == pytest.approx([1.75] * 3, abs=1e-12)
         assert report["metadata"]["seeds"] == [5, 9]
         assert len(report["metadata"]["spec_hash"]) == 64
-
-    def test_propagate_alias(self, tmp_path, capsys):
-        path = _write_spec(tmp_path, "deep.json", _residual_spec(21, 3, top="dirac:10"))
-        code_a, out_a = _run(capsys, ["chain", path])
-        code_b, out_b = _run(capsys, ["propagate", path])
-        assert code_a == code_b == 0
-        assert out_a == out_b
 
     def test_csv_profile(self, tmp_path, capsys):
         path = _write_spec(tmp_path, "deep.json", _residual_spec(21, 3, top="dirac:10"))
@@ -367,18 +363,8 @@ class TestChain:
         assert f"layer 0: projection column 0 has a squared norm that {flow} a float" in err
         assert "Warning" not in err
 
-    def test_layer_command_single_step(self, tmp_path, capsys):
-        path = _write_spec(tmp_path, "one.json", _residual_spec(21, 1, top="dirac:10"))
-        code, out = _run(capsys, ["layer", path])
-        assert code == 0
-        assert len(json.loads(out)["profiles"]) == 2
 
-    def test_layer_command_rejects_deep_specs(self, tmp_path, capsys):
-        path = _write_spec(tmp_path, "two.json", _residual_spec(21, 2, top="dirac:10"))
-        assert main(["layer", path]) == 2
-
-
-@pytest.mark.parametrize("command", ["chain", "layer", "erf", "shatter"])
+@pytest.mark.parametrize("command", ["chain", "erf", "shatter"])
 @pytest.mark.parametrize("kind", ["dense", "differential"])
 @pytest.mark.parametrize("activation", ["relu", "abs", "linear", "leaky_relu:0.2"])
 def test_non_pseudo_random_layer_refused_by_every_command(
@@ -395,6 +381,30 @@ def test_non_pseudo_random_layer_refused_by_every_command(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"layer 1: activation '{activation.partition(':')[0]}'" in captured.err
+
+
+@pytest.mark.parametrize("command", ["layer", "propagate"])
+def test_removed_commands_are_invalid_choices(tmp_path, capsys, command):
+    # chain serves both: a one-layer spec is a chain of one layer
+    path = _write_spec(tmp_path, "one.json", _residual_spec(21, 1, top="dirac:10"))
+    with pytest.raises(SystemExit) as exc:
+        main([command, path])
+    assert exc.value.code == 2
+    assert f"invalid choice: '{command}'" in capsys.readouterr().err
+
+
+def test_readme_command_lines_parse():
+    # every documented command line parses, and every command is documented
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as handle:
+        blocks = re.findall(r"```sh\n(.*?)```", handle.read(), flags=re.S)
+    lines = [shlex.split(line, comments=True) for block in blocks for line in block.splitlines()]
+    parser = build_parser()
+    used = {parser.parse_args(words[1:]).command for words in lines if words[:1] == ["capnet"]}
+    (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    expected = {"nu", "chain", "pde", "erf", "shatter", "verify"}
+    assert set(subcommands.choices) == expected
+    assert used == expected
 
 
 class TestPde:
