@@ -40,16 +40,16 @@ _MIN_FIT_SIGMA = 2.0  # grid cells; below this the width statistic is too discre
 class ErfReport:
     """Width of a probe's capacity footprint per layer, with a power-law fit.
 
-    ``per_depth_std`` pairs each layer index l with the standard deviation of
-    the normalized profile at that interface, ordered from the probe layer
-    downwards.  ``fitted_exponent`` is the log-log slope of width against
-    traversed depth over the layers below the probe where the width is at
-    least 2 grid cells; ``fit_points`` counts those layers.  The exponent is
-    NaN when fewer than two layers qualify.
+    ``per_depth_std`` is an (L+1) x 2 float64 array, from the probe layer
+    down: row ``[l, width]`` holds the standard deviation of the normalized
+    profile at interface l.  ``fitted_exponent`` is the log-log slope of
+    width against traversed depth over the layers below the probe where the
+    width is at least 2 grid cells; ``fit_points`` counts those layers.  The
+    exponent is NaN when fewer than two layers qualify.
     """
 
     probe_index: int
-    per_depth_std: Tuple[Tuple[int, float], ...]
+    per_depth_std: np.ndarray
     fitted_exponent: float
     fit_residual: float
     boundary_flagged: bool
@@ -112,7 +112,7 @@ def erf_profile(
         flagged |= bool(np.any(rows[:, 0] + rows[:, -1] > _BOUNDARY_MASS_TOL * rows.sum(axis=1)))
         widths[done : done + len(rows)] = _pmf_std(rows)
         done += len(rows)
-    stds = tuple(zip(range(depth, -1, -1), widths.tolist()))
+    stds = np.column_stack((np.arange(depth, -1, -1), widths))
 
     # widths[k] lies k layers below the probe; the fit takes k >= 1 and widths of 2 cells or more
     fit = widths >= _MIN_FIT_SIGMA

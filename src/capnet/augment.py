@@ -237,7 +237,7 @@ def build_augmented_projection(p: ProjectionMatrix) -> np.ndarray:
     n, m = p.n_in, p.n_out
     p_tilde = np.zeros((n * m, m))
     for j in range(m):
-        p_tilde[j * n : (j + 1) * n, j] = p.column(j)
+        p_tilde[j * n : (j + 1) * n, j] = p.matrix[:, j]
     return p_tilde
 
 

@@ -45,6 +45,9 @@ _LOG_LEVELS = {
     "debug": logging.DEBUG,
 }
 
+# The residual walk's options, which pde and erf take, and their defaults.
+_WALK_DEFAULTS = {"n": 201, "eps": 0.1, "L": 100, "D": 1.0, "v": 0.0, "boundary": "periodic"}
+
 _LAYER_KEYS = {"kind", "n_in", "n_out", "activation", "weights", "eps"}
 # The n_in x n_out float64 operators of a spec's chain, together.  Building one
 # takes up to 4x its size at once, so a spec stays within about 2 GiB.
@@ -217,12 +220,10 @@ def parse_network_spec(document) -> NetworkSpec:
         except ValueError as exc:
             raise SpecError(f"layer {i}: {exc}") from None
         spare_bytes -= layers[-1].matrix.nbytes
-    for i, (a, b) in enumerate(zip(layers, layers[1:])):
-        if a.n_out != b.n_in:
-            raise SpecError(
-                f"layer {i + 1}: n_in = {b.n_in} does not match layer {i} n_out = {a.n_out}"
-            )
-    chain = LayerChain(layers)
+    try:
+        chain = LayerChain(layers)
+    except ValueError as exc:
+        raise SpecError(str(exc)) from None
     top = _parse_top_capacity(document["top_capacity"], chain.n_out)
     return NetworkSpec(document=document, chain=chain, top=top, seeds=tuple(seeds))
 
@@ -291,9 +292,15 @@ def cmd_chain(args) -> int:
     return 0
 
 
-def cmd_pde(args) -> int:
+def _residual_walk(args) -> Tuple[ResidualGenerator, DeepLimitConfig]:
+    """The walk of pde and erf, with each option not given set to its default."""
+    vars(args).update({k: v for k, v in _WALK_DEFAULTS.items() if getattr(args, k) is None})
     generator = ResidualGenerator(args.n, args.v, args.D, args.boundary)
-    cfg = DeepLimitConfig(eps=args.eps, L=args.L)
+    return generator, DeepLimitConfig(eps=args.eps, L=args.L)
+
+
+def cmd_pde(args) -> int:
+    generator, cfg = _residual_walk(args)
     probe = args.probe if args.probe is not None else args.n // 2
     kappa = SpatialCapacity.dirac(args.n, probe)
     log.info("pde comparison: n=%d eps=%g L=%d", args.n, args.eps, args.L)
@@ -303,11 +310,14 @@ def cmd_pde(args) -> int:
 
 def cmd_erf(args) -> int:
     if args.specfile is not None:
+        for option in _WALK_DEFAULTS:
+            if getattr(args, option) is not None:
+                raise SpecError(f"--{option} cannot be combined with a spec file")
         source = load_network_spec(args.specfile).chain
         cfg, n, depth = None, source.n_out, len(source)
     else:
-        source = ResidualGenerator(args.n, args.v, args.D, args.boundary)
-        cfg, n, depth = DeepLimitConfig(eps=args.eps, L=args.L), args.n, args.L
+        source, cfg = _residual_walk(args)
+        n, depth = args.n, args.L
     if args.ratio_depth is not None and not 1 <= args.ratio_depth <= depth:
         raise SpecError(f"ratio depth must be in [1, {depth}]")
     probe = args.probe if args.probe is not None else n // 2
@@ -392,14 +402,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_chain.add_argument("--csv")
     p_chain.set_defaults(handler=cmd_chain)
 
-    # the residual walk that pde and erf both run
+    # the residual walk that pde and erf both run, defaulted by _residual_walk
     walk = argparse.ArgumentParser(add_help=False)
-    walk.add_argument("--n", type=int, default=201)
-    walk.add_argument("--eps", type=float, default=0.1)
-    walk.add_argument("--L", type=int, default=100)
-    walk.add_argument("--D", type=float, default=1.0)
-    walk.add_argument("--v", type=float, default=0.0)
-    walk.add_argument("--boundary", choices=["periodic", "reflecting"], default="periodic")
+    walk.add_argument("--n", type=int)
+    walk.add_argument("--eps", type=float)
+    walk.add_argument("--L", type=int)
+    walk.add_argument("--D", type=float)
+    walk.add_argument("--v", type=float)
+    walk.add_argument("--boundary", choices=["periodic", "reflecting"])
     walk.add_argument("--probe", type=int)
 
     p_pde = sub.add_parser(

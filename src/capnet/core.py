@@ -64,10 +64,6 @@ class CovarianceMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    @classmethod
-    def identity(cls, dim: int, scale: float = 1.0) -> "CovarianceMatrix":
-        return cls(scale * np.eye(dim))
-
 
 def _specnorm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2)) if a.size else 0.0
@@ -129,19 +125,12 @@ class ProjectionMatrix:
     def n_out(self) -> int:
         return self.matrix.shape[1]
 
-    def column(self, j: int) -> np.ndarray:
-        return self.matrix[:, j]
-
     @classmethod
     def from_raw(cls, matrix) -> "ProjectionMatrix":
         """Build from raw weights, normalizing each column to unit length."""
         matrix = _as_matrix(matrix, "projection")
         norms = _column_norms(matrix)
         return cls(matrix / norms)
-
-    @classmethod
-    def identity(cls, n: int) -> "ProjectionMatrix":
-        return cls(np.eye(n))
 
 
 @dataclass(frozen=True)
@@ -167,10 +156,6 @@ class CapacityBasis:
     @property
     def rank(self) -> int:
         return self.columns.shape[1]
-
-    def projector(self) -> np.ndarray:
-        """Orthogonal projector onto the spanned subspace (basis-independent)."""
-        return self.columns @ self.columns.T
 
 
 def _check_capacity_values(values: np.ndarray) -> None:

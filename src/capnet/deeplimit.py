@@ -47,11 +47,6 @@ _MAX_CLOSED_FORM_CELLS = 5 * 10**5
 _STD_BLOCK_BYTES = 2**20
 
 
-def _block_rows(n: int) -> int:
-    """Rows of n cells in one block of about _STD_BLOCK_BYTES, at least 2."""
-    return max(2, _STD_BLOCK_BYTES // (8 * n))
-
-
 def _pmf_std(rows: np.ndarray) -> np.ndarray:
     """Standard deviation of the grid index under each row's profile, in cells.
 
@@ -82,10 +77,10 @@ class ResidualGenerator:
     """Tridiagonal drift-diffusion generator, held as its 3-point stencil.
 
     Column j sends ``up = Dcoef + v/2`` to cell j+1, ``down = Dcoef - v/2``
-    to cell j-1 and keeps ``diag[j]``, which is ``-2 Dcoef`` except where a
-    reflecting edge folds the outgoing flux back in.  Only ``up`` and
-    ``down`` are stored; ``diag`` and the dense ``matrix`` are built on
-    demand.  Periodic boundaries wrap the stencil.  Columns sum to 0,
+    to cell j-1 and keeps ``-2 Dcoef``, except where a reflecting edge folds
+    the outgoing flux back in.  Only ``up`` and ``down`` are stored; the
+    dense ``matrix`` is built on demand.  Periodic boundaries wrap the
+    stencil.  Columns sum to 0,
     so ``I + eps*Delta`` is column-stochastic whenever it is entrywise
     non-negative.  ``v`` is measured in cells per unit depth and ``Dcoef``
     in cells squared per unit depth, with one cell per neuron; ``|v|/2``
@@ -119,31 +114,16 @@ class ResidualGenerator:
         object.__setattr__(self, "down", self.Dcoef - self.v / 2.0)
 
     @property
-    def diag(self) -> np.ndarray:
-        """The n diagonal entries: ``-2 Dcoef``, plus the reflected flux at an edge."""
-        diag = np.full(self.n, -2.0 * self.Dcoef)
-        if self.boundary == "reflecting":
-            diag[0] += self.down
-            diag[-1] += self.up
-        return diag
-
-    @property
     def matrix(self) -> np.ndarray:
-        """The dense n x n generator built from the stencil weights."""
-        idx = np.arange(self.n)
-        matrix = np.diag(self.diag)
-        matrix[idx[1:], idx[:-1]] = self.up
-        matrix[idx[:-1], idx[1:]] = self.down
-        if self.boundary == "periodic":
-            matrix[0, -1] = self.up
-            matrix[-1, 0] = self.down
-        return matrix
+        """The dense n x n generator: the stencil applied to the identity."""
+        eye = np.eye(self.n)
+        return _apply_stencil(self, _generator_weights(self), eye, np.empty_like(eye))
 
     def max_stable_eps(self) -> float:
-        """Largest eps with ``eps * max(-diag) < 1`` (strict).
+        """Largest eps with ``eps * 2 Dcoef < 1`` (strict).
 
-        ``max(-diag)`` is ``2 Dcoef``: n >= 3 leaves an interior cell, and a
-        reflecting edge only adds ``up, down >= 0`` back.
+        The largest ``-Delta_jj`` is ``2 Dcoef``: n >= 3 leaves an interior
+        cell, and a reflecting edge only adds ``up, down >= 0`` back.
         """
         return 1.0 / (2.0 * self.Dcoef)
 
@@ -160,6 +140,27 @@ class ResidualGenerator:
         """One dense residual layer ``I + eps*Delta``; refuses eps past the stability bound."""
         self._check_eps(eps)
         return PropagationOperator(np.eye(self.n) + eps * self.matrix)
+
+
+def _generator_weights(gen: ResidualGenerator) -> Tuple[float, float, float, float, float]:
+    """Interior keep, first and last keeps as a reflecting edge folds them, up and down hops."""
+    keep = -2.0 * gen.Dcoef
+    return keep, keep + gen.down, keep + gen.up, gen.up, gen.down
+
+
+def _apply_stencil(gen: ResidualGenerator, weights, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Write ``weights`` applied to ``x`` along axis 0 into ``y``; periodic grids wrap hops."""
+    keep, first, last, up, down = weights
+    np.multiply(keep, x, out=y)
+    if gen.boundary == "reflecting":
+        y[0] = first * x[0]
+        y[-1] = last * x[-1]
+    y[1:] += up * x[:-1]
+    y[:-1] += down * x[1:]
+    if gen.boundary == "periodic":
+        y[0] += up * x[-1]
+        y[-1] += down * x[0]
+    return y
 
 
 @dataclass(frozen=True)
@@ -208,8 +209,8 @@ def _walk(
     1 MiB; fewer if the walk is shorter), so each must be read before the
     next is asked for, and the last block may be shorter.  Trajectory row k
     sits in buffer row k modulo the buffer's rows.  Each step applies the
-    three stencil weights to shifted slices, O(n) per step, and conserves
-    the total capacity.
+    stencil to shifted slices, O(n) per step, and conserves the total
+    capacity.
     """
     if kappa_top.n != gen.n:
         raise ValueError(f"capacity has {kappa_top.n} entries, generator expects {gen.n}")
@@ -222,31 +223,17 @@ def _walk(
         )
     _check_walk(gen, cfg)
     if block_rows is None:
-        block_rows = _block_rows(gen.n)
+        block_rows = max(2, _STD_BLOCK_BYTES // (8 * gen.n))
     rows = np.empty((min(block_rows, cfg.L + 1), gen.n))
     rows[0] = kappa_top.values
-    # the entries of I + eps*Delta: same products as the dense step, summed per cell
-    keep = 1.0 + cfg.eps * (-2.0 * gen.Dcoef)
-    if gen.boundary == "reflecting":
-        keep_first = 1.0 + cfg.eps * (-2.0 * gen.Dcoef + gen.down)
-        keep_last = 1.0 + cfg.eps * (-2.0 * gen.Dcoef + gen.up)
-    up = cfg.eps * gen.up
-    down = cfg.eps * gen.down
+    keep, first, last, up, down = (cfg.eps * w for w in _generator_weights(gen))
+    weights = (1.0 + keep, 1.0 + first, 1.0 + last, up, down)  # the entries of I + eps*Delta
     count = len(rows)
     for k in range(1, cfg.L + 1):
         j = k % count
         if j == 0:
             yield rows
-        x, y = rows[j - 1], rows[j]
-        np.multiply(keep, x, out=y)
-        if gen.boundary == "reflecting":
-            y[0] = keep_first * x[0]
-            y[-1] = keep_last * x[-1]
-        y[1:] += up * x[:-1]
-        y[:-1] += down * x[1:]
-        if gen.boundary == "periodic":
-            y[0] += up * x[-1]
-            y[-1] += down * x[0]
+        _apply_stencil(gen, weights, rows[j - 1], rows[j])
     yield rows[: cfg.L % count + 1]
 
 

@@ -9,6 +9,7 @@ instance as the object of its fields, keyed by field name.
 ``canonical_dump`` writes a document to a text handle in bounded pieces: the
 emitter collects a few thousand small strings, writes them out joined and
 starts over, so writing a report of any length holds no copy of its text.
+A numpy array is written one row at a time, a row of floats as one string.
 ``canonical_dumps`` returns the same bytes as one string.
 """
 
@@ -29,13 +30,17 @@ __all__ = ["canonical_dump", "canonical_dumps"]
 _FLUSH_PIECES = 4096
 
 
+def _float(value: float) -> str:
+    return format(value, ".17g") if math.isfinite(value) else "null"
+
+
 def _emit(obj: Any, indent: int, pieces: list, write: Callable[[str], Any]) -> None:
     if len(pieces) >= _FLUSH_PIECES:
         write("".join(pieces))
         pieces.clear()
     pad = "  " * indent
     if isinstance(obj, float):  # np.float64 included
-        pieces.append(format(float(obj), ".17g") if math.isfinite(obj) else "null")
+        pieces.append(_float(float(obj)))
     elif obj is None:
         pieces.append("null")
     elif isinstance(obj, bool):
@@ -44,8 +49,9 @@ def _emit(obj: Any, indent: int, pieces: list, write: Callable[[str], Any]) -> N
         pieces.append(repr(obj))
     elif isinstance(obj, str):
         pieces.append(json.dumps(obj))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
+    # an array of rows is written row by row, never as one list
+    elif isinstance(obj, (list, tuple)) or (isinstance(obj, np.ndarray) and obj.ndim > 1):
+        if not len(obj):
             pieces.append("[]")
             return
         pieces.append("[\n")
@@ -66,7 +72,10 @@ def _emit(obj: Any, indent: int, pieces: list, write: Callable[[str], Any]) -> N
             _emit(items[key], indent + 1, pieces, write)
             pieces.append(",\n" if i + 1 < len(keys) else "\n")
         pieces.append(pad + "}")
-    # a numpy value is written as the plain Python value it stands for
+    # a numpy value is written as the plain Python value it stands for, a row of floats in one join
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.size and obj.dtype.kind == "f":
+        sep = ",\n" + pad + "  "
+        pieces.append(f"[\n{pad}  {sep.join(map(_float, obj.tolist()))}\n{pad}]")
     elif isinstance(obj, np.ndarray):
         _emit(obj.tolist(), indent, pieces, write)
     elif isinstance(obj, np.bool_):

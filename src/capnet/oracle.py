@@ -235,29 +235,15 @@ def _row_target(target: Callable[[np.ndarray], np.ndarray]) -> _ChunkTarget:
     return lambda y, feats: target(y)
 
 
-def _deficient_columns(matrix: np.ndarray) -> list:
-    """Columns that add no new direction, by a sequential projection sweep."""
-    basis = []
-    deficient = []
-    scale = float(np.max(np.linalg.norm(matrix, axis=0))) or 1.0
-    for j in range(matrix.shape[1]):
-        w = matrix[:, j].copy()
-        for b in basis:
-            w -= (b @ w) * b
-        norm = np.linalg.norm(w)
-        if norm <= _RANK_TOL * scale:
-            deficient.append(j)
-        else:
-            basis.append(w / norm)
-    return deficient
-
-
 def _constrained_fit(config: ExperimentConfig, moments: _Moments) -> np.ndarray:
     """Least-squares readout on the selected features, from R's leading block."""
     k = len(config.param_selector)
     r11 = moments.r[:k, :k]
-    # R11 has the column inner products of F_sel
-    bad = [config.param_selector[j] for j in _deficient_columns(r11)]
+    # R11 has the column inner products of F_sel, so |R11[j, j]| is what column j adds
+    # beyond the columns before it: at most 1e-10 of the largest column norm names it
+    scale = float(np.max(np.linalg.norm(r11, axis=0))) or 1.0
+    deficient = np.flatnonzero(np.abs(np.diag(r11)) <= _RANK_TOL * scale)
+    bad = [config.param_selector[j] for j in deficient.tolist()]
     if bad:
         raise ValueError(f"selected feature columns {bad} are rank deficient")
     a_star = np.zeros(config.m)

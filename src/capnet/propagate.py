@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -56,15 +56,6 @@ class PropagationOperator:
     @property
     def n_out(self) -> int:
         return self.matrix.shape[1]
-
-    @classmethod
-    def identity(cls, n: int) -> "PropagationOperator":
-        return cls(np.eye(n))
-
-    @classmethod
-    def uniform(cls, n_in: int, n_out: Optional[int] = None) -> "PropagationOperator":
-        """All entries 1/n_in: one application uniformizes any profile."""
-        return cls(np.full((n_in, n_out if n_out is not None else n_in), 1.0 / n_in))
 
     @classmethod
     def uniform_window(cls, n: int, r: int) -> "PropagationOperator":

@@ -132,7 +132,7 @@ class TestErfProfile:
         with mock.patch("capnet.deeplimit._STD_BLOCK_BYTES", 8 * n * block_rows):
             report = erf_profile(gen, x0, cfg)
         stds, flagged = _erf_reference(gen, x0, cfg)
-        assert report.per_depth_std == stds
+        np.testing.assert_array_equal(report.per_depth_std, stds)
         assert report.boundary_flagged == flagged
 
     @settings(max_examples=40, deadline=None)
@@ -161,7 +161,9 @@ class TestErfProfile:
             ]
         )
         report = erf_profile(chain, 2)
-        assert report.per_depth_std == ((2, 0.0), (1, 1.1191331204469774), (0, 1.323526348645144))
+        np.testing.assert_array_equal(
+            report.per_depth_std, [[2, 0.0], [1, 1.1191331204469774], [0, 1.323526348645144]]
+        )
         assert report.boundary_flagged
 
     @pytest.mark.parametrize(
@@ -219,7 +221,7 @@ class TestErfProfile:
     def test_identity_layer_has_zero_width(self):
         chain = LayerChain([PropagationOperator(np.eye(11))])
         report = erf_profile(chain, 5)
-        assert report.per_depth_std == ((1, 0.0), (0, 0.0))
+        np.testing.assert_array_equal(report.per_depth_std, [[1, 0.0], [0, 0.0]])
         assert math.isnan(report.fitted_exponent)
         assert report.fit_points == 0
 
@@ -232,7 +234,9 @@ class TestErfProfile:
     def test_probe_layer_listed_first(self):
         gen = ResidualGenerator(51, 0.0, 1.0, "periodic")
         report = erf_profile(gen, 25, DeepLimitConfig(eps=0.1, L=10))
-        assert report.per_depth_std[0] == (10, 0.0)
+        assert report.per_depth_std.shape == (11, 2)
+        assert report.per_depth_std.dtype == np.float64
+        np.testing.assert_array_equal(report.per_depth_std[0], [10, 0.0])
         assert report.per_depth_std[-1][0] == 0
 
     def test_edge_probe_flagged(self):
@@ -284,7 +288,7 @@ class TestMaxPathWeight:
         assert continuum == 1.0
 
     def test_uniform_diagonal_matches_closed_form(self):
-        chain = LayerChain([PropagationOperator.uniform(6)] * 4)
+        chain = LayerChain([PropagationOperator(np.full((6, 6), 1.0 / 6))] * 4)
         direct, _ = max_path_weight(chain)
         assert direct == pytest.approx(uniform_path_weight(6, 4), rel=1e-12)
 
@@ -380,12 +384,12 @@ class TestEnumeratePathWeights:
             assert column == pytest.approx(1.0, abs=1e-10)
 
     def test_path_guard(self):
-        chain = LayerChain([PropagationOperator.uniform(40)] * 5)
+        chain = LayerChain([PropagationOperator(np.full((40, 40), 1.0 / 40))] * 5)
         with pytest.raises(ValueError, match="paths"):
             enumerate_path_weights(chain, 0, 0)
 
     def test_bad_endpoints_rejected(self):
-        chain = LayerChain([PropagationOperator.uniform(4)] * 2)
+        chain = LayerChain([PropagationOperator(np.full((4, 4), 1.0 / 4))] * 2)
         with pytest.raises(ValueError, match="i_l"):
             enumerate_path_weights(chain, 4, 0)
         with pytest.raises(ValueError, match="i_L"):

@@ -137,8 +137,8 @@ class TestBuildAugmentedProjection:
         p = _random_projection(np.random.default_rng(1), 2, 2)
         p_tilde = build_augmented_projection(p)
         assert p_tilde.shape == (4, 2)
-        np.testing.assert_array_equal(p_tilde[:2, 0], p.column(0))
-        np.testing.assert_array_equal(p_tilde[2:, 1], p.column(1))
+        np.testing.assert_array_equal(p_tilde[:2, 0], p.matrix[:, 0])
+        np.testing.assert_array_equal(p_tilde[2:, 1], p.matrix[:, 1])
         np.testing.assert_array_equal(p_tilde[2:, 0], 0.0)
         np.testing.assert_array_equal(p_tilde[:2, 1], 0.0)
 
@@ -153,7 +153,7 @@ class TestBuildAugmentedProjection:
 class TestBuildAugmentedCovariance:
     def test_linear_repeats_sigma_everywhere(self):
         out = build_augmented_covariance(
-            CovarianceMatrix.identity(2), Activation.linear(), m=2
+            CovarianceMatrix(np.eye(2)), Activation.linear(), m=2
         )
         np.testing.assert_allclose(out.entries, np.kron(np.ones((2, 2)), np.eye(2)))
 
@@ -166,7 +166,7 @@ class TestBuildAugmentedCovariance:
         np.testing.assert_allclose(out.entries, expected)
 
     def test_pseudo_random_sigma_scales_diagonal(self):
-        sigma = CovarianceMatrix.identity(2)
+        sigma = CovarianceMatrix(np.eye(2))
         out = build_augmented_covariance(sigma, Activation.pseudo_random(2.0), m=2)
         np.testing.assert_allclose(out.entries, 4.0 * np.eye(4))
 
@@ -198,7 +198,7 @@ class TestBuildAugmentedCovariance:
     def test_custom_unsupported(self):
         with pytest.raises(ValueError, match="closed-form"):
             build_augmented_covariance(
-                CovarianceMatrix.identity(2), Activation.custom(np.tanh), m=2
+                CovarianceMatrix(np.eye(2)), Activation.custom(np.tanh), m=2
             )
 
 
@@ -291,19 +291,21 @@ class TestAugmentedCapacityBasis:
     def test_white_input_full_selector(self):
         p = _random_projection(np.random.default_rng(12), 3, 3)
         p_tilde = build_augmented_projection(p)
-        sigma_tilde = CovarianceMatrix.identity(9)
+        sigma_tilde = CovarianceMatrix(np.eye(9))
         k_tilde = augmented_capacity_basis(sigma_tilde, p_tilde, CapacityBasis(np.eye(3)))
         assert k_tilde.rank == 3
-        np.testing.assert_allclose(k_tilde.projector(), p_tilde @ p_tilde.T, atol=1e-12)
+        np.testing.assert_allclose(
+            k_tilde.columns @ k_tilde.columns.T, p_tilde @ p_tilde.T, atol=1e-12
+        )
 
     def test_white_input_single_feature(self):
         p = _random_projection(np.random.default_rng(13), 3, 2)
         p_tilde = build_augmented_projection(p)
         k_phi = CapacityBasis(np.array([[1.0], [0.0]]))
-        k_tilde = augmented_capacity_basis(CovarianceMatrix.identity(6), p_tilde, k_phi)
+        k_tilde = augmented_capacity_basis(CovarianceMatrix(np.eye(6)), p_tilde, k_phi)
         assert k_tilde.rank == 1
         np.testing.assert_allclose(
-            k_tilde.projector(), np.outer(p_tilde[:, 0], p_tilde[:, 0]), atol=1e-12
+            k_tilde.columns @ k_tilde.columns.T, np.outer(p_tilde[:, 0], p_tilde[:, 0]), atol=1e-12
         )
 
     def test_correlated_case_matches_gram_schmidt_oracle(self):
@@ -317,7 +319,7 @@ class TestAugmentedCapacityBasis:
         k_tilde = augmented_capacity_basis(sigma_tilde, p_tilde, k_phi)
         oracle = _modified_gram_schmidt(sigma_tilde.entries @ p_tilde @ k_phi.columns)
         np.testing.assert_allclose(
-            k_tilde.projector(), oracle @ oracle.T, atol=1e-9
+            k_tilde.columns @ k_tilde.columns.T, oracle @ oracle.T, atol=1e-9
         )
 
     def test_dimension_mismatch(self):
@@ -325,11 +327,11 @@ class TestAugmentedCapacityBasis:
         p_tilde = build_augmented_projection(p)
         with pytest.raises(ValueError, match="rows"):
             augmented_capacity_basis(
-                CovarianceMatrix.identity(5), p_tilde, CapacityBasis(np.eye(2))
+                CovarianceMatrix(np.eye(5)), p_tilde, CapacityBasis(np.eye(2))
             )
         with pytest.raises(ValueError, match="columns"):
             augmented_capacity_basis(
-                CovarianceMatrix.identity(4), p_tilde, CapacityBasis(np.eye(3))
+                CovarianceMatrix(np.eye(4)), p_tilde, CapacityBasis(np.eye(3))
             )
 
 

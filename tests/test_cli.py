@@ -55,6 +55,32 @@ def _run(capsys, argv):
     return code, out
 
 
+def _peak_rss(argv):
+    """Exit code, stderr and peak RSS in KiB of ``capnet argv`` in a fresh process.
+
+    A process forked from pytest carries pytest's peak into its ru_maxrss,
+    so the command is forked from a small launcher that reads it with wait4.
+    """
+    launcher = (
+        "import os, sys\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    os.execv(sys.executable, [sys.executable, '-m', 'capnet.cli'] + sys.argv[1:])\n"
+        "_, status, usage = os.wait4(pid, 0)\n"
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+    )
+    src = os.path.dirname(os.path.dirname(capnet.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", launcher] + argv,
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    code, peak_kib = (int(word) for word in done.stdout.split())
+    return code, done.stderr, peak_kib
+
+
 class TestNu:
     def test_relu_exactly_half(self, capsys):
         code, out = _run(capsys, ["nu", "relu"])
@@ -298,7 +324,7 @@ class TestChain:
             "top_capacity": "uniform",
         }
         assert main(["chain", _write_spec(tmp_path, "bad.json", doc)]) == 2
-        assert "layer 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: layer 1 expects 4 inputs but layer 0 produces 5\n"
 
     def test_missing_spec_file_exits_2(self, capsys):
         assert main(["chain", "/nonexistent/spec.json"]) == 2
@@ -471,28 +497,10 @@ class TestPde:
         assert "closed form on 2,000,001 cells is past the limit of 500,000 cells" in err
 
     def test_grid_past_closed_form_limit_exits_2_in_bounded_memory(self):
-        # no n-sized array is built before the closed-form limit refuses the grid.
-        # A process forked from pytest carries pytest's peak into its ru_maxrss,
-        # so the command is forked from a small launcher that reads it with wait4.
-        launcher = (
-            "import os, sys\n"
-            "pid = os.fork()\n"
-            "if pid == 0:\n"
-            "    os.execv(sys.executable, [sys.executable, '-m', 'capnet.cli'] + sys.argv[1:])\n"
-            "_, status, usage = os.wait4(pid, 0)\n"
-            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
-        )
-        src = os.path.dirname(os.path.dirname(capnet.__file__))
-        done = subprocess.run(
-            [sys.executable, "-c", launcher, "pde", "--n", "20000000"],
-            env=dict(os.environ, PYTHONPATH=src),
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        code, peak_kib = (int(word) for word in done.stdout.split())
+        # no n-sized array is built before the closed-form limit refuses the grid
+        code, err, peak_kib = _peak_rss(["pde", "--n", "20000000"])
         assert code == 2
-        assert "closed form on 20,000,000 cells is past the limit of 500,000 cells" in done.stderr
+        assert "closed form on 20,000,000 cells is past the limit of 500,000 cells" in err
         assert peak_kib < 80 * 1024
 
     def test_byte_identical(self, tmp_path):
@@ -504,6 +512,31 @@ class TestPde:
 
 
 class TestErf:
+    def test_long_walk_report_held_as_an_array(self, tmp_path):
+        # 200,001 widths at 16 bytes each; as (int, float) tuples they took some 146
+        # bytes each and the run peaked at about 68 MiB
+        out = tmp_path / "erf.json"
+        code, _, peak_kib = _peak_rss(["erf", "--n", "3", "--L", "200000", "--out", str(out)])
+        assert code == 0
+        assert peak_kib <= 50 * 1024
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--n", "201"),
+            ("--L", "5"),
+            ("--eps", "0.9"),
+            ("--D", "1"),
+            ("--v", "0.4"),
+            ("--boundary", "reflecting"),
+        ],
+    )
+    def test_walk_option_next_to_spec_exits_2(self, tmp_path, capsys, option, value):
+        # the spec's chain is the whole walk, so a walk option would be ignored
+        path = _write_spec(tmp_path, "spec.json", _residual_spec(21, 3, top="dirac:10"))
+        assert main(["erf", path, option, value]) == 2
+        assert capsys.readouterr().err == f"error: {option} cannot be combined with a spec file\n"
+
     def test_depth_ratio_is_two(self, capsys):
         code, out = _run(capsys, ["erf", "--ratio-depth", "25"])
         assert code == 0

@@ -37,7 +37,7 @@ class TestOrthonormalBasis:
     def test_identity_full_rank(self):
         basis = orthonormal_basis(np.eye(3))
         assert basis.rank == 3
-        np.testing.assert_allclose(basis.projector(), np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(basis.columns @ basis.columns.T, np.eye(3), atol=1e-12)
 
     def test_duplicated_column_rank_one(self):
         basis = orthonormal_basis(np.array([[1.0, 2.0], [1.0, 2.0]]))
@@ -56,7 +56,7 @@ class TestOrthonormalBasis:
         oracle = _modified_gram_schmidt(m)
         assert oracle.shape[1] == 2
         np.testing.assert_allclose(
-            basis.projector(), oracle @ oracle.T, atol=1e-10
+            basis.columns @ basis.columns.T, oracle @ oracle.T, atol=1e-10
         )
 
     def test_all_zero_gives_empty_basis(self):
@@ -190,11 +190,6 @@ class TestTypeValidation:
     def test_covariance_must_be_psd(self):
         with pytest.raises(ValueError, match="PSD"):
             CovarianceMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-    def test_covariance_identity_helper(self):
-        cov = CovarianceMatrix.identity(3, scale=2.0)
-        assert cov.dim == 3
-        np.testing.assert_allclose(cov.entries, 2.0 * np.eye(3))
 
     def test_projection_columns_must_be_unit_norm(self):
         with pytest.raises(ValueError, match="unit norm"):

@@ -117,7 +117,6 @@ class TestResidualGenerator:
     def test_stencil_weights(self):
         gen = ResidualGenerator(6, 0.6, 1.0, "reflecting")
         assert (gen.up, gen.down) == (1.3, 0.7)
-        np.testing.assert_array_equal(gen.diag, np.diag(gen.matrix))
 
     def test_max_stable_eps(self):
         gen = ResidualGenerator(5, 0.0, 2.0)
@@ -213,6 +212,24 @@ class TestEvolveMarkov:
         got = evolve_markov(gen, DeepLimitConfig(eps=eps, L=1), kappa)[1]
         expected = gen.step(eps).matrix @ kappa.values
         np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(3, 30),
+        dcoef=st.floats(0.05, 5.0),
+        drift=st.floats(-1.0, 1.0),
+        fraction=st.floats(0.01, 0.99),
+        boundary=st.sampled_from(["periodic", "reflecting"]),
+    )
+    def test_step_columns_are_first_walk_steps(self, n, dcoef, drift, fraction, boundary):
+        # the dense layer and the walk apply one stencil, so they agree bit for bit
+        gen = ResidualGenerator(n, 2.0 * dcoef * drift, dcoef, boundary)
+        eps = fraction * gen.max_stable_eps()
+        step = gen.step(eps).matrix
+        cfg = DeepLimitConfig(eps=eps, L=1)
+        for j in range(n):
+            walked = evolve_markov(gen, cfg, SpatialCapacity.dirac(n, j))[1]
+            np.testing.assert_array_equal(walked, step[:, j])
 
     def test_trajectory_past_budget_refused(self):
         # (L+1) * n * 8 bytes just over the budget; the check runs before allocating

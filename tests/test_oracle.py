@@ -337,6 +337,17 @@ class TestFitOptimalLastLayer:
         with pytest.raises(ValueError, match=r"\[2\] are rank deficient"):
             fit_optimal_last_layer(config, lambda y: y[:, 0])
 
+    def test_two_deficient_columns_are_both_named(self):
+        # w and x both lie in the plane of u and v, so each adds nothing to the columns before it
+        u = np.array([1.0, 0.0, 0.0])
+        v = np.array([0.0, 1.0, 0.0])
+        w = (u + v) / np.linalg.norm(u + v)
+        x = (u - v) / np.linalg.norm(u - v)
+        p = ProjectionMatrix(np.column_stack([u, w, v, x]))
+        config = ExperimentConfig(p, Activation.linear(), (0, 1, 2, 3), 2000, seed=13)
+        with pytest.raises(ValueError, match=r"columns \[2, 3\] are rank deficient"):
+            fit_optimal_last_layer(config, lambda y: y[:, 0])
+
     def test_nearly_parallel_columns_never_name_an_empty_list(self):
         # at an angle of 1.5e-10 the second column's residual is just above the
         # 1e-10 rank tolerance: a refusal must name a column, or the fit runs

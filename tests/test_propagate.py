@@ -51,7 +51,7 @@ class TestPropagationMatrix:
 class TestPropagateSingle:
     def test_identity(self):
         kappa = SpatialCapacity(np.array([0.3, 0.7, 2.0]))
-        out = propagate_single(PropagationOperator.identity(3), kappa)
+        out = propagate_single(PropagationOperator(np.eye(3)), kappa)
         np.testing.assert_array_equal(out.values, kappa.values)
 
     def test_hand_product(self):
@@ -61,7 +61,7 @@ class TestPropagateSingle:
         assert out.total == pytest.approx(2.0)
 
     def test_uniform_operator_uniformizes(self):
-        d = PropagationOperator.uniform(4)
+        d = PropagationOperator(np.full((4, 4), 1.0 / 4))
         out = propagate_single(d, SpatialCapacity(np.array([4.0, 0.0, 0.0, 0.0])))
         np.testing.assert_allclose(out.values, 1.0)
 
@@ -77,12 +77,12 @@ class TestPropagateSingle:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="length"):
-            propagate_single(PropagationOperator.identity(2), SpatialCapacity(np.ones(3)))
+            propagate_single(PropagationOperator(np.eye(2)), SpatialCapacity(np.ones(3)))
 
 
 class TestPropagateChain:
     def test_identity_chain(self):
-        chain = LayerChain([PropagationOperator.identity(3)] * 4)
+        chain = LayerChain([PropagationOperator(np.eye(3))] * 4)
         kappa = SpatialCapacity(np.array([1.0, 0.5, 0.0]))
         profiles = propagate_chain(chain, kappa)
         assert len(profiles) == 5
@@ -90,7 +90,7 @@ class TestPropagateChain:
             np.testing.assert_array_equal(profile.values, kappa.values)
 
     def test_two_uniform_layers(self):
-        chain = LayerChain([PropagationOperator.uniform(2)] * 2)
+        chain = LayerChain([PropagationOperator(np.full((2, 2), 1.0 / 2))] * 2)
         profiles = propagate_chain(chain, SpatialCapacity(np.array([2.0, 0.0])))
         np.testing.assert_allclose(profiles[0].values, [1.0, 1.0])
         np.testing.assert_allclose(profiles[1].values, [1.0, 1.0])
@@ -148,7 +148,7 @@ class TestPropagateChain:
         )
 
     def test_top_dimension_checked(self):
-        chain = LayerChain([PropagationOperator.identity(3)])
+        chain = LayerChain([PropagationOperator(np.eye(3))])
         with pytest.raises(ValueError, match="top dimension"):
             propagate_chain(chain, SpatialCapacity(np.ones(2)))
 
@@ -160,7 +160,7 @@ class TestDifferentialPropagationMatrix:
         np.testing.assert_allclose(d.matrix, np.eye(3), atol=2e-9)
 
     def test_identity_projection_any_eps(self):
-        p = ProjectionMatrix.identity(3)
+        p = ProjectionMatrix(np.eye(3))
         for eps in (0.1, 0.5, 1.0, 10.0):
             d = differential_propagation_matrix(p, eps)
             np.testing.assert_array_equal(d.matrix, np.eye(3))
@@ -205,14 +205,14 @@ class TestDifferentialPropagationMatrix:
             differential_propagation_matrix(p, 0.5)
 
     def test_rejects_nonpositive_eps(self):
-        p = ProjectionMatrix.identity(2)
+        p = ProjectionMatrix(np.eye(2))
         for eps in (0.0, float("nan")):
             with pytest.raises(ValueError, match="eps must be positive"):
                 differential_propagation_matrix(p, eps)
 
     def test_rejects_infinite_eps(self):
         with pytest.raises(ValueError, match="eps must be finite, got inf"):
-            differential_propagation_matrix(ProjectionMatrix.identity(2), float("inf"))
+            differential_propagation_matrix(ProjectionMatrix(np.eye(2)), float("inf"))
 
     def test_matches_residual_augmented_space(self):
         # the residual layer's augmented projection stacks I over sqrt(eps) P~;
@@ -259,14 +259,14 @@ class TestOperatorAndLayerValidation:
             PropagationOperator.uniform_window(3, 4)
 
     def test_differential_layer_needs_eps(self):
-        p = ProjectionMatrix.identity(2)
+        p = ProjectionMatrix(np.eye(2))
         with pytest.raises(ValueError, match="eps"):
             differential_propagation_matrix(p, eps=0.0)
 
     def test_chain_dimension_compatibility(self):
         with pytest.raises(ValueError, match="layer 1 expects"):
             LayerChain(
-                [PropagationOperator.identity(2), PropagationOperator.identity(3)]
+                [PropagationOperator(np.eye(2)), PropagationOperator(np.eye(3))]
             )
 
     def test_chain_must_be_non_empty(self):
