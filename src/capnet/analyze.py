@@ -8,6 +8,7 @@ whose maximal weight decays exponentially with depth.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
@@ -68,6 +69,12 @@ class ShatterReport:
     eps: Optional[float] = None
 
 
+def _logs(values: np.ndarray) -> np.ndarray:
+    """``math.log`` of each value, whose bits ``np.log`` may not keep, through lists of 4,096."""
+    slices = (values[start : start + 4096].tolist() for start in range(0, len(values), 4096))
+    return np.fromiter(map(math.log, itertools.chain.from_iterable(slices)), float, len(values))
+
+
 def erf_profile(
     source: Union[LayerChain, ResidualGenerator],
     x0: int,
@@ -109,20 +116,20 @@ def erf_profile(
     done = 0
     for rows in blocks:
         _check_capacity_values(rows)
-        flagged |= bool(np.any(rows[:, 0] + rows[:, -1] > _BOUNDARY_MASS_TOL * rows.sum(axis=1)))
-        widths[done : done + len(rows)] = _pmf_std(rows)
+        total = rows.sum(axis=1)
+        flagged |= bool(np.any(rows[:, 0] + rows[:, -1] > _BOUNDARY_MASS_TOL * total))
+        widths[done : done + len(rows)] = _pmf_std(rows, total)
         done += len(rows)
-    stds = np.column_stack((np.arange(depth, -1, -1), widths))
+    del rows, total  # the last block holds the walk's buffer: free it before the fit
 
     # widths[k] lies k layers below the probe; the fit takes k >= 1 and widths of 2 cells or more
     fit = widths >= _MIN_FIT_SIGMA
     fit[0] = False
     fit_points = int(np.count_nonzero(fit))
     if fit_points >= 2:
-        # math.log rather than np.log, whose last bits may differ
-        xs = np.fromiter(map(math.log, np.flatnonzero(fit).tolist()), float)
-        ys = np.fromiter(map(math.log, widths[fit].tolist()), float)
-        design = np.stack([xs, np.ones_like(xs)], axis=1)
+        design = np.ones((fit_points, 2))
+        design[:, 0] = _logs(np.flatnonzero(fit))
+        ys = _logs(widths[fit])
         coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
         exponent = float(coef[0])
         residual = float(np.sqrt(np.mean((design @ coef - ys) ** 2)))
@@ -131,7 +138,7 @@ def erf_profile(
         residual = math.nan
     return ErfReport(
         probe_index=x0,
-        per_depth_std=stds,
+        per_depth_std=np.column_stack((np.arange(depth, -1, -1), widths)),
         fitted_exponent=exponent,
         fit_residual=residual,
         boundary_flagged=flagged,

@@ -47,18 +47,17 @@ _MAX_CLOSED_FORM_CELLS = 5 * 10**5
 _STD_BLOCK_BYTES = 2**20
 
 
-def _pmf_std(rows: np.ndarray) -> np.ndarray:
+def _pmf_std(rows: np.ndarray, total: np.ndarray) -> np.ndarray:
     """Standard deviation of the grid index under each row's profile, in cells.
 
-    Takes a 2-D block of profiles, one walk block at most, and returns one
-    width per row, in the centred form ``sum((i - mean)**2 * v) / sum(v)``.
+    Takes a 2-D block of profiles, one walk block at most, and its row sums, and
+    returns one width per row, in the centred form ``sum((i - mean)**2 * v) / sum(v)``.
     The products are formed in one block-sized temporary, reused through
     ``out=``, so the reduction needs about one block beyond its input.  Each
     row is reduced contiguously, so a row's width has the bits a lone 1-D
     profile would get.
     """
     idx = np.arange(rows.shape[1])
-    total = rows.sum(axis=1)
     terms = np.multiply(idx, rows)
     mean = terms.sum(axis=1) / total
     np.subtract(idx, mean[:, None], out=terms)
@@ -116,8 +115,9 @@ class ResidualGenerator:
     @property
     def matrix(self) -> np.ndarray:
         """The dense n x n generator: the stencil applied to the identity."""
-        eye = np.eye(self.n)
-        return _apply_stencil(self, _generator_weights(self), eye, np.empty_like(eye))
+        keep, up, down = _generator_weights(self)
+        eye, hop = np.eye(self.n), np.empty((self.n + 1, self.n))
+        return _apply_stencil(self, (keep[:, None], up, down), eye, np.empty_like(eye), hop)
 
     def max_stable_eps(self) -> float:
         """Largest eps with ``eps * 2 Dcoef < 1`` (strict).
@@ -142,24 +142,31 @@ class ResidualGenerator:
         return PropagationOperator(np.eye(self.n) + eps * self.matrix)
 
 
-def _generator_weights(gen: ResidualGenerator) -> Tuple[float, float, float, float, float]:
-    """Interior keep, first and last keeps as a reflecting edge folds them, up and down hops."""
-    keep = -2.0 * gen.Dcoef
-    return keep, keep + gen.down, keep + gen.up, gen.up, gen.down
-
-
-def _apply_stencil(gen: ResidualGenerator, weights, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Write ``weights`` applied to ``x`` along axis 0 into ``y``; periodic grids wrap hops."""
-    keep, first, last, up, down = weights
-    np.multiply(keep, x, out=y)
+def _generator_weights(gen: ResidualGenerator) -> Tuple[np.ndarray, float, float]:
+    """Each cell's keep, a reflecting edge's fold included, and the up and down hops."""
+    keep = np.full(gen.n, -2.0 * gen.Dcoef)
     if gen.boundary == "reflecting":
-        y[0] = first * x[0]
-        y[-1] = last * x[-1]
-    y[1:] += up * x[:-1]
-    y[:-1] += down * x[1:]
+        keep[[0, -1]] += (gen.down, gen.up)
+    return keep, gen.up, gen.down
+
+
+def _apply_stencil(gen: ResidualGenerator, weights, x, y, hop) -> np.ndarray:
+    """Write ``weights`` applied to array ``x`` along axis 0 into ``y``, with ``hop`` as scratch.
+
+    ``hop`` is one cell longer than ``x``.  A cell adds its keep, the up hop from below, then
+    the down hop from above; on a periodic grid cell 0 adds the wrapped up hop last.
+    """
+    keep, up, down = weights
+    tail, head = y[1:], y[:-1]  # added to in place: y[1:] += would also assign the view back
+    np.multiply(x, keep, out=y)
+    np.multiply(x, up, out=hop[1:])
+    inner = hop[1:-1]  # up times x[:-1], then down times x[1:]
+    tail += inner
+    np.multiply(x, down, out=hop[:-1])  # hop[-1] keeps up times x[-1]
+    head += inner
     if gen.boundary == "periodic":
-        y[0] += up * x[-1]
-        y[-1] += down * x[0]
+        y[0] += hop[-1]
+        y[-1] += hop[0]
     return y
 
 
@@ -226,14 +233,16 @@ def _walk(
         block_rows = max(2, _STD_BLOCK_BYTES // (8 * gen.n))
     rows = np.empty((min(block_rows, cfg.L + 1), gen.n))
     rows[0] = kappa_top.values
-    keep, first, last, up, down = (cfg.eps * w for w in _generator_weights(gen))
-    weights = (1.0 + keep, 1.0 + first, 1.0 + last, up, down)  # the entries of I + eps*Delta
+    keep, up, down = _generator_weights(gen)
+    # the entries of I + eps*Delta; numpy multiplies by a 0-d array faster than by a float
+    weights = (1.0 + cfg.eps * keep, np.array(cfg.eps * up), np.array(cfg.eps * down))
+    hop = np.empty(gen.n + 1)
     count = len(rows)
     for k in range(1, cfg.L + 1):
         j = k % count
         if j == 0:
             yield rows
-        _apply_stencil(gen, weights, rows[j - 1], rows[j])
+        _apply_stencil(gen, weights, rows[j - 1], rows[j], hop)
     yield rows[: cfg.L % count + 1]
 
 
@@ -371,7 +380,7 @@ def compare_markov_pde(
     for level, (gen_k, cfg_k, kappa_k) in enumerate(levels):
         final = evolve_markov(gen_k, cfg_k, kappa_k, keep_all=False)
         if level == 0:
-            markov_std = float(_pmf_std(final[None])[0])
+            markov_std = float(_pmf_std(final[None], final[None].sum(axis=1))[0])
         h = 1.0 / 2**level
         total_time = cfg.total_time
         pde = gaussian_solution(

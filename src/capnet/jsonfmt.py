@@ -9,7 +9,8 @@ instance as the object of its fields, keyed by field name.
 ``canonical_dump`` writes a document to a text handle in bounded pieces: the
 emitter collects a few thousand small strings, writes them out joined and
 starts over, so writing a report of any length holds no copy of its text.
-A numpy array is written one row at a time, a row of floats as one string.
+A 2-D float array is written out a block of rows per ``%`` on a row template,
+any other array one row at a time, a row of floats as one string.
 ``canonical_dumps`` returns the same bytes as one string.
 """
 
@@ -28,6 +29,7 @@ __all__ = ["canonical_dump", "canonical_dumps"]
 # Pieces the emitter collects before it writes them out, some 0.3 MiB of
 # small strings.
 _FLUSH_PIECES = 4096
+_BLOCK_VALUES = 2048  # values of a float matrix formatted per block: 1,024 rows of two
 
 
 def _float(value: float) -> str:
@@ -49,7 +51,19 @@ def _emit(obj: Any, indent: int, pieces: list, write: Callable[[str], Any]) -> N
         pieces.append(repr(obj))
     elif isinstance(obj, str):
         pieces.append(json.dumps(obj))
-    # an array of rows is written row by row, never as one list
+    # a float matrix is written a block of rows per format call, any other array row by row
+    elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.size and obj.dtype.kind == "f":
+        write("".join(pieces) + "[\n")
+        pieces.clear()
+        row = f"{pad}  [\n{pad}    " + f",\n{pad}    ".join(["%s"] * obj.shape[1]) + f"\n{pad}  ]"
+        step = max(1, _BLOCK_VALUES // obj.shape[1])
+        for start in range(0, len(obj), step):
+            block = obj[start : start + step]
+            finite = np.isfinite(block).all()  # "%.17g" % x is format(x, ".17g")
+            values = block.ravel().tolist() if finite else map(_float, block.ravel().tolist())
+            template = ",\n".join([row.replace("%s", "%.17g") if finite else row] * len(block))
+            write((",\n" if start else "") + template % tuple(values))
+        pieces.append("\n" + pad + "]")
     elif isinstance(obj, (list, tuple)) or (isinstance(obj, np.ndarray) and obj.ndim > 1):
         if not len(obj):
             pieces.append("[]")

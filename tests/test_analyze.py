@@ -80,10 +80,38 @@ def _pmf_std_reference(values):
     return math.sqrt(max(var, 0.0))
 
 
+def _walk_reference(gen, cfg, x0):
+    """The walk from a probe at x0, stepped with shifted slices and scalar wraps.
+
+    Each cell adds its keep, then the up hop from the cell below, then the down
+    hop from the cell above.  On a periodic grid cell 0 adds the wrapped up hop
+    after its down hop; a reflecting edge folds the hop that would leave the grid
+    into the edge cell's keep.
+    """
+    keep = 1.0 + cfg.eps * (-2.0 * gen.Dcoef)
+    first = 1.0 + cfg.eps * (-2.0 * gen.Dcoef + gen.down)
+    last = 1.0 + cfg.eps * (-2.0 * gen.Dcoef + gen.up)
+    up, down = cfg.eps * gen.up, cfg.eps * gen.down
+    rows = np.zeros((cfg.L + 1, gen.n))
+    rows[0, x0] = 1.0
+    for k in range(1, cfg.L + 1):
+        x, y = rows[k - 1], rows[k]
+        y[:] = keep * x
+        if gen.boundary == "reflecting":
+            y[0] = first * x[0]
+            y[-1] = last * x[-1]
+        y[1:] += up * x[:-1]
+        y[:-1] += down * x[1:]
+        if gen.boundary == "periodic":
+            y[0] += up * x[-1]
+            y[-1] += down * x[0]
+    return rows
+
+
 def _erf_reference(gen, x0, cfg):
     """Widths and edge flag of a generator run, measured profile by profile."""
     stds, flagged = [], False
-    walked = evolve_markov(gen, cfg, SpatialCapacity.dirac(gen.n, x0))
+    walked = _walk_reference(gen, cfg, x0)
     for steps, profile in enumerate(walked):
         if profile[0] + profile[-1] > _BOUNDARY_MASS_TOL * profile.sum():
             flagged = True
@@ -134,6 +162,11 @@ class TestErfProfile:
         stds, flagged = _erf_reference(gen, x0, cfg)
         np.testing.assert_array_equal(report.per_depth_std, stds)
         assert report.boundary_flagged == flagged
+        # the walk itself, against a loop that shares none of its code
+        walked = _walk_reference(gen, cfg, x0)
+        probe = SpatialCapacity.dirac(n, x0)
+        np.testing.assert_array_equal(evolve_markov(gen, cfg, probe), walked)
+        np.testing.assert_array_equal(evolve_markov(gen, cfg, probe, keep_all=False), walked[-1])
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -520,6 +520,15 @@ class TestErf:
         assert code == 0
         assert peak_kib <= 50 * 1024
 
+    def test_long_fit_logged_in_bounded_memory(self, tmp_path):
+        # 199,981 fit points; their logs went through two lists of one Python
+        # number each, and the run peaked at about 57 MiB
+        out = tmp_path / "erf.json"
+        code, _, peak_kib = _peak_rss(["erf", "--n", "201", "--L", "200000", "--out", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["fit_points"] > 199000
+        assert peak_kib <= 50 * 1024
+
     @pytest.mark.parametrize(
         "option, value",
         [

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from capnet import jsonfmt
 from capnet.jsonfmt import canonical_dump, canonical_dumps
@@ -91,6 +92,12 @@ _ARRAYS = st.one_of(
     st.lists(_FLOATS, max_size=5).map(lambda xs: np.array(xs, dtype=float)),
     st.lists(st.integers(-5, 5), min_size=1, max_size=6).map(lambda xs: np.array(xs).reshape(-1, 1)),
     st.lists(st.booleans(), max_size=4).map(lambda xs: np.array(xs, dtype=bool)),
+    # float matrices, empty ones and single columns included
+    arrays(
+        float,
+        array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=4),
+        elements=st.one_of(_FLOATS, st.sampled_from([math.nan, math.inf, -math.inf, -0.0])),
+    ),
 )
 _DOCUMENTS = st.recursive(
     st.one_of(_SCALARS, _ARRAYS),
@@ -196,3 +203,28 @@ def test_streamed_dump_matches_the_string_across_many_flushes():
     canonical_dump(doc, handle)
     assert handle.getvalue() == canonical_dumps(doc) == _dumps_reference(plain)
     assert handle.writes >= 10
+
+
+class _RecordingWriter(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.lengths = []
+
+    def write(self, text):
+        self.lengths.append(len(text))
+        return super().write(text)
+
+
+def test_float_matrix_written_a_block_of_rows_at_a_time():
+    # two and a half format blocks of rows, with non-finite values and -0.0 in the middle one
+    rows = 5 * jsonfmt._BLOCK_VALUES // 4
+    matrix = np.column_stack((np.arange(rows, 0, -1), np.linspace(0.0, 7.0, rows) / 3))
+    matrix[rows // 2] = (math.nan, -0.0)
+    matrix[rows // 2 + 1] = (math.inf, -math.inf)
+    doc = {"matrix": matrix, "after": [1 / 3]}
+    handle = _RecordingWriter()
+    canonical_dump(doc, handle)
+    text = _dumps_reference(doc)
+    assert handle.getvalue() == text
+    array_text = canonical_dumps(matrix)
+    assert max(handle.lengths) < len(array_text) / 2
