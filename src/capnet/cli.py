@@ -49,8 +49,9 @@ _LOG_LEVELS = {
 _WALK_DEFAULTS = {"n": 201, "eps": 0.1, "L": 100, "D": 1.0, "v": 0.0, "boundary": "periodic"}
 
 _LAYER_KEYS = {"kind", "n_in", "n_out", "activation", "weights", "eps"}
-# The n_in x n_out float64 operators of a spec's chain, together.  Building one
-# takes up to 4x its size at once, so a spec stays within about 2 GiB.
+# The n_in x n_out float64 operators of a spec's chain, together, or the one
+# layer verify draws.  Building one takes up to 4x its size at once, so a spec
+# stays within about 2 GiB.
 _SPEC_OPERATOR_BUDGET_BYTES = 512 * 2**20
 
 
@@ -368,6 +369,11 @@ def cmd_shatter(args) -> int:
 
 def cmd_verify(args) -> int:
     selector = tuple(int(part) for part in args.selector.split(","))
+    if 8 * args.n * args.m > _SPEC_OPERATOR_BUDGET_BYTES:
+        raise ValueError(
+            f"a {args.n}x{args.m} layer is past the "
+            f"{_SPEC_OPERATOR_BUDGET_BYTES // 2**20} MiB operator limit"
+        )
     weights = np.random.default_rng(args.seed).standard_normal((args.n, args.m))
     config = ExperimentConfig(
         p=ProjectionMatrix.from_raw(weights),

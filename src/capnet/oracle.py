@@ -11,6 +11,8 @@ the sample count.
 from __future__ import annotations
 
 import math
+import queue
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -28,12 +30,18 @@ __all__ = [
     "empirical_spatial_capacity",
 ]
 
-# sampler(rng, count, n) -> (count, n) input vectors, called once per chunk in order
-Sampler = Callable[[np.random.Generator, int, int], np.ndarray]
+# sampler(rng, count, n) -> (count, n) input vectors, called once per chunk in order;
+# a string, so that importing the oracle does not import numpy.random
+Sampler = Callable[["np.random.Generator", int, int], np.ndarray]
 
 _NOISE_BLOCKS = 8
-# A chunk's inputs y, pre-activations z and etas stay near this size.
+# A chunk's inputs y, pre-activations z and etas stay near this size.  The
+# pass holds about two chunks at once: the one it reduces and the next one,
+# which a worker thread draws and hashes meanwhile.
 _CHUNK_BYTES = 2**20
+# Rows of one slab of the streamed R factor, at least m + 1: a few hundred
+# rows of m + 1 floats stay in cache while the batched QR factors them.
+_SLAB_ROWS = 384
 # Largest array the oracle holds whole: its block cross moments, refused
 # before allocating.
 _MEMORY_BUDGET_BYTES = 2 * 2**30
@@ -137,12 +145,13 @@ def _chunks(
     chunks as in one call.  A chunk never straddles two jackknife blocks.
     Chunk rows are sized from ``_CHUNK_BYTES`` at n + 2m + 2 floats a row,
     about what a row of y, z and eta takes, but never below 2(m+1), so that
-    the streamed QR of the (m+1)-column feature block stays amortized.
-    Memory is therefore flat in ``n_samples`` for every sampler.
+    merging a chunk into the streamed R factor stays amortized.  Memory is
+    therefore flat in ``n_samples`` for every sampler.
 
     z = y P is summed in a fixed order, so each row's bits, which the
     pseudo-random eta hashes, do not depend on the chunk size or on the BLAS
-    build.
+    build.  The pass runs this generator on a worker thread, one chunk ahead
+    of its target, so the sampler and the activation run there.
     """
     stream, eta_key, _ = _derive_streams(seed)
     rng = np.random.default_rng(stream)
@@ -162,6 +171,53 @@ def _chunks(
             yield block, y, z, act.eta(z, key=eta_key)
 
 
+class _OneAhead:
+    """Run an iterator on a worker thread, one item ahead of the caller.
+
+    The worker computes item i + 1 while the caller works on item i, and
+    waits for the caller to take item i + 1 before it starts on item i + 2,
+    so at most two items are alive at once.  Items arrive in order.  An
+    exception raised on the worker is raised again in the caller, and leaving
+    the ``with`` block, by return or by raise, stops and joins the worker.
+    """
+
+    _END = object()
+
+    def __init__(self, items):
+        self._items = items
+        self._ready = queue.SimpleQueue()
+        self._wanted = queue.SimpleQueue()
+        self._worker = threading.Thread(target=self._produce, name="capnet-oracle")
+
+    def _produce(self) -> None:
+        try:
+            for item in self._items:
+                self._ready.put((item, None))
+                if not self._wanted.get():
+                    return
+            self._ready.put((self._END, None))
+        except BaseException as exc:  # handed to the caller, who raises it
+            self._ready.put((None, exc))
+
+    def __enter__(self):
+        self._worker.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._wanted.put(False)
+        self._worker.join()
+
+    def __iter__(self):
+        while True:
+            item, exc = self._ready.get()
+            if exc is not None:
+                raise exc
+            if item is self._END:
+                return
+            self._wanted.put(True)
+            yield item
+
+
 @dataclass(frozen=True)
 class _Moments:
     """What one pass over the samples leaves behind.
@@ -174,7 +230,8 @@ class _Moments:
     the R factor of ``[F_sel | F_rest | t]``: the feature columns in the
     order ``order`` (selected first), then the target.  Its columns have the
     inner products of those sample columns, so least squares on ``r`` solve
-    least squares on the samples.
+    least squares on the samples.  It is built slab by slab (TSQR), which
+    gives the same inner products up to rounding.
     """
 
     cross: np.ndarray
@@ -208,7 +265,17 @@ def _check_pass(config: ExperimentConfig) -> None:
 def _stream(
     config: ExperimentConfig, sampler: Optional[Sampler], target: _ChunkTarget
 ) -> _Moments:
-    """One pass over the samples, in chunks."""
+    """One pass over the samples, in chunks.
+
+    A worker thread draws and hashes chunk i + 1 (see :func:`_chunks`) while
+    this thread runs the target on chunk i, adds it to the block cross moment
+    and merges it into the R factor.  Each chunk's ``[F_order | t]`` is cut
+    into slabs of ``_SLAB_ROWS`` rows (at least m + 1), factored by one
+    batched QR, and the slabs' R factors are merged into ``r`` by one small
+    QR.  The pass calls no public capnet function on this thread while the
+    worker runs, so a tracer that wraps those functions sees the worker's
+    calls nested in the pass's own.
+    """
     _check_pass(config)
     n, m = config.n, config.m
     selected = list(config.param_selector)
@@ -216,18 +283,27 @@ def _stream(
     order = np.array(selected + [j for j in range(m) if j not in selected])
     cross = np.zeros((_NOISE_BLOCKS, n * m, k))
     r = np.zeros((m + 1, m + 1))
+    slab = max(_SLAB_ROWS, m + 1)
     chunks = _chunks(config.p, config.activation, sampler, config.n_samples, config.seed)
-    for block, y, z, eta in chunks:
-        feats = eta * z
-        t = np.asarray(target(y, feats), dtype=float)
-        if t.shape != (y.shape[0],):
-            raise ValueError(f"target returned shape {t.shape}, expected ({y.shape[0]},)")
-        if not np.isfinite(t).all():
-            raise ValueError("target returned non-finite values")
-        for col, c in enumerate(selected):
-            # column c of x~ f(z)^T: row-block j of x~ is eta_j y
-            cross[block, :, col] += ((eta * feats[:, [c]]).T @ y).reshape(-1)
-        r = np.linalg.qr(np.vstack([r, np.column_stack([feats[:, order], t])]), mode="r")
+    with _OneAhead(chunks) as ahead:
+        for block, y, z, eta in ahead:
+            count = y.shape[0]
+            feats = eta * z
+            t = np.asarray(target(y, feats), dtype=float)
+            if t.shape != (count,):
+                raise ValueError(f"target returned shape {t.shape}, expected ({count},)")
+            if not np.isfinite(t).all():
+                raise ValueError("target returned non-finite values")
+            for col, c in enumerate(selected):
+                # column c of x~ f(z)^T: row-block j of x~ is eta_j y
+                cross[block, :, col] += ((eta * feats[:, [c]]).T @ y).reshape(-1)
+            # TSQR: zero padding adds nothing to the inner products of the columns
+            slabs = np.zeros((-(-count // slab), slab, m + 1))
+            rows = slabs.reshape(-1, m + 1)
+            rows[:count, :m] = feats[:, order]
+            rows[:count, m] = t
+            slab_r = np.linalg.qr(slabs, mode="r").reshape(-1, m + 1)
+            r = np.linalg.qr(np.concatenate([r, slab_r]), mode="r")
     return _Moments(cross, np.diff(_block_edges(config.n_samples)), r, order)
 
 

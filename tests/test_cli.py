@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line interface."""
 
 import argparse
+import contextlib
 import copy
 import dataclasses
+import io
 import json
 import math
 import os
@@ -10,13 +12,15 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
+import threading
 import time
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import capnet
@@ -747,6 +751,97 @@ class TestVerify:
         assert main(argv) == 2
         assert "2 GiB oracle memory limit" in capsys.readouterr().err
 
+    def test_layer_past_operator_limit_exits_2_before_drawing(self, capsys):
+        # the 2**45 x 4 weights once died of numpy's MemoryError, with a traceback
+        argv = ["verify", "--n", str(2**45), "--m", "4", "--selector", "0", "--mc", "1000"]
+        assert main(argv) == 2
+        assert "512 MiB operator limit" in capsys.readouterr().err
+
+
+_VERIFY_EXTREMES = ["0", "-1", "nan", "inf", "-inf", "1e308", str(2**63), str(2**45)]
+_VERIFY_ACTIVATIONS = [
+    "pseudo_random", "pseudo_random:2.5", "relu", "linear", "abs", "leaky_relu:0.1",
+]
+
+# each verify option's extreme and malformed values
+_VERIFY_ODD = {
+    "--n": st.sampled_from(_VERIFY_EXTREMES),
+    "--m": st.sampled_from(_VERIFY_EXTREMES),
+    "--selector": st.lists(
+        st.one_of(st.integers(-2, 8).map(str), st.sampled_from(_VERIFY_EXTREMES + [""])),
+        min_size=1,
+        max_size=4,
+    ).map(",".join),
+    "--mc": st.sampled_from(_VERIFY_EXTREMES + ["999"]),
+    "--seed": st.sampled_from(_VERIFY_EXTREMES),
+    "--activation": st.one_of(
+        st.sampled_from(["tanh", "", "relu:1", "leaky_relu"]),
+        st.builds(
+            "{}:{}".format,
+            st.sampled_from(["pseudo_random", "leaky_relu"]),
+            st.sampled_from(_VERIFY_EXTREMES + ["1e-200", "1e200", "5e-324", "x"]),
+        ),
+    ),
+}
+
+
+@st.composite
+def _verify_argv(draw):
+    """verify options, a few of them extreme; accepted runs are small and take milliseconds."""
+    m = draw(st.integers(1, 6))
+    selector = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True))
+    usual = {
+        "--n": draw(st.integers(2, 6)),
+        "--m": m,
+        "--selector": ",".join(map(str, selector)),
+        "--mc": draw(st.integers(1000, 3000)),
+        "--seed": draw(st.integers(0, 2**64)),
+        "--activation": draw(st.sampled_from(_VERIFY_ACTIVATIONS)),
+    }
+    extreme = draw(st.lists(st.sampled_from(sorted(usual)), max_size=3, unique=True))
+    argv = ["verify"]
+    for option, value in usual.items():
+        argv += [option, draw(_VERIFY_ODD[option]) if option in extreme else str(value)]
+    return argv
+
+
+def _leaves(doc):
+    if isinstance(doc, dict):
+        return [leaf for value in doc.values() for leaf in _leaves(value)]
+    if isinstance(doc, list):
+        return [leaf for value in doc for leaf in _leaves(value)]
+    return [doc]
+
+
+class TestVerifyFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(_verify_argv())
+    def test_drawn_options_finish_or_are_refused(self, argv):
+        threads = threading.active_count()
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as workdir:
+            out = os.path.join(workdir, "out.json")
+            start = time.perf_counter()
+            with contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv + ["--out", out])
+                except SystemExit as exc:  # argparse refuses a malformed number
+                    code = exc.code
+            elapsed = time.perf_counter() - start
+            event(f"exit {code}")
+            if code == 0:
+                with open(out) as handle:
+                    leaves = _leaves(json.load(handle))
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+        assert threading.active_count() == threads
+        if code == 0:
+            # jsonfmt writes a non-finite float as null
+            numbers = [leaf for leaf in leaves if not isinstance(leaf, str)]
+            assert numbers and all(type(x) in (int, float) and math.isfinite(x) for x in numbers)
+        else:
+            assert elapsed < 1.0
+
 
 @pytest.mark.parametrize(
     "argv, limit",
@@ -767,6 +862,28 @@ def test_sample_count_past_limit_exits_2_before_sampling(capsys, argv, limit):
     assert main(argv) == 2
     assert time.perf_counter() - start < 2.0
     assert limit in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["pde", "--n", "51", "--L", "5", "--refinements", "0"], ["erf", "--n", "51", "--L", "50"]],
+)
+def test_pde_and_erf_leave_numpy_random_unimported(tmp_path, argv):
+    # neither command draws, and importing numpy.random costs 13-14 ms and 6 MiB of RSS
+    script = (
+        "import sys\n"
+        "from capnet.cli import main\n"
+        "print(main(sys.argv[1:]), 'numpy.random' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(capnet.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", script] + argv + ["--out", str(tmp_path / "out.json")],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.split() == ["0", "False"]
 
 
 @pytest.mark.parametrize(

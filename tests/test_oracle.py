@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -673,19 +676,28 @@ class TestSinglePass:
         custom_sampler=st.booleans(),
         seed=st.integers(0, 2**31 - 1),
         picks=st.lists(st.integers(0, 5), min_size=1, max_size=6, unique=True),
+        slab_rows=st.integers(1, 450),
     )
     # where the two forms once differed by 2e-12 to 6e-12: tanh features with
     # m > n, and a relu fit with |a*| = 72
     @example(n=2, m=4, activation="custom", n_samples=1000, chunk_rows=5,
-             custom_sampler=False, seed=160000, picks=[0, 1, 2])
+             custom_sampler=False, seed=160000, picks=[0, 1, 2], slab_rows=384)
     @example(n=2, m=6, activation="custom", n_samples=1000, chunk_rows=5,
-             custom_sampler=False, seed=0, picks=[0, 1, 2, 3])
+             custom_sampler=False, seed=0, picks=[0, 1, 2, 3], slab_rows=384)
     @example(n=2, m=6, activation="custom", n_samples=1000, chunk_rows=5,
-             custom_sampler=False, seed=4858, picks=[0, 1, 2, 3])
+             custom_sampler=False, seed=4858, picks=[0, 1, 2, 3], slab_rows=384)
     @example(n=2, m=2, activation="relu", n_samples=1000, chunk_rows=5,
-             custom_sampler=True, seed=3673, picks=[0, 1])
+             custom_sampler=True, seed=3673, picks=[0, 1], slab_rows=384)
+    # slabs asked shorter than m + 1 rows, which the pass raises to m + 1; chunks
+    # of 325 rows (whole jackknife blocks) in slabs of 7; every chunk in one slab
+    @example(n=3, m=6, activation="pseudo_random", n_samples=2600, chunk_rows=40,
+             custom_sampler=False, seed=11, picks=[0, 2, 5], slab_rows=2)
+    @example(n=4, m=3, activation="relu", n_samples=2600, chunk_rows=400,
+             custom_sampler=True, seed=12, picks=[0, 2], slab_rows=7)
+    @example(n=5, m=4, activation="custom", n_samples=1999, chunk_rows=150,
+             custom_sampler=False, seed=13, picks=[1, 3], slab_rows=450)
     def test_stream_equals_batch(
-        self, n, m, activation, n_samples, chunk_rows, custom_sampler, seed, picks
+        self, n, m, activation, n_samples, chunk_rows, custom_sampler, seed, picks, slab_rows
     ):
         try:
             p = _random_projection(np.random.default_rng(seed), n, m)
@@ -709,7 +721,8 @@ class TestSinglePass:
         assume(np.linalg.cond(_features(config, sampler)[1]) < 1e3)
         # n + 2m + 2 floats a row, as the pass sizes its chunks
         chunk_bytes = chunk_rows * 8 * (n + 2 * m + 2)
-        with mock.patch.object(oracle, "_CHUNK_BYTES", chunk_bytes):
+        with mock.patch.object(oracle, "_CHUNK_BYTES", chunk_bytes), \
+                mock.patch.object(oracle, "_SLAB_ROWS", slab_rows):
             try:
                 ref, scale = _batch_reference(config, target, sampler)
             except ValueError:
@@ -829,6 +842,127 @@ class TestSinglePass:
                 tracemalloc.stop()
         assert peaks[0] < 48 * 2**20
         assert peaks[1] <= 1.1 * peaks[0]
+
+
+class TestOneAhead:
+    """The pass draws and hashes the next chunk on a worker thread.
+
+    A failure on either thread reaches the caller as the exception a pass on
+    one thread raised, no thread outlives the call, and the worker runs at
+    most one chunk ahead of the target.
+    """
+
+    # 8 jackknife blocks of 375 rows, in chunks of at most 100 rows: 32 chunks
+    CONFIG = ExperimentConfig(
+        _random_projection(np.random.default_rng(80), 3, 3),
+        Activation.relu(), (0, 2), 3000, seed=30,
+    )
+    CHUNK_BYTES = 100 * 8 * (3 + 2 * 3 + 2)
+
+    def _raised(self, call):
+        """The exception ``call`` raises; checks that it leaves no thread behind."""
+        threads = threading.active_count()
+        unhandled = []
+        with mock.patch.object(oracle, "_CHUNK_BYTES", self.CHUNK_BYTES), \
+                mock.patch.object(threading, "excepthook", unhandled.append):
+            with pytest.raises(Exception) as caught:
+                call()
+        assert threading.active_count() == threads
+        assert unhandled == []
+        return caught.value
+
+    @staticmethod
+    def _sampler(bad_call=0, spoil=None):
+        """A standard-normal sampler that counts calls and passes call ``bad_call`` to ``spoil``."""
+        calls = []
+
+        def sampler(rng, count, n):
+            calls.append(count)
+            y = rng.standard_normal((count, n))
+            return spoil(y) if len(calls) == bad_call else y
+
+        return sampler, calls
+
+    def test_sampler_that_raises(self):
+        def spoil(y):
+            raise RuntimeError("sampler failed on call 3")
+
+        sampler, calls = self._sampler(3, spoil)
+        exc = self._raised(lambda: empirical_spatial_capacity(self.CONFIG, sampler))
+        assert type(exc) is RuntimeError and str(exc) == "sampler failed on call 3"
+        assert len(calls) == 3
+
+    def test_sampler_of_the_wrong_shape(self):
+        sampler, _ = self._sampler(2, lambda y: y[:, :2])
+        exc = self._raised(lambda: fit_optimal_last_layer(self.CONFIG, lambda y: y[:, 0], sampler))
+        assert type(exc) is ValueError
+        assert str(exc) == "sampler returned shape (100, 2), expected (100, 3)"
+
+    def test_non_finite_sampler(self):
+        def spoil(y):
+            y[7, 1] = math.inf
+            return y
+
+        sampler, _ = self._sampler(9, spoil)
+        exc = self._raised(lambda: empirical_spatial_capacity(self.CONFIG, sampler))
+        assert type(exc) is ValueError and str(exc) == "sampler returned non-finite values"
+
+    def test_non_finite_target(self):
+        seen = []
+
+        def target(y):
+            seen.append(len(y))
+            return y[:, 0] * (math.nan if len(seen) == 5 else 1.0)
+
+        a_star = np.array([1.0, 0.0, 0.0])
+        exc = self._raised(lambda: verify_stationarity(self.CONFIG, a_star, target))
+        assert type(exc) is ValueError and str(exc) == "target returned non-finite values"
+
+    @pytest.mark.parametrize("bad_chunk", [0, 1, 17, 31])
+    def test_target_that_raises_stops_the_draws(self, bad_chunk):
+        sampler, calls = self._sampler()
+        seen = []
+
+        def target(y):
+            if len(seen) == bad_chunk:
+                raise KeyError(f"target failed on chunk {bad_chunk}")
+            seen.append(len(y))
+            return y[:, 0]
+
+        exc = self._raised(lambda: fit_optimal_last_layer(self.CONFIG, target, sampler))
+        assert type(exc) is KeyError and exc.args == (f"target failed on chunk {bad_chunk}",)
+        # the chunks up to the failing one, and at most the one after it
+        assert bad_chunk + 1 <= len(calls) <= bad_chunk + 2
+
+    def test_no_thread_left_after_a_pass(self):
+        threads = threading.active_count()
+        with mock.patch.object(oracle, "_CHUNK_BYTES", self.CHUNK_BYTES):
+            fit_optimal_last_layer(self.CONFIG, lambda y: y[:, 0])
+        assert threading.active_count() == threads
+
+    def test_concurrent_passes_under_a_short_switch_interval(self):
+        # four passes at once, each with its own worker, so more threads than
+        # cores, switching every microsecond: each report is the one computed alone
+        configs = [dataclasses.replace(self.CONFIG, seed=seed) for seed in range(4)]
+        results = [None] * len(configs)
+
+        def run(i):
+            results[i] = empirical_spatial_capacity(configs[i]).to_dict()
+
+        with mock.patch.object(oracle, "_CHUNK_BYTES", self.CHUNK_BYTES):
+            alone = [empirical_spatial_capacity(config).to_dict() for config in configs]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                callers = [threading.Thread(target=run, args=(i,)) for i in range(len(configs))]
+                for caller in callers:
+                    caller.start()
+                for caller in callers:
+                    caller.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert results == alone
 
 
 class TestChunkInvariance:
