@@ -174,6 +174,8 @@ def uniform_path_weight(r: int, L: int) -> float:
     """Weight of every path through L uniform layers of receptive field r."""
     if r < 1 or L < 1:
         raise ValueError("r and L must be positive integers")
+    if L * math.log2(r) > 1100:  # far past float overflow, where r**L takes long to form
+        return 0.0
     try:
         return 1.0 / float(r**L)
     except OverflowError:

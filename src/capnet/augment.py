@@ -40,7 +40,8 @@ __all__ = [
 _PIECEWISE_KINDS = ("linear", "relu", "leaky_relu", "abs")
 _CLOSED_FORM_KINDS = _PIECEWISE_KINDS + ("pseudo_random",)
 # Largest pseudo_random sigma: a Monte Carlo estimate sums squared products
-# of scale sigma**4, which stays finite over 10**8 samples below this.
+# of scale sigma**4, which stays finite over 10**8 samples below this.  Its
+# reciprocal is the smallest, where sigma**4 = 1e-300 is still a normal float.
 _MAX_SIGMA = 1e75
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 # Most samples estimate_nu_monte_carlo draws: it holds every draw at once, some
@@ -49,9 +50,10 @@ _MAX_NU_SAMPLES = 5 * 10**7
 
 
 def _check_sigma(sigma: float) -> None:
-    """Refuse a pseudo_random sigma that is not in (0, _MAX_SIGMA); NaN included."""
-    if not 0 < sigma < _MAX_SIGMA:
-        raise ValueError(f"sigma must be positive and below {_MAX_SIGMA:g}, got {sigma!r}")
+    """Refuse a pseudo_random sigma that is not in (1/_MAX_SIGMA, _MAX_SIGMA); NaN included."""
+    if not 1 / _MAX_SIGMA < sigma < _MAX_SIGMA:
+        bounds = f"({1 / _MAX_SIGMA:g}, {_MAX_SIGMA:g})"
+        raise ValueError(f"sigma must be positive and in {bounds}, got {sigma!r}")
 
 
 def _splitmix64(h: np.ndarray) -> np.ndarray:

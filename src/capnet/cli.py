@@ -284,7 +284,7 @@ def cmd_chain(args) -> int:
             "spec_hash": spec.spec_hash(),
             "version": __version__,
         },
-        "profiles": [list(p.values) for p in profiles],
+        "profiles": [p.values for p in profiles],
         "totals": [p.total for p in profiles],
     }
     _emit_json(report, args.out)

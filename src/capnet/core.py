@@ -75,6 +75,8 @@ def _column_norms(matrix: np.ndarray) -> np.ndarray:
     Refuses a zero column, and a non-zero one whose squared norm overflows or
     underflows a float, which would read as a norm of inf or 0.
     """
+    if not matrix.shape[0]:  # refused before its norms, which take 8 bytes a column
+        raise ValueError("projection has no rows")
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(matrix, axis=0)
     bad = np.flatnonzero((norms == 0) | np.isinf(norms))

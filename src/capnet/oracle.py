@@ -11,8 +11,7 @@ the sample count.
 from __future__ import annotations
 
 import math
-import queue
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -171,53 +170,6 @@ def _chunks(
             yield block, y, z, act.eta(z, key=eta_key)
 
 
-class _OneAhead:
-    """Run an iterator on a worker thread, one item ahead of the caller.
-
-    The worker computes item i + 1 while the caller works on item i, and
-    waits for the caller to take item i + 1 before it starts on item i + 2,
-    so at most two items are alive at once.  Items arrive in order.  An
-    exception raised on the worker is raised again in the caller, and leaving
-    the ``with`` block, by return or by raise, stops and joins the worker.
-    """
-
-    _END = object()
-
-    def __init__(self, items):
-        self._items = items
-        self._ready = queue.SimpleQueue()
-        self._wanted = queue.SimpleQueue()
-        self._worker = threading.Thread(target=self._produce, name="capnet-oracle")
-
-    def _produce(self) -> None:
-        try:
-            for item in self._items:
-                self._ready.put((item, None))
-                if not self._wanted.get():
-                    return
-            self._ready.put((self._END, None))
-        except BaseException as exc:  # handed to the caller, who raises it
-            self._ready.put((None, exc))
-
-    def __enter__(self):
-        self._worker.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._wanted.put(False)
-        self._worker.join()
-
-    def __iter__(self):
-        while True:
-            item, exc = self._ready.get()
-            if exc is not None:
-                raise exc
-            if item is self._END:
-                return
-            self._wanted.put(True)
-            yield item
-
-
 @dataclass(frozen=True)
 class _Moments:
     """What one pass over the samples leaves behind.
@@ -267,9 +219,12 @@ def _stream(
 ) -> _Moments:
     """One pass over the samples, in chunks.
 
-    A worker thread draws and hashes chunk i + 1 (see :func:`_chunks`) while
-    this thread runs the target on chunk i, adds it to the block cross moment
-    and merges it into the R factor.  Each chunk's ``[F_order | t]`` is cut
+    The one thread of a ``ThreadPoolExecutor`` draws and hashes chunk i + 1
+    (see :func:`_chunks`) while this thread runs the target on chunk i, adds
+    it to the block cross moment and merges it into the R factor, so at most
+    one chunk is in flight.  A failure on the worker is raised here by
+    ``result()``, and leaving the pass, by return or by raise, waits for the
+    chunk in flight and joins the worker.  Each chunk's ``[F_order | t]`` is cut
     into slabs of ``_SLAB_ROWS`` rows (at least m + 1), factored by one
     batched QR, and the slabs' R factors are merged into ``r`` by one small
     QR.  The pass calls no public capnet function on this thread while the
@@ -285,8 +240,11 @@ def _stream(
     r = np.zeros((m + 1, m + 1))
     slab = max(_SLAB_ROWS, m + 1)
     chunks = _chunks(config.p, config.activation, sampler, config.n_samples, config.seed)
-    with _OneAhead(chunks) as ahead:
-        for block, y, z, eta in ahead:
+    with ThreadPoolExecutor(1, thread_name_prefix="capnet-oracle") as worker:
+        ahead = worker.submit(next, chunks, None)
+        while (chunk := ahead.result()) is not None:
+            ahead = worker.submit(next, chunks, None)
+            block, y, z, eta = chunk
             count = y.shape[0]
             feats = eta * z
             t = np.asarray(target(y, feats), dtype=float)

@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import operator
+import time
 import tracemalloc
 from unittest import mock
 
@@ -360,6 +361,25 @@ class TestUniformPathWeight:
 
     def test_huge_depth_underflows_to_zero(self):
         assert uniform_path_weight(10, 500) == 0.0
+
+    def test_depth_past_overflow_reads_zero_at_once(self):
+        # r**L for L = 3e7 took 25 s to form, only for float() to overflow
+        start = time.perf_counter()
+        assert uniform_path_weight(3, 3 * 10**7) == 0.0
+        assert uniform_path_weight(2**63, 2**63) == 0.0
+        assert uniform_path_weight(1, 2**63) == 1.0
+        assert time.perf_counter() - start < 0.1
+
+    def test_same_bits_as_one_over_the_integer_power(self):
+        # at small depths, around float overflow and around the 2**1100 cutoff
+        for r in range(2, 60):
+            edges = [int(bits / math.log2(r)) for bits in (1024, 1100)]
+            for depth in [*range(1, 40), *(e + d for e in edges for d in range(-3, 4))]:
+                try:
+                    expected = 1.0 / float(r**depth)
+                except OverflowError:
+                    expected = 0.0
+                assert uniform_path_weight(r, depth) == expected
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError, match="positive"):

@@ -20,7 +20,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import capnet
@@ -120,10 +120,11 @@ class TestNu:
     def test_unparsable_activation_exits_2(self, capsys):
         assert main(["nu", "bogus"]) == 2
 
-    @pytest.mark.parametrize("sigma", ["nan", "inf", "-inf", "1e200"])
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-inf", "1e200", "1e-100"])
     @pytest.mark.parametrize("command", [["nu"], ["nu", "--mc", "2000"], ["verify", "--activation"]])
     def test_bad_sigma_exits_2(self, capsys, command, sigma):
-        # such a sigma used to give "nu_hat": null, a traceback or a message about a matrix
+        # such a sigma used to give "nu_hat": null, a traceback or a message about a matrix;
+        # 1e-100 a "stderr" of 0 from squared products that underflow
         assert main(command + [f"pseudo_random:{sigma}"]) == 2
         assert f"bad pseudo_random sigma '{sigma}'" in capsys.readouterr().err
 
@@ -757,6 +758,12 @@ class TestVerify:
         assert main(argv) == 2
         assert "512 MiB operator limit" in capsys.readouterr().err
 
+    def test_layer_of_no_rows_exits_2_before_its_norms(self, capsys):
+        # n = 0 passed the operator limit, and the 2**45 column norms died of a MemoryError
+        argv = ["verify", "--n", "0", "--m", str(2**45), "--selector", "0", "--mc", "1000"]
+        assert main(argv) == 2
+        assert "projection has no rows" in capsys.readouterr().err
+
 
 _VERIFY_EXTREMES = ["0", "-1", "nan", "inf", "-inf", "1e308", str(2**63), str(2**45)]
 _VERIFY_ACTIVATIONS = [
@@ -813,34 +820,92 @@ def _leaves(doc):
     return [doc]
 
 
+def _drawn_run(argv):
+    """Exit code and seconds of ``capnet argv --out FILE``, run in process.
+
+    Checks what every drawn run must meet: exit 0, 1 or 2, no traceback, no
+    warning, no thread left behind, and on exit 0 only finite numbers written.
+    """
+    threads = threading.active_count()
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as workdir:
+        out = os.path.join(workdir, "out.json")
+        start = time.perf_counter()
+        with contextlib.redirect_stderr(err):
+            try:
+                code = main(argv + ["--out", out])
+            except SystemExit as exc:  # argparse refuses a malformed number
+                code = exc.code
+        elapsed = time.perf_counter() - start
+        event(f"exit {code}")
+        if code == 0:
+            with open(out) as handle:
+                leaves = _leaves(json.load(handle))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+    assert threading.active_count() == threads
+    if code == 0:
+        # jsonfmt writes a non-finite float as null
+        numbers = [leaf for leaf in leaves if not isinstance(leaf, str)]
+        assert numbers and all(type(x) in (int, float) and math.isfinite(x) for x in numbers)
+    return code, elapsed
+
+
 class TestVerifyFuzz:
     @settings(max_examples=200, deadline=None)
     @given(_verify_argv())
     def test_drawn_options_finish_or_are_refused(self, argv):
-        threads = threading.active_count()
-        err = io.StringIO()
-        with tempfile.TemporaryDirectory() as workdir:
-            out = os.path.join(workdir, "out.json")
-            start = time.perf_counter()
-            with contextlib.redirect_stderr(err):
-                try:
-                    code = main(argv + ["--out", out])
-                except SystemExit as exc:  # argparse refuses a malformed number
-                    code = exc.code
-            elapsed = time.perf_counter() - start
-            event(f"exit {code}")
-            if code == 0:
-                with open(out) as handle:
-                    leaves = _leaves(json.load(handle))
-        assert code in (0, 1, 2)
-        assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
-        assert threading.active_count() == threads
-        if code == 0:
-            # jsonfmt writes a non-finite float as null
-            numbers = [leaf for leaf in leaves if not isinstance(leaf, str)]
-            assert numbers and all(type(x) in (int, float) and math.isfinite(x) for x in numbers)
-        else:
+        code, elapsed = _drawn_run(argv)
+        if code != 0:
             assert elapsed < 1.0
+
+
+_FUZZ_EXTREMES = ["0", "-1", "nan", "inf", "-inf", "1e-300", "1e308", str(2**63)]
+
+
+def _number(small):
+    """A usual integer from ``small`` or one of the extreme values, as a string."""
+    return st.one_of(small.map(str), st.sampled_from(_FUZZ_EXTREMES))
+
+
+@st.composite
+def _nu_argv(draw):
+    """nu on a drawn activation, with or without --mc and --seed; --mc stays small."""
+    activation = draw(
+        st.one_of(
+            st.sampled_from(_VERIFY_ACTIVATIONS + ["tanh", "", "relu:1"]),
+            st.builds(
+                "{}:{}".format,
+                st.sampled_from(["pseudo_random", "leaky_relu"]),
+                st.sampled_from(_FUZZ_EXTREMES + ["1e-100", "1e-200", "1e200", "5e-324", "x"]),
+            ),
+        )
+    )
+    argv = ["nu", activation]
+    if draw(st.booleans()):
+        argv += ["--mc", draw(_number(st.integers(999, 5000)))]
+    if draw(st.booleans()):
+        argv += ["--seed", draw(_number(st.integers(0, 2**64)))]
+    return argv
+
+
+@st.composite
+def _uniform_argv(draw):
+    """shatter --uniform on a drawn window and depth, deep ones included."""
+    r = draw(_number(st.integers(1, 60)))
+    depth = draw(_number(st.one_of(st.integers(1, 2000), st.sampled_from([10**7, 3 * 10**7]))))
+    return ["shatter", "--uniform", f"r={r}", f"L={depth}"]
+
+
+class TestNuAndUniformShatterFuzz:
+    # shatter --uniform r=3 L=30000000 took 25 s to print 0; the sigma used to give "stderr": 0
+    @example(["shatter", "--uniform", "r=3", "L=30000000"])
+    @example(["nu", "pseudo_random:1e-100", "--mc", "1000"])
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(_nu_argv(), _uniform_argv()))
+    def test_drawn_options_finish_within_a_second(self, argv):
+        _, elapsed = _drawn_run(argv)
+        assert elapsed < 1.0
 
 
 @pytest.mark.parametrize(
