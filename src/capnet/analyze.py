@@ -20,6 +20,7 @@ from .deeplimit import (
     _BOUNDARY_MASS_TOL,
     DeepLimitConfig,
     ResidualGenerator,
+    _check_walk,
     _pmf_std,
     _walk,
 )
@@ -100,6 +101,7 @@ def erf_profile(
         if cfg is None:
             raise ValueError("a generator source needs a DeepLimitConfig")
         n, depth = source.n, cfg.L
+        _check_walk(source, cfg, keep_all=True)  # before the probe and the widths are built
     else:
         raise TypeError("source must be a LayerChain or a ResidualGenerator")
     if not 0 <= x0 < n:
@@ -154,18 +156,12 @@ def max_path_weight(chain: LayerChain) -> Tuple[float, float]:
     replaces each factor by its exponential limit, which is tight for
     residual chains with small steps.  Layers must all be square.
     """
-    diagonals = []
     for i, layer in enumerate(chain.layers):
-        matrix = layer.matrix
-        if matrix.shape[0] != matrix.shape[1]:
-            raise ValueError(f"layer {i} is not square: shape {matrix.shape}")
-        diagonals.append(np.diag(matrix))
-    stacked = np.array(diagonals)
-    # sequential product, first layer first, so repeated runs are bit-identical
-    products = np.ones(stacked.shape[1])
-    for row in stacked:
-        products = products * row
-    direct = float(np.max(products))
+        if layer.n_in != layer.n_out:
+            raise ValueError(f"layer {i} is not square: shape {layer.matrix.shape}")
+    stacked = np.array([np.diag(layer.matrix) for layer in chain.layers])
+    # np.prod along axis 0 multiplies the rows in order, first layer first, as a loop would
+    direct = float(np.max(np.prod(stacked, axis=0)))
     continuum = float(np.max(np.exp(np.sum(stacked - 1.0, axis=0))))
     return direct, continuum
 

@@ -186,6 +186,9 @@ class SpatialCapacity:
         if values.ndim != 1:
             raise ValueError(f"spatial capacity must be a vector, got shape {values.shape}")
         _check_capacity_values(values)
+        with np.errstate(over="ignore"):
+            if not np.isfinite(values.sum()):
+                raise ValueError("spatial capacity total overflows")
         object.__setattr__(self, "values", values)
 
     @property
@@ -197,11 +200,11 @@ class SpatialCapacity:
         return float(self.values.sum())
 
     @classmethod
-    def dirac(cls, n: int, index: int, mass: float = 1.0) -> "SpatialCapacity":
+    def dirac(cls, n: int, index: int) -> "SpatialCapacity":
         if not 0 <= index < n:
             raise ValueError(f"dirac index {index} out of range [0, {n})")
         v = np.zeros(n)
-        v[index] = mass
+        v[index] = 1.0
         return cls(v)
 
 

@@ -107,6 +107,11 @@ class ResidualGenerator:
             )
         if self.n < 3:
             raise ValueError("generator needs at least 3 grid points")
+        if 2 * 8 * self.n > _TRAJECTORY_BUDGET_BYTES:
+            raise ValueError(
+                f"a walk on {self.n:,} cells holds two profiles, past the "
+                f"{_TRAJECTORY_BUDGET_BYTES / 2**30:g} GiB trajectory limit"
+            )
         if self.boundary not in ("periodic", "reflecting"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
         object.__setattr__(self, "up", self.Dcoef + self.v / 2.0)  # towards larger index
@@ -192,7 +197,14 @@ class DeepLimitConfig:
         return self.eps * self.L
 
 
-def _check_walk(gen: ResidualGenerator, cfg: DeepLimitConfig) -> None:
+def _check_walk(gen: ResidualGenerator, cfg: DeepLimitConfig, keep_all: bool = False) -> None:
+    """Refuse a kept trajectory past 2 GiB (``keep_all``), then a walk past the step limits."""
+    size = (cfg.L + 1) * gen.n * 8
+    if keep_all and size > _TRAJECTORY_BUDGET_BYTES:
+        raise ValueError(
+            f"{cfg.L + 1} profiles of {gen.n} cells need {size / 2**30:.1f} GiB, "
+            f"over the {_TRAJECTORY_BUDGET_BYTES / 2**30:g} GiB trajectory limit"
+        )
     if cfg.L > _MAX_WALK_STEPS or cfg.L * gen.n > _MAX_WALK_CELL_STEPS:
         raise ValueError(
             f"{cfg.L} steps of {gen.n} cells are past the walk limit of "
@@ -222,13 +234,7 @@ def _walk(
     if kappa_top.n != gen.n:
         raise ValueError(f"capacity has {kappa_top.n} entries, generator expects {gen.n}")
     gen._check_eps(cfg.eps)
-    size = (cfg.L + 1) * gen.n * 8
-    if keep_all and size > _TRAJECTORY_BUDGET_BYTES:
-        raise ValueError(
-            f"{cfg.L + 1} profiles of {gen.n} cells need {size / 2**30:.1f} GiB, "
-            f"over the {_TRAJECTORY_BUDGET_BYTES / 2**30:g} GiB trajectory limit"
-        )
-    _check_walk(gen, cfg)
+    _check_walk(gen, cfg, keep_all)
     if block_rows is None:
         block_rows = max(2, _STD_BLOCK_BYTES // (8 * gen.n))
     rows = np.empty((min(block_rows, cfg.L + 1), gen.n))
@@ -293,9 +299,12 @@ def gaussian_solution(values, h: float, v: float, Dcoef: float, t: float) -> np.
     if t == 0:
         return values.copy()
     spread = 4.0 * Dcoef * t
+    if spread == 0:
+        raise ValueError(f"4*Dcoef*t = 4*{Dcoef:g}*{t:g} underflows to 0")
     n = values.size
     gap = np.arange(1 - n, n) * h - v * t  # x_i - x_j - v t at i - j = 1-n .. n-1
-    kernel = np.exp(-(gap**2) / spread) / math.sqrt(math.pi * spread)
+    with np.errstate(over="ignore"):  # a tiny spread sends the exponent to -inf, and exp to 0
+        kernel = np.exp(-(gap**2) / spread) / math.sqrt(math.pi * spread)
     weights = np.full(n, h)
     weights[0] *= 0.5
     weights[-1] *= 0.5
@@ -350,9 +359,10 @@ def compare_markov_pde(
     ``Dcoef*eps*L``.  Each refinement halves eps, doubles L (fixed total
     depth-time), and halves the grid spacing, rescaling the generator to cell
     units.  Refinement stops early if a halved step would break the
-    stability bound; an unstable coarsest level raises StabilityError.  Every
-    level that will run is checked against the walk limit and the closed
-    form's width limit of 5*10**5 cells before the first step.  Each level
+    stability bound; an unstable coarsest level raises StabilityError.  A
+    ``Dcoef*eps*L`` that underflows to 0 is refused, and every level that
+    will run is checked against the walk limit and the closed form's width
+    limit of 5*10**5 cells, before the first step.  Each level
     keeps only its last Markov profile, stepping two O(n) buffers.  A fixed
     grid cannot work here: with the spacing frozen the chain converges to
     the lattice walk, not to the PDE, and the gap saturates instead of
@@ -360,6 +370,8 @@ def compare_markov_pde(
     """
     if refinements < 0:
         raise ValueError("refinements must be non-negative")
+    if not gen.Dcoef * cfg.total_time > 0:
+        raise ValueError(f"Dcoef*eps*L = {gen.Dcoef:g}*{cfg.eps:g}*{cfg.L} underflows to 0")
     levels = []
     for level in range(refinements + 1):
         gen_k, cfg_k, kappa_k = _refined_inputs(gen, cfg, kappa_top, 2**level)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .augment import Activation, _derive_streams, augmented_spatial_profile
 from .core import CapacityBasis, ProjectionMatrix, SpatialCapacity, _RANK_TOL, orthonormal_basis
+from .propagate import propagate_single, propagation_matrix
 
 __all__ = [
     "ExperimentConfig",
@@ -99,8 +100,8 @@ class ExperimentConfig:
 class EmpiricalReport:
     """Measured spatial capacities next to the closed form they validate.
 
-    ``kappa_theory`` and ``max_abs_dev`` are absent when the closed-form
-    comparison was refused (non-i.i.d. sampler); ``caveat`` then says why.
+    ``kappa_theory`` and ``max_abs_dev`` are absent, and ``caveat`` says why,
+    when the sampler is custom or the activation is not pseudo_random.
     Deviations are reported as measured, never thresholded.
     ``stationarity_noise_floor`` is the jackknife scale against which
     ``stationarity_residual`` is judged; see :func:`stationarity_noise_floor`.
@@ -110,16 +111,15 @@ class EmpiricalReport:
     kappa_theory: Optional[SpatialCapacity]
     max_abs_dev: Optional[float]
     stationarity_residual: float
-    stationarity_noise_floor: Optional[float] = None
+    stationarity_noise_floor: float
     caveat: str = ""
 
     def to_dict(self) -> dict:
         out = {
             "kappa_hat": [float(v) for v in self.kappa_hat.values],
             "stationarity_residual": float(self.stationarity_residual),
+            "stationarity_noise_floor": float(self.stationarity_noise_floor),
         }
-        if self.stationarity_noise_floor is not None:
-            out["stationarity_noise_floor"] = float(self.stationarity_noise_floor)
         if self.kappa_theory is not None:
             out["kappa_theory"] = [float(v) for v in self.kappa_theory.values]
             out["max_abs_dev"] = float(self.max_abs_dev)
@@ -383,9 +383,10 @@ def empirical_spatial_capacity(
 
     The measurement orthonormalizes ``Sigma~_hat P~ K_phi`` with the empirical
     augmented covariance and aggregates squared row norms per input
-    coordinate.  The closed form ``kappa_i = sum_{j in selector} p_ij**2``
-    holds for pseudo-random activations with i.i.d. inputs; any other sampler
-    refuses the comparison and reports the measurement with a caveat.
+    coordinate.  The closed form, for pseudo-random activations with i.i.d.
+    inputs, is the one-layer ``chain`` profile of the same layer: ``P o P``
+    applied to 1 on the selector and 0 elsewhere.  Any other sampler or
+    activation refuses the comparison and reports the measurement with a caveat.
 
     One pass over the samples, in chunks, yields everything: the block cross
     moments ``x~ f(z)^T`` give ``Sigma~_hat P~`` and the jackknife floor, and
@@ -407,23 +408,16 @@ def empirical_spatial_capacity(
     )
 
     if sampler is not None:
-        return EmpiricalReport(
-            kappa_theory=None,
-            max_abs_dev=None,
-            caveat="non-iid sampler: closed-form comparison refused",
-            **measured,
+        caveat = "non-iid sampler: closed-form comparison refused"
+    elif config.activation.kind != "pseudo_random":
+        caveat = (
+            f"activation {config.activation.kind!r} has no closed-form "
+            "spatial capacity; general-path measurement only"
         )
-    if config.activation.kind != "pseudo_random":
-        return EmpiricalReport(
-            kappa_theory=None,
-            max_abs_dev=None,
-            caveat=(
-                f"activation {config.activation.kind!r} has no closed-form "
-                "spatial capacity; general-path measurement only"
-            ),
-            **measured,
-        )
-    theory = np.sum(config.p.matrix[:, list(config.param_selector)] ** 2, axis=1)
-    kappa_theory = SpatialCapacity(theory)
-    max_abs_dev = float(np.max(np.abs(kappa_hat.values - kappa_theory.values)))
-    return EmpiricalReport(kappa_theory=kappa_theory, max_abs_dev=max_abs_dev, **measured)
+    else:
+        top = np.zeros(config.m)
+        top[list(config.param_selector)] = 1.0
+        kappa_theory = propagate_single(propagation_matrix(config.p), SpatialCapacity(top))
+        max_abs_dev = float(np.max(np.abs(kappa_hat.values - kappa_theory.values)))
+        return EmpiricalReport(kappa_theory=kappa_theory, max_abs_dev=max_abs_dev, **measured)
+    return EmpiricalReport(kappa_theory=None, max_abs_dev=None, caveat=caveat, **measured)

@@ -315,6 +315,18 @@ class TestMaxPathWeight:
         assert continuum == pytest.approx(math.exp(-1.0), rel=1e-12)
         assert abs(direct - continuum) / continuum <= 0.06
 
+    def test_same_bits_as_a_product_loop_first_layer_first(self):
+        rng = np.random.default_rng(3)
+        for n, L in ((1, 1), (5, 40), (17, 300), (120, 7)):
+            layers = []
+            for _ in range(L):
+                raw = rng.random((n, n)) ** 3
+                layers.append(PropagationOperator(raw / raw.sum(axis=0)))
+            products = np.ones(n)
+            for layer in layers:
+                products = products * np.diag(layer.matrix)
+            assert max_path_weight(LayerChain(layers))[0] == float(np.max(products))
+
     def test_identity_chain_weight_one(self):
         chain = LayerChain([PropagationOperator(np.eye(7))] * 4)
         direct, continuum = max_path_weight(chain)

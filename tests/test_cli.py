@@ -376,6 +376,17 @@ class TestChain:
         assert code == 0
         assert json.loads(out)["profiles"][0] == [1.0, 3.0]
 
+    @pytest.mark.parametrize("command", ["chain", "erf"])
+    def test_top_capacity_total_past_float_range_exits_2(self, tmp_path, capsys, command):
+        # chain warned of an overflow in the layer's product and blamed non-finite entries
+        doc = {
+            "layers": [{"kind": "dense", "n_in": 1, "n_out": 2, "activation": "pseudo_random",
+                        "weights": "random_gaussian:0"}],
+            "top_capacity": [1e308, 1e308],
+        }
+        assert main([command, _write_spec(tmp_path, "big.json", doc)]) == 2
+        assert "bad top_capacity: spatial capacity total overflows" in capsys.readouterr().err
+
     @pytest.mark.parametrize("scale, flow", [("1e200", "overflows"), ("1e-170", "underflows")])
     def test_weights_file_column_norm_out_of_float_range_exits_2(
         self, tmp_path, capsys, scale, flow
@@ -467,6 +478,26 @@ class TestPde:
         assert main(["pde", flag, value]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv", [["--D", "1e-305", "--eps", "0.1", "--L", "10"], ["--D", "1e-320"]]
+    )
+    def test_tiny_diffusion_runs_without_warning(self, capsys, argv):
+        # the closed form's kernel printed "overflow encountered in divide"
+        code, out = _run(capsys, ["pde"] + argv)
+        assert code == 0
+        assert all(math.isfinite(x) for x in json.loads(out)["sup_errors"])
+
+    def test_diffusion_underflowing_to_zero_exits_2_by_name(self, capsys):
+        # D*eps*L underflowed to 0 and was refused as "Dcoef must be positive"
+        assert main(["pde", "--D", "1e-200", "--eps", "1e-200", "--L", "1"]) == 2
+        assert "Dcoef*eps*L = 1e-200*1e-200*1 underflows to 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["pde", "erf"])
+    def test_grid_past_two_profiles_exits_2_before_the_probe(self, capsys, command):
+        # the probe of 2**45 cells died of numpy's MemoryError, with a traceback
+        assert main([command, "--n", str(2**45)]) == 2
+        assert "holds two profiles, past the 2 GiB trajectory limit" in capsys.readouterr().err
+
     def test_levels_requested_next_to_levels_reached(self, capsys):
         # eps * 2 * Dcoef doubles per level: 0.2, 0.4 and 0.8 are stable, 1.6 is not
         code, out = _run(capsys, ["pde", "--n", "201", "--refinements", "4"])
@@ -517,6 +548,11 @@ class TestPde:
 
 
 class TestErf:
+    def test_walk_past_trajectory_limit_exits_2_before_the_widths(self, capsys):
+        # the 2**40 + 1 widths died of numpy's MemoryError before the walk was checked
+        assert main(["erf", "--L", str(2**40)]) == 2
+        assert "1099511627777 profiles of 201 cells need" in capsys.readouterr().err
+
     def test_long_walk_report_held_as_an_array(self, tmp_path):
         # 200,001 widths at 16 bytes each; as (int, float) tuples they took some 146
         # bytes each and the run peaked at about 68 MiB
@@ -752,6 +788,25 @@ class TestVerify:
         assert main(argv) == 2
         assert "2 GiB oracle memory limit" in capsys.readouterr().err
 
+    def test_kappa_theory_is_the_one_layer_chain_profile(self, tmp_path):
+        # verify kept its own sum of p_ij**2, which chain's P o P rounded apart from
+        rng = np.random.default_rng(21)
+        for case in range(12):
+            n, m = (int(size) for size in rng.integers(1, 13, size=2))
+            selector = sorted(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False))
+            seed = int(rng.integers(2**31))
+            layer = {"kind": "dense", "n_in": n, "n_out": m, "activation": "pseudo_random",
+                     "weights": f"random_gaussian:{seed}"}
+            top = [1.0 if j in selector else 0.0 for j in range(m)]
+            spec = _write_spec(tmp_path, "one.json", {"layers": [layer], "top_capacity": top})
+            verify, chain = tmp_path / "verify.json", tmp_path / "chain.json"
+            argv = ["verify", "--n", str(n), "--m", str(m), "--seed", str(seed), "--mc", "1000",
+                    "--selector", ",".join(map(str, selector)), "--out", str(verify)]
+            assert main(argv) == 0
+            assert main(["chain", spec, "--out", str(chain)]) == 0
+            profile = json.loads(chain.read_text())["profiles"][0]
+            assert json.loads(verify.read_text())["kappa_theory"] == profile, (n, m, selector)
+
     def test_layer_past_operator_limit_exits_2_before_drawing(self, capsys):
         # the 2**45 x 4 weights once died of numpy's MemoryError, with a traceback
         argv = ["verify", "--n", str(2**45), "--m", "4", "--selector", "0", "--mc", "1000"]
@@ -820,11 +875,12 @@ def _leaves(doc):
     return [doc]
 
 
-def _drawn_run(argv):
+def _drawn_run(argv, nullable=()):
     """Exit code and seconds of ``capnet argv --out FILE``, run in process.
 
     Checks what every drawn run must meet: exit 0, 1 or 2, no traceback, no
-    warning, no thread left behind, and on exit 0 only finite numbers written.
+    warning, no thread left behind, and on exit 0 only finite numbers written,
+    apart from the top-level keys in ``nullable``, which may also be null.
     """
     threads = threading.active_count()
     err = io.StringIO()
@@ -840,13 +896,14 @@ def _drawn_run(argv):
         event(f"exit {code}")
         if code == 0:
             with open(out) as handle:
-                leaves = _leaves(json.load(handle))
+                doc = json.load(handle)
+            leaves = _leaves({k: v for k, v in doc.items() if not (k in nullable and v is None)})
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
     assert threading.active_count() == threads
     if code == 0:
         # jsonfmt writes a non-finite float as null
-        numbers = [leaf for leaf in leaves if not isinstance(leaf, str)]
+        numbers = [leaf for leaf in leaves if not isinstance(leaf, (str, bool))]
         assert numbers and all(type(x) in (int, float) and math.isfinite(x) for x in numbers)
     return code, elapsed
 
@@ -1073,3 +1130,126 @@ class TestSpecFuzz:
             parse_network_spec(doc)
         except (SpecError, StabilityError):
             pass
+
+
+# the extremes, tiny floats whose products underflow, and a size too big to allocate
+_ODD_NUMBERS = st.sampled_from(
+    _FUZZ_EXTREMES + ["1e-200", "1e-305", "1e-320", "5e-324", str(2**45)]
+)
+_WALK_OPTIONS = {
+    "--n": st.integers(3, 61),
+    "--eps": st.floats(0.01, 0.5),
+    "--L": st.integers(1, 100),
+    "--D": st.floats(0.05, 2.0),
+    "--v": st.floats(-1.0, 1.0),
+    "--boundary": st.sampled_from(["periodic", "reflecting"]),
+    "--probe": st.integers(0, 60),
+}
+
+
+@st.composite
+def _walk_argv(draw, command, extra):
+    """``command`` on drawn walk options and ``extra``, each given or left to its default.
+
+    Up to three options take an odd value instead; a run on usual values
+    steps at most a few hundred cells a few hundred times.
+    """
+    options = dict(_WALK_OPTIONS, **extra)
+    extreme = draw(st.lists(st.sampled_from(sorted(options)), max_size=3, unique=True))
+    argv = [command]
+    for option, usual in options.items():
+        if option in extreme:
+            argv += [option, draw(_ODD_NUMBERS)]
+        elif draw(st.booleans()):
+            argv += [option, str(draw(usual))]
+    return argv
+
+
+def _mostly(draw, usual, odd):
+    """A draw from ``usual``, or one time in four from ``odd``."""
+    return draw(odd if draw(st.integers(0, 3)) == 0 else usual)
+
+
+@st.composite
+def _drawn_spec(draw):
+    """A spec of 1-4 layers no wider than 8, of every kind, with odd numbers in a few places."""
+    widths = [draw(st.integers(1, 8))]  # widths[l] and widths[l + 1] are layer l's n_in and n_out
+    layers = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["dense", "differential", "residual", "uniform"]))
+        if kind == "dense":
+            widths.append(draw(st.integers(1, 8)))
+        else:
+            widths[-1] = max(widths[-1], 3)
+            widths.append(widths[-1])
+        layer = {"kind": kind}
+        if kind in ("dense", "differential"):
+            layer["activation"] = "pseudo_random"
+            layer["weights"] = f"random_gaussian:{draw(st.integers(0, 2**32))}"
+        if kind == "differential":
+            layer["eps"] = float(_mostly(draw, st.floats(0.01, 2.0).map(repr), _ODD_NUMBERS))
+        elif kind == "residual":
+            usual = (st.floats(0.01, 0.2), st.floats(-0.5, 0.5), st.floats(0.5, 1.5))
+            parts = [_mostly(draw, part.map(repr), _ODD_NUMBERS) for part in usual]
+            layer["weights"] = "residual:" + ",".join(parts)
+        elif kind == "uniform":
+            layer["kind"] = draw(st.sampled_from(["dense", "residual"]))
+            layer["weights"] = f"uniform:{draw(st.integers(1, widths[-1]))}"
+        layers.append(layer)
+    for layer, n_in, n_out in zip(layers, widths, widths[1:]):
+        layer.update(n_in=n_in, n_out=n_out)
+    if draw(st.booleans()):
+        top = draw(st.sampled_from(["uniform", "dirac:0", f"dirac:{widths[-1] - 1}"]))
+    else:
+        odd_mass = st.sampled_from([1e308, 1e300, 5e-324, 1e-300])
+        top = [_mostly(draw, st.floats(0.0, 2.0), odd_mass) for _ in range(widths[-1])]
+    return {"layers": layers, "top_capacity": top}
+
+
+@st.composite
+def _spec_argv(draw):
+    """chain or erf on a drawn spec, or on a mutated one, with their own options."""
+    doc = draw(st.one_of(_drawn_spec(), _mutated_spec()))
+    command = draw(st.sampled_from(["chain", "erf"]))
+    argv = [command, "SPEC"]
+    if command == "chain" and draw(st.booleans()):
+        argv += ["--csv", "CSV"]
+    if command == "erf":
+        for option in ("--probe", "--ratio-depth"):
+            if draw(st.booleans()):
+                argv += [option, _mostly(draw, st.integers(0, 8).map(str), _ODD_NUMBERS)]
+    return doc, argv
+
+
+class TestWalkAndSpecFuzz:
+    """pde, erf and chain on drawn options and specs: each finishes within a second."""
+
+    # the closed form's kernel warned of an overflow, and D*eps*L underflowed to a
+    # refusal that named Dcoef
+    @example(["pde", "--D", "1e-305", "--eps", "0.1", "--L", "10"])
+    @example(["pde", "--D", "1e-320"])
+    @example(["pde", "--D", "1e-200", "--eps", "1e-200", "--L", "1"])
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            _walk_argv("pde", {"--refinements": st.integers(0, 2)}),
+            _walk_argv("erf", {"--ratio-depth": st.integers(1, 100)}),
+        )
+    )
+    def test_drawn_walk_options_finish_within_a_second(self, argv):
+        # erf reports no fit, as nulls, when fewer than two widths reach 2 cells
+        nullable = ("fitted_exponent", "fit_residual") if argv[0] == "erf" else ()
+        _, elapsed = _drawn_run(argv, nullable)
+        assert elapsed < 1.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(_spec_argv())
+    def test_drawn_specs_finish_within_a_second(self, drawn):
+        doc, argv = drawn
+        nullable = ("fitted_exponent", "fit_residual") if argv[0] == "erf" else ()
+        with tempfile.TemporaryDirectory() as workdir:
+            paths = {"SPEC": os.path.join(workdir, "spec.json"), "CSV": os.path.join(workdir, "out.csv")}
+            with open(paths["SPEC"], "w") as handle:
+                json.dump(doc, handle)
+            _, elapsed = _drawn_run([paths.get(arg, arg) for arg in argv], nullable)
+        assert elapsed < 1.0

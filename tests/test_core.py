@@ -319,9 +319,15 @@ class TestTypeValidation:
         with pytest.raises(ValueError, match="negative"):
             SpatialCapacity(np.array([0.5, -0.1]))
 
+    def test_spatial_capacity_total_past_float_range_rejected(self):
+        assert SpatialCapacity(np.array([1e308, 7e307])).total == 1.7e308
+        with pytest.raises(ValueError, match="total overflows"):
+            SpatialCapacity(np.array([1e308, 1e308]))
+
     def test_spatial_capacity_dirac_and_total(self):
-        cap = SpatialCapacity.dirac(4, 2, mass=3.0)
-        assert cap.total == 3.0
+        cap = SpatialCapacity.dirac(4, 2)
+        assert cap.values.tolist() == [0.0, 0.0, 1.0, 0.0]
+        assert cap.total == 1.0
         assert cap.n == 4
 
     @pytest.mark.parametrize("index", [-1, 4])

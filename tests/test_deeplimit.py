@@ -108,6 +108,12 @@ class TestResidualGenerator:
         assert gen.matrix[0, 5] == 0.0
         assert gen.matrix[5, 0] == 0.0
 
+    def test_grid_past_two_profiles_refused(self):
+        # evolve_markov(keep_all=False) steps two profiles, of 2 GiB together here
+        ResidualGenerator(2**27, 0.0, 1.0)
+        with pytest.raises(ValueError, match="134,217,729 cells holds two profiles"):
+            ResidualGenerator(2**27 + 1, 0.0, 1.0)
+
     @pytest.mark.parametrize("boundary", ["periodic", "reflecting"])
     @pytest.mark.parametrize("n", [3, 4, 17])
     def test_matrix_equals_column_loop(self, boundary, n):
@@ -406,6 +412,17 @@ class TestGaussianSolution:
             with pytest.raises(ValueError, match="Dcoef must be positive"):
                 gaussian_solution(_dirac_density(11, 5), 1.0, 0.0, dcoef, 1.0)
 
+    @pytest.mark.parametrize("dcoef", [1e-305, 1e-320])
+    def test_tiny_spread_keeps_the_dirac_without_warning(self, dcoef):
+        # -gap**2/spread overflows to -inf off the spike, where exp gives the exact 0
+        out = gaussian_solution(_dirac_density(11, 5), 1.0, 0.0, dcoef, 1.0)
+        assert np.flatnonzero(out).tolist() == [5]
+        assert out[5] == 1.0 / math.sqrt(math.pi * 4.0 * dcoef)
+
+    def test_spread_underflowing_to_zero_rejected(self):
+        with pytest.raises(ValueError, match=r"4\*Dcoef\*t = 4\*4.94066e-324\*0.1 underflows"):
+            gaussian_solution(_dirac_density(11, 5), 1.0, 0.0, 5e-324, 0.1)
+
 
 class TestCompareMarkovPde:
     def test_gap_within_two_percent_of_peak(self):
@@ -449,6 +466,14 @@ class TestCompareMarkovPde:
         cfg = DeepLimitConfig(eps=0.3, L=30)
         report = compare_markov_pde(gen, cfg, SpatialCapacity.dirac(201, 100))
         assert report.eps_levels == (0.3,)
+
+    def test_diffusion_underflowing_to_zero_refused_before_the_first_step(self):
+        # the product used to reach gaussian_solution as 0, after level 0's walk
+        gen = ResidualGenerator(21, 0.0, 1e-200, "periodic")
+        cfg = DeepLimitConfig(eps=1e-200, L=1)
+        with mock.patch("capnet.deeplimit.evolve_markov", side_effect=AssertionError):
+            with pytest.raises(ValueError, match=r"Dcoef\*eps\*L = 1e-200\*1e-200\*1 underflows"):
+                compare_markov_pde(gen, cfg, SpatialCapacity.dirac(21, 10))
 
     def test_narrow_grid_is_flagged(self):
         gen = ResidualGenerator(21, 0.0, 1.0, "periodic")

@@ -593,16 +593,19 @@ class TestConfigAndReportValidation:
 
     def test_report_to_dict_round_trip_fields(self):
         kappa = SpatialCapacity(np.array([0.5, 0.5]))
-        report = EmpiricalReport(kappa, kappa, 0.0, 1e-12)
+        report = EmpiricalReport(kappa, kappa, 0.0, 1e-12, 0.25)
         out = report.to_dict()
         assert out["kappa_hat"] == [0.5, 0.5]
         assert out["max_abs_dev"] == 0.0
+        assert out["stationarity_noise_floor"] == 0.25
 
     def test_report_noise_floor_emitted(self):
+        # also when the closed-form comparison is refused
         kappa = SpatialCapacity(np.array([1.0]))
-        report = EmpiricalReport(kappa, kappa, 0.0, 0.0, stationarity_noise_floor=0.25)
-        assert report.to_dict()["stationarity_noise_floor"] == 0.25
-        assert "stationarity_noise_floor" not in EmpiricalReport(kappa, kappa, 0.0, 0.0).to_dict()
+        report = EmpiricalReport(kappa, None, None, 0.0, 0.25, caveat="refused")
+        out = report.to_dict()
+        assert out["stationarity_noise_floor"] == 0.25
+        assert "kappa_theory" not in out and out["caveat"] == "refused"
 
 
 def _batch_reference(config, target, sampler=None):
