@@ -91,7 +91,7 @@ def erf_profile(
     of profiles is held at a time; the walk is still refused up front past
     the 2 GiB trajectory limit of :func:`evolve_markov`, since the report
     grows with L.  A chain's interfaces may differ in width, so each is
-    measured on its own.
+    measured on its own; its operators are read in one top-down pass.
     """
     if isinstance(source, LayerChain):
         if cfg is not None:
@@ -154,12 +154,15 @@ def max_path_weight(chain: LayerChain) -> Tuple[float, float]:
     Returns ``(max_i prod_l (D_l)_ii, max_i exp(sum_l ((D_l)_ii - 1)))``.
     The first is the exact weight of the stay-in-place path; the second
     replaces each factor by its exponential limit, which is tight for
-    residual chains with small steps.  Layers must all be square.
+    residual chains with small steps.  Layers must all be square.  The
+    diagonals are read in one top-down pass and stacked first layer first.
     """
     for i, layer in enumerate(chain.layers):
         if layer.n_in != layer.n_out:
-            raise ValueError(f"layer {i} is not square: shape {layer.matrix.shape}")
-    stacked = np.array([np.diag(layer.matrix) for layer in chain.layers])
+            raise ValueError(f"layer {i} is not square: shape {(layer.n_in, layer.n_out)}")
+    stacked = np.empty((len(chain), chain.n_in))
+    for row, layer in zip(stacked[::-1], chain.top_down()):
+        row[:] = np.diag(layer.matrix)
     # np.prod along axis 0 multiplies the rows in order, first layer first, as a loop would
     direct = float(np.max(np.prod(stacked, axis=0)))
     continuum = float(np.max(np.exp(np.sum(stacked - 1.0, axis=0))))

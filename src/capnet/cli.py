@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import logging
 import os
 import sys
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,6 +30,8 @@ from .oracle import ExperimentConfig, empirical_spatial_capacity
 from .propagate import (
     LayerChain,
     PropagationOperator,
+    _check_differential,
+    _check_window,
     differential_propagation_matrix,
     propagate_chain,
     propagation_matrix,
@@ -61,7 +64,12 @@ class SpecError(ValueError):
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """A parsed architecture document plus the objects built from it."""
+    """A parsed architecture document, its chain and its probe.
+
+    The chain holds each layer's validated description and builds the
+    layer's operator when a pass reaches it, so a spec command holds about
+    one operator at a time.
+    """
 
     document: dict
     chain: LayerChain
@@ -72,33 +80,39 @@ class NetworkSpec:
         return hashlib.sha256(canonical_dumps(self.document).encode()).hexdigest()
 
 
-def _parse_weight_matrix(entry: dict, seeds: List[int]) -> np.ndarray:
-    text = entry["weights"]
-    n_in, n_out = entry["n_in"], entry["n_out"]
-    if text.startswith("random_gaussian:"):
-        try:
-            seed = int(text.split(":", 1)[1])
-        except ValueError:
-            raise SpecError(f"bad seed in {text!r}") from None
-        if seed < 0:
-            raise SpecError(f"seed in {text!r} must be non-negative")
-        seeds.append(seed)
-        return np.random.default_rng(seed).standard_normal((n_in, n_out))
+@dataclass(frozen=True)
+class _Layer:
+    """A validated spec layer: its shape, and the call that builds its operator."""
+
+    n_in: int
+    n_out: int
+    build: Callable[[], PropagationOperator]
+
+
+@contextlib.contextmanager
+def _naming_layer(i: int):
+    """Prefix the errors raised inside with layer i's index."""
     try:
-        matrix = np.loadtxt(text, delimiter=",", ndmin=2)
-    except OSError:
-        raise SpecError(f"cannot read weights file {text!r}") from None
+        yield
+    except StabilityError as exc:
+        raise StabilityError(f"layer {i}: {exc}") from None
     except ValueError as exc:
-        raise SpecError(f"weights file {text!r} is not numeric: {exc}") from None
-    if matrix.shape != (n_in, n_out):
-        raise SpecError(
-            f"weights are {matrix.shape[0]}x{matrix.shape[1]}, spec says {n_in}x{n_out}"
-        )
-    return matrix
+        raise SpecError(f"layer {i}: {exc}") from None
 
 
-def _build_layer(entry, seeds: List[int], spare_bytes: int) -> PropagationOperator:
-    """One layer's operator; its errors are prefixed with the layer's index by the caller."""
+class _SpecChain(LayerChain):
+    """A chain of ``_Layer`` descriptions, each built when a pass reaches it."""
+
+    def operator(self, i: int) -> PropagationOperator:
+        with _naming_layer(i):
+            return self.layers[i].build()
+
+
+def _parse_layer(entry, seeds: List[int], spare_bytes: int) -> _Layer:
+    """One layer, checked as far as it can be without its matrix.
+
+    Its errors are prefixed with the layer's index by the caller.
+    """
     if not isinstance(entry, dict):
         raise SpecError("each layer must be an object")
     unknown = set(entry) - _LAYER_KEYS
@@ -134,7 +148,8 @@ def _build_layer(entry, seeds: List[int], spare_bytes: int) -> PropagationOperat
             r = int(weights.split(":", 1)[1])
         except ValueError:
             raise SpecError(f"bad window in {weights!r}") from None
-        return PropagationOperator.uniform_window(n_in, r)
+        _check_window(n_in, r)
+        return _Layer(n_in, n_out, functools.partial(PropagationOperator.uniform_window, n_in, r))
 
     if weights.startswith("residual:"):
         if kind != "residual":
@@ -150,11 +165,22 @@ def _build_layer(entry, seeds: List[int], spare_bytes: int) -> PropagationOperat
             eps, v, dcoef = (float(p) for p in parts)
         except ValueError:
             raise SpecError(f"non-numeric residual parameters in {weights!r}") from None
-        return ResidualGenerator(n_in, v, dcoef).step(eps)
+        generator = ResidualGenerator(n_in, v, dcoef)
+        generator._check_eps(eps)
+        return _Layer(n_in, n_out, functools.partial(generator.step, eps))
 
-    projection = ProjectionMatrix.from_raw(_parse_weight_matrix(entry, seeds))
+    seed = None
+    if weights.startswith("random_gaussian:"):
+        try:
+            seed = int(weights.split(":", 1)[1])
+        except ValueError:
+            raise SpecError(f"bad seed in {weights!r}") from None
+        if seed < 0:
+            raise SpecError(f"seed in {weights!r} must be non-negative")
+        seeds.append(seed)
     if kind == "residual":
         raise SpecError("kind residual needs residual:<eps>,<v>,<D> weights")
+    eps = None
     if kind == "differential":
         if "eps" not in entry:
             raise SpecError("differential layers need eps")
@@ -170,9 +196,35 @@ def _build_layer(entry, seeds: List[int], spare_bytes: int) -> PropagationOperat
             f"activation {activation.kind!r} has no closed-form chain propagation; "
             "only pseudo_random is eligible"
         )
-    if kind == "differential":
-        return differential_propagation_matrix(projection, eps)
-    return propagation_matrix(projection)
+    if eps is not None:
+        _check_differential(n_in, n_out, eps)
+    build = functools.partial(_projection_operator, weights, seed, n_in, n_out, eps)
+    return _Layer(n_in, n_out, build)
+
+
+def _projection_operator(
+    weights: str, seed: Optional[int], n_in: int, n_out: int, eps: Optional[float]
+) -> PropagationOperator:
+    """A dense layer's operator, or a differential one's when eps is given.
+
+    The weights are drawn from ``seed``, or without one read from the file
+    ``weights`` names.
+    """
+    if seed is not None:
+        raw = np.random.default_rng(seed).standard_normal((n_in, n_out))
+    else:
+        try:
+            raw = np.loadtxt(weights, delimiter=",", ndmin=2)
+        except OSError:
+            raise SpecError(f"cannot read weights file {weights!r}") from None
+        except ValueError as exc:
+            raise SpecError(f"weights file {weights!r} is not numeric: {exc}") from None
+        if raw.shape != (n_in, n_out):
+            raise SpecError(f"weights are {raw.shape[0]}x{raw.shape[1]}, spec says {n_in}x{n_out}")
+    projection = ProjectionMatrix.from_raw(raw)
+    if eps is None:
+        return propagation_matrix(projection)
+    return differential_propagation_matrix(projection, eps)
 
 
 def _parse_top_capacity(value, n: int) -> SpatialCapacity:
@@ -199,7 +251,12 @@ def _parse_top_capacity(value, n: int) -> SpatialCapacity:
 
 
 def parse_network_spec(document) -> NetworkSpec:
-    """Validate an architecture document and build its chain and probe."""
+    """Validate an architecture document; its chain builds each operator when reached.
+
+    Every check that does not need a layer's matrix runs here, in document
+    order.  Reading a weights file, drawing a layer's weights and the checks
+    on the matrix run when a pass over the chain builds that layer.
+    """
     if not isinstance(document, dict):
         raise SpecError("spec must be a JSON object")
     unknown = set(document) - {"layers", "top_capacity"}
@@ -211,18 +268,14 @@ def parse_network_spec(document) -> NetworkSpec:
     if "top_capacity" not in document:
         raise SpecError("spec needs top_capacity")
     seeds: List[int] = []
-    layers: List[PropagationOperator] = []
+    layers: List[_Layer] = []
     spare_bytes = _SPEC_OPERATOR_BUDGET_BYTES
     for i, entry in enumerate(layers_doc):
-        try:
-            layers.append(_build_layer(entry, seeds, spare_bytes))
-        except StabilityError as exc:
-            raise StabilityError(f"layer {i}: {exc}") from None
-        except ValueError as exc:
-            raise SpecError(f"layer {i}: {exc}") from None
-        spare_bytes -= layers[-1].matrix.nbytes
+        with _naming_layer(i):
+            layers.append(_parse_layer(entry, seeds, spare_bytes))
+        spare_bytes -= 8 * layers[-1].n_in * layers[-1].n_out
     try:
-        chain = LayerChain(layers)
+        chain = _SpecChain(layers)
     except ValueError as exc:
         raise SpecError(str(exc)) from None
     top = _parse_top_capacity(document["top_capacity"], chain.n_out)
@@ -260,8 +313,8 @@ def _write_profiles_csv(profiles: Sequence[SpatialCapacity], path: Optional[str]
     with _output(path) as handle:
         handle.write("layer,coordinate,kappa\n")
         for layer, profile in enumerate(profiles):
-            for coordinate, kappa in enumerate(profile.values.tolist()):
-                handle.write(f"{layer},{coordinate},{kappa!r}\n")
+            rows = enumerate(profile.values.tolist())
+            handle.write("".join(f"{layer},{coordinate},{kappa!r}\n" for coordinate, kappa in rows))
 
 
 def cmd_nu(args) -> int:
@@ -388,6 +441,12 @@ def cmd_verify(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser ``main`` reuses within a process."""
+    return build_parser()
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="capnet",
@@ -466,7 +525,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         force=True,
     )
     log.setLevel(_LOG_LEVELS[level_name])
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except StabilityError as exc:

@@ -75,8 +75,10 @@ def _column_norms(matrix: np.ndarray) -> np.ndarray:
     Refuses a zero column, and a non-zero one whose squared norm overflows or
     underflows a float, which would read as a norm of inf or 0.
     """
-    if not matrix.shape[0]:  # refused before its norms, which take 8 bytes a column
-        raise ValueError("projection has no rows")
+    # refused before the norms, 8 bytes a column, and the column keys, one of 8 bytes a row
+    for size, axis in zip(matrix.shape, ("rows", "columns")):
+        if not size:
+            raise ValueError(f"projection has no {axis}")
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(matrix, axis=0)
     bad = np.flatnonzero((norms == 0) | np.isinf(norms))

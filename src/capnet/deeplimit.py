@@ -40,6 +40,10 @@ _MAX_WALK_CELL_STEPS = 3 * 10**10
 # Widest grid compare_markov_pde evaluates the closed form on: the direct
 # convolution costs some 0.15-0.3 ns per n**2, about a minute at this width.
 _MAX_CLOSED_FORM_CELLS = 5 * 10**5
+# Narrowest closed form compare_markov_pde compares against, as its std in
+# cells of the finest level: a narrower kernel falls between grid points, and
+# every level's relative error reads about 1.
+_MIN_CLOSED_FORM_STD_CELLS = 0.25
 
 
 # Bytes per block of rows: erf_profile reduces its walk in blocks of this
@@ -362,7 +366,8 @@ def compare_markov_pde(
     stability bound; an unstable coarsest level raises StabilityError.  A
     ``Dcoef*eps*L`` that underflows to 0 is refused, and every level that
     will run is checked against the walk limit and the closed form's width
-    limit of 5*10**5 cells, before the first step.  Each level
+    limit of 5*10**5 cells, before the first step.  So is a closed form
+    whose std is below a quarter of a cell at the finest level.  Each level
     keeps only its last Markov profile, stepping two O(n) buffers.  A fixed
     grid cannot work here: with the spacing frozen the chain converges to
     the lattice walk, not to the PDE, and the gap saturates instead of
@@ -384,6 +389,12 @@ def compare_markov_pde(
                 f"{_MAX_CLOSED_FORM_CELLS:,} cells"
             )
         levels.append((gen_k, cfg_k, kappa_k))
+    std = math.sqrt(2.0 * gen.Dcoef * cfg.total_time) * 2 ** (len(levels) - 1)
+    if std < _MIN_CLOSED_FORM_STD_CELLS:
+        raise ValueError(
+            f"the closed form's std is {std:.3g} cells at the finest level, below the "
+            f"limit of {_MIN_CLOSED_FORM_STD_CELLS:g} cells that the grid resolves"
+        )
     eps_levels: List[float] = []
     sup_errors: List[float] = []
     rel_errors: List[float] = []

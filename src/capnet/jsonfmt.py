@@ -86,10 +86,12 @@ def _emit(obj: Any, indent: int, pieces: list, write: Callable[[str], Any]) -> N
             _emit(items[key], indent + 1, pieces, write)
             pieces.append(",\n" if i + 1 < len(keys) else "\n")
         pieces.append(pad + "}")
-    # a numpy value is written as the plain Python value it stands for, a row of floats in one join
+    # a numpy value is written as the plain Python value it stands for, a row of floats in one
+    # join, written out at once since a row may be long
     elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.size and obj.dtype.kind == "f":
         sep = ",\n" + pad + "  "
-        pieces.append(f"[\n{pad}  {sep.join(map(_float, obj.tolist()))}\n{pad}]")
+        write("".join(pieces) + f"[\n{pad}  {sep.join(map(_float, obj.tolist()))}\n{pad}]")
+        pieces.clear()
     elif isinstance(obj, np.ndarray):
         _emit(obj.tolist(), indent, pieces, write)
     elif isinstance(obj, np.bool_):

@@ -52,6 +52,10 @@ _MAX_SAMPLES = 10**8
 # a sample updates (k selected columns): the work of the sample limit at that
 # default layer, since a sample of a wider layer costs more.
 _MAX_SAMPLE_WORK = _MAX_SAMPLES * (8 * 8 * 3 + 9**2)
+# Smallest largest |eta| of a custom activation over a pass: the cross moment
+# multiplies two etas, and 1e-150**2 is still a normal float.  Below it the
+# moment underflows and kappa_hat drifts, then reads 0.
+_MIN_CUSTOM_ETA = 1e-150
 
 
 @dataclass(frozen=True)
@@ -150,7 +154,9 @@ def _chunks(
     z = y P is summed in a fixed order, so each row's bits, which the
     pseudo-random eta hashes, do not depend on the chunk size or on the BLAS
     build.  The pass runs this generator on a worker thread, one chunk ahead
-    of its target, so the sampler and the activation run there.
+    of its target, so the sampler and the activation run there.  A custom
+    activation whose etas stay below ``_MIN_CUSTOM_ETA`` over the whole pass
+    is refused after the last chunk.
     """
     stream, eta_key, _ = _derive_streams(seed)
     rng = np.random.default_rng(stream)
@@ -158,6 +164,7 @@ def _chunks(
     n, m = p.n_in, p.n_out
     rows = max(2 * (m + 1), _CHUNK_BYTES // (8 * (n + 2 * m + 2)))
     edges = _block_edges(n_samples)
+    peak = 0.0  # largest |eta| of a custom activation so far
     for block, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
         for start in range(a, b, rows):
             count = min(rows, b - start)
@@ -167,7 +174,15 @@ def _chunks(
             if not np.isfinite(y).all():
                 raise ValueError("sampler returned non-finite values")
             z = np.einsum("ri,ij->rj", y, p.matrix, optimize=False)
-            yield block, y, z, act.eta(z, key=eta_key)
+            eta = act.eta(z, key=eta_key)
+            if act.kind == "custom":
+                peak = max(peak, float(np.max(np.abs(eta))))
+            yield block, y, z, eta
+    if 0 < peak < _MIN_CUSTOM_ETA:
+        raise ValueError(
+            f"custom activation's largest |eta| is {peak:.3g}, below {_MIN_CUSTOM_ETA:g}: "
+            "the augmented moment, a product of two etas, would underflow a float"
+        )
 
 
 @dataclass(frozen=True)
@@ -274,8 +289,10 @@ def _constrained_fit(config: ExperimentConfig, moments: _Moments) -> np.ndarray:
     k = len(config.param_selector)
     r11 = moments.r[:k, :k]
     # R11 has the column inner products of F_sel, so |R11[j, j]| is what column j adds
-    # beyond the columns before it: at most 1e-10 of the largest column norm names it
-    scale = float(np.max(np.linalg.norm(r11, axis=0))) or 1.0
+    # beyond the columns before it: at most 1e-10 of the largest column norm names it.
+    # The norms are taken on R11 over its largest entry, so tiny features cannot underflow them
+    top = float(np.max(np.abs(r11))) or 1.0
+    scale = float(np.max(np.linalg.norm(r11 / top, axis=0))) * top
     deficient = np.flatnonzero(np.abs(np.diag(r11)) <= _RANK_TOL * scale)
     bad = [config.param_selector[j] for j in deficient.tolist()]
     if bad:

@@ -2,18 +2,20 @@
 
 In the pseudo-random regime each layer turns feature-space capacity into
 input-space capacity through the column-stochastic operator ``D = P o P``
-(entrywise square, columns renormalized).  A chain is a tuple of such
-operators, and nothing else: it applies them top-down,
-``kappa^{l-1} = D_l kappa^l``, conserving the total.  The rule holds under
-total decoupling only, so the CLI's spec parser, which builds operators
-from projections, refuses any activation other than pseudo_random.
+(entrywise square, columns renormalized).  A chain is a sequence of such
+operators: it applies them top-down, ``kappa^{l-1} = D_l kappa^l``,
+conserving the total.  Consumers make one top-down pass over a chain, so a
+chain may build each operator only when the pass reaches it.  The rule
+holds under total decoupling only, so the CLI's spec parser, which builds
+operators from projections, refuses any activation other than
+pseudo_random.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -64,17 +66,28 @@ class PropagationOperator:
         The window wraps periodically, keeping every column an exact
         probability vector regardless of position.
         """
-        if r < 1 or r > n:
-            raise ValueError(f"window size must be in [1, {n}], got {r}")
+        _check_window(n, r)
         matrix = np.zeros((n, n))
         cols = np.arange(n)[:, None]
         matrix[(cols + np.arange(r) - (r - 1) // 2) % n, cols] = 1.0 / r
         return cls(matrix)
 
 
+def _check_window(n: int, r: int) -> None:
+    if r < 1 or r > n:
+        raise ValueError(f"window size must be in [1, {n}], got {r}")
+
+
 @dataclass(frozen=True)
 class LayerChain:
-    """Operators in forward order: layers[0] reads the inputs, layers[-1] is the top."""
+    """Layers in forward order: layers[0] reads the inputs, layers[-1] is the top.
+
+    A layer is anything with ``n_in`` and ``n_out``, and ``operator(i)`` is
+    layer i's operator.  Here the layers are the operators themselves; a
+    subclass may hold lighter descriptions and build each operator in
+    ``operator``.  Consumers read the operators through one
+    :meth:`top_down` pass, so such a chain holds about one at a time.
+    """
 
     layers: Tuple[PropagationOperator, ...]
 
@@ -100,6 +113,13 @@ class LayerChain:
     @property
     def n_out(self) -> int:
         return self.layers[-1].n_out
+
+    def operator(self, i: int) -> PropagationOperator:
+        return self.layers[i]
+
+    def top_down(self) -> Iterator[PropagationOperator]:
+        """Each layer's operator once, the top layer's first."""
+        return map(self.operator, reversed(range(len(self.layers))))
 
 
 def propagation_matrix(p: ProjectionMatrix) -> PropagationOperator:
@@ -133,7 +153,7 @@ def propagate_chain(chain: LayerChain, kappa_top: SpatialCapacity) -> List[Spati
             f"chain top dimension {chain.n_out} does not match capacity {kappa_top.n}"
         )
     profiles = [kappa_top]
-    for layer in reversed(chain.layers):
+    for layer in chain.top_down():
         profiles.append(propagate_single(layer, profiles[-1]))
     profiles.reverse()
     return profiles
@@ -145,13 +165,17 @@ def differential_propagation_matrix(p: ProjectionMatrix, eps: float) -> Propagat
     Derived from capacities in the residual augmented space normalized by
     1 + eps; to first order in eps this is ``I + eps (P o P - I)``.
     """
-    if p.n_in != p.n_out:
-        raise ValueError(f"differential layers require square P, got {p.n_in}x{p.n_out}")
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
-    if not math.isfinite(eps):
-        raise ValueError(f"eps must be finite, got {eps!r}")
+    _check_differential(p.n_in, p.n_out, eps)
     n = p.n_in
     # evaluated as (I + eps P o P) / (1 + eps): same matrix, and the identity
     # entries divide out exactly in the small cases quoted in the docs
     return PropagationOperator((np.eye(n) + eps * p.matrix**2) / (1.0 + eps))
+
+
+def _check_differential(n_in: int, n_out: int, eps: float) -> None:
+    if n_in != n_out:
+        raise ValueError(f"differential layers require square P, got {n_in}x{n_out}")
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps!r}")
+    if not math.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps!r}")

@@ -25,11 +25,20 @@ from hypothesis import strategies as st
 
 import capnet
 from capnet import jsonfmt
-from capnet.analyze import ErfReport, ShatterReport, erf_profile
+from capnet import cli
+from capnet.analyze import ErfReport, ShatterReport, erf_profile, shatter_analysis
 from capnet.augment import DecouplingReport
 from capnet.cli import SpecError, build_parser, main, parse_network_spec
+from capnet.core import ProjectionMatrix, SpatialCapacity
 from capnet.deeplimit import ConvergenceReport, DeepLimitConfig, ResidualGenerator, StabilityError
 from capnet.jsonfmt import canonical_dumps
+from capnet.propagate import (
+    LayerChain,
+    PropagationOperator,
+    differential_propagation_matrix,
+    propagate_chain,
+    propagation_matrix,
+)
 
 
 def _write_spec(tmp_path, name, doc):
@@ -406,6 +415,118 @@ class TestChain:
         assert "Warning" not in err
 
 
+def _every_kind_spec(tmp_path):
+    """A square spec of width 6 with every kind of layer and a weights file."""
+    weights = tmp_path / "w.csv"
+    rows = (",".join(str((3 * i + j) % 7 - 3) for j in range(6)) for i in range(6))
+    weights.write_text("\n".join(rows))
+    layers = [
+        {"kind": "dense", "weights": "random_gaussian:11", "activation": "pseudo_random"},
+        {"kind": "differential", "weights": "random_gaussian:12", "eps": 0.3},
+        {"kind": "residual", "weights": "residual:0.1,0.2,1.0"},
+        {"kind": "dense", "weights": "uniform:3"},
+        {"kind": "dense", "weights": str(weights), "activation": "pseudo_random"},
+        {"kind": "residual", "weights": "uniform:5"},
+    ]
+    doc = {"layers": [dict(layer, n_in=6, n_out=6) for layer in layers], "top_capacity": "dirac:2"}
+    return _write_spec(tmp_path, "spec.json", doc), str(weights)
+
+
+def _every_kind_chain(weights):
+    """The chain of ``_every_kind_spec``, built by hand from the library."""
+    def drawn(seed):
+        return ProjectionMatrix.from_raw(np.random.default_rng(seed).standard_normal((6, 6)))
+
+    loaded = ProjectionMatrix.from_raw(np.loadtxt(weights, delimiter=",", ndmin=2))
+    return LayerChain([
+        propagation_matrix(drawn(11)),
+        differential_propagation_matrix(drawn(12), 0.3),
+        ResidualGenerator(6, 0.2, 1.0).step(0.1),
+        PropagationOperator.uniform_window(6, 3),
+        propagation_matrix(loaded),
+        PropagationOperator.uniform_window(6, 5),
+    ])
+
+
+class TestSpecLayersBuiltOnDemand:
+    """A spec's chain builds each operator when a pass reaches it, top layer first."""
+
+    def test_outputs_match_a_hand_built_chain(self, tmp_path, capsys):
+        path, weights = _every_kind_spec(tmp_path)
+        chain = _every_kind_chain(weights)
+        profiles = propagate_chain(chain, SpatialCapacity.dirac(6, 2))
+        csv_path = tmp_path / "out.csv"
+        code, out = _run(capsys, ["chain", path, "--csv", str(csv_path)])
+        assert code == 0
+        report = json.loads(out)
+        assert report["profiles"] == [p.values.tolist() for p in profiles]
+        assert report["totals"] == [p.total for p in profiles]
+        rows = [
+            f"{layer},{i},{kappa!r}"
+            for layer, profile in enumerate(profiles)
+            for i, kappa in enumerate(profile.values.tolist())
+        ]
+        assert csv_path.read_text() == "\n".join(["layer,coordinate,kappa"] + rows) + "\n"
+        for argv, expected in (
+            (["shatter", path, "--r", "3"], shatter_analysis(chain, 3)),
+            (["erf", path, "--probe", "2"], erf_profile(chain, 2)),
+        ):
+            code, out = _run(capsys, argv)
+            assert (code, out) == (0, canonical_dumps(expected) + "\n")
+
+    @pytest.mark.parametrize("command", ["chain", "shatter", "erf"])
+    def test_each_layer_built_once_per_command(self, tmp_path, capsys, monkeypatch, command):
+        # every layer kind makes exactly one PropagationOperator when it is built
+        path, _ = _every_kind_spec(tmp_path)
+        built = []
+        post_init = PropagationOperator.__post_init__
+        def counted(op):
+            built.append(op.matrix.shape)
+            post_init(op)
+
+        monkeypatch.setattr(PropagationOperator, "__post_init__", counted)
+        spec = cli.load_network_spec(path)
+        assert built == []
+        assert main([command, path]) == 0
+        assert built == [(6, 6)] * len(spec.chain)
+
+    def test_chain_traced_peak_flat_in_depth(self, tmp_path):
+        # 400 dense layers of width 64 held every 32 KiB operator at once: the traced
+        # peak grew by 13.3 MiB over 50 layers.  Now each extra layer adds its 512 B
+        # profile, its document entry and its description, about 1.5 KiB in all
+        def spec(depth):
+            layer = {"kind": "dense", "n_in": 64, "n_out": 64, "activation": "pseudo_random"}
+            layers = [dict(layer, weights=f"random_gaussian:{i}") for i in range(depth)]
+            doc = {"layers": layers, "top_capacity": "uniform"}
+            return _write_spec(tmp_path, f"{depth}.json", doc)
+
+        def traced_peak(path):
+            argv = ["chain", path, "--out", str(tmp_path / "o.json")]
+            argv += ["--csv", str(tmp_path / "o.csv")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        shallow, deep = spec(50), spec(400)
+        assert main(["chain", shallow, "--out", str(tmp_path / "o.json")]) == 0  # warm up
+        growth = traced_peak(deep) - traced_peak(shallow)
+        assert growth <= 64 * 64 * 8 + 350 * 4096
+
+    @pytest.mark.parametrize("command", ["chain", "shatter", "erf"])
+    def test_build_time_refusal_names_the_layer_and_writes_nothing(
+        self, tmp_path, capsys, command
+    ):
+        path, weights = _every_kind_spec(tmp_path)
+        os.remove(weights)
+        assert main([command, path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: layer 4: cannot read weights file {weights!r}\n"
+
+
 @pytest.mark.parametrize("command", ["chain", "erf", "shatter"])
 @pytest.mark.parametrize("kind", ["dense", "differential"])
 @pytest.mark.parametrize("activation", ["relu", "abs", "linear", "leaky_relu:0.2"])
@@ -449,6 +570,19 @@ def test_readme_command_lines_parse():
     assert used == expected
 
 
+def test_parser_built_once_per_process(tmp_path, monkeypatch):
+    # building it took most of an in-process nu run, and the fuzz tests make about 1,000
+    calls = []
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build_parser())
+    cli._parser.cache_clear()
+    try:
+        for command in (["nu", "relu"], ["shatter", "--uniform", "r=3", "L=4"], ["nu", "abs"]):
+            assert main(command + ["--out", str(tmp_path / "out.json")]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert calls == [1]
+
+
 class TestPde:
     def test_default_run_matches_closed_form(self, capsys):
         code, out = _run(capsys, ["pde"])
@@ -481,11 +615,14 @@ class TestPde:
     @pytest.mark.parametrize(
         "argv", [["--D", "1e-305", "--eps", "0.1", "--L", "10"], ["--D", "1e-320"]]
     )
-    def test_tiny_diffusion_runs_without_warning(self, capsys, argv):
-        # the closed form's kernel printed "overflow encountered in divide"
-        code, out = _run(capsys, ["pde"] + argv)
-        assert code == 0
-        assert all(math.isfinite(x) for x in json.loads(out)["sup_errors"])
+    def test_tiny_diffusion_refused_naming_width_and_limit(self, capsys, argv):
+        # the closed form's kernel printed "overflow encountered in divide"; then the run
+        # exited 0 and called relative errors of 1 at every level a convergence study
+        code = main(["pde"] + argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert "the closed form's std is" in err and "below the limit of 0.25 cells" in err
+        assert "Warning" not in err
 
     def test_diffusion_underflowing_to_zero_exits_2_by_name(self, capsys):
         # D*eps*L underflowed to 0 and was refused as "Dcoef must be positive"
@@ -819,6 +956,13 @@ class TestVerify:
         assert main(argv) == 2
         assert "projection has no rows" in capsys.readouterr().err
 
+    def test_layer_of_no_columns_exits_2_before_its_column_keys(self, capsys):
+        # m = 0 passed the operator limit, and keying the empty columns by 2**48 bytes
+        # raised numpy's TypeError, with a traceback
+        argv = ["verify", "--n", str(2**45), "--m", "0", "--selector", "0", "--mc", "1000"]
+        assert main(argv) == 2
+        assert "projection has no columns" in capsys.readouterr().err
+
 
 _VERIFY_EXTREMES = ["0", "-1", "nan", "inf", "-inf", "1e308", str(2**63), str(2**45)]
 _VERIFY_ACTIVATIONS = [
@@ -1126,8 +1270,10 @@ class TestSpecFuzz:
     @settings(max_examples=300, deadline=None)
     @given(_mutated_spec())
     def test_malformed_documents_raise_spec_errors(self, doc):
+        # every operator is built too, for the refusals that need a layer's matrix
         try:
-            parse_network_spec(doc)
+            for _ in parse_network_spec(doc).chain.top_down():
+                pass
         except (SpecError, StabilityError):
             pass
 

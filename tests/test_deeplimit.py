@@ -475,6 +475,27 @@ class TestCompareMarkovPde:
             with pytest.raises(ValueError, match=r"Dcoef\*eps\*L = 1e-200\*1e-200\*1 underflows"):
                 compare_markov_pde(gen, cfg, SpatialCapacity.dirac(21, 10))
 
+    @pytest.mark.parametrize(
+        "dcoef, refinements, refused",
+        # the std is sqrt(2 Dcoef) coarse cells, times 2 per refinement: 0.245 and 0.253
+        # cells, then 0.310 and 0.098 at the finest of three levels
+        [(0.03, 0, True), (0.032, 0, False), (0.003, 2, False), (0.0003, 2, True)],
+    )
+    def test_closed_form_below_a_quarter_cell_refused_before_the_first_step(
+        self, dcoef, refinements, refused
+    ):
+        # pde --D 1e-305 --eps 0.1 --L 10 reported rel_errors [1, 1, 1] as a convergence study
+        gen = ResidualGenerator(21, 0.0, dcoef, "periodic")
+        cfg = DeepLimitConfig(eps=0.1, L=10)
+        kappa = SpatialCapacity.dirac(21, 10)
+        if refused:
+            with mock.patch("capnet.deeplimit.evolve_markov", side_effect=AssertionError):
+                with pytest.raises(ValueError, match=r"std is 0\.\d+ cells at the finest level"):
+                    compare_markov_pde(gen, cfg, kappa, refinements=refinements)
+        else:
+            report = compare_markov_pde(gen, cfg, kappa, refinements=refinements)
+            assert len(report.eps_levels) == refinements + 1
+
     def test_narrow_grid_is_flagged(self):
         gen = ResidualGenerator(21, 0.0, 1.0, "periodic")
         cfg = DeepLimitConfig(eps=0.1, L=100)

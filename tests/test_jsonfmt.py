@@ -228,3 +228,13 @@ def test_float_matrix_written_a_block_of_rows_at_a_time():
     assert handle.getvalue() == text
     array_text = canonical_dumps(matrix)
     assert max(handle.lengths) < len(array_text) / 2
+
+
+def test_float_rows_written_one_row_at_a_time():
+    # a list of 1-D float arrays, like chain's profiles, was held whole until the
+    # end: some 300 rows make too few pieces to reach a flush
+    doc = {"profiles": [np.linspace(0.0, 1.0, 64) / (k + 3) for k in range(300)], "after": [1 / 3]}
+    handle = _RecordingWriter()
+    canonical_dump(doc, handle)
+    assert handle.getvalue() == _dumps_reference(doc)
+    assert max(handle.lengths) < 2 * len(canonical_dumps(doc["profiles"][0]))

@@ -366,6 +366,30 @@ class TestFitOptimalLastLayer:
         else:
             assert np.all(np.isfinite(a_star))
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e-300])
+    def test_tiny_custom_etas_refused_by_name(self, scale):
+        # 1e-170 was called rank deficient; 1e-160 ran, with kappa_hat 3.4e-4 off, and at
+        # 1e-162 the cross moment underflowed and kappa_hat read 0
+        p = _random_projection(np.random.default_rng(3), 8, 8)
+        config = ExperimentConfig(p, Activation.custom(lambda z: scale * z), (1, 4, 6), 20000, 3)
+        with pytest.raises(ValueError, match=rf"largest \|eta\| is {scale:.3g}, below 1e-150"):
+            empirical_spatial_capacity(config)
+
+    def test_tiny_selected_feature_columns_pass_the_rank_test(self):
+        # the norms of R11's columns, about 1e-168, squared to 0: the selected columns
+        # were called rank deficient although the unselected ones keep eta normal
+        p = _random_projection(np.random.default_rng(3), 8, 8)
+        kappa = {}
+        for scale in (1e-170, 1e-100):
+            slopes = np.ones(8)
+            slopes[[1, 4, 6]] = scale
+            activation = Activation.custom(lambda z: slopes * z)
+            config = ExperimentConfig(p, activation, (1, 4, 6), 20000, 3)
+            kappa[scale] = empirical_spatial_capacity(config).kappa_hat.values
+        # scaling a feature column scales its moment column, so the span and kappa_hat stay
+        np.testing.assert_allclose(kappa[1e-170], kappa[1e-100], rtol=0, atol=1e-12)
+        assert kappa[1e-170].sum() == pytest.approx(3.0, abs=1e-12)
+
 
 class TestVerifyStationarity:
     def _config(self, seed=14, n_samples=20_000, activation=None):
