@@ -11,9 +11,10 @@ grid and depth refinement.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,8 +34,9 @@ __all__ = [
 _BOUNDARY_MASS_TOL = 1e-6
 # Largest Markov trajectory evolve_markov allocates: (L+1) * n float64 values.
 _TRAJECTORY_BUDGET_BYTES = 2 * 2**30
-# Longest walk evolve_markov runs, each about a minute of stepping: a step
-# costs some 6-8 us on small grids and some 2 ns a cell on wide ones.
+# Longest walk evolve_markov runs: a step costs some 2.5-4 us at n = 3 to 401,
+# so 10**7 steps take under a minute, and some 2-3.5 ns a cell on wide grids,
+# so 3*10**10 cell-steps take one to two minutes.
 _MAX_WALK_STEPS = 10**7
 _MAX_WALK_CELL_STEPS = 3 * 10**10
 # Widest grid compare_markov_pde evaluates the closed form on: the direct
@@ -125,8 +127,10 @@ class ResidualGenerator:
     def matrix(self) -> np.ndarray:
         """The dense n x n generator: the stencil applied to the identity."""
         keep, up, down = _generator_weights(self)
-        eye, hop = np.eye(self.n), np.empty((self.n + 1, self.n))
-        return _apply_stencil(self, (keep[:, None], up, down), eye, np.empty_like(eye), hop)
+        out = np.empty((self.n, self.n))
+        step_all = _stepper(self, (keep[:, None], up, down), np.empty((self.n + 1, self.n)))
+        step_all([(np.eye(self.n), out, out[1:], out[:-1], out[:: self.n - 1])])
+        return out
 
     def max_stable_eps(self) -> float:
         """Largest eps with ``eps * 2 Dcoef < 1`` (strict).
@@ -159,24 +163,32 @@ def _generator_weights(gen: ResidualGenerator) -> Tuple[np.ndarray, float, float
     return keep, gen.up, gen.down
 
 
-def _apply_stencil(gen: ResidualGenerator, weights, x, y, hop) -> np.ndarray:
-    """Write ``weights`` applied to array ``x`` along axis 0 into ``y``, with ``hop`` as scratch.
+def _stepper(gen: ResidualGenerator, weights, hop: np.ndarray) -> Callable[[Iterable], None]:
+    """A function that applies ``weights`` along axis 0 of each ``x`` it is given.
 
-    ``hop`` is one cell longer than ``x``.  A cell adds its keep, the up hop from below, then
-    the down hop from above; on a periodic grid cell 0 adds the wrapped up hop last.
+    It takes an iterable of ``(x, y, y[1:], y[:-1], y[::n-1])`` and writes each
+    ``y`` from its ``x`` in six ufunc calls (five on a reflecting grid) on
+    those views and on views of ``hop``, made once here.  ``hop`` is scratch
+    one cell longer than ``x``.  A cell adds its keep, the up hop from below,
+    then the down hop from above; on a periodic grid the two end cells add
+    the wrapped hops last.
     """
     keep, up, down = weights
-    tail, head = y[1:], y[:-1]  # added to in place: y[1:] += would also assign the view back
-    np.multiply(x, keep, out=y)
-    np.multiply(x, up, out=hop[1:])
-    inner = hop[1:-1]  # up times x[:-1], then down times x[1:]
-    tail += inner
-    np.multiply(x, down, out=hop[:-1])  # hop[-1] keeps up times x[-1]
-    head += inner
-    if gen.boundary == "periodic":
-        y[0] += hop[-1]
-        y[-1] += hop[0]
-    return y
+    above, below, inner, wrap = hop[1:], hop[:-1], hop[1:-1], hop[:: -gen.n]
+    periodic = gen.boundary == "periodic"
+    multiply, add = np.multiply, np.add
+
+    def step_all(steps: Iterable) -> None:
+        for x, y, tail, head, ends in steps:
+            multiply(x, keep, y)
+            multiply(x, up, above)  # inner holds up times x[:-1]
+            add(tail, inner, tail)
+            multiply(x, down, below)  # inner holds down times x[1:]; hop[-1] keeps up times x[-1]
+            add(head, inner, head)
+            if periodic:
+                add(ends, wrap, ends)  # cell 0 adds up times x[-1], cell n-1 down times x[0]
+
+    return step_all
 
 
 @dataclass(frozen=True)
@@ -231,9 +243,10 @@ def _walk(
     one reused buffer of ``block_rows`` rows (at least 2, by default about
     1 MiB; fewer if the walk is shorter), so each must be read before the
     next is asked for, and the last block may be shorter.  Trajectory row k
-    sits in buffer row k modulo the buffer's rows.  Each step applies the
-    stencil to shifted slices, O(n) per step, and conserves the total
-    capacity.
+    sits in buffer row k modulo the buffer's rows.  Each step is the ufunc
+    calls of :func:`_stepper`, O(n) per step, on views of the buffer made
+    once per block and on scratch views made once per walk, and it
+    conserves the total capacity.
     """
     if kappa_top.n != gen.n:
         raise ValueError(f"capacity has {kappa_top.n} entries, generator expects {gen.n}")
@@ -246,14 +259,18 @@ def _walk(
     keep, up, down = _generator_weights(gen)
     # the entries of I + eps*Delta; numpy multiplies by a 0-d array faster than by a float
     weights = (1.0 + cfg.eps * keep, np.array(cfg.eps * up), np.array(cfg.eps * down))
-    hop = np.empty(gen.n + 1)
+    step_all = _stepper(gen, weights, np.empty(gen.n + 1))
+    # each row with the views a step writes it through; a step reads the row
+    # before, and rows[0] reads the ring's last row
+    into = (rows, rows[:, 1:], rows[:, :-1], rows[:, :: gen.n - 1])
     count = len(rows)
-    for k in range(1, cfg.L + 1):
-        j = k % count
-        if j == 0:
+    for start in range(0, cfg.L + 1, count):
+        if start:
             yield rows
-        _apply_stencil(gen, weights, rows[j - 1], rows[j], hop)
-    yield rows[: cfg.L % count + 1]
+        stop = min(count, cfg.L + 1 - start)
+        steps = zip(itertools.chain(rows[-1:], rows), *into)
+        step_all(itertools.islice(steps, 0 if start else 1, stop))  # the top profile fills rows[0]
+    yield rows[:stop]
 
 
 def evolve_markov(

@@ -19,6 +19,7 @@ from capnet.deeplimit import (
     _BOUNDARY_MASS_TOL,
     DeepLimitConfig,
     ResidualGenerator,
+    _walk,
     evolve_markov,
 )
 from capnet.jsonfmt import canonical_dumps
@@ -168,6 +169,31 @@ class TestErfProfile:
         probe = SpatialCapacity.dirac(n, x0)
         np.testing.assert_array_equal(evolve_markov(gen, cfg, probe), walked)
         np.testing.assert_array_equal(evolve_markov(gen, cfg, probe, keep_all=False), walked[-1])
+
+    @pytest.mark.parametrize("boundary", ["periodic", "reflecting"])
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("ring", [2, 5])
+    def test_ring_edges_match_a_per_profile_loop_bit_for_bit(self, ring, n, boundary):
+        # walks that end on the ring's last row, its first or its second, once or
+        # twice round; at n = 3 the two end cells a periodic wrap adds to are one
+        # cell apart, and the probe at cell 0 meets the wrap or the fold at once
+        gen = ResidualGenerator(n, 0.5, 0.8, boundary)
+        probe = SpatialCapacity.dirac(n, 0)
+        for L in (ring - 1, ring, ring + 1, 2 * ring, 2 * ring + 1):
+            cfg = DeepLimitConfig(eps=0.4, L=L)
+            walked = _walk_reference(gen, cfg, 0)
+            with mock.patch("capnet.deeplimit._STD_BLOCK_BYTES", 8 * n * ring):
+                blocks = [rows.copy() for rows in _walk(gen, cfg, probe, keep_all=True)]
+                report = erf_profile(gen, 0, cfg)
+                kept = evolve_markov(gen, cfg, probe)
+                last = evolve_markov(gen, cfg, probe, keep_all=False)
+            assert max(len(rows) for rows in blocks) == ring
+            np.testing.assert_array_equal(np.concatenate(blocks), walked)
+            stds, flagged = _erf_reference(gen, 0, cfg)
+            np.testing.assert_array_equal(report.per_depth_std, stds)
+            assert report.boundary_flagged == flagged
+            np.testing.assert_array_equal(kept, walked)
+            np.testing.assert_array_equal(last, walked[-1])
 
     @settings(max_examples=40, deadline=None)
     @given(

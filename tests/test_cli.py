@@ -649,7 +649,7 @@ class TestPde:
         assert f"dirac index {probe} out of range [0, 201)" in capsys.readouterr().err
 
     def test_walk_past_step_limit_exits_2(self, capsys):
-        # about 9 minutes of stepping at some 6 us a step
+        # about 7 minutes of stepping at some 4 us a step
         assert main(["pde", "--n", "3", "--L", "100000000", "--refinements", "0"]) == 2
         assert "walk limit of 10,000,000 steps" in capsys.readouterr().err
 

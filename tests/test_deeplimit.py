@@ -317,6 +317,19 @@ class TestEvolveMarkov:
         _, var_markov = _moments(markov)
         assert var_markov == pytest.approx(2.0 * 0.7 * 3.0, rel=1e-12)
 
+    def test_kept_walk_holds_its_trajectory_and_little_more(self):
+        # 200,001 rows of 3 cells are 4.6 MiB; the walk's views of every row,
+        # held in one Python list, peaked at 128 MiB
+        gen = ResidualGenerator(3, 0.0, 0.25)
+        cfg = DeepLimitConfig(eps=0.1, L=200_000)
+        tracemalloc.start()
+        try:
+            evolve_markov(gen, cfg, SpatialCapacity.dirac(3, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (cfg.L + 1) * 3 * 8 + 2**20
+
     def test_unstable_eps_rejected_with_bound(self):
         gen = ResidualGenerator(11, 0.0, 1.0)
         with pytest.raises(StabilityError, match="below 0.5"):
