@@ -216,11 +216,23 @@ def orthonormal_basis(matrix) -> CapacityBasis:
     Singular values below ``1e-10 * sigma_max`` are treated as zero.  An all-zero
     matrix yields an empty (rank-0) basis rather than an error, so degenerate
     layers keep total-capacity bookkeeping consistent.
+
+    The columns are given one sign and one order before the SVD, so reordering
+    or negating them returns the same basis bit for bit.  Otherwise the SVD's
+    rounding would follow the column order, and on an ill-conditioned matrix
+    that moves the span by about ``eps * cond``.
     """
     matrix = _as_matrix(matrix, "matrix")
     if matrix.size == 0 or not np.any(matrix):
         return CapacityBasis(np.zeros((matrix.shape[0], 0)))
-    u, s, _ = np.linalg.svd(matrix, full_matrices=False)
+    # one row per column, its largest-magnitude entry made positive and -0.0 made
+    # 0.0, then the rows sorted by their bytes: exact, and blind to column position
+    lead = matrix[np.argmax(np.abs(matrix), axis=0), np.arange(matrix.shape[1])]
+    rows = (matrix * np.where(lead < 0, -1.0, 1.0)).T.copy()
+    rows += 0.0
+    keys = rows.view(f"V{8 * rows.shape[1]}").ravel().tolist()
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    u, s, _ = np.linalg.svd(rows[order].T, full_matrices=False)
     rank = int(np.sum(s > _RANK_TOL * s[0]))
     return CapacityBasis(u[:, :rank])
 

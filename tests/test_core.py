@@ -59,6 +59,21 @@ class TestOrthonormalBasis:
             basis.columns @ basis.columns.T, oracle @ oracle.T, atol=1e-10
         )
 
+    def test_signed_column_permutation_keeps_every_bit(self):
+        # nearly dependent columns (cond ~ 1e8), a repeated column up to sign and a
+        # zero column: the SVD's rounding would follow the column order on these
+        rng = np.random.default_rng(67)
+        m = np.empty((12, 6))
+        m[:, :3] = rng.standard_normal((12, 3))
+        m[:, 3] = m[:, 0] + m[:, 1] + 1e-8 * rng.standard_normal(12)
+        m[:, 4] = -m[:, 2]
+        m[:, 5] = 0.0
+        expected = orthonormal_basis(m).columns
+        for _ in range(20):
+            signs = rng.choice([-1.0, 1.0], size=6)
+            got = orthonormal_basis(m[:, rng.permutation(6)] * signs).columns
+            np.testing.assert_array_equal(got, expected)
+
     def test_all_zero_gives_empty_basis(self):
         basis = orthonormal_basis(np.zeros((4, 2)))
         assert basis.rank == 0
