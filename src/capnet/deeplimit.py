@@ -39,8 +39,10 @@ _TRAJECTORY_BUDGET_BYTES = 2 * 2**30
 # so 3*10**10 cell-steps take one to two minutes.
 _MAX_WALK_STEPS = 10**7
 _MAX_WALK_CELL_STEPS = 3 * 10**10
-# Widest grid compare_markov_pde evaluates the closed form on: the direct
-# convolution costs some 0.15-0.3 ns per n**2, about a minute at this width.
+# Widest grid compare_markov_pde evaluates the closed form on.  The closed form
+# builds 2n-1 kernel floats, and convolves only the nonzero spans, so a Dirac
+# costs O(n); a profile spread over the grid under a grid-wide kernel still
+# costs some 0.15-0.3 ns per n**2, about a minute at this width.
 _MAX_CLOSED_FORM_CELLS = 5 * 10**5
 # Narrowest closed form compare_markov_pde compares against, as its std in
 # cells of the finest level: a narrower kernel falls between grid points, and
@@ -295,6 +297,12 @@ def evolve_markov(
     return rows if keep_all else rows[-1]
 
 
+def _nonzero_span(a: np.ndarray) -> Tuple[int, int]:
+    """First and one-past-last index of the nonzero entries of ``a``; (0, 0) if none."""
+    nz = np.flatnonzero(a)
+    return (int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0)
+
+
 def gaussian_solution(values, h: float, v: float, Dcoef: float, t: float) -> np.ndarray:
     """Heat-kernel convolution of the initial density, by the trapezoid rule.
 
@@ -302,7 +310,14 @@ def gaussian_solution(values, h: float, v: float, Dcoef: float, t: float) -> np.
     ``pi(t, x) = int G(x - y - v t) pi(0, y) dy`` with the Gaussian kernel of
     variance ``2 Dcoef t`` on that grid; ``t = 0`` returns a copy of the
     values.  The kernel depends on ``i - j`` only, so its 2n-1 samples are
-    convolved with the weighted values in O(n) memory and O(n**2) time.
+    built in O(n), and only their nonzero span is convolved with the nonzero
+    span of the weighted values: O(n + s_kernel*s_values) time, O(n) for a
+    Dirac, and O(n**2) only for a profile spread over the grid under a
+    grid-wide kernel.  Every output of a single-point input is one product,
+    so it keeps the bits of the full-length convolution; with several points
+    the sums change by rounding only.  A non-finite ``v``, ``Dcoef`` or ``t``
+    is refused, and so is a drift ``v*t``, a spread ``4*Dcoef*t`` or a
+    weighted value ``h*values`` that overflows.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size < 2:
@@ -313,23 +328,44 @@ def gaussian_solution(values, h: float, v: float, Dcoef: float, t: float) -> np.
         raise ValueError(f"values have negative entry {values.min():.3e}")
     if not (h > 0 and math.isfinite(h)):
         raise ValueError(f"h must be positive and finite, got {h!r}")
-    if not Dcoef > 0:
-        raise ValueError("Dcoef must be positive")
-    if not t >= 0:
-        raise ValueError("t must be non-negative")
+    if not math.isfinite(v):
+        raise ValueError(f"v must be finite, got {v!r}")
+    if not (Dcoef > 0 and math.isfinite(Dcoef)):
+        raise ValueError(f"Dcoef must be positive and finite, got {Dcoef!r}")
+    if not (t >= 0 and math.isfinite(t)):
+        raise ValueError(f"t must be non-negative and finite, got {t!r}")
     if t == 0:
         return values.copy()
+    drift = v * t
+    if not math.isfinite(drift):
+        raise ValueError(f"v*t = {v:g}*{t:g} overflows")
     spread = 4.0 * Dcoef * t
     if spread == 0:
         raise ValueError(f"4*Dcoef*t = 4*{Dcoef:g}*{t:g} underflows to 0")
+    if not math.isfinite(math.pi * spread):
+        raise ValueError(f"pi*4*Dcoef*t = pi*4*{Dcoef:g}*{t:g} overflows")
     n = values.size
-    gap = np.arange(1 - n, n) * h - v * t  # x_i - x_j - v t at i - j = 1-n .. n-1
-    with np.errstate(over="ignore"):  # a tiny spread sends the exponent to -inf, and exp to 0
-        kernel = np.exp(-(gap**2) / spread) / math.sqrt(math.pi * spread)
     weights = np.full(n, h)
     weights[0] *= 0.5
     weights[-1] *= 0.5
-    return np.convolve(kernel, weights * values, mode="valid")
+    with np.errstate(over="ignore"):
+        weighted = weights * values
+    if not np.all(np.isfinite(weighted)):
+        raise ValueError(f"h*values overflows: h = {h:g}, largest value {values.max():g}")
+    gap = np.arange(1 - n, n) * h - drift  # x_i - x_j - v t at i - j = 1-n .. n-1
+    with np.errstate(over="ignore"):  # a tiny spread sends the exponent to -inf, and exp to 0
+        kernel = np.exp(-(gap**2) / spread) / math.sqrt(math.pi * spread)
+    out = np.zeros(n)
+    ka, kb = _nonzero_span(kernel)  # one run: the kernel is unimodal in i - j
+    va, vb = _nonzero_span(weighted)
+    # out[i] sums kernel[i+n-vb : i+n-va] against weighted[va:vb] reversed; the
+    # window meets the kernel's nonzero span only for ka+va-n < i < kb+vb-n
+    lo, hi = max(0, ka + va - n + 1), min(n, kb + vb - n)
+    if ka < kb and va < vb and lo < hi:
+        out[lo:hi] = np.convolve(
+            kernel[lo + n - vb : hi + n - va - 1], weighted[va:vb], mode="valid"
+        )
+    return out
 
 
 @dataclass(frozen=True)

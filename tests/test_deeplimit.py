@@ -76,6 +76,19 @@ def _dense_gaussian(values, h, v, dcoef, t):
     return kernel @ (weights * values)
 
 
+def _full_length_reference(values, h, v, dcoef, t):
+    """The closed form as one convolution of all 2n-1 kernel samples with all n weighted values."""
+    n = values.size
+    spread = 4.0 * dcoef * t
+    gap = np.arange(1 - n, n) * h - v * t
+    with np.errstate(over="ignore"):
+        kernel = np.exp(-(gap**2) / spread) / math.sqrt(math.pi * spread)
+    weights = np.full(n, h)
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    return np.convolve(kernel, weights * values, mode="valid")
+
+
 def _dirac_density(n, index, h=1.0):
     """Unit mass on one grid point: density 1/h there."""
     values = np.zeros(n)
@@ -435,6 +448,84 @@ class TestGaussianSolution:
     def test_spread_underflowing_to_zero_rejected(self):
         with pytest.raises(ValueError, match=r"4\*Dcoef\*t = 4\*4.94066e-324\*0.1 underflows"):
             gaussian_solution(_dirac_density(11, 5), 1.0, 0.0, 5e-324, 0.1)
+
+
+    @pytest.mark.parametrize("cell", [0, 1, 400, 800])
+    @pytest.mark.parametrize("v", [-1.5, 0.0, 2.0])
+    @pytest.mark.parametrize("h", [1.0, 0.5, 0.25])
+    def test_single_point_keeps_the_full_length_bits(self, cell, v, h):
+        # the kernel underflows some 95/h cells from its centre, well inside 2*801-1
+        values = _dirac_density(801, cell, h)
+        out = gaussian_solution(values, h, v, 1.0, 3.0)
+        assert np.array_equal(out, _full_length_reference(values, h, v, 1.0, 3.0))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_few_points_and_dense_match_full_length(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 801
+        h = (1.0, 0.5, 0.25)[seed % 3]
+        sparse = np.zeros(n)
+        points = rng.integers(0, n, int(rng.integers(2, 6)))
+        sparse[points] = rng.random(points.size)
+        dense = rng.random(n)
+        for values in (sparse, dense):
+            for v, dcoef, t in ((-1.5, 1.0, 3.0), (2.0, 0.3, 0.7), (0.5, 40.0, 2.0)):
+                out = gaussian_solution(values, h, v, dcoef, t)
+                expected = _full_length_reference(values, h, v, dcoef, t)
+                np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "values, v, dcoef",
+        [
+            (np.zeros(101), 0.0, 1.0),
+            (_dirac_density(101, 50), 0.5, 1e-305),  # v*t between grid points: kernel all 0
+            (_dirac_density(101, 0), -60.0, 1.0),  # kernel nonzero, all of it off the grid
+        ],
+        ids=["zero_input", "kernel_underflows", "drifted_off_grid"],
+    )
+    def test_no_overlap_gives_zeros(self, values, v, dcoef):
+        out = gaussian_solution(values, 1.0, v, dcoef, 1.0)
+        assert np.array_equal(out, np.zeros(101))
+        assert np.array_equal(out, _full_length_reference(values, 1.0, v, dcoef, 1.0))
+
+    def test_dirac_convolves_only_the_kernel_span(self):
+        n, c = 200_001, 100_000
+        spread = 4.0 * 1.0 * 10.0
+        gap = np.arange(1 - n, n, dtype=float)
+        kernel_span = np.count_nonzero(np.exp(-(gap**2) / spread) / math.sqrt(math.pi * spread))
+        with mock.patch.object(np, "convolve", wraps=np.convolve) as convolve:
+            out = gaussian_solution(_dirac_density(n, c), 1.0, 0.0, 1.0, 10.0)
+        (kernel, weighted), _ = convolve.call_args
+        assert convolve.call_count == 1
+        assert len(kernel) <= kernel_span < 400
+        assert len(weighted) == 1
+        x = np.arange(float(n))
+        exact = np.exp(-((x - c) ** 2) / spread) / math.sqrt(spread * math.pi)
+        assert np.max(np.abs(out - exact)) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "h, v, dcoef, t, match",
+        [
+            (1.0, math.nan, 1.0, 1.0, "v must be finite"),
+            (1.0, math.inf, 1.0, 1.0, "v must be finite"),
+            (1.0, -math.inf, 1.0, 1.0, "v must be finite"),
+            (1.0, 0.0, 1.0, math.inf, "t must be non-negative and finite"),
+            (1.0, 0.0, math.inf, 1.0, "Dcoef must be positive and finite"),
+            (1.0, 1e308, 1.0, 10.0, r"v\*t = 1e\+308\*10 overflows"),
+            (1.0, 0.0, 1e308, 10.0, r"4\*Dcoef\*t = pi\*4\*1e\+308\*10 overflows"),
+            (1.0, 0.0, 2e307, 1.0, r"4\*Dcoef\*t = pi\*4\*2e\+307\*1 overflows"),
+            (1e308, 0.0, 1.0, 1.0, r"h\*values overflows"),
+        ],
+        ids=[
+            "v_nan", "v_inf", "v_minus_inf", "t_inf", "dcoef_inf",
+            "drift_overflows", "spread_overflows", "normaliser_overflows", "weighted_overflows",
+        ],
+    )
+    def test_inputs_that_lose_the_mass_rejected(self, h, v, dcoef, t, match):
+        # each returned NaN or all zeros when the full-length convolution ran unchecked
+        values = _dirac_density(11, 5) * 10.0
+        with pytest.raises(ValueError, match=match):
+            gaussian_solution(values, h, v, dcoef, t)
 
 
 class TestCompareMarkovPde:
