@@ -184,14 +184,16 @@ def uniform_path_weight(r: int, L: int) -> float:
 def shatter_analysis(chain: LayerChain, r: int, eps: Optional[float] = None) -> ShatterReport:
     """Path-weight report for a chain against the uniform-r baseline.
 
-    A path weight too small for a float reads 0.0.
+    A path weight too small for a float reads 0.0.  ``r`` and ``eps`` are
+    checked before the pass, so a bad option is reported before any layer
+    is built.
     """
-    direct, continuum = max_path_weight(chain)
     uniform = uniform_path_weight(r, len(chain))
     if eps is not None and not eps > 0:
         raise ValueError(f"eps must be positive when given, got {eps!r}")
     if eps is not None and not math.isfinite(eps):
         raise ValueError(f"eps must be finite when given, got {eps!r}")
+    direct, continuum = max_path_weight(chain)
     return ShatterReport(
         max_path_weight=direct,
         continuum_estimate=continuum,

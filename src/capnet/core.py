@@ -91,6 +91,16 @@ def _column_norms(matrix: np.ndarray) -> np.ndarray:
     return norms
 
 
+def _keyed_columns(matrix: np.ndarray) -> tuple[np.ndarray, list]:
+    """Each column as a row of its own with -0.0 made 0.0, and each row's bytes.
+
+    Two finite columns have equal keys exactly when they are equal.
+    """
+    rows = matrix.T.copy()
+    rows += 0.0
+    return rows, rows.view(f"V{8 * rows.shape[1]}").ravel().tolist()
+
+
 @dataclass(frozen=True)
 class ProjectionMatrix:
     """First-layer weights: columns are the distinct, unit-norm projection vectors."""
@@ -106,11 +116,7 @@ class ProjectionMatrix:
             raise ValueError(
                 f"projection columns must have unit norm; column {bad} has norm {norms[bad]!r}"
             )
-        # one key per column: its bytes after + 0.0, which turns -0.0 into 0.0,
-        # so two finite columns have equal keys exactly when they are equal
-        keyed = matrix.T.copy()
-        keyed += 0.0
-        keys = keyed.view(f"V{8 * keyed.shape[1]}").ravel().tolist()
+        keys = _keyed_columns(matrix)[1]
         if len(set(keys)) < len(keys):
             # groups keep the order of their first column, so the first group
             # of two starts at the lowest column that has a later equal one
@@ -225,12 +231,10 @@ def orthonormal_basis(matrix) -> CapacityBasis:
     matrix = _as_matrix(matrix, "matrix")
     if matrix.size == 0 or not np.any(matrix):
         return CapacityBasis(np.zeros((matrix.shape[0], 0)))
-    # one row per column, its largest-magnitude entry made positive and -0.0 made
-    # 0.0, then the rows sorted by their bytes: exact, and blind to column position
+    # each column's largest-magnitude entry made positive, then the columns sorted
+    # by their keys: exact, and blind to column position
     lead = matrix[np.argmax(np.abs(matrix), axis=0), np.arange(matrix.shape[1])]
-    rows = (matrix * np.where(lead < 0, -1.0, 1.0)).T.copy()
-    rows += 0.0
-    keys = rows.view(f"V{8 * rows.shape[1]}").ravel().tolist()
+    rows, keys = _keyed_columns(matrix * np.where(lead < 0, -1.0, 1.0))
     order = sorted(range(len(keys)), key=keys.__getitem__)
     u, s, _ = np.linalg.svd(rows[order].T, full_matrices=False)
     rank = int(np.sum(s > _RANK_TOL * s[0]))

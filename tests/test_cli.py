@@ -24,7 +24,6 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import capnet
-from capnet import jsonfmt
 from capnet import cli
 from capnet.analyze import ErfReport, ShatterReport, erf_profile, shatter_analysis
 from capnet.augment import DecouplingReport
@@ -525,6 +524,26 @@ class TestSpecLayersBuiltOnDemand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: layer 4: cannot read weights file {weights!r}\n"
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (["--eps", "-1"], "eps must be positive when given, got -1.0"),
+            (["--r", "0"], "r and L must be positive integers"),
+        ],
+        ids=["eps", "r"],
+    )
+    def test_shatter_options_checked_before_any_layer_is_built(
+        self, tmp_path, capsys, monkeypatch, option, message
+    ):
+        # the spec also has a build-time fault, which the option's check must come before
+        path, weights = _every_kind_spec(tmp_path)
+        os.remove(weights)
+        built = []
+        monkeypatch.setattr(PropagationOperator, "__post_init__", lambda op: built.append(op))
+        assert main(["shatter", path] + option) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert built == []
 
 
 @pytest.mark.parametrize("command", ["chain", "erf", "shatter"])
@@ -1160,7 +1179,7 @@ def test_pde_and_erf_leave_numpy_random_unimported(tmp_path, argv):
     ],
 )
 def test_stdout_and_out_file_hold_the_same_bytes(tmp_path, capsysbinary, argv):
-    # reports large enough that the emitter writes them in many pieces
+    # reports of more than 4,096 lines, which the emitter writes in many pieces
     spec = _write_spec(tmp_path, "deep.json", _residual_spec(201, 30))
     argv = [spec if arg == "SPEC" else arg for arg in argv]
     csv_args = ["--csv", str(tmp_path / "a.csv")] if argv[0] == "chain" else []
@@ -1171,7 +1190,7 @@ def test_stdout_and_out_file_hold_the_same_bytes(tmp_path, capsysbinary, argv):
     assert main(argv + ["--out", str(out)] + csv_args) == 0
     assert capsysbinary.readouterr().out == b""
     assert out.read_bytes() == printed
-    assert printed.endswith(b"}\n") and printed.count(b"\n") > jsonfmt._FLUSH_PIECES
+    assert printed.endswith(b"}\n") and printed.count(b"\n") > 4096
     if argv[0] == "chain":
         table = (tmp_path / "a.csv").read_bytes()
         assert (tmp_path / "b.csv").read_bytes() == table

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -87,17 +88,25 @@ _SCALARS = st.one_of(
     st.builds(np.int8, st.integers(-128, 127)),
     st.builds(np.float64, _FLOATS),
     st.builds(np.float32, st.floats(width=32)),
+    st.builds(np.longdouble, _FLOATS),
 )
+_EDGES = st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
 _ARRAYS = st.one_of(
     st.lists(_FLOATS, max_size=5).map(lambda xs: np.array(xs, dtype=float)),
     st.lists(st.integers(-5, 5), min_size=1, max_size=6).map(lambda xs: np.array(xs).reshape(-1, 1)),
     st.lists(st.booleans(), max_size=4).map(lambda xs: np.array(xs, dtype=bool)),
-    # float matrices, empty ones and single columns included
-    arrays(
-        float,
-        array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=4),
-        elements=st.one_of(_FLOATS, st.sampled_from([math.nan, math.inf, -math.inf, -0.0])),
+    # float vectors and matrices of every float width, with non-finite values and -0.0,
+    # empty ones and single columns included
+    *(
+        arrays(
+            dtype,
+            array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4),
+            elements=st.one_of(st.floats(width=width), _EDGES),
+        )
+        for dtype, width in ((float, 64), (np.float32, 32), (np.float16, 16), (np.longdouble, 64))
     ),
+    # a vector longer than a format block
+    arrays(float, jsonfmt._BLOCK_VALUES + 3, elements=st.one_of(_FLOATS, _EDGES)),
 )
 _DOCUMENTS = st.recursive(
     st.one_of(_SCALARS, _ARRAYS),
@@ -110,10 +119,23 @@ _DOCUMENTS = st.recursive(
 )
 
 
+def _assert_same_text(text, reference):
+    """Fail at the first character where two texts differ.
+
+    pytest's own diff of two texts grows faster than the square of their lines
+    (31 s at 500 lines on a 2-CPU Xeon), and hypothesis repeats a failure while
+    it shrinks it.
+    """
+    if text != reference:
+        at = len(os.path.commonprefix([text, reference]))
+        near = slice(max(at - 40, 0), at + 40)
+        pytest.fail(f"texts differ at character {at}: {text[near]!r} != {reference[near]!r}")
+
+
 @settings(max_examples=300, deadline=None)
 @given(_DOCUMENTS)
 def test_single_pass_matches_two_pass_reference(doc):
-    assert canonical_dumps(doc) == _dumps_reference(doc)
+    _assert_same_text(canonical_dumps(doc), _dumps_reference(doc))
 
 
 def test_keys_sorted():
@@ -129,6 +151,10 @@ def test_floats_round_trip():
 def test_non_finite_becomes_null():
     doc = json.loads(canonical_dumps({"a": math.nan, "b": math.inf}))
     assert doc == {"a": None, "b": None}
+    # a longdouble past the double range rounds to an infinite double, written as null
+    big = np.longdouble(2) ** 1100
+    for value in (big, np.array([big, -big, 1.0]), np.array([[big, 1.0], [-big, 2.0]])):
+        assert canonical_dumps(value) == _dumps_reference(value)
 
 
 def test_numpy_types_normalized():
@@ -174,7 +200,8 @@ def test_dataclass_written_by_its_fields():
 
 
 def test_unserializable_rejected():
-    for value in (object(), _Outer):  # a dataclass class is not an instance
+    # a dataclass class is not an instance; np.clongdouble(1).tolist() is itself
+    for value in (object(), _Outer, np.clongdouble(1)):
         with pytest.raises(TypeError, match="serialize"):
             canonical_dumps({"f": value})
 
@@ -190,9 +217,9 @@ class _CountingWriter(io.StringIO):
 
 
 def test_streamed_dump_matches_the_string_across_many_flushes():
-    # a list, a dict and a tuple of pairs that each pass the flush size several times
+    # a list, a dict and a tuple of pairs of 8,192 items each
     items = [1 / 7, 3, True, np.float64(2.5), math.nan, -math.inf, (1, (0.5, None)), np.int64(-4)]
-    size = 2 * jsonfmt._FLUSH_PIECES
+    size = 8192
     rows = [items[i % len(items)] for i in range(size)]
     wide = {f"k{i:05d}": items[i % len(items)] for i in range(size)}
     pairs = tuple((i, i / 3) for i in range(size))
@@ -201,7 +228,8 @@ def test_streamed_dump_matches_the_string_across_many_flushes():
     plain = dict(doc, inner={"values": [0.0, 1.0, 2.0], "label": "x"})
     handle = _CountingWriter()
     canonical_dump(doc, handle)
-    assert handle.getvalue() == canonical_dumps(doc) == _dumps_reference(plain)
+    _assert_same_text(handle.getvalue(), canonical_dumps(doc))
+    _assert_same_text(handle.getvalue(), _dumps_reference(plain))
     assert handle.writes >= 10
 
 
@@ -225,7 +253,7 @@ def test_float_matrix_written_a_block_of_rows_at_a_time():
     handle = _RecordingWriter()
     canonical_dump(doc, handle)
     text = _dumps_reference(doc)
-    assert handle.getvalue() == text
+    _assert_same_text(handle.getvalue(), text)
     array_text = canonical_dumps(matrix)
     assert max(handle.lengths) < len(array_text) / 2
 
@@ -236,5 +264,5 @@ def test_float_rows_written_one_row_at_a_time():
     doc = {"profiles": [np.linspace(0.0, 1.0, 64) / (k + 3) for k in range(300)], "after": [1 / 3]}
     handle = _RecordingWriter()
     canonical_dump(doc, handle)
-    assert handle.getvalue() == _dumps_reference(doc)
+    _assert_same_text(handle.getvalue(), _dumps_reference(doc))
     assert max(handle.lengths) < 2 * len(canonical_dumps(doc["profiles"][0]))
