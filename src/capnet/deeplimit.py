@@ -36,7 +36,9 @@ _BOUNDARY_MASS_TOL = 1e-6
 _TRAJECTORY_BUDGET_BYTES = 2 * 2**30
 # Longest walk evolve_markov runs: a step costs some 2.5-4 us at n = 3 to 401,
 # so 10**7 steps take under a minute, and some 2-3.5 ns a cell on wide grids,
-# so 3*10**10 cell-steps take one to two minutes.
+# so 3*10**10 cell-steps take one to two minutes.  A step touches only the
+# window its mass can reach, but a walk whose mass reaches an edge steps the
+# whole grid from then on, so L*n stays the worst case and the limits count it.
 _MAX_WALK_STEPS = 10**7
 _MAX_WALK_CELL_STEPS = 3 * 10**10
 # Widest grid compare_markov_pde evaluates the closed form on.  The closed form
@@ -44,6 +46,9 @@ _MAX_WALK_CELL_STEPS = 3 * 10**10
 # costs O(n); a profile spread over the grid under a grid-wide kernel still
 # costs some 0.15-0.3 ns per n**2, about a minute at this width.
 _MAX_CLOSED_FORM_CELLS = 5 * 10**5
+# exp(-x) is exactly 0 from x = 745.14 on; gaussian_solution builds its kernel
+# samples only where the exponent is below this, a margin past that point.
+_KERNEL_EXPONENT = 800.0
 # Narrowest closed form compare_markov_pde compares against, as its std in
 # cells of the finest level: a narrower kernel falls between grid points, and
 # every level's relative error reads about 1.
@@ -53,6 +58,11 @@ _MIN_CLOSED_FORM_STD_CELLS = 0.25
 # Bytes per block of rows: erf_profile reduces its walk in blocks of this
 # size, and _pmf_std needs one temporary of the same size.
 _STD_BLOCK_BYTES = 2**20
+# Steps a walk takes on one window before it scans the profile's span again.
+_SEGMENT_STEPS = 64
+# Most steps whose views a walk segment holds: a segment that laps its buffer
+# replays the views of one lap, and a buffer of more rows is walked a lap at a time.
+_SEGMENT_VIEWS = 1024
 
 
 def _pmf_std(rows: np.ndarray, total: np.ndarray) -> np.ndarray:
@@ -131,7 +141,7 @@ class ResidualGenerator:
         keep, up, down = _generator_weights(self)
         out = np.empty((self.n, self.n))
         step_all = _stepper(self, (keep[:, None], up, down), np.empty((self.n + 1, self.n)))
-        step_all([(np.eye(self.n), out, out[1:], out[:-1], out[:: self.n - 1])])
+        step_all([((np.eye(self.n), out), out[1:], out[:-1], out[:: self.n - 1])])
         return out
 
     def max_stable_eps(self) -> float:
@@ -165,29 +175,39 @@ def _generator_weights(gen: ResidualGenerator) -> Tuple[np.ndarray, float, float
     return keep, gen.up, gen.down
 
 
-def _stepper(gen: ResidualGenerator, weights, hop: np.ndarray) -> Callable[[Iterable], None]:
-    """A function that applies ``weights`` along axis 0 of each ``x`` it is given.
+def _stepper(
+    gen: ResidualGenerator, weights, hop: np.ndarray, lo: int = 0, hi: Optional[int] = None
+) -> Callable[[Iterable], None]:
+    """A function that steps the window of cells ``lo:hi`` (the whole grid by default).
 
-    It takes an iterable of ``(x, y, y[1:], y[:-1], y[::n-1])`` and writes each
-    ``y`` from its ``x`` in six ufunc calls (five on a reflecting grid) on
-    those views and on views of ``hop``, made once here.  ``hop`` is scratch
-    one cell longer than ``x``.  A cell adds its keep, the up hop from below,
-    then the down hop from above; on a periodic grid the two end cells add
-    the wrapped hops last.
+    It takes an iterable of ``((x, y), y[1:], y[:-1], y[::w-1])``, where ``x``
+    and ``y`` hold the window's ``w`` cells along axis 0 of a source and a
+    target, and writes each ``y`` from its ``x`` with ``weights`` in five
+    ufunc calls, six when the whole grid is periodic, on those views and on
+    views of ``hop`` made once here.  ``hop`` is scratch at least one cell
+    longer than the window.  A cell adds its keep, the up hop from below,
+    then the down hop from above.  Only the whole grid folds, through a
+    reflecting edge's keep, or wraps: a periodic grid's two end cells add
+    the wrapped hops last.  A narrower window's edge cells miss the hops from
+    outside it, so ``y`` gets the whole grid's bits only when ``x`` is +0.0
+    within two cells of the window's edges, inside and out; the whole grid
+    then gives +0.0 outside the window too.
     """
     keep, up, down = weights
-    above, below, inner, wrap = hop[1:], hop[:-1], hop[1:-1], hop[:: -gen.n]
-    periodic = gen.boundary == "periodic"
+    hi = gen.n if hi is None else hi
+    keep, hop = keep[lo:hi], hop[: hi - lo + 1]
+    above, below, inner, wrap = hop[1:], hop[:-1], hop[1:-1], hop[:: lo - hi]
+    wraps = gen.boundary == "periodic" and hi - lo == gen.n
     multiply, add = np.multiply, np.add
 
     def step_all(steps: Iterable) -> None:
-        for x, y, tail, head, ends in steps:
+        for (x, y), tail, head, ends in steps:
             multiply(x, keep, y)
             multiply(x, up, above)  # inner holds up times x[:-1]
             add(tail, inner, tail)
             multiply(x, down, below)  # inner holds down times x[1:]; hop[-1] keeps up times x[-1]
             add(head, inner, head)
-            if periodic:
+            if wraps:
                 add(ends, wrap, ends)  # cell 0 adds up times x[-1], cell n-1 down times x[0]
 
     return step_all
@@ -230,6 +250,12 @@ def _check_walk(gen: ResidualGenerator, cfg: DeepLimitConfig, keep_all: bool = F
         )
 
 
+def _nonzero_span(a: np.ndarray) -> Tuple[int, int]:
+    """First and one-past-last index of the nonzero entries of ``a``; (0, 0) if none."""
+    nz = np.flatnonzero(a)
+    return (int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0)
+
+
 def _walk(
     gen: ResidualGenerator,
     cfg: DeepLimitConfig,
@@ -242,36 +268,74 @@ def _walk(
     The walk is refused at the first ``next()``, before its first step:
     ``keep_all`` applies the 2 GiB trajectory limit, for a caller that keeps,
     or reports on, every one of the L+1 profiles.  The blocks are views of
-    one reused buffer of ``block_rows`` rows (at least 2, by default about
-    1 MiB; fewer if the walk is shorter), so each must be read before the
-    next is asked for, and the last block may be shorter.  Trajectory row k
-    sits in buffer row k modulo the buffer's rows.  Each step is the ufunc
-    calls of :func:`_stepper`, O(n) per step, on views of the buffer made
-    once per block and on scratch views made once per walk, and it
+    one reused, zero-initialized buffer of ``block_rows`` rows (at least 2,
+    by default about 1 MiB; fewer if the walk is shorter), so each must be
+    read before the next is asked for, and the last block may be shorter.
+    Trajectory row k sits in buffer row k modulo the buffer's rows.
+
+    The walk runs in segments.  A segment of s steps, at most
+    ``_SEGMENT_STEPS``, from a profile whose bit-nonzero span is [a, b)
+    (-0.0 counts as nonzero) steps only the window [a-s-1, b+s+1), grown to
+    cover the windows before it: after j steps the mass spans at most
+    [a-j, b+j), and a buffer row from an earlier lap is +0.0 outside the
+    earlier windows.  Every skipped term is an exact +0.0, so each profile
+    keeps the bits of a whole-grid walk.  A window that would reach cell 0
+    or n-1 becomes the whole grid, with its fold or wrap, for the rest of
+    the walk, in one segment, or one buffer lap at a time when a lap is
+    longer than ``_SEGMENT_VIEWS`` steps.  A step is the ufunc calls of
+    :func:`_stepper`, O(window), on views made once per segment; a segment
+    that laps the buffer replays one lap's views, so at most
+    ``_SEGMENT_VIEWS`` steps' views are alive at once, whatever L.  Each step
     conserves the total capacity.
     """
     if kappa_top.n != gen.n:
         raise ValueError(f"capacity has {kappa_top.n} entries, generator expects {gen.n}")
     gen._check_eps(cfg.eps)
     _check_walk(gen, cfg, keep_all)
+    n = gen.n
     if block_rows is None:
-        block_rows = max(2, _STD_BLOCK_BYTES // (8 * gen.n))
-    rows = np.empty((min(block_rows, cfg.L + 1), gen.n))
+        block_rows = max(2, _STD_BLOCK_BYTES // (8 * n))
+    rows = np.zeros((min(block_rows, cfg.L + 1), n))  # cells outside every window stay +0.0
     rows[0] = kappa_top.values
     keep, up, down = _generator_weights(gen)
     # the entries of I + eps*Delta; numpy multiplies by a 0-d array faster than by a float
     weights = (1.0 + cfg.eps * keep, np.array(cfg.eps * up), np.array(cfg.eps * down))
-    step_all = _stepper(gen, weights, np.empty(gen.n + 1))
-    # each row with the views a step writes it through; a step reads the row
-    # before, and rows[0] reads the ring's last row
-    into = (rows, rows[:, 1:], rows[:, :-1], rows[:, :: gen.n - 1])
+    hop = np.empty(n + 1)
     count = len(rows)
+    # the window starts as the top profile's span, of the bits, so that -0.0 counts as nonzero
+    lo, hi = _nonzero_span(rows[0].view(np.int64))
+    walked, left = 0, 0  # the last trajectory row written, and the steps left in its segment
     for start in range(0, cfg.L + 1, count):
         if start:
             yield rows
         stop = min(count, cfg.L + 1 - start)
-        steps = zip(itertools.chain(rows[-1:], rows), *into)
-        step_all(itertools.islice(steps, 0 if start else 1, stop))  # the top profile fills rows[0]
+        while walked < start + stop - 1:
+            if not left:
+                left = min(_SEGMENT_STEPS, cfg.L - walked)
+                if hi - lo < n:
+                    a, b = _nonzero_span(rows[walked % count, lo:hi].view(np.int64))
+                    if a < b:
+                        lo, hi = min(lo, lo + a - left - 1), max(hi, lo + b + left + 1)
+                    if lo <= 0 or hi >= n:
+                        lo, hi = 0, n
+                if hi - lo == n:
+                    # the rest of the walk, replaying one lap's views, or one lap at a time
+                    left = cfg.L - walked if count <= _SEGMENT_VIEWS else min(cfg.L - walked, count)
+                step_all = _stepper(gen, weights, hop, lo, hi)
+                cells = rows[:, lo:hi]
+                p = (walked + 1) % count  # the buffer row the segment's first step writes
+                # a lap of steps from buffer row p, each writing a row from the row before it
+                before = cells[p - 1 : p] if p else cells[-1:]
+                views = (cells[:, 1:], cells[:, :-1], cells[:, :: hi - lo - 1])
+                lap = zip(
+                    itertools.pairwise(itertools.chain(before, cells[p:], cells[:p])),
+                    *(itertools.chain(v[p:], v[:p]) for v in views),
+                )
+                steps = itertools.cycle(lap) if left > count else lap
+            take = min(left, start + stop - 1 - walked)
+            step_all(itertools.islice(steps, take))
+            walked += take
+            left -= take
     yield rows[:stop]
 
 
@@ -290,17 +354,13 @@ def evolve_markov(
     its first step.  With ``keep_all=False`` only row L is returned: two O(n)
     buffers take turns as the source and target of a step.  Both run the
     block walk that ``erf_profile`` reduces 1 MiB at a time: the trajectory
-    as one block of L+1 rows, the last profile through blocks of two.
+    as one block of L+1 rows, the last profile through blocks of two.  Each
+    step touches only the window of cells the mass can reach, so a Dirac
+    costs O(k) at step k until its mass nears an edge, and O(n) a step after.
     """
     for rows in _walk(gen, cfg, kappa_top, keep_all, cfg.L + 1 if keep_all else 2):
         pass
     return rows if keep_all else rows[-1]
-
-
-def _nonzero_span(a: np.ndarray) -> Tuple[int, int]:
-    """First and one-past-last index of the nonzero entries of ``a``; (0, 0) if none."""
-    nz = np.flatnonzero(a)
-    return (int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0)
 
 
 def gaussian_solution(values, h: float, v: float, Dcoef: float, t: float) -> np.ndarray:
@@ -309,15 +369,17 @@ def gaussian_solution(values, h: float, v: float, Dcoef: float, t: float) -> np.
     ``values`` are density samples on the grid ``x_i = i*h``.  Evaluates
     ``pi(t, x) = int G(x - y - v t) pi(0, y) dy`` with the Gaussian kernel of
     variance ``2 Dcoef t`` on that grid; ``t = 0`` returns a copy of the
-    values.  The kernel depends on ``i - j`` only, so its 2n-1 samples are
-    built in O(n), and only their nonzero span is convolved with the nonzero
-    span of the weighted values: O(n + s_kernel*s_values) time, O(n) for a
-    Dirac, and O(n**2) only for a profile spread over the grid under a
-    grid-wide kernel.  Every output of a single-point input is one product,
-    so it keeps the bits of the full-length convolution; with several points
-    the sums change by rounding only.  A non-finite ``v``, ``Dcoef`` or ``t``
-    is refused, and so is a drift ``v*t``, a spread ``4*Dcoef*t`` or a
-    weighted value ``h*values`` that overflows.
+    values.  The kernel depends on ``i - j`` only, so it has 2n-1 samples.
+    Only those whose exponent is short of where ``exp`` underflows to exactly
+    0 are computed, the rest stay 0, and only their nonzero span is convolved
+    with the nonzero span of the weighted values: O(n + s_kernel*s_values)
+    time, where the O(n) is zeroed buffers, and O(n**2) only for a profile
+    spread over the grid under a grid-wide kernel.  Every output of a
+    single-point input is one product, so it keeps the bits of the
+    full-length convolution; with several points the sums change by rounding
+    only.  A non-finite ``v``, ``Dcoef`` or ``t`` is refused, and so is a
+    drift ``v*t``, a spread ``4*Dcoef*t`` or a weighted value ``h*values``
+    that overflows.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size < 2:
@@ -352,11 +414,19 @@ def gaussian_solution(values, h: float, v: float, Dcoef: float, t: float) -> np.
         weighted = weights * values
     if not np.all(np.isfinite(weighted)):
         raise ValueError(f"h*values overflows: h = {h:g}, largest value {values.max():g}")
-    gap = np.arange(1 - n, n) * h - drift  # x_i - x_j - v t at i - j = 1-n .. n-1
+    # the kernel at i - j = 1-n .. n-1, sampled only where gap**2/spread is below
+    # _KERNEL_EXPONENT; the reach also covers the rounding of gap = (i-j)*h - drift
+    kernel = np.zeros(2 * n - 1)
+    reach = math.sqrt(_KERNEL_EXPONENT * spread) + 1e-15 * (n * h + abs(drift))
+    below, above = (min(max(x / h, -n), n) for x in (drift - reach, drift + reach))
+    first, last = max(1 - n, math.floor(below)), min(n - 1, math.ceil(above))
+    sampled = slice(first + n - 1, last + n)
+    gap = np.arange(first, last + 1) * h - drift  # x_i - x_j - v t
     with np.errstate(over="ignore"):  # a tiny spread sends the exponent to -inf, and exp to 0
-        kernel = np.exp(-(gap**2) / spread) / math.sqrt(math.pi * spread)
+        kernel[sampled] = np.exp(-(gap**2) / spread) / math.sqrt(math.pi * spread)
     out = np.zeros(n)
-    ka, kb = _nonzero_span(kernel)  # one run: the kernel is unimodal in i - j
+    # one run, since the kernel is unimodal in i - j
+    ka, kb = (k + sampled.start for k in _nonzero_span(kernel[sampled]))
     va, vb = _nonzero_span(weighted)
     # out[i] sums kernel[i+n-vb : i+n-va] against weighted[va:vb] reversed; the
     # window meets the kernel's nonzero span only for ka+va-n < i < kb+vb-n

@@ -4,7 +4,9 @@ Keys are sorted, floats carry at most 17 significant digits (enough to
 round-trip any double), indentation is two spaces with LF newlines, and
 non-finite floats serialize as null since JSON has no spelling for them.
 A numpy value is written as the plain value it stands for, and a dataclass
-instance as the object of its fields, keyed by field name.
+instance as the object of its fields, keyed by field name.  A dict key must
+be a ``str`` or an ``int`` (not a ``bool``), and no two keys of one dict may
+print alike, so no entry is dropped or renamed on the way out.
 
 ``canonical_dump`` passes each token straight to the text handle's
 ``write``, so the handle's own buffer is the only one and writing a report
@@ -59,12 +61,19 @@ def _emit(obj: Any, indent: int, write: Callable[[str], Any]) -> None:
         if not obj:
             write("{}")
             return
+        items = {}  # each key as written, with the key it came from and its value
+        for k, v in obj.items():
+            if not isinstance(k, (str, int)) or isinstance(k, bool):
+                raise TypeError(f"cannot serialize dict key {k!r}: a key must be a str or an int")
+            key = str(k)
+            if key in items:
+                raise TypeError(f"dict keys {items[key][0]!r} and {k!r} both print as {key!r}")
+            items[key] = (k, v)
         write("{\n")
-        items = {str(k): v for k, v in obj.items()}
         keys = sorted(items)
         for i, key in enumerate(keys):
             write(pad + "  " + json.dumps(key) + ": ")
-            _emit(items[key], indent + 1, write)
+            _emit(items[key][1], indent + 1, write)
             write(",\n" if i + 1 < len(keys) else "\n")
         write(pad + "}")
     elif isinstance(obj, np.ndarray) and 0 < obj.ndim < 3 and obj.size and obj.dtype.kind == "f":

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capnet.analyze import erf_profile, max_path_weight, shatter_analysis, uniform_path_weight
@@ -83,19 +83,23 @@ def _pmf_std_reference(values):
 
 
 def _walk_reference(gen, cfg, x0):
-    """The walk from a probe at x0, stepped with shifted slices and scalar wraps.
+    """The walk from a probe at x0, or from the profile x0, stepped on the whole grid.
 
-    Each cell adds its keep, then the up hop from the cell below, then the down
-    hop from the cell above.  On a periodic grid cell 0 adds the wrapped up hop
-    after its down hop; a reflecting edge folds the hop that would leave the grid
-    into the edge cell's keep.
+    Every step is shifted slices and scalar wraps over all n cells.  Each cell
+    adds its keep, then the up hop from the cell below, then the down hop from
+    the cell above.  On a periodic grid cell 0 adds the wrapped up hop after its
+    down hop; a reflecting edge folds the hop that would leave the grid into the
+    edge cell's keep.
     """
     keep = 1.0 + cfg.eps * (-2.0 * gen.Dcoef)
     first = 1.0 + cfg.eps * (-2.0 * gen.Dcoef + gen.down)
     last = 1.0 + cfg.eps * (-2.0 * gen.Dcoef + gen.up)
     up, down = cfg.eps * gen.up, cfg.eps * gen.down
     rows = np.zeros((cfg.L + 1, gen.n))
-    rows[0, x0] = 1.0
+    if np.ndim(x0):
+        rows[0] = x0
+    else:
+        rows[0, x0] = 1.0
     for k in range(1, cfg.L + 1):
         x, y = rows[k - 1], rows[k]
         y[:] = keep * x
@@ -331,6 +335,96 @@ class TestErfProfile:
         assert payload["probe_index"] == 25
         assert len(payload["per_depth_std"]) == 6
         assert isinstance(payload["boundary_flagged"], bool)
+
+
+def _assert_same_bits(got, expected):
+    """Equal arrays down to the sign of each zero."""
+    assert got.shape == expected.shape
+    np.testing.assert_array_equal(
+        np.ascontiguousarray(got).view(np.int64), np.ascontiguousarray(expected).view(np.int64)
+    )
+
+
+class TestWindowedWalk:
+    @settings(max_examples=80, deadline=None)
+    # a drift that stops the up hop leaves the trailing edge to decay to 0, so the
+    # span shrinks: a window that shrank with it would leave rows of earlier laps
+    # nonzero outside it
+    @example(
+        n=600, L=400, shape="dirac", cell=250, mass=0, width=1, dcoef=1.0, drift=-1.0,
+        fraction=0.99, boundary="periodic", block_rows=40, segment=3, views=1024, seed=0,
+    )
+    @given(
+        n=st.integers(70, 600),
+        L=st.integers(1, 1500),
+        shape=st.sampled_from(["dirac", "patch", "negative zeros", "tiny negatives"]),
+        cell=st.integers(-300, 300),
+        mass=st.integers(-300, 300),
+        width=st.integers(1, 8),
+        dcoef=st.floats(0.05, 5.0),
+        drift=st.sampled_from([-1.0, -0.3, 0.0, 0.7, 1.0]),
+        fraction=st.floats(0.01, 0.99),
+        boundary=st.sampled_from(["periodic", "reflecting"]),
+        block_rows=st.integers(2, 40),
+        segment=st.sampled_from([1, 3, 16, 64]),
+        views=st.sampled_from([1, 1024]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_a_whole_grid_loop_bit_for_bit(
+        self, n, L, shape, cell, mass, width, dcoef, drift, fraction, boundary, block_rows,
+        segment, views, seed
+    ):
+        # the walk steps only a window round the mass, grown segment by segment,
+        # and the whole grid once the window reaches an edge; a drift of +-1 stops
+        # one of the two hops.  cell and mass count from the centre.
+        cell, mass = (min(max(n // 2 + at, 0), n - 1) for at in (cell, mass))
+        top = np.zeros(n)
+        run = top[cell : cell + width]
+        if shape == "patch":
+            run[:] = np.random.default_rng(seed).uniform(0.01, 1.0, run.size)
+        elif shape == "negative zeros":
+            run[:] = -0.0
+        elif shape == "tiny negatives":
+            run[:] = -np.random.default_rng(seed).uniform(0.0, 1e-10, run.size)
+        if shape != "patch":
+            top[cell if shape == "dirac" else mass] = 1.0
+        gen = ResidualGenerator(n, 2.0 * dcoef * drift, dcoef, boundary)
+        cfg = DeepLimitConfig(eps=fraction * gen.max_stable_eps(), L=L)
+        kappa = SpatialCapacity(top)
+        walked = _walk_reference(gen, cfg, top)
+        # short segments and rings of few rows, so that segments and laps interleave
+        with mock.patch.multiple(
+            "capnet.deeplimit",
+            _STD_BLOCK_BYTES=8 * n * block_rows,
+            _SEGMENT_STEPS=segment,
+            _SEGMENT_VIEWS=views,
+        ):
+            blocks = [rows.copy() for rows in _walk(gen, cfg, kappa, keep_all=True)]
+            report = erf_profile(gen, cell, cfg) if shape == "dirac" else None
+            kept = evolve_markov(gen, cfg, kappa)
+            last = evolve_markov(gen, cfg, kappa, keep_all=False)
+        _assert_same_bits(np.concatenate(blocks), walked)
+        _assert_same_bits(kept, walked)
+        _assert_same_bits(last, walked[-1])
+        if report is not None:
+            stds, flagged = _erf_reference(gen, cell, cfg)
+            np.testing.assert_array_equal(report.per_depth_std, stds)
+            assert report.boundary_flagged == flagged
+
+    def test_dirac_steps_only_the_cells_its_mass_can_reach(self):
+        # after k steps a Dirac covers at most 2k+1 cells; the walk stepped all
+        # 100,001 cells at every one of the 50 steps
+        n, L = 100_001, 50
+        gen = ResidualGenerator(n, 0.3, 1.0)
+        cfg = DeepLimitConfig(eps=0.2, L=L)
+        probe = SpatialCapacity.dirac(n, n // 2)
+        with mock.patch.object(np, "multiply", wraps=np.multiply) as multiply:
+            with mock.patch.object(np, "add", wraps=np.add) as add:
+                last = evolve_markov(gen, cfg, probe, keep_all=False)
+        calls = multiply.call_args_list + add.call_args_list
+        assert len(calls) == 5 * L
+        assert max(arg.size for call in calls for arg in call.args) <= 2 * L + 3
+        _assert_same_bits(last, _walk_reference(gen, cfg, n // 2)[-1])
 
 
 class TestMaxPathWeight:

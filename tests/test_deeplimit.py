@@ -459,6 +459,25 @@ class TestGaussianSolution:
         out = gaussian_solution(values, h, v, 1.0, 3.0)
         assert np.array_equal(out, _full_length_reference(values, h, v, 1.0, 3.0))
 
+    @pytest.mark.parametrize("n", [2, 3, 101, 4001])
+    @pytest.mark.parametrize("h", [0.01, 1.0, 3.7])
+    @pytest.mark.parametrize("v, dcoef", [(0.0, 1.0), (-40.0, 0.05), (7.5, 300.0)])
+    def test_sampled_kernel_keeps_the_full_length_bits(self, n, h, v, dcoef):
+        # kernels from a few cells wide to wider than the grid, centred on or off it
+        for cell in sorted({0, 1, n // 2, n - 1}):
+            values = _dirac_density(n, cell, h)
+            out = gaussian_solution(values, h, v, dcoef, 1.0)
+            assert out.tobytes() == _full_length_reference(values, h, v, dcoef, 1.0).tobytes()
+
+    def test_kernel_sampled_only_short_of_exp_underflow(self):
+        # exp(-x) is 0 from x = 745.14 on: some 345 of the 400,001 samples are nonzero
+        n = 200_001
+        with mock.patch.object(np, "exp", wraps=np.exp) as exp:
+            out = gaussian_solution(_dirac_density(n, 100_000), 1.0, 0.0, 1.0, 10.0)
+        ((exponents,), _), = exp.call_args_list
+        assert exponents.size < 400
+        assert np.count_nonzero(out) > 300
+
     @pytest.mark.parametrize("seed", range(6))
     def test_few_points_and_dense_match_full_length(self, seed):
         rng = np.random.default_rng(seed)

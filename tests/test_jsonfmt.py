@@ -28,6 +28,9 @@ def _normalize_reference(obj):
     if isinstance(obj, (list, tuple)):
         return [_normalize_reference(x) for x in obj]
     if isinstance(obj, dict):
+        keys = [k for k in obj if isinstance(k, (str, int)) and not isinstance(k, bool)]
+        if len(keys) < len(obj) or len({str(k) for k in keys}) < len(obj):
+            raise TypeError(f"dict keys {list(obj)!r} are not distinct str or int keys")
         return {str(k): _normalize_reference(v) for k, v in obj.items()}
     return obj
 
@@ -135,7 +138,33 @@ def _assert_same_text(text, reference):
 @settings(max_examples=300, deadline=None)
 @given(_DOCUMENTS)
 def test_single_pass_matches_two_pass_reference(doc):
-    _assert_same_text(canonical_dumps(doc), _dumps_reference(doc))
+    try:
+        reference = _dumps_reference(doc)
+    except TypeError:
+        with pytest.raises(TypeError, match="dict key"):
+            canonical_dumps(doc)
+    else:
+        _assert_same_text(canonical_dumps(doc), reference)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({1: "a", "1": "b"}, "dict keys 1 and '1' both print as '1'"),
+        ({"x": [{"-2": 0, -2: 1}]}, "dict keys '-2' and -2 both print as '-2'"),
+        ({True: 1}, "dict key True: a key must be a str or an int"),
+        ({"a": 1, np.int64(3): 2}, r"dict key np.int64\(3\): a key must be"),
+        ({1.5: "x"}, "dict key 1.5: a key must be"),
+        ({None: 0}, "dict key None: a key must be"),
+        ({(1, 2): 0}, r"dict key \(1, 2\): a key must be"),
+    ],
+)
+def test_dict_key_not_written_as_given_refused(doc, message):
+    # str(k) kept the last of two keys that print alike, and wrote True as "True"
+    with pytest.raises(TypeError, match=message):
+        canonical_dumps(doc)
+    with pytest.raises(TypeError):
+        _dumps_reference(doc)
 
 
 def test_keys_sorted():
