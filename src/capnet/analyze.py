@@ -162,7 +162,7 @@ def max_path_weight(chain: LayerChain) -> Tuple[float, float]:
             raise ValueError(f"layer {i} is not square: shape {(layer.n_in, layer.n_out)}")
     stacked = np.empty((len(chain), chain.n_in))
     for row, layer in zip(stacked[::-1], chain.top_down()):
-        row[:] = np.diag(layer.matrix)
+        row[:] = layer.diagonal()
     # np.prod along axis 0 multiplies the rows in order, first layer first, as a loop would
     direct = float(np.max(np.prod(stacked, axis=0)))
     continuum = float(np.max(np.exp(np.sum(stacked - 1.0, axis=0))))

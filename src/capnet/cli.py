@@ -25,13 +25,15 @@ from .analyze import erf_profile, shatter_analysis, uniform_path_weight
 from .augment import Activation, decoupling_nu, estimate_nu_monte_carlo
 from .core import ProjectionMatrix, SpatialCapacity
 from .deeplimit import DeepLimitConfig, ResidualGenerator, StabilityError, compare_markov_pde
+from .deeplimit import _MAX_WALK_CELL_STEPS, _generator_weights
 from .jsonfmt import canonical_dump, canonical_dumps
 from .oracle import ExperimentConfig, empirical_spatial_capacity
 from .propagate import (
     LayerChain,
+    Operator,
     PropagationOperator,
+    Stencil,
     _check_differential,
-    _check_window,
     differential_propagation_matrix,
     propagate_chain,
     propagation_matrix,
@@ -52,10 +54,11 @@ _LOG_LEVELS = {
 _WALK_DEFAULTS = {"n": 201, "eps": 0.1, "L": 100, "D": 1.0, "v": 0.0, "boundary": "periodic"}
 
 _LAYER_KEYS = {"kind", "n_in", "n_out", "activation", "weights", "eps"}
-# The n_in x n_out float64 operators of a spec's chain, together, or the one
-# layer verify draws.  Building one takes up to 4x its size at once, so a spec
-# stays within about 2 GiB.
-_SPEC_OPERATOR_BUDGET_BYTES = 512 * 2**20
+# What a spec's layers hold, together: each dense or differential layer's
+# n_in x n_out float64 operator or each stencil's taps, and the n_out-float
+# profile every interface keeps; or the one layer verify draws.  Building an
+# operator takes up to 4x its size at once, so a spec stays within about 2 GiB.
+_SPEC_BUDGET_BYTES = 512 * 2**20
 
 
 class SpecError(ValueError):
@@ -82,11 +85,12 @@ class NetworkSpec:
 
 @dataclass(frozen=True)
 class _Layer:
-    """A validated spec layer: its shape, and the call that builds its operator."""
+    """A validated spec layer: its shape, its operator's build, and its taps (0 if dense)."""
 
     n_in: int
     n_out: int
-    build: Callable[[], PropagationOperator]
+    build: Callable[[], Operator]
+    taps: int
 
 
 @contextlib.contextmanager
@@ -103,13 +107,13 @@ def _naming_layer(i: int):
 class _SpecChain(LayerChain):
     """A chain of ``_Layer`` descriptions, each built when a pass reaches it."""
 
-    def operator(self, i: int) -> PropagationOperator:
+    def operator(self, i: int) -> Operator:
         with _naming_layer(i):
             return self.layers[i].build()
 
 
-def _parse_layer(entry, seeds: List[int], spare_bytes: int) -> _Layer:
-    """One layer, checked as far as it can be without its matrix.
+def _parse_layer(entry, seeds: List[int]) -> _Layer:
+    """One layer, checked as far as it can be without its operator.
 
     Its errors are prefixed with the layer's index by the caller.
     """
@@ -129,36 +133,27 @@ def _parse_layer(entry, seeds: List[int], spare_bytes: int) -> _Layer:
     n_in, n_out = entry["n_in"], entry["n_out"]
     if not all(type(size) is int and size > 0 for size in (n_in, n_out)):
         raise SpecError("n_in and n_out must be positive integers")
-    if 8 * n_in * n_out > spare_bytes:
-        raise SpecError(
-            f"its {n_in}x{n_out} operator takes the chain past the "
-            f"{_SPEC_OPERATOR_BUDGET_BYTES // 2**20} MiB spec operator limit"
-        )
     if "activation" in entry and not isinstance(entry["activation"], str):
         raise SpecError(f"activation must be a string, got {entry['activation']!r}")
 
-    if weights.startswith("uniform:"):
-        if kind == "differential":
-            raise SpecError("uniform weights cannot be differential")
-        if "activation" in entry:
-            raise SpecError("uniform weights take no activation")
+    if weights.startswith(("uniform:", "residual:")):
+        name, params = weights.split(":", 1)
+        if kind == "differential" or (name == "residual" and kind != "residual"):
+            raise SpecError(f"{name} weights cannot be {kind}")
+        for key in ("activation", "eps"):
+            if key in entry:
+                raise SpecError(f"{name} weights take no {key}")
         if n_in != n_out:
-            raise SpecError("uniform weights need n_in == n_out")
-        try:
-            r = int(weights.split(":", 1)[1])
-        except ValueError:
-            raise SpecError(f"bad window in {weights!r}") from None
-        _check_window(n_in, r)
-        return _Layer(n_in, n_out, functools.partial(PropagationOperator.uniform_window, n_in, r))
-
-    if weights.startswith("residual:"):
-        if kind != "residual":
-            raise SpecError("residual weights need kind residual")
-        if "activation" in entry:
-            raise SpecError("residual weights take no activation")
-        if n_in != n_out:
-            raise SpecError("residual weights need n_in == n_out")
-        parts = weights.split(":", 1)[1].split(",")
+            raise SpecError(f"{name} weights need n_in == n_out")
+        if name == "uniform":
+            try:
+                r = int(params)
+            except ValueError:
+                raise SpecError(f"bad window in {weights!r}") from None
+            if not 1 <= r <= n_in:
+                raise SpecError(f"window size must be in [1, {n_in}], got {r}")
+            return _Layer(n_in, n_out, functools.partial(_uniform_stencil, n_in, r), r)
+        parts = params.split(",")
         if len(parts) != 3:
             raise SpecError(f"expected residual:<eps>,<v>,<D>, got {weights!r}")
         try:
@@ -167,7 +162,7 @@ def _parse_layer(entry, seeds: List[int], spare_bytes: int) -> _Layer:
             raise SpecError(f"non-numeric residual parameters in {weights!r}") from None
         generator = ResidualGenerator(n_in, v, dcoef)
         generator._check_eps(eps)
-        return _Layer(n_in, n_out, functools.partial(generator.step, eps))
+        return _Layer(n_in, n_out, functools.partial(_residual_stencil, generator, eps), 3)
 
     seed = None
     if weights.startswith("random_gaussian:"):
@@ -187,6 +182,8 @@ def _parse_layer(entry, seeds: List[int], spare_bytes: int) -> _Layer:
         eps = entry["eps"]
         if isinstance(eps, bool) or not isinstance(eps, (int, float)):
             raise SpecError(f"eps must be a number, got {eps!r}")
+    elif "eps" in entry:
+        raise SpecError("dense layers take no eps")
     elif "activation" not in entry:
         raise SpecError("dense layers need an activation")
     # D = P o P holds under total decoupling, so it describes pseudo_random layers only
@@ -199,7 +196,18 @@ def _parse_layer(entry, seeds: List[int], spare_bytes: int) -> _Layer:
     if eps is not None:
         _check_differential(n_in, n_out, eps)
     build = functools.partial(_projection_operator, weights, seed, n_in, n_out, eps)
-    return _Layer(n_in, n_out, build)
+    return _Layer(n_in, n_out, build, 0)
+
+
+def _uniform_stencil(n: int, r: int) -> Stencil:
+    """r taps of 1/r about each cell; an even window's extra tap lies above it."""
+    return Stencil(n, np.arange(r) - (r - 1) // 2, np.full(r, 1.0 / r))
+
+
+def _residual_stencil(generator: ResidualGenerator, eps: float) -> Stencil:
+    """``I + eps*Delta`` on a periodic grid, its taps in the walk's order: keep, up, down."""
+    keep, up, down = _generator_weights(generator)
+    return Stencil(generator.n, (0, 1, -1), (1.0 + eps * keep[0], eps * up, eps * down))
 
 
 def _projection_operator(
@@ -243,9 +251,12 @@ def _parse_top_capacity(value, n: int) -> SpatialCapacity:
     if isinstance(value, list):
         if len(value) != n:
             raise SpecError(f"top_capacity has {len(value)} entries, chain needs {n}")
+        for i, entry in enumerate(value):
+            if isinstance(entry, bool) or not isinstance(entry, (int, float)):
+                raise SpecError(f"top_capacity entry {i} must be a number, got {entry!r}")
         try:
             return SpatialCapacity(np.asarray(value, dtype=float))
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, ValueError) as exc:
             raise SpecError(f"bad top_capacity: {exc}") from None
     raise SpecError("top_capacity must be a vector, dirac:<index>, or uniform")
 
@@ -254,8 +265,11 @@ def parse_network_spec(document) -> NetworkSpec:
     """Validate an architecture document; its chain builds each operator when reached.
 
     Every check that does not need a layer's matrix runs here, in document
-    order.  Reading a weights file, drawing a layer's weights and the checks
-    on the matrix run when a pass over the chain builds that layer.
+    order.  Among them, the layers must fit in the 512 MiB spec budget, and a
+    pass must sum no more terms over all stencils, n times taps each, than a
+    walk may step cells.  Reading a weights file, drawing a layer's weights
+    and the checks on the matrix run when a pass over the chain builds that
+    layer.
     """
     if not isinstance(document, dict):
         raise SpecError("spec must be a JSON object")
@@ -269,11 +283,25 @@ def parse_network_spec(document) -> NetworkSpec:
         raise SpecError("spec needs top_capacity")
     seeds: List[int] = []
     layers: List[_Layer] = []
-    spare_bytes = _SPEC_OPERATOR_BUDGET_BYTES
+    spare_bytes, spare_cell_taps = _SPEC_BUDGET_BYTES, _MAX_WALK_CELL_STEPS
     for i, entry in enumerate(layers_doc):
         with _naming_layer(i):
-            layers.append(_parse_layer(entry, seeds, spare_bytes))
-        spare_bytes -= 8 * layers[-1].n_in * layers[-1].n_out
+            layer = _parse_layer(entry, seeds)
+            n, n_out, taps = layer.n_in, layer.n_out, layer.taps
+            spare_bytes -= 8 * n_out + (16 * taps if taps else 8 * n * n_out)
+            if spare_bytes < 0:
+                held = f"{taps}-tap stencil" if taps else f"{n}x{n_out} operator"
+                raise SpecError(
+                    f"its {held} and {n_out}-float profile take the spec past the "
+                    f"{_SPEC_BUDGET_BYTES // 2**20} MiB spec memory limit"
+                )
+            spare_cell_taps -= n * taps
+            if spare_cell_taps < 0:
+                raise SpecError(
+                    f"its {taps} taps on {n} cells take the spec's stencils past "
+                    f"{_MAX_WALK_CELL_STEPS:,} cell-taps a pass"
+                )
+        layers.append(layer)
     try:
         chain = _SpecChain(layers)
     except ValueError as exc:
@@ -422,10 +450,10 @@ def cmd_shatter(args) -> int:
 
 def cmd_verify(args) -> int:
     selector = tuple(int(part) for part in args.selector.split(","))
-    if 8 * args.n * args.m > _SPEC_OPERATOR_BUDGET_BYTES:
+    if 8 * args.n * args.m > _SPEC_BUDGET_BYTES:
         raise ValueError(
             f"a {args.n}x{args.m} layer is past the "
-            f"{_SPEC_OPERATOR_BUDGET_BYTES // 2**20} MiB operator limit"
+            f"{_SPEC_BUDGET_BYTES // 2**20} MiB operator limit"
         )
     weights = np.random.default_rng(args.seed).standard_normal((args.n, args.m))
     config = ExperimentConfig(

@@ -19,7 +19,6 @@ from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from .core import SpatialCapacity
-from .propagate import PropagationOperator
 
 __all__ = [
     "StabilityError",
@@ -39,6 +38,7 @@ _TRAJECTORY_BUDGET_BYTES = 2 * 2**30
 # so 3*10**10 cell-steps take one to two minutes.  A step touches only the
 # window its mass can reach, but a walk whose mass reaches an edge steps the
 # whole grid from then on, so L*n stays the worst case and the limits count it.
+# A spec's stencils may sum as many cell-taps in one pass as the walk steps cells.
 _MAX_WALK_STEPS = 10**7
 _MAX_WALK_CELL_STEPS = 3 * 10**10
 # Widest grid compare_markov_pde evaluates the closed form on.  The closed form
@@ -155,16 +155,13 @@ class ResidualGenerator:
     def _check_eps(self, eps: float) -> None:
         if not eps > 0:
             raise ValueError(f"eps must be positive, got {eps!r}")
+        if not math.isfinite(eps):
+            raise ValueError(f"eps must be finite, got {eps!r}")
         if eps >= self.max_stable_eps():
             raise StabilityError(
                 f"eps = {eps:g} makes I + eps*Delta negative; "
                 f"eps must be below {self.max_stable_eps():g}"
             )
-
-    def step(self, eps: float) -> PropagationOperator:
-        """One dense residual layer ``I + eps*Delta``; refuses eps past the stability bound."""
-        self._check_eps(eps)
-        return PropagationOperator(np.eye(self.n) + eps * self.matrix)
 
 
 def _generator_weights(gen: ResidualGenerator) -> Tuple[np.ndarray, float, float]:

@@ -4,7 +4,10 @@ In the pseudo-random regime each layer turns feature-space capacity into
 input-space capacity through the column-stochastic operator ``D = P o P``
 (entrywise square, columns renormalized).  A chain is a sequence of such
 operators: it applies them top-down, ``kappa^{l-1} = D_l kappa^l``,
-conserving the total.  Consumers make one top-down pass over a chain, so a
+conserving the total.  A layer whose columns are one shifted periodic
+pattern, such as a residual or window layer, is a :class:`Stencil`, held as
+its few taps; every operator is read through ``apply`` and ``diagonal``.
+Consumers make one top-down pass over a chain, so a
 chain may build each operator only when the pass reaches it.  The rule
 holds under total decoupling only, so the CLI's spec parser, which builds
 operators from projections, refuses any activation other than
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Tuple, Union
 
 import numpy as np
 
@@ -23,6 +26,7 @@ from .core import ProjectionMatrix, SpatialCapacity, _as_matrix
 
 __all__ = [
     "PropagationOperator",
+    "Stencil",
     "LayerChain",
     "propagation_matrix",
     "propagate_single",
@@ -59,23 +63,71 @@ class PropagationOperator:
     def n_out(self) -> int:
         return self.matrix.shape[1]
 
-    @classmethod
-    def uniform_window(cls, n: int, r: int) -> "PropagationOperator":
-        """Sliding window: column j spreads 1/r over r coordinates centered at j.
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        return self.matrix @ values
 
-        The window wraps periodically, keeping every column an exact
-        probability vector regardless of position.
-        """
-        _check_window(n, r)
-        matrix = np.zeros((n, n))
-        cols = np.arange(n)[:, None]
-        matrix[(cols + np.arange(r) - (r - 1) // 2) % n, cols] = 1.0 / r
-        return cls(matrix)
+    def diagonal(self) -> np.ndarray:
+        return np.diag(self.matrix)
 
 
-def _check_window(n: int, r: int) -> None:
-    if r < 1 or r > n:
-        raise ValueError(f"window size must be in [1, {n}], got {r}")
+@dataclass(frozen=True)
+class Stencil:
+    """A periodic column-stochastic operator on n cells, held as its taps.
+
+    Column j sends ``weights[k]`` to cell ``(j + offsets[k]) mod n``.  The
+    offsets are distinct mod n, and are kept reduced mod n; the weights are
+    non-negative and sum to 1.  :meth:`apply` costs O(n * taps), and the
+    dense ``matrix`` is built on demand.
+    """
+
+    n: int
+    offsets: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        offsets = np.asarray(self.offsets, dtype=np.int64)
+        weights = np.asarray(self.weights, dtype=float)
+        if self.n < 1 or offsets.ndim != 1 or not offsets.size or offsets.shape != weights.shape:
+            raise ValueError(
+                "a stencil needs n >= 1 and one or more offsets, one weight per offset; got "
+                f"n = {self.n}, offsets of shape {offsets.shape} and weights of {weights.shape}"
+            )
+        offsets = offsets % self.n
+        if len(set(offsets.tolist())) != offsets.size:
+            raise ValueError(f"stencil offsets must be distinct mod {self.n}")
+        if not weights.min() >= 0:
+            raise ValueError(f"stencil weights must be non-negative, got {weights.min()!r}")
+        if not abs(weights.sum() - 1.0) <= _COLUMN_SUM_TOL:
+            raise ValueError(f"stencil weights sum to {weights.sum()!r}, not 1")
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "weights", weights)
+
+    # a stencil maps its n cells to themselves
+    n_in = n_out = property(lambda self: self.n)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense n x n operator: the stencil applied to the identity."""
+        return self.apply(np.eye(self.n))
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """``D values`` along axis 0: each cell adds its taps' terms in the taps' order."""
+        # each term is values rolled by the offset: cell i reads values[i - offset]
+        terms = (
+            weight * np.concatenate((values[self.n - offset :], values[: self.n - offset]))
+            for offset, weight in zip(self.offsets.tolist(), self.weights.tolist())
+        )
+        out = next(terms)
+        for term in terms:
+            out += term
+        return out
+
+    def diagonal(self) -> np.ndarray:
+        """Each cell's weight on itself: the weight at offset 0, or 0."""
+        return np.full(self.n, self.weights[self.offsets == 0].sum())
+
+
+Operator = Union[PropagationOperator, Stencil]
 
 
 @dataclass(frozen=True)
@@ -89,7 +141,7 @@ class LayerChain:
     :meth:`top_down` pass, so such a chain holds about one at a time.
     """
 
-    layers: Tuple[PropagationOperator, ...]
+    layers: Tuple[Operator, ...]
 
     def __post_init__(self):
         layers = tuple(self.layers)
@@ -114,10 +166,10 @@ class LayerChain:
     def n_out(self) -> int:
         return self.layers[-1].n_out
 
-    def operator(self, i: int) -> PropagationOperator:
+    def operator(self, i: int) -> Operator:
         return self.layers[i]
 
-    def top_down(self) -> Iterator[PropagationOperator]:
+    def top_down(self) -> Iterator[Operator]:
         """Each layer's operator once, the top layer's first."""
         return map(self.operator, reversed(range(len(self.layers))))
 
@@ -131,15 +183,13 @@ def propagation_matrix(p: ProjectionMatrix) -> PropagationOperator:
     return PropagationOperator(squared / squared.sum(axis=0))
 
 
-def propagate_single(
-    d: PropagationOperator, kappa_phi: SpatialCapacity
-) -> SpatialCapacity:
+def propagate_single(d: Operator, kappa_phi: SpatialCapacity) -> SpatialCapacity:
     """One backward step ``kappa = D kappa_phi``; the total is conserved."""
     if d.n_out != kappa_phi.n:
         raise ValueError(
             f"operator expects a capacity vector of length {d.n_out}, got {kappa_phi.n}"
         )
-    return SpatialCapacity(d.matrix @ kappa_phi.values)
+    return SpatialCapacity(d.apply(kappa_phi.values))
 
 
 def propagate_chain(chain: LayerChain, kappa_top: SpatialCapacity) -> List[SpatialCapacity]:

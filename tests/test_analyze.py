@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capnet.analyze import erf_profile, max_path_weight, shatter_analysis, uniform_path_weight
+from capnet.cli import _residual_stencil, _uniform_stencil
 from capnet.core import ProjectionMatrix, SpatialCapacity
 from capnet.deeplimit import (
     _BOUNDARY_MASS_TOL,
@@ -447,6 +448,15 @@ class TestMaxPathWeight:
                 products = products * np.diag(layer.matrix)
             assert max_path_weight(LayerChain(layers))[0] == float(np.max(products))
 
+    def test_stencils_read_as_their_dense_matrices(self):
+        # a stencil's diagonal has the bits of its dense matrix's, so the path weights do too
+        gen = ResidualGenerator(8, 0.3, 0.9)
+        stencils = [_residual_stencil(gen, 0.2), _uniform_stencil(8, 3), _uniform_stencil(8, 4)]
+        for layers in (stencils, stencils[::-1] * 3):
+            expected = max_path_weight(LayerChain([PropagationOperator(s.matrix) for s in layers]))
+            assert max_path_weight(LayerChain(layers)) == expected
+        assert max_path_weight(LayerChain(stencils))[0] == pytest.approx(0.64 / 12, rel=1e-15)
+
     def test_identity_chain_weight_one(self):
         chain = LayerChain([PropagationOperator(np.eye(7))] * 4)
         direct, continuum = max_path_weight(chain)
@@ -544,7 +554,7 @@ class TestEnumeratePathWeights:
         assert max_path_weight(chain)[0] <= max(best_loops)
 
     def test_uniform_window_paths_all_equal(self):
-        op = PropagationOperator.uniform_window(6, 2)
+        op = _uniform_stencil(6, 2)
         chain = LayerChain([op] * 3)
         total, best = enumerate_path_weights(chain, 4, 3)
         assert best == 0.125
@@ -552,7 +562,7 @@ class TestEnumeratePathWeights:
 
     def test_disconnected_endpoints_have_zero_weight(self):
         # this window only moves mass towards larger indices
-        op = PropagationOperator.uniform_window(6, 2)
+        op = _uniform_stencil(6, 2)
         chain = LayerChain([op] * 3)
         total, best = enumerate_path_weights(chain, 2, 3)
         assert total == 0.0

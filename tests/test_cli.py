@@ -27,13 +27,21 @@ import capnet
 from capnet import cli
 from capnet.analyze import ErfReport, ShatterReport, erf_profile, shatter_analysis
 from capnet.augment import DecouplingReport
-from capnet.cli import SpecError, build_parser, main, parse_network_spec
+from capnet.cli import (
+    SpecError,
+    _residual_stencil,
+    _uniform_stencil,
+    build_parser,
+    main,
+    parse_network_spec,
+)
 from capnet.core import ProjectionMatrix, SpatialCapacity
 from capnet.deeplimit import ConvergenceReport, DeepLimitConfig, ResidualGenerator, StabilityError
 from capnet.jsonfmt import canonical_dumps
 from capnet.propagate import (
     LayerChain,
     PropagationOperator,
+    Stencil,
     differential_propagation_matrix,
     propagate_chain,
     propagation_matrix,
@@ -302,21 +310,62 @@ class TestChain:
         assert f"layer 0: {message}" in capsys.readouterr().err
 
     def test_operators_past_spec_budget_exit_2(self, tmp_path, capsys, monkeypatch):
-        layer = {"kind": "dense", "n_in": 4, "n_out": 4, "weights": "uniform:1"}
-        # room for three 4 x 4 operators: the fourth layer is refused before it is built
-        monkeypatch.setattr("capnet.cli._SPEC_OPERATOR_BUDGET_BYTES", 3 * 4 * 4 * 8)
+        layer = {"kind": "dense", "n_in": 4, "n_out": 4, "weights": "random_gaussian:1",
+                 "activation": "pseudo_random"}
+        # room for three 4 x 4 operators and their profiles: the fourth layer is
+        # refused before it is built
+        monkeypatch.setattr("capnet.cli._SPEC_BUDGET_BYTES", 3 * (4 * 4 + 4) * 8)
         path = _write_spec(tmp_path, "four.json", {"layers": [layer] * 4, "top_capacity": "uniform"})
         assert main(["chain", path]) == 2
-        assert "layer 3: its 4x4 operator takes the chain past" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "layer 3: its 4x4 operator and 4-float profile take the spec past" in err
         doc = {"layers": [layer] * 3, "top_capacity": "uniform"}
         assert main(["chain", _write_spec(tmp_path, "three.json", doc)]) == 0
 
     def test_huge_layer_refused_before_allocating(self, tmp_path, capsys):
         # 10^5 x 10^5 floats would need 75 GiB
-        layer = {"kind": "dense", "n_in": 10**5, "n_out": 10**5, "weights": "uniform:1"}
+        layer = {"kind": "dense", "n_in": 10**5, "n_out": 10**5, "weights": "random_gaussian:1",
+                 "activation": "pseudo_random"}
         doc = {"layers": [layer], "top_capacity": "uniform"}
         assert main(["chain", _write_spec(tmp_path, "huge.json", doc)]) == 2
-        assert "512 MiB spec operator limit" in capsys.readouterr().err
+        assert "512 MiB spec memory limit" in capsys.readouterr().err
+
+    def test_stencils_whose_profiles_pass_the_budget_refused_by_name(self, tmp_path, capsys):
+        # each 2**20-cell interface keeps an 8 MiB profile: 63 of them and their
+        # taps fit in 512 MiB, the 64th does not.  The taps alone would fit
+        doc = _residual_spec(2**20, 64, top="uniform")
+        assert main(["chain", _write_spec(tmp_path, "wide.json", doc)]) == 2
+        assert capsys.readouterr().err == (
+            "error: layer 63: its 3-tap stencil and 1048576-float profile take the spec "
+            "past the 512 MiB spec memory limit\n"
+        )
+
+    def test_stencil_taps_past_the_walk_limit_refused_by_name(self, tmp_path, capsys):
+        # each window sums 150,000 taps at 150,000 cells, 2.25e10 terms a pass
+        layer = {"kind": "dense", "n_in": 150_000, "n_out": 150_000, "weights": "uniform:150000"}
+        doc = {"layers": [layer, layer], "top_capacity": "uniform"}
+        assert main(["chain", _write_spec(tmp_path, "wide.json", doc)]) == 2
+        assert capsys.readouterr().err == (
+            "error: layer 1: its 150000 taps on 150000 cells take the spec's stencils "
+            "past 30,000,000,000 cell-taps a pass\n"
+        )
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"weights": "random_gaussian:3", "activation": "pseudo_random"},
+             "dense layers take no eps"),
+            ({"kind": "residual", "weights": "residual:0.1,0,1"}, "residual weights take no eps"),
+            ({"weights": "uniform:3"}, "uniform weights take no eps"),
+            ({"kind": "residual", "weights": "uniform:3"}, "uniform weights take no eps"),
+        ],
+    )
+    def test_eps_on_a_layer_that_does_not_read_it_exits_2(self, tmp_path, capsys, fields, message):
+        # the eps was ignored, and the spec exited 0
+        good = {"kind": "dense", "n_in": 4, "n_out": 4, "weights": "uniform:1"}
+        doc = {"layers": [good, dict(good, eps=0.3, **fields)], "top_capacity": "uniform"}
+        assert main(["chain", _write_spec(tmp_path, "eps.json", doc)]) == 2
+        assert capsys.readouterr().err == f"error: layer 1: {message}\n"
 
     def test_unknown_kind_names_layer(self, tmp_path, capsys):
         doc = {
@@ -384,6 +433,24 @@ class TestChain:
         assert code == 0
         assert json.loads(out)["profiles"][0] == [1.0, 3.0]
 
+    @pytest.mark.parametrize(
+        "top, message",
+        [
+            (["0.5", "0.5"], "top_capacity entry 0 must be a number, got '0.5'"),
+            ([True, False], "top_capacity entry 0 must be a number, got True"),
+            ([0.5, None], "top_capacity entry 1 must be a number, got None"),
+            ([0.5, [0.5]], "top_capacity entry 1 must be a number, got [0.5]"),
+            ([10**400, 0], "bad top_capacity: int too large to convert to float"),
+        ],
+    )
+    def test_top_capacity_entries_must_be_numbers(self, tmp_path, capsys, top, message):
+        # strings and booleans were read as numbers through np.asarray, and an
+        # integer past the float range escaped as an OverflowError
+        doc = {"layers": [{"kind": "dense", "n_in": 2, "n_out": 2, "weights": "uniform:1"}],
+               "top_capacity": top}
+        assert main(["chain", _write_spec(tmp_path, "top.json", doc)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("command", ["chain", "erf"])
     def test_top_capacity_total_past_float_range_exits_2(self, tmp_path, capsys, command):
         # chain warned of an overflow in the layer's product and blamed non-finite entries
@@ -440,10 +507,10 @@ def _every_kind_chain(weights):
     return LayerChain([
         propagation_matrix(drawn(11)),
         differential_propagation_matrix(drawn(12), 0.3),
-        ResidualGenerator(6, 0.2, 1.0).step(0.1),
-        PropagationOperator.uniform_window(6, 3),
+        _residual_stencil(ResidualGenerator(6, 0.2, 1.0), 0.1),
+        _uniform_stencil(6, 3),
         propagation_matrix(loaded),
-        PropagationOperator.uniform_window(6, 5),
+        _uniform_stencil(6, 5),
     ])
 
 
@@ -475,19 +542,22 @@ class TestSpecLayersBuiltOnDemand:
 
     @pytest.mark.parametrize("command", ["chain", "shatter", "erf"])
     def test_each_layer_built_once_per_command(self, tmp_path, capsys, monkeypatch, command):
-        # every layer kind makes exactly one PropagationOperator when it is built
+        # every layer kind makes exactly one operator or stencil when it is built
         path, _ = _every_kind_spec(tmp_path)
         built = []
-        post_init = PropagationOperator.__post_init__
-        def counted(op):
-            built.append(op.matrix.shape)
-            post_init(op)
+        for kind in (PropagationOperator, Stencil):
+            def counted(op, post_init=kind.__post_init__):
+                post_init(op)
+                built.append((type(op), op.n_in, op.n_out))
 
-        monkeypatch.setattr(PropagationOperator, "__post_init__", counted)
+            monkeypatch.setattr(kind, "__post_init__", counted)
         spec = cli.load_network_spec(path)
         assert built == []
         assert main([command, path]) == 0
-        assert built == [(6, 6)] * len(spec.chain)
+        # top layer first: a uniform window, the weights file, a window, the residual layer, ...
+        kinds = [Stencil, PropagationOperator, Stencil, Stencil] + [PropagationOperator] * 2
+        assert built == [(kind, 6, 6) for kind in kinds]
+        assert len(built) == len(spec.chain)
 
     def test_chain_traced_peak_flat_in_depth(self, tmp_path):
         # 400 dense layers of width 64 held every 32 KiB operator at once: the traced
@@ -540,7 +610,8 @@ class TestSpecLayersBuiltOnDemand:
         path, weights = _every_kind_spec(tmp_path)
         os.remove(weights)
         built = []
-        monkeypatch.setattr(PropagationOperator, "__post_init__", lambda op: built.append(op))
+        for kind in (PropagationOperator, Stencil):
+            monkeypatch.setattr(kind, "__post_init__", built.append)
         assert main(["shatter", path] + option) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert built == []
@@ -600,6 +671,17 @@ def test_parser_built_once_per_process(tmp_path, monkeypatch):
     finally:
         cli._parser.cache_clear()
     assert calls == [1]
+
+
+@pytest.mark.parametrize(
+    "argv", [["pde", "--eps", "inf"], ["erf", "--eps", "inf"], ["chain", "SPEC"]],
+    ids=["pde", "erf", "residual-spec"],
+)
+def test_infinite_eps_exits_2_as_not_finite(tmp_path, capsys, argv):
+    # each exited 1 and named the stability bound; a NaN eps already exited 2
+    spec = _write_spec(tmp_path, "inf.json", _residual_spec(11, 1, eps="inf", top="uniform"))
+    assert main([spec if arg == "SPEC" else arg for arg in argv]) == 2
+    assert "eps must be finite, got inf" in capsys.readouterr().err
 
 
 class TestPde:
@@ -759,6 +841,20 @@ class TestErf:
         doc = json.loads(out)
         assert 0.45 <= doc["fitted_exponent"] <= 0.55
         assert doc["per_depth_std"][-1][1] == pytest.approx(math.sqrt(20.0), rel=0.05)
+
+    def test_wide_residual_spec_is_the_walk_bit_for_bit(self, tmp_path, capsys):
+        # 100 dense 100,001-cell layers were refused at layer 0; as stencils each
+        # sums the walk's terms in the walk's order, while no mass reaches an edge
+        path = _write_spec(tmp_path, "wide.json", _residual_spec(100_001, 100, 0.1, 0.2, 1.0))
+        code, out = _run(capsys, ["erf", path])
+        assert code == 0
+        spec = json.loads(out)
+        argv = ["erf", "--n", "100001", "--L", "100", "--eps", "0.1", "--v", "0.2", "--D", "1"]
+        code, out = _run(capsys, argv)
+        assert code == 0
+        walk = json.loads(out)
+        assert spec["per_depth_std"] == walk["per_depth_std"]
+        assert spec == walk
 
     def test_bad_ratio_depth_exits_2(self, tmp_path, capsys):
         path = _write_spec(tmp_path, "deep.json", _residual_spec(21, 3, top="dirac:10"))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capnet.cli import _residual_stencil, parse_network_spec
 from capnet.core import SpatialCapacity
 from capnet.deeplimit import (
     _MAX_CLOSED_FORM_CELLS,
@@ -22,17 +23,24 @@ from capnet.deeplimit import (
     gaussian_solution,
 )
 from capnet.propagate import (
-    LayerChain,
     PropagationOperator,
+    Stencil,
     propagate_chain,
     propagate_single,
 )
 
 
 def _random_drift_chain(n, dcoef, eps, L, seed):
-    """L periodic residual layers I + eps*Delta_l, drift v_l uniform in [-Dcoef/2, Dcoef/2]."""
-    drifts = np.random.default_rng(seed).uniform(-dcoef / 2.0, dcoef / 2.0, L)
-    return LayerChain([ResidualGenerator(n, v, dcoef).step(eps) for v in drifts])
+    """L periodic residual spec layers I + eps*Delta_l, drift v_l uniform in [-Dcoef/2, Dcoef/2]."""
+    drifts = np.random.default_rng(seed).uniform(-dcoef / 2.0, dcoef / 2.0, L).tolist()
+    layer = {"kind": "residual", "n_in": n, "n_out": n}
+    layers = [dict(layer, weights=f"residual:{eps!r},{v!r},{dcoef!r}") for v in drifts]
+    return parse_network_spec({"layers": layers, "top_capacity": "uniform"}).chain
+
+
+def _dense_step(gen, eps):
+    """``I + eps*Delta`` from the dense generator."""
+    return np.eye(gen.n) + eps * gen.matrix
 
 
 def _moments(values):
@@ -171,22 +179,26 @@ class TestResidualGenerator:
         with pytest.raises(ValueError, match="3 grid points"):
             ResidualGenerator(2, 0.0, 1.0)
 
-    def test_step_is_identity_plus_eps_generator(self):
-        gen = ResidualGenerator(9, 0.3, 0.7, "reflecting")
-        step = gen.step(0.2)
-        assert isinstance(step, PropagationOperator)
-        np.testing.assert_array_equal(step.matrix, np.eye(9) + 0.2 * gen.matrix)
+    def test_residual_stencil_is_identity_plus_eps_generator(self):
+        gen = ResidualGenerator(9, 0.3, 0.7)
+        step = _residual_stencil(gen, 0.2)
+        assert isinstance(step, Stencil)
+        assert step.offsets.tolist() == [0, 1, 8]
+        np.testing.assert_array_equal(step.matrix, _dense_step(gen, 0.2))
+        np.testing.assert_array_equal(step.diagonal(), np.diag(_dense_step(gen, 0.2)))
 
-    def test_step_rejects_nonpositive_eps(self):
-        gen = ResidualGenerator(9, 0.0, 1.0)
-        for eps in (0.0, -0.1, math.nan):
-            with pytest.raises(ValueError, match="positive") as info:
-                gen.step(eps)
-            assert not isinstance(info.value, StabilityError)
+    @pytest.mark.parametrize(
+        "eps, message", [(0.0, "positive"), (-0.1, "positive"), (math.nan, "positive"),
+                         (math.inf, "finite")]
+    )
+    def test_check_eps_rejects_nonpositive_and_infinite_eps(self, eps, message):
+        with pytest.raises(ValueError, match=f"eps must be {message}, got") as info:
+            ResidualGenerator(9, 0.0, 1.0)._check_eps(eps)
+        assert not isinstance(info.value, StabilityError)
 
-    def test_step_rejects_eps_at_stability_bound(self):
+    def test_check_eps_rejects_eps_at_stability_bound(self):
         with pytest.raises(StabilityError, match="below 0.5"):
-            ResidualGenerator(9, 0.0, 1.0).step(0.5)
+            ResidualGenerator(9, 0.0, 1.0)._check_eps(0.5)
 
 
 class TestDeepLimitConfig:
@@ -229,8 +241,11 @@ class TestEvolveMarkov:
         eps = fraction * gen.max_stable_eps()
         kappa = SpatialCapacity(np.random.default_rng(seed).random(n))
         got = evolve_markov(gen, DeepLimitConfig(eps=eps, L=1), kappa)[1]
-        expected = gen.step(eps).matrix @ kappa.values
+        expected = _dense_step(gen, eps) @ kappa.values
         np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
+        if boundary == "periodic":
+            stencil = _residual_stencil(gen, eps).apply(kappa.values)
+            np.testing.assert_allclose(got, stencil, rtol=1e-14, atol=0)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -241,14 +256,43 @@ class TestEvolveMarkov:
         boundary=st.sampled_from(["periodic", "reflecting"]),
     )
     def test_step_columns_are_first_walk_steps(self, n, dcoef, drift, fraction, boundary):
-        # the dense layer and the walk apply one stencil, so they agree bit for bit
+        # the dense step, the spec's stencil and the walk apply one stencil, so
+        # they agree bit for bit
         gen = ResidualGenerator(n, 2.0 * dcoef * drift, dcoef, boundary)
         eps = fraction * gen.max_stable_eps()
-        step = gen.step(eps).matrix
+        step = _dense_step(gen, eps)
+        if boundary == "periodic":
+            np.testing.assert_array_equal(_residual_stencil(gen, eps).matrix, step)
         cfg = DeepLimitConfig(eps=eps, L=1)
         for j in range(n):
             walked = evolve_markov(gen, cfg, SpatialCapacity.dirac(n, j))[1]
             np.testing.assert_array_equal(walked, step[:, j])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        L=st.integers(1, 60),
+        margin=st.integers(1, 40),
+        dcoef=st.floats(0.05, 5.0),
+        drift=st.floats(-1.0, 1.0),
+        fraction=st.floats(0.01, 0.99),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stencil_stack_is_the_walk_bit_for_bit_off_the_edges(
+        self, L, margin, dcoef, drift, fraction, seed
+    ):
+        # a stencil sums keep, up and down in the walk's order; L steps from three
+        # cells reach at most L cells further, so the mass stays off the edge cells
+        n = 2 * (L + margin) + 3
+        gen = ResidualGenerator(n, 2.0 * dcoef * drift, dcoef)
+        eps = fraction * gen.max_stable_eps()
+        top = np.zeros(n)
+        top[L + margin : L + margin + 3] = np.random.default_rng(seed).random(3)
+        walk = evolve_markov(gen, DeepLimitConfig(eps=eps, L=L), SpatialCapacity(top))
+        stencil = _residual_stencil(gen, eps)
+        stack = [top]
+        for _ in range(L):
+            stack.append(stencil.apply(stack[-1]))
+        assert np.array(stack).tobytes() == walk.tobytes()
 
     def test_trajectory_past_budget_refused(self):
         # (L+1) * n * 8 bytes just over the budget; the check runs before allocating
@@ -731,7 +775,7 @@ class TestRandomLayerChain:
     def test_layers_are_residual_and_stochastic(self):
         chain = _random_drift_chain(41, 1.0, 0.1, 12, seed=3)
         assert len(chain) == 12
-        for layer in chain.layers:
+        for layer in chain.top_down():
             matrix = layer.matrix
             # I + eps*Delta with diagonal 1 - 2*Dcoef*eps, whatever the drift
             np.testing.assert_allclose(np.diag(matrix), 0.8, rtol=0, atol=1e-15)

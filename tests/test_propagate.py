@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capnet.augment import build_augmented_projection
+from capnet.cli import SpecError, _uniform_stencil, parse_network_spec
 from capnet.core import ProjectionMatrix, SpatialCapacity
 from capnet.propagate import (
     LayerChain,
     PropagationOperator,
+    Stencil,
     differential_propagation_matrix,
     propagate_chain,
     propagate_single,
@@ -240,7 +242,7 @@ class TestOperatorAndLayerValidation:
             PropagationOperator(np.array([[0.5], [0.4]]))
 
     def test_uniform_window_columns(self):
-        d = PropagationOperator.uniform_window(5, 3)
+        d = _uniform_stencil(5, 3)
         np.testing.assert_allclose(d.matrix.sum(axis=0), 1.0)
         np.testing.assert_allclose(d.matrix[[1, 2, 3], 2], 1 / 3)
         np.testing.assert_allclose(d.matrix[[4, 0, 1], 0], 1 / 3)
@@ -251,12 +253,15 @@ class TestOperatorAndLayerValidation:
             offsets = np.arange(r) - (r - 1) // 2
             for j in range(n):
                 reference[(j + offsets) % n, j] = 1.0 / r
-            matrix = PropagationOperator.uniform_window(n, r).matrix
-            assert matrix.tobytes() == reference.tobytes(), (n, r)
+            stencil = _uniform_stencil(n, r)
+            assert stencil.matrix.tobytes() == reference.tobytes(), (n, r)
+            assert stencil.diagonal().tobytes() == np.diag(reference).tobytes(), (n, r)
 
-    def test_uniform_window_size_bounds(self):
-        with pytest.raises(ValueError, match="window"):
-            PropagationOperator.uniform_window(3, 4)
+    @pytest.mark.parametrize("r", [0, 4])
+    def test_uniform_window_size_bounds(self, r):
+        layer = {"kind": "dense", "n_in": 3, "n_out": 3, "weights": f"uniform:{r}"}
+        with pytest.raises(SpecError, match=f"window size must be in \\[1, 3\\], got {r}"):
+            parse_network_spec({"layers": [layer], "top_capacity": "uniform"})
 
     def test_differential_layer_needs_eps(self):
         p = ProjectionMatrix(np.eye(2))
@@ -272,6 +277,59 @@ class TestOperatorAndLayerValidation:
     def test_chain_must_be_non_empty(self):
         with pytest.raises(ValueError, match="at least one"):
             LayerChain(())
+
+
+class TestStencil:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        taps=st.integers(1, 12),
+    )
+    def test_apply_and_diagonal_match_the_dense_matrix(self, n, seed, taps):
+        rng = np.random.default_rng(seed)
+        offsets = rng.permutation(np.arange(-n, 2 * n))[: min(taps, n)]
+        offsets = offsets[np.unique(offsets % n, return_index=True)[1]]
+        weights = rng.random(offsets.size) + 0.01
+        stencil = Stencil(n, offsets, weights / weights.sum())
+        reference = np.zeros((n, n))
+        for j in range(n):
+            reference[(j + offsets) % n, j] = stencil.weights
+        assert stencil.matrix.tobytes() == reference.tobytes()
+        assert stencil.diagonal().tobytes() == np.diag(reference).tobytes()
+        values = rng.random(n)
+        np.testing.assert_allclose(stencil.apply(values), reference @ values, rtol=1e-14)
+        out = propagate_single(stencil, SpatialCapacity(values))
+        assert out.values.tobytes() == stencil.apply(values).tobytes()
+        assert out.total == pytest.approx(values.sum(), rel=1e-14)
+
+    def test_each_cell_sums_its_taps_in_order(self):
+        # cell 0's terms are 1.0, 2**-53 and 2**-53: after the 1.0 each tiny term
+        # rounds away, while before it their sum survives
+        values = np.array([2.0, 2.0**-51, 2.0**-51])
+        assert Stencil(3, (0, 1, 2), (0.5, 0.25, 0.25)).apply(values)[0] == 1.0
+        assert Stencil(3, (2, 1, 0), (0.25, 0.25, 0.5)).apply(values)[0] == 1.0 + 2.0**-52
+
+    def test_offsets_kept_reduced(self):
+        assert Stencil(5, (-1, 0, 6), (0.25, 0.5, 0.25)).offsets.tolist() == [4, 0, 1]
+
+    @pytest.mark.parametrize(
+        "n, offsets, weights, message",
+        [
+            (0, (0,), (1.0,), "n >= 1"),
+            (4, (), (), "one or more offsets"),
+            (4, (0, 1), (1.0,), "one weight per offset"),
+            (4, ((0, 1),), ((0.5, 0.5),), "one weight per offset"),
+            (4, (0, 4), (0.5, 0.5), "distinct mod 4"),
+            (4, (0, 1), (1.5, -0.5), "non-negative"),
+            (4, (0, 1), (np.nan, 1.0), "non-negative"),
+            (4, (0, 1), (0.5, 0.4), "sum to"),
+            (4, (0, 1), (0.5, np.inf), "sum to"),
+        ],
+    )
+    def test_rejects_malformed_taps(self, n, offsets, weights, message):
+        with pytest.raises(ValueError, match=message):
+            Stencil(n, offsets, weights)
 
 
 @st.composite
