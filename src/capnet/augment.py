@@ -56,36 +56,60 @@ def _check_sigma(sigma: float) -> None:
         raise ValueError(f"sigma must be positive and in {bounds}, got {sigma!r}")
 
 
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_SIGN_BIT = np.uint64(1 << 63)
+# the finalizer's two xor-shift-multiply rounds; its last step is h ^= h >> 31
+_ROUNDS = tuple(
+    (np.uint64(shift), np.uint64(mult))
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
+)
+
+
+def _mix(h: np.ndarray, shifted: np.ndarray) -> np.ndarray:
+    """splitmix64's increment and the finalizer's two rounds on h in place; shifted is scratch."""
+    h += _GAMMA
+    for shift, mult in _ROUNDS:
+        h ^= np.right_shift(h, shift, out=shifted)
+        h *= mult
+    return h
+
+
 def _splitmix64(h: np.ndarray) -> np.ndarray:
-    """splitmix64's increment and finalizer, applied to the uint64 array h in place."""
+    """splitmix64's increment and whole finalizer, applied to the uint64 array h in place."""
     shifted = np.empty_like(h)
-    h += np.uint64(0x9E3779B97F4A7C15)
-    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-        h ^= np.right_shift(h, np.uint64(shift), out=shifted)
-        h *= np.uint64(mult)
+    _mix(h, shifted)
     h ^= np.right_shift(h, np.uint64(31), out=shifted)
     return h
 
 
-def pseudo_random_eta(z, seed: int, sigma: float = 1.0):
+def pseudo_random_eta(z, seed: int, sigma: float = 1.0, *, out=None, scratch=None):
     """Hash-based sign activation multiplier ``eta(z)`` in {-sigma, +sigma}.
 
     The IEEE-754 bit pattern of z (with -0 canonicalized to +0) is mixed with
-    the seed, taken modulo 2**64, through a 64-bit finalizer; one output bit
+    the seed, taken modulo 2**64, through splitmix64's finalizer; its bit 63
     picks the sign.  The same (z, seed) always yields the same value, while
-    arbitrarily close inputs give effectively independent signs.
+    arbitrarily close inputs give effectively independent signs.  Only bit 63
+    is read, and the finalizer's last step ``h ^= h >> 31`` leaves it as it
+    is, so that step is skipped.
+
+    ``out``, a float array of z's shape, holds the hash and then the signs,
+    and ``scratch``, a uint64 array of z's shape, takes the hash's shifts: a
+    caller that hashes many arrays of one shape passes both and allocates
+    nothing per call but a boolean array for the finiteness check.
     """
     _check_sigma(sigma)
-    h = np.array(z, dtype=float)
-    if not np.all(np.isfinite(h)):
+    values = np.asarray(z, dtype=float)
+    if not np.isfinite(values).all():
         raise ValueError("pseudo_random_eta requires finite z")
-    h += 0.0
-    h = h.view(np.uint64)
+    signs = np.empty(values.shape) if out is None else out
+    np.add(values, 0.0, out=signs)  # -0 + 0 is +0
+    h = signs.view(np.uint64)
     h ^= _splitmix64(np.array([int(seed) & _MASK64], dtype=np.uint64))[0]
-    h = _splitmix64(h)
-    h >>= np.uint64(63)
-    signs = h * (2.0 * sigma)
-    signs -= sigma
+    _mix(h, np.empty_like(h) if scratch is None else scratch)
+    # +sigma where bit 63 is set, else -sigma: keep only that bit, flip it into
+    # the float's sign bit, and lay sigma's exponent and mantissa under it
+    h &= _SIGN_BIT
+    h ^= _SIGN_BIT | np.float64(sigma).view(np.uint64)
     if np.isscalar(z) or signs.ndim == 0:
         return float(signs)
     return signs

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .augment import Activation, _derive_streams, augmented_spatial_profile
+from .augment import Activation, _derive_streams, augmented_spatial_profile, pseudo_random_eta
 from .core import CapacityBasis, ProjectionMatrix, SpatialCapacity, _RANK_TOL, orthonormal_basis
 from .propagate import propagate_single, propagation_matrix
 
@@ -36,8 +36,8 @@ Sampler = Callable[["np.random.Generator", int, int], np.ndarray]
 
 _NOISE_BLOCKS = 8
 # A chunk's inputs y, pre-activations z and etas stay near this size.  The
-# pass holds about two chunks at once: the one it reduces and the next one,
-# which a worker thread draws and hashes meanwhile.
+# pass holds two chunks' buffers: the one it reduces and the next one, which
+# a worker thread draws and hashes meanwhile.
 _CHUNK_BYTES = 2**20
 # Rows of one slab of the streamed R factor, at least m + 1: a few hundred
 # rows of m + 1 floats stay in cache while the batched QR factors them.
@@ -137,6 +137,19 @@ def _block_edges(n_samples: int) -> np.ndarray:
     return np.linspace(0, n_samples, _NOISE_BLOCKS + 1, dtype=int)
 
 
+def _chunk_rows(n: int, m: int, n_samples: int) -> Tuple[int, int]:
+    """Row bound of a chunk, and the most rows a chunk of this pass has.
+
+    The bound is sized from ``_CHUNK_BYTES`` at n + 2m + 2 floats a row,
+    about what a row of y, z and eta takes, but never below 2(m+1), so that
+    merging a chunk into the streamed R factor stays amortized.  A chunk
+    never straddles two jackknife blocks, so none is longer than the longest
+    block: the pass sizes its buffers by the smaller of the two.
+    """
+    rows = max(2 * (m + 1), _CHUNK_BYTES // (8 * (n + 2 * m + 2)))
+    return rows, min(rows, int(np.max(np.diff(_block_edges(n_samples)))))
+
+
 def _chunks(
     p: ProjectionMatrix, act: Activation, sampler: Optional[Sampler], n_samples: int, seed: int
 ):
@@ -145,11 +158,18 @@ def _chunks(
     Each chunk's inputs come from one ``sampler(rng, rows, n)`` call, in
     sample order, so a sampler must act row by row; ``sampler=None`` draws
     i.i.d. standard normals, which numpy's Generator gives the same in
-    chunks as in one call.  A chunk never straddles two jackknife blocks.
-    Chunk rows are sized from ``_CHUNK_BYTES`` at n + 2m + 2 floats a row,
-    about what a row of y, z and eta takes, but never below 2(m+1), so that
-    merging a chunk into the streamed R factor stays amortized.  Memory is
-    therefore flat in ``n_samples`` for every sampler.
+    chunks as in one call.  A chunk never straddles two jackknife blocks,
+    and has at most ``_chunk_rows`` rows.  Memory is therefore flat in
+    ``n_samples`` for every sampler.
+
+    The arrays are views of buffers allocated once per pass, sized by the
+    longest chunk: two slots of y, z and eta that chunks fill in turn and,
+    for the pseudo-random kind, one uint64 array for the shifts of the hash,
+    which :func:`pseudo_random_eta` runs in the eta slot itself.  A chunk's
+    arrays therefore stay valid until the chunk after next is drawn; a
+    caller that keeps them longer copies them.  A sampler's output is
+    checked for its shape and finiteness, then copied into the y slot, so a
+    sampler may return the same array every call.
 
     z = y P is summed in a fixed order, so each row's bits, which the
     pseudo-random eta hashes, do not depend on the chunk size or on the BLAS
@@ -160,21 +180,35 @@ def _chunks(
     """
     stream, eta_key, _ = _derive_streams(seed)
     rng = np.random.default_rng(stream)
-    draw = sampler or (lambda gen, count, dim: gen.standard_normal((count, dim)))
     n, m = p.n_in, p.n_out
-    rows = max(2 * (m + 1), _CHUNK_BYTES // (8 * (n + 2 * m + 2)))
+    rows, longest = _chunk_rows(n, m, n_samples)
+    ys, zs, etas = (np.empty((2, longest, width)) for width in (n, m, m))
+    if act.kind == "pseudo_random":
+        shifts = np.empty((longest, m), dtype=np.uint64)
     edges = _block_edges(n_samples)
     peak = 0.0  # largest |eta| of a custom activation so far
+    slot = 0
     for block, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
         for start in range(a, b, rows):
             count = min(rows, b - start)
-            y = np.asarray(draw(rng, count, n), dtype=float)
-            if y.shape != (count, n):
-                raise ValueError(f"sampler returned shape {y.shape}, expected ({count}, {n})")
-            if not np.isfinite(y).all():
-                raise ValueError("sampler returned non-finite values")
-            z = np.einsum("ri,ij->rj", y, p.matrix, optimize=False)
-            eta = act.eta(z, key=eta_key)
+            y, z, eta = ys[slot, :count], zs[slot, :count], etas[slot, :count]
+            slot ^= 1
+            if sampler is None:
+                rng.standard_normal(out=y)
+            else:
+                drawn = np.asarray(sampler(rng, count, n), dtype=float)
+                if drawn.shape != (count, n):
+                    raise ValueError(
+                        f"sampler returned shape {drawn.shape}, expected ({count}, {n})"
+                    )
+                if not np.isfinite(drawn).all():
+                    raise ValueError("sampler returned non-finite values")
+                y[...] = drawn
+            np.einsum("ri,ij->rj", y, p.matrix, optimize=False, out=z)
+            if act.kind == "pseudo_random":
+                pseudo_random_eta(z, eta_key, act.sigma, out=eta, scratch=shifts[:count])
+            else:
+                eta[...] = act.eta(z, key=eta_key)
             if act.kind == "custom":
                 peak = max(peak, float(np.max(np.abs(eta))))
             yield block, y, z, eta
@@ -211,8 +245,29 @@ class _Moments:
 _ChunkTarget = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
+def _qr_rows(count: int, m: int) -> int:
+    """Rows of (m+1)**2 R-factor entries the work limit counts for a chunk of ``count`` rows.
+
+    A chunk of at least 2(m+1) rows, the floor of :func:`_chunk_rows`,
+    merges at an amortized cost and counts its own rows.  A shorter one, the
+    tail of a short jackknife block, counts every row the streamed QR
+    factors: its zero-padded slabs of ``max(_SLAB_ROWS, m + 1)`` rows, then
+    the merge of their R factors with the running one, m + 1 rows each.
+    """
+    if count == 0 or count >= 2 * (m + 1):
+        return count
+    slab = max(_SLAB_ROWS, m + 1)
+    slabs = -(-count // slab)
+    return slabs * slab + (slabs + 1) * (m + 1)
+
+
 def _check_pass(config: ExperimentConfig) -> None:
-    """Refuse a pass past the oracle's memory limit, then past its work limit."""
+    """Refuse a pass past the oracle's memory limit, then past its work limit.
+
+    The work limit counts n*m*k moment entries and (m+1)**2 R-factor entries
+    a sample, and a chunk too short to amortize its merge into the R factor
+    the rows the merge factors instead (:func:`_qr_rows`).
+    """
     n, m, k = config.n, config.m, len(config.param_selector)
     nbytes = 8 * _NOISE_BLOCKS * n * m * k
     if nbytes > _MEMORY_BUDGET_BYTES:
@@ -227,6 +282,19 @@ def _check_pass(config: ExperimentConfig) -> None:
             f"{config.n_samples:,} samples of {entries:,} moment entries each are past "
             f"the oracle work limit of {_MAX_SAMPLE_WORK:,} sample-entries"
         )
+    rows, _ = _chunk_rows(n, m, config.n_samples)
+    merged = 0
+    for length in np.diff(_block_edges(config.n_samples)).tolist():
+        full, tail = divmod(length, rows)
+        merged += full * _qr_rows(rows, m) + _qr_rows(tail, m)
+    work = config.n_samples * n * m * k + merged * (m + 1) ** 2
+    if work > _MAX_SAMPLE_WORK:
+        raise ValueError(
+            f"{config.n_samples:,} samples make the streamed QR factor {merged:,} rows of "
+            f"{m + 1:,} floats, with the padding and merges of chunks under {2 * (m + 1):,} "
+            f"rows: {work:,} sample-entries, past the oracle work limit of "
+            f"{_MAX_SAMPLE_WORK:,} sample-entries"
+        )
 
 
 def _stream(
@@ -237,14 +305,19 @@ def _stream(
     The one thread of a ``ThreadPoolExecutor`` draws and hashes chunk i + 1
     (see :func:`_chunks`) while this thread runs the target on chunk i, adds
     it to the block cross moment and merges it into the R factor, so at most
-    one chunk is in flight.  A failure on the worker is raised here by
+    one chunk is in flight.  Chunk i + 1 is asked for before chunk i is
+    reduced and chunk i + 2 only after, so the worker never writes the
+    buffer slot this thread reads.  A failure on the worker is raised here by
     ``result()``, and leaving the pass, by return or by raise, waits for the
     chunk in flight and joins the worker.  Each chunk's ``[F_order | t]`` is cut
-    into slabs of ``_SLAB_ROWS`` rows (at least m + 1), factored by one
-    batched QR, and the slabs' R factors are merged into ``r`` by one small
-    QR.  The pass calls no public capnet function on this thread while the
-    worker runs, so a tracer that wraps those functions sees the worker's
-    calls nested in the pass's own.
+    into slabs of ``_SLAB_ROWS`` rows (at least m + 1), zero-padded, factored
+    by one batched QR, and the slabs' R factors are merged into ``r`` by one
+    small QR.  The features overwrite z in its slot, and the cross-moment
+    product and the slabs live in buffers allocated once, sized by the
+    longest chunk.  The target gets views of the slot: y and the features stay
+    valid until the chunk after next is drawn.  The pass calls no public
+    capnet function on this thread while the worker runs, so a tracer that
+    wraps those functions sees the worker's calls nested in the pass's own.
     """
     _check_pass(config)
     n, m = config.n, config.m
@@ -254,6 +327,9 @@ def _stream(
     cross = np.zeros((_NOISE_BLOCKS, n * m, k))
     r = np.zeros((m + 1, m + 1))
     slab = max(_SLAB_ROWS, m + 1)
+    _, longest = _chunk_rows(n, m, config.n_samples)
+    product_buffer = np.empty((longest, m))
+    slabs_buffer = np.empty((-(-longest // slab), slab, m + 1))
     chunks = _chunks(config.p, config.activation, sampler, config.n_samples, config.seed)
     with ThreadPoolExecutor(1, thread_name_prefix="capnet-oracle") as worker:
         ahead = worker.submit(next, chunks, None)
@@ -261,20 +337,24 @@ def _stream(
             ahead = worker.submit(next, chunks, None)
             block, y, z, eta = chunk
             count = y.shape[0]
-            feats = eta * z
+            feats = np.multiply(eta, z, out=z)
             t = np.asarray(target(y, feats), dtype=float)
             if t.shape != (count,):
                 raise ValueError(f"target returned shape {t.shape}, expected ({count},)")
             if not np.isfinite(t).all():
                 raise ValueError("target returned non-finite values")
+            product = product_buffer[:count]
             for col, c in enumerate(selected):
                 # column c of x~ f(z)^T: row-block j of x~ is eta_j y
-                cross[block, :, col] += ((eta * feats[:, [c]]).T @ y).reshape(-1)
+                np.multiply(eta, feats[:, c : c + 1], out=product)
+                cross[block, :, col] += (product.T @ y).reshape(-1)
             # TSQR: zero padding adds nothing to the inner products of the columns
-            slabs = np.zeros((-(-count // slab), slab, m + 1))
+            slabs = slabs_buffer[: -(-count // slab)]
             rows = slabs.reshape(-1, m + 1)
-            rows[:count, :m] = feats[:, order]
+            # any mode but the default "raise" writes straight into out; order is in range
+            np.take(feats, order, axis=1, out=rows[:count, :m], mode="clip")
             rows[:count, m] = t
+            rows[count:] = 0.0
             slab_r = np.linalg.qr(slabs, mode="r").reshape(-1, m + 1)
             r = np.linalg.qr(np.concatenate([r, slab_r]), mode="r")
     return _Moments(cross, np.diff(_block_edges(config.n_samples)), r, order)
@@ -410,7 +490,9 @@ def empirical_spatial_capacity(
     a streamed R factor of the features and a generic target gives both
     least-squares fits.  Only the k = |selector| columns of the moment that
     span ``Sigma~_hat P~ K_phi`` are accumulated, so memory is
-    O(chunk*(n+m) + 8*n*m*k), flat in N.
+    O(chunk*(n+m) + slabs*(m+1) + 8*n*m*k), flat in N, where ``slabs`` is
+    the chunk's row count rounded up to whole TSQR slabs of
+    ``max(_SLAB_ROWS, m + 1)`` rows.
     """
     moments = _stream(config, sampler, _generic_target(config))
     k_tilde = orthonormal_basis(moments.cross.sum(axis=0) / config.n_samples)

@@ -1245,6 +1245,16 @@ def test_sample_count_past_limit_exits_2_before_sampling(capsys, argv, limit):
     assert limit in capsys.readouterr().err
 
 
+def test_verify_whose_short_chunks_pad_a_wide_qr_exits_2_within_a_second(capsys):
+    # 125-row jackknife blocks, each padded to a 4,001-row slab and merged by a QR of
+    # 8,002 rows: this ran for minutes near 1 GiB of RSS before the limit counted it
+    start = time.perf_counter()
+    assert main(["verify", "--n", "2", "--m", "4000", "--selector", "0", "--mc", "1000"]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "streamed QR" in err and "oracle work limit of 27,300,000,000 sample-entries" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [["pde", "--n", "51", "--L", "5", "--refinements", "0"], ["erf", "--n", "51", "--L", "50"]],

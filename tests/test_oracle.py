@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import struct
 import sys
 import threading
 import tracemalloc
@@ -41,11 +42,17 @@ def _random_projection(rng, n, m):
     return ProjectionMatrix.from_raw(rng.standard_normal((n, m)))
 
 
+def _copied_chunks(p, act, sampler, n_samples, seed):
+    """The pass's chunks, each copied as it is yielded: the pass reuses their buffers."""
+    return [
+        (block, y.copy(), z.copy(), eta.copy())
+        for block, y, z, eta in oracle._chunks(p, act, sampler, n_samples, seed)
+    ]
+
+
 def _inputs(config, sampler=None):
     """The config's sampled inputs (N, n) and pre-activations (N, m), from the pass's chunks."""
-    chunks = list(
-        oracle._chunks(config.p, config.activation, sampler, config.n_samples, config.seed)
-    )
+    chunks = _copied_chunks(config.p, config.activation, sampler, config.n_samples, config.seed)
     return np.vstack([chunk[1] for chunk in chunks]), np.vstack([chunk[2] for chunk in chunks])
 
 
@@ -150,6 +157,37 @@ class TestPseudoRandomEta:
             zero_d = pseudo_random_eta(np.array(z), seed, sigma)
             assert isinstance(scalar, float) and isinstance(zero_d, float)
             assert scalar == zero_d == want
+
+    @staticmethod
+    def _reference_sign(z: float, seed: int, sigma: float) -> float:
+        """pseudo_random_eta of one value, on Python integers: splitmix64 of z's bits."""
+        mask = 2**64 - 1
+
+        def splitmix64(h):
+            h = (h + 0x9E3779B97F4A7C15) & mask
+            h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & mask
+            return h ^ (h >> 31)
+
+        bits = struct.unpack("<Q", struct.pack("<d", z + 0.0))[0]  # -0 + 0 is +0
+        return sigma if splitmix64(bits ^ splitmix64(seed & mask)) >> 63 else -sigma
+
+    @pytest.mark.parametrize("draw", range(4))
+    def test_matches_a_pure_python_splitmix64(self, draw):
+        # random bit patterns cover subnormals, huge magnitudes and both signs
+        rng = np.random.default_rng(700 + draw)
+        z = rng.integers(0, 2**64, size=1500, dtype=np.uint64).view(np.float64)
+        z = np.concatenate([z[np.isfinite(z)], [0.0, -0.0, 5e-324, -5e-324]])
+        seed = [0, 2**64 - 1, -int(rng.integers(1, 2**62)), 2**70 + int(rng.integers(2**62))][draw]
+        sigma = [1.0, 0.37, 1.5e-70, 3e74][draw]
+        want = np.array([self._reference_sign(float(v), seed, sigma) for v in z])
+        np.testing.assert_array_equal(pseudo_random_eta(z, seed, sigma), want)
+        # the pass's form: the hash and the signs in a given array, the shifts in scratch
+        out = np.full((2, z.size), np.nan)
+        got = pseudo_random_eta(z, seed, sigma, out=out[1], scratch=np.zeros(z.size, np.uint64))
+        assert np.shares_memory(got, out[1])
+        np.testing.assert_array_equal(out[1], want)
+        assert np.isnan(out[0]).all()
 
 
 class TestEmpiricalSigmaTilde:
@@ -815,6 +853,50 @@ class TestSinglePass:
         assert custom.stationarity_residual == default.stationarity_residual
         assert custom.kappa_theory is None and "refused" in custom.caveat
 
+    def test_sampler_that_reuses_one_array_gives_the_fresh_arrays_report(self):
+        # the worker draws chunk i + 1 while the target reduces chunk i: a sampler
+        # that refills one array used to overwrite the chunk being reduced
+        config = ExperimentConfig(
+            _random_projection(np.random.default_rng(3), 8, 8),
+            Activation.pseudo_random(), (1, 4, 6), 160_000, seed=3,
+        )
+        buffers = {}
+
+        def reused(rng, count, n):
+            return rng.standard_normal(out=buffers.setdefault(count, np.empty((count, n))))
+
+        def fresh(rng, count, n):
+            return rng.standard_normal((count, n))
+
+        report = empirical_spatial_capacity(config, reused)
+        assert report.to_dict() == empirical_spatial_capacity(config, fresh).to_dict()
+        assert report.stationarity_residual < 1e-12
+
+    @pytest.mark.parametrize("reuse", [False, True])
+    @pytest.mark.parametrize("activation", [Activation.pseudo_random(), Activation.relu()])
+    def test_chunk_arrays_unchanged_until_the_chunk_after_next(self, reuse, activation):
+        config = ExperimentConfig(
+            _random_projection(np.random.default_rng(83), 3, 4), activation, (0, 2), 3000, seed=34
+        )
+        buffer = np.empty((100, 3))
+
+        def sampler(rng, count, n):
+            return rng.standard_normal(out=buffer[:count])
+
+        with mock.patch.object(oracle, "_CHUNK_BYTES", 100 * 8 * (3 + 2 * 4 + 2)):
+            chunks = oracle._chunks(
+                config.p, activation, sampler if reuse else None, config.n_samples, config.seed
+            )
+            previous = next(chunks)
+            kept = [a.copy() for a in previous[1:]]
+            drawn = 1
+            for chunk in chunks:
+                drawn += 1
+                for array, copy in zip(previous[1:], kept):
+                    np.testing.assert_array_equal(array, copy)
+                previous, kept = chunk, [a.copy() for a in chunk[1:]]
+        assert drawn == 32  # 375 rows a jackknife block, in chunks of at most 100
+
     def test_target_called_once_per_chunk_in_order(self):
         config = ExperimentConfig(
             _random_projection(np.random.default_rng(80), 3, 3),
@@ -1011,9 +1093,7 @@ class TestChunkInvariance:
         zs, etas, reports = [], [], []
         for chunk_bytes in (17 * per_row, 1001 * per_row, oracle._CHUNK_BYTES, 5000 * per_row):
             with mock.patch.object(oracle, "_CHUNK_BYTES", chunk_bytes):
-                chunks = list(
-                    oracle._chunks(p, config.activation, None, config.n_samples, config.seed)
-                )
+                chunks = _copied_chunks(p, config.activation, None, config.n_samples, config.seed)
                 zs.append(np.vstack([chunk[2] for chunk in chunks]))
                 etas.append(np.vstack([chunk[3] for chunk in chunks]))
                 reports.append(empirical_spatial_capacity(config))
@@ -1103,6 +1183,19 @@ class TestSelectedMoment:
 
 
 class TestMemoryGuards:
+    def test_short_chunks_counted_with_their_qr_padding_and_merge(self):
+        # 1,000 samples make jackknife blocks of 125 rows; at m = 4000 each is padded
+        # to a 4,001-row slab and merged by a QR of 8,002 rows
+        config = ExperimentConfig(
+            ProjectionMatrix.from_raw(np.random.default_rng(0).standard_normal((2, 4000))),
+            Activation.pseudo_random(), (0,), 1000, seed=0,
+        )
+        assert 1000 * (2 * 4000 + 4001**2) <= _MAX_SAMPLE_WORK
+        assert oracle._qr_rows(125, 4000) == 3 * 4001
+        with pytest.raises(ValueError, match="factor 96,024 rows of 4,001 floats") as caught:
+            oracle._check_pass(config)
+        assert f"oracle work limit of {_MAX_SAMPLE_WORK:,} sample-entries" in str(caught.value)
+
     def test_block_moments_past_budget_refused(self):
         # 8 blocks of (n*m) x k floats: n = m = 400 and k = 256 need 2.4 GiB
         n, k = 400, 256
