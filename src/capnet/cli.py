@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import hashlib
 import json
 import logging
 import os
@@ -19,6 +18,15 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+# hashlib maps OpenSSL's libcrypto, about 3.5 MiB a process; the built-in module does not
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256  # a build without the built-in hashes
 
 from . import __version__
 from .analyze import erf_profile, shatter_analysis, uniform_path_weight
@@ -80,7 +88,8 @@ class NetworkSpec:
     seeds: Tuple[int, ...]
 
     def spec_hash(self) -> str:
-        return hashlib.sha256(canonical_dumps(self.document).encode()).hexdigest()
+        """The SHA-256 hex digest of the document's canonical JSON."""
+        return sha256(canonical_dumps(self.document).encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -449,7 +458,12 @@ def cmd_shatter(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    selector = tuple(int(part) for part in args.selector.split(","))
+    try:
+        selector = tuple(int(part) for part in args.selector.split(","))
+    except ValueError:
+        raise SpecError(
+            f"--selector must be comma-separated integers, got {args.selector!r}"
+        ) from None
     if 8 * args.n * args.m > _SPEC_BUDGET_BYTES:
         raise ValueError(
             f"a {args.n}x{args.m} layer is past the "
@@ -469,6 +483,17 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy seeds only non-negative integers."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {seed}")
+    return seed
+
+
 @functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
     """The one parser ``main`` reuses within a process."""
@@ -485,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_nu = sub.add_parser("nu", help="decoupling scale of an activation")
     p_nu.add_argument("activation")
     p_nu.add_argument("--mc", type=int, help="Monte Carlo sample count")
-    p_nu.add_argument("--seed", type=int, default=0)
+    p_nu.add_argument("--seed", type=_seed, default=0)
     p_nu.add_argument("--out")
     p_nu.set_defaults(handler=cmd_nu)
 
@@ -532,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--selector", default="1,4,6")
     p_verify.add_argument("--activation", default="pseudo_random")
     p_verify.add_argument("--mc", type=int, default=160000)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_seed, default=0)
     p_verify.add_argument("--out")
     p_verify.set_defaults(handler=cmd_verify)
     return parser

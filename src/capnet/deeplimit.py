@@ -137,7 +137,12 @@ class ResidualGenerator:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense n x n generator: the stencil applied to the identity."""
+        """The dense n x n generator: the stencil applied to the identity.
+
+        Nothing in capnet builds it; the walk and spec layers apply the
+        stencil directly.  It stays public as the dense reference that checks
+        of the stencil compare against.
+        """
         keep, up, down = _generator_weights(self)
         out = np.empty((self.n, self.n))
         step_all = _stepper(self, (keep[:, None], up, down), np.empty((self.n + 1, self.n)))

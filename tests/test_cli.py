@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import copy
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -89,16 +90,21 @@ def _peak_rss(argv):
         "_, status, usage = os.wait4(pid, 0)\n"
         "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
     )
+    done = _python(launcher, *argv)
+    code, peak_kib = (int(word) for word in done.stdout.split())
+    return code, done.stderr, peak_kib
+
+
+def _python(script, *args):
+    """``python -c script args``, run to a zero exit in a fresh process that imports this capnet."""
     src = os.path.dirname(os.path.dirname(capnet.__file__))
-    done = subprocess.run(
-        [sys.executable, "-c", launcher] + argv,
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
         check=True,
     )
-    code, peak_kib = (int(word) for word in done.stdout.split())
-    return code, done.stderr, peak_kib
 
 
 class TestNu:
@@ -673,6 +679,77 @@ def test_parser_built_once_per_process(tmp_path, monkeypatch):
     assert calls == [1]
 
 
+_STENCIL_SPEC = {
+    "layers": [
+        {"kind": "residual", "n_in": 21, "n_out": 21, "weights": "residual:0.1,0.2,1.0"},
+        {"kind": "dense", "n_in": 21, "n_out": 21, "weights": "uniform:3"},
+    ],
+    "top_capacity": "dirac:10",
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pde"],
+        ["erf", "--L", "50"],
+        ["nu", "relu"],
+        ["shatter", "--uniform", "r=3", "L=4"],
+        ["chain", "SPEC"],
+        ["shatter", "SPEC"],
+    ],
+    ids=["pde", "erf", "nu", "shatter-uniform", "chain-stencils", "shatter-stencils"],
+)
+def test_commands_that_draw_nothing_load_neither_openssl_nor_numpy_random(tmp_path, argv):
+    # hashlib maps OpenSSL's libcrypto, about 3.5 MiB a process, and numpy.random imports
+    # it through secrets; chain hashes its spec with the built-in SHA-256 instead
+    spec = _write_spec(tmp_path, "stencils.json", _STENCIL_SPEC)
+    argv = [spec if arg == "SPEC" else arg for arg in argv] + ["--out", str(tmp_path / "out")]
+    script = (
+        "import sys\n"
+        "from capnet.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, sorted({'_hashlib', 'numpy.random'} & set(sys.modules)))\n"
+    )
+    assert _python(script, *argv).stdout == "0 []\n"
+
+
+_HASHED_DOCUMENTS = [
+    _STENCIL_SPEC,
+    _residual_spec(21, 2, top="uniform"),
+    {
+        "layers": [
+            {"kind": "dense", "n_in": 2, "n_out": 3, "weights": "random_gaussian:5",
+             "activation": "pseudo_random"},
+            {"kind": "differential", "n_in": 3, "n_out": 3, "weights": "wéights ☃.csv",
+             "eps": 0.25},
+        ],
+        "top_capacity": [0.5, 1e-300, 2.0],
+    },
+]
+
+
+@pytest.mark.parametrize("doc", _HASHED_DOCUMENTS, ids=["stencils", "residual", "dense-unicode"])
+def test_spec_hash_is_the_sha256_of_the_canonical_document(doc):
+    expected = hashlib.sha256(canonical_dumps(doc).encode()).hexdigest()
+    assert parse_network_spec(doc).spec_hash() == expected
+
+
+def test_spec_hash_falls_back_to_hashlib_without_the_built_in_module():
+    # None in sys.modules makes an import fail, as on a build without the built-in hashes
+    doc = _HASHED_DOCUMENTS[-1]
+    script = (
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "import hashlib, json\n"
+        "from capnet import cli\n"
+        "print(cli.sha256 is hashlib.sha256)\n"
+        "print(cli.parse_network_spec(json.loads(sys.argv[1])).spec_hash())\n"
+    )
+    expected = hashlib.sha256(canonical_dumps(doc).encode()).hexdigest()
+    assert _python(script, json.dumps(doc)).stdout == f"True\n{expected}\n"
+
+
 @pytest.mark.parametrize(
     "argv", [["pde", "--eps", "inf"], ["erf", "--eps", "inf"], ["chain", "SPEC"]],
     ids=["pde", "erf", "residual-spec"],
@@ -1025,6 +1102,13 @@ class TestVerify:
     def test_bad_selector_exits_2(self, capsys):
         assert main(["verify", "--selector", "1,99", "--mc", "20000"]) == 2
 
+    @pytest.mark.parametrize("selector", ["", "1,,2", "1,x"])
+    def test_malformed_selector_named_and_quoted(self, capsys, selector):
+        # each exited 2 with "invalid literal for int() with base 10", naming neither
+        assert main(["verify", "--selector", selector, "--mc", "1000"]) == 2
+        err = capsys.readouterr().err
+        assert f"--selector must be comma-separated integers, got {selector!r}" in err
+
     def test_reports_noise_floor(self, capsys):
         code, out = _run(capsys, ["verify", "--mc", "20000", "--seed", "4"])
         assert code == 0
@@ -1077,6 +1161,15 @@ class TestVerify:
         argv = ["verify", "--n", str(2**45), "--m", "0", "--selector", "0", "--mc", "1000"]
         assert main(argv) == 2
         assert "projection has no columns" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["verify", "--mc", "1000"], ["nu", "relu", "--mc", "1000"]])
+def test_negative_seed_refused_by_name(capsys, argv):
+    # numpy refused it with "expected non-negative integer", which names no option
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be non-negative, got -1" in capsys.readouterr().err
 
 
 _VERIFY_EXTREMES = ["0", "-1", "nan", "inf", "-inf", "1e308", str(2**63), str(2**45)]

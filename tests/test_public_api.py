@@ -35,3 +35,33 @@ def test_no_module_imports_inside_a_function():
                     assert not isinstance(inner, (ast.Import, ast.ImportFrom)), (
                         f"{path.name}:{inner.lineno} imports inside {node.name}"
                     )
+
+
+# each maps OpenSSL's libcrypto, about 3.5 MiB on every command that imports capnet
+_OPENSSL_MODULES = {"hashlib", "hmac", "secrets", "ssl"}
+
+
+def _imported_modules(node):
+    if isinstance(node, ast.Import):
+        return {alias.name.split(".")[0] for alias in node.names}
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return {node.module.split(".")[0]}
+    return set()
+
+
+def test_no_module_imports_openssl_outside_an_import_error_fallback():
+    for path in sorted(pathlib.Path(capnet.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        fallbacks = {
+            id(inner)
+            for handler in ast.walk(tree)
+            if isinstance(handler, ast.ExceptHandler)
+            and isinstance(handler.type, ast.Name)
+            and handler.type.id == "ImportError"
+            for inner in ast.walk(handler)
+        }
+        for node in ast.walk(tree):
+            heavy = _imported_modules(node) & _OPENSSL_MODULES
+            assert not heavy or id(node) in fallbacks, (
+                f"{path.name}:{node.lineno} imports {sorted(heavy)} outside an ImportError fallback"
+            )
