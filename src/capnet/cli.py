@@ -7,7 +7,6 @@ with identical seeds produce byte-identical output.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import json
@@ -15,7 +14,8 @@ import logging
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import Callable, List, NamedTuple, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -488,79 +488,227 @@ def _seed(text: str) -> int:
     try:
         seed = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise ValueError(f"invalid int value: {text!r}") from None
     if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {seed}")
+        raise ValueError(f"must be non-negative, got {seed}")
     return seed
 
 
-@functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The one parser ``main`` reuses within a process."""
-    return build_parser()
+# NamedTuples, not dataclasses, which compile their methods in every process that imports them
+class _Option(NamedTuple):
+    """A ``--name`` option: its help, how its text converts, and its default."""
+
+    name: str
+    help: str
+    convert: Optional[Callable[[str], object]] = None  # None keeps the text
+    default: object = None
+    choices: Tuple[str, ...] = ()
+    nargs: int = 1  # more than one keeps the list of texts
+    metavar: str = ""
+
+    @property
+    def dest(self) -> str:
+        return self.name[2:].replace("-", "_")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="capnet",
-        description="Capacity allocation analyses for layered networks.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Command(NamedTuple):
+    """A command's help line, its options, and its positional, bracketed if it may be left out."""
 
-    p_nu = sub.add_parser("nu", help="decoupling scale of an activation")
-    p_nu.add_argument("activation")
-    p_nu.add_argument("--mc", type=int, help="Monte Carlo sample count")
-    p_nu.add_argument("--seed", type=_seed, default=0)
-    p_nu.add_argument("--out")
-    p_nu.set_defaults(handler=cmd_nu)
+    help: str
+    options: Tuple[_Option, ...]
+    positional: str = ""
 
-    p_chain = sub.add_parser("chain", help="propagate a capacity profile")
-    p_chain.add_argument("specfile")
-    p_chain.add_argument("--out")
-    p_chain.add_argument("--csv")
-    p_chain.set_defaults(handler=cmd_chain)
 
-    # the residual walk that pde and erf both run, defaulted by _residual_walk
-    walk = argparse.ArgumentParser(add_help=False)
-    walk.add_argument("--n", type=int)
-    walk.add_argument("--eps", type=float)
-    walk.add_argument("--L", type=int)
-    walk.add_argument("--D", type=float)
-    walk.add_argument("--v", type=float)
-    walk.add_argument("--boundary", choices=["periodic", "reflecting"])
-    walk.add_argument("--probe", type=int)
+_OUT = _Option("--out", "write the report to this file instead of stdout")
 
-    p_pde = sub.add_parser(
-        "pde", parents=[walk], help="Markov chain against the diffusion closed form"
-    )
-    p_pde.add_argument("--refinements", type=int, default=2)
-    p_pde.add_argument("--out")
-    p_pde.set_defaults(handler=cmd_pde)
+# the residual walk that pde and erf both run, defaulted by _residual_walk
+_WALK_OPTIONS = (
+    _Option("--n", f"grid cells (default {_WALK_DEFAULTS['n']})", int),
+    _Option("--eps", f"step size of a layer (default {_WALK_DEFAULTS['eps']})", float),
+    _Option("--L", f"depth in layers (default {_WALK_DEFAULTS['L']})", int),
+    _Option("--D", f"diffusion coefficient (default {_WALK_DEFAULTS['D']})", float),
+    _Option("--v", f"drift (default {_WALK_DEFAULTS['v']})", float),
+    _Option(
+        "--boundary",
+        f"grid boundary (default {_WALK_DEFAULTS['boundary']})",
+        choices=("periodic", "reflecting"),
+    ),
+    _Option("--probe", "probed cell (default the middle one)", int),
+)
 
-    p_erf = sub.add_parser("erf", parents=[walk], help="effective receptive field widths")
-    p_erf.add_argument("specfile", nargs="?")
-    p_erf.add_argument("--ratio-depth", type=int, dest="ratio_depth")
-    p_erf.add_argument("--out")
-    p_erf.set_defaults(handler=cmd_erf)
+# Each command runs the module's cmd_<command>, looked up when the line is
+# parsed, so that a wrapper set over the handler later is the one called.
+_COMMANDS = {
+    "nu": _Command(
+        "decoupling scale of an activation",
+        (
+            _Option("--mc", "Monte Carlo sample count (default the closed form only)", int),
+            _Option("--seed", "Monte Carlo seed", _seed, 0),
+            _OUT,
+        ),
+        "activation",
+    ),
+    "chain": _Command(
+        "propagate a capacity profile",
+        (_OUT, _Option("--csv", "also write the profiles to this file as a CSV table")),
+        "specfile",
+    ),
+    "pde": _Command(
+        "Markov chain against the diffusion closed form",
+        _WALK_OPTIONS + (_Option("--refinements", "grid refinements", int, 2), _OUT),
+    ),
+    "erf": _Command(
+        "effective receptive field widths",
+        _WALK_OPTIONS
+        + (_Option("--ratio-depth", "also report the width ratio to this depth", int), _OUT),
+        "[specfile]",
+    ),
+    "shatter": _Command(
+        "path-weight analysis",
+        (
+            _Option("--uniform", "the uniform window's closed form", nargs=2, metavar="r=R L=L"),
+            _Option("--r", "baseline window (default the spec's input width)", int),
+            _Option("--eps", "residual step size, recorded in the report", float),
+            _OUT,
+        ),
+        "[specfile]",
+    ),
+    "verify": _Command(
+        "Monte Carlo check of the closed forms",
+        (
+            _Option("--n", "layer inputs", int, 8),
+            _Option("--m", "layer outputs", int, 8),
+            _Option("--selector", "comma-separated selected columns", default="1,4,6"),
+            _Option("--activation", "activation", default="pseudo_random"),
+            _Option("--mc", "Monte Carlo sample count", int, 160000),
+            _Option("--seed", "seed of the weights and the samples", _seed, 0),
+            _OUT,
+        ),
+    ),
+}
 
-    p_shatter = sub.add_parser("shatter", help="path-weight analysis")
-    p_shatter.add_argument("specfile", nargs="?")
-    p_shatter.add_argument("--uniform", nargs=2, metavar=("r=R", "L=L"))
-    p_shatter.add_argument("--r", type=int)
-    p_shatter.add_argument("--eps", type=float)
-    p_shatter.add_argument("--out")
-    p_shatter.set_defaults(handler=cmd_shatter)
+_HELP = ("-h", "--help")
 
-    p_verify = sub.add_parser("verify", help="Monte Carlo check of the closed forms")
-    p_verify.add_argument("--n", type=int, default=8)
-    p_verify.add_argument("--m", type=int, default=8)
-    p_verify.add_argument("--selector", default="1,4,6")
-    p_verify.add_argument("--activation", default="pseudo_random")
-    p_verify.add_argument("--mc", type=int, default=160000)
-    p_verify.add_argument("--seed", type=_seed, default=0)
-    p_verify.add_argument("--out")
-    p_verify.set_defaults(handler=cmd_verify)
-    return parser
+
+def _usage(command: str) -> str:
+    words = [command or "<command>", _COMMANDS[command].positional if command else ""]
+    return " ".join(["usage: capnet", *filter(None, words), "[options]"])
+
+
+def _refuse(command: str, message: str) -> NoReturn:
+    """Print the usage and a ``capnet: error:`` line to stderr, and exit 2."""
+    print(f"{_usage(command)}\ncapnet: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _help(command: str) -> NoReturn:
+    """Print the top-level help, or a command's, and exit 0."""
+    if command:
+        rows = []
+        for option in _COMMANDS[command].options:
+            metavar = option.metavar or option.dest.upper()
+            if option.choices:
+                metavar = "{" + ",".join(option.choices) + "}"
+            default = "" if option.default is None else f" (default {option.default})"
+            rows.append((f"{option.name} {metavar}", option.help + default))
+        rows.append(("-h, --help", "show this help"))
+        lines = [_COMMANDS[command].help, "", "options:"]
+    else:
+        rows = [(name, spec.help) for name, spec in _COMMANDS.items()]
+        rows.append(("-h, --help", "show this help; 'capnet <command> -h' lists its options"))
+        lines = ["Capacity allocation analyses for layered networks.", "", "commands:"]
+    width = max(len(head) for head, _ in rows) + 2
+    lines += [f"  {head:{width}}{text}" for head, text in rows]
+    lines += ["", "Options take their full names, as --name value or --name=value, in any order."]
+    print("\n".join([_usage(command), "", *lines]))
+    raise SystemExit(0)
+
+
+def _is_option(token: str) -> bool:
+    """Whether ``token`` names an option rather than a value; a negative number is a value."""
+    try:
+        float(token)
+    except ValueError:
+        return token.startswith("-") and token != "-"
+    return False
+
+
+def _parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """``capnet argv`` as its command, its handler and every option's value, None when unset.
+
+    A malformed line exits 2 with a ``capnet: error:`` line that names the
+    argument; ``-h`` or ``--help`` prints the help and exits 0.
+    """
+    if not argv:
+        _refuse("", "the following arguments are required: command")
+    command, tokens = argv[0], list(argv[1:])
+    if command in _HELP:
+        _help("")
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        _refuse("", f"argument command: invalid choice: {command!r} (choose from {choices})")
+    spec = _COMMANDS[command]
+    options = {option.name: option for option in spec.options}
+    values = {option.dest: option.default for option in spec.options}
+    positionals = []
+    while tokens:
+        token = tokens.pop(0)
+        if token in _HELP:
+            _help(command)
+        if not _is_option(token):
+            positionals.append(token)
+            continue
+        name, inline, text = token.partition("=")
+        if name not in options:
+            full = " or ".join(known for known in options if known.startswith(name))
+            hint = f"; did you mean {full}? Names are not abbreviated" if full else ""
+            _refuse(command, f"unrecognized option {name}{hint}")
+        option = options[name]
+        if inline:
+            words = [text]
+        else:
+            words = []
+            while len(words) < option.nargs and tokens and not _is_option(tokens[0]):
+                words.append(tokens.pop(0))
+        if len(words) != option.nargs:
+            wanted = "one argument" if option.nargs == 1 else f"{option.nargs} arguments"
+            _refuse(command, f"argument {name}: expected {wanted}")
+        value = words if option.nargs > 1 else words[0]
+        if option.choices and value not in option.choices:
+            choices = ", ".join(map(repr, option.choices))
+            _refuse(command, f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+        if option.convert is not None:
+            try:
+                value = option.convert(value)
+            except ValueError as exc:
+                builtin = isinstance(option.convert, type)  # int or float
+                reason = f"invalid {option.convert.__name__} value: {value!r}" if builtin else exc
+                _refuse(command, f"argument {name}: {reason}")
+        values[option.dest] = value
+    if spec.positional:
+        required = not spec.positional.startswith("[")
+        if required and not positionals:
+            _refuse(command, f"the following arguments are required: {spec.positional}")
+        values[spec.positional.strip("[]")] = positionals.pop(0) if positionals else None
+    if positionals:
+        _refuse(command, f"unrecognized arguments: {' '.join(positionals)}")
+    return SimpleNamespace(command=command, handler=globals()[f"cmd_{command}"], **values)
+
+
+def _log_to_stderr(level: int) -> None:
+    """Send capnet's log records at ``level`` and above to stderr, and nowhere else.
+
+    The one handler is replaced on each call, and the root logger is left as
+    the host set it.
+    """
+    for old in [handler for handler in log.handlers if handler.get_name() == __name__]:
+        log.removeHandler(old)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.set_name(__name__)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    log.addHandler(handler)
+    log.setLevel(level)
+    log.propagate = False
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -571,14 +719,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
-    logging.basicConfig(
-        level=_LOG_LEVELS[level_name],
-        stream=sys.stderr,
-        format="%(levelname)s %(name)s: %(message)s",
-        force=True,
-    )
-    log.setLevel(_LOG_LEVELS[level_name])
-    args = _parser().parse_args(argv)
+    _log_to_stderr(_LOG_LEVELS[level_name])
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.handler(args)
     except StabilityError as exc:

@@ -1,12 +1,12 @@
 """End-to-end tests of the command-line interface."""
 
-import argparse
 import contextlib
 import copy
 import dataclasses
 import hashlib
 import io
 import json
+import logging
 import math
 import os
 import re
@@ -32,7 +32,6 @@ from capnet.cli import (
     SpecError,
     _residual_stencil,
     _uniform_stencil,
-    build_parser,
     main,
     parse_network_spec,
 )
@@ -658,25 +657,101 @@ def test_readme_command_lines_parse():
     with open(readme) as handle:
         blocks = re.findall(r"```sh\n(.*?)```", handle.read(), flags=re.S)
     lines = [shlex.split(line, comments=True) for block in blocks for line in block.splitlines()]
-    parser = build_parser()
-    used = {parser.parse_args(words[1:]).command for words in lines if words[:1] == ["capnet"]}
-    (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    used = {cli._parse_args(words[1:]).command for words in lines if words[:1] == ["capnet"]}
     expected = {"nu", "chain", "pde", "erf", "shatter", "verify"}
-    assert set(subcommands.choices) == expected
+    assert set(cli._COMMANDS) == expected
     assert used == expected
 
 
-def test_parser_built_once_per_process(tmp_path, monkeypatch):
-    # building it took most of an in-process nu run, and the fuzz tests make about 1,000
-    calls = []
-    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build_parser())
-    cli._parser.cache_clear()
-    try:
-        for command in (["nu", "relu"], ["shatter", "--uniform", "r=3", "L=4"], ["nu", "abs"]):
-            assert main(command + ["--out", str(tmp_path / "out.json")]) == 0
-    finally:
-        cli._parser.cache_clear()
-    assert calls == [1]
+_WALK_FLAGS = ["--n", "--eps", "--L", "--D", "--v", "--boundary", "--probe"]
+_OPTIONS_OF = {
+    "nu": ["--mc", "--seed", "--out"],
+    "chain": ["--out", "--csv"],
+    "pde": _WALK_FLAGS + ["--refinements", "--out"],
+    "erf": _WALK_FLAGS + ["--ratio-depth", "--out"],
+    "shatter": ["--uniform", "--r", "--eps", "--out"],
+    "verify": ["--n", "--m", "--selector", "--activation", "--mc", "--seed", "--out"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        ([], "command"),
+        (["propagate"], "'propagate'"),
+        (["pde", "--bogus", "1"], "--bogus"),
+        (["pde", "--ref", "1"], "--ref"),  # an abbreviation of --refinements
+        (["pde", "--out"], "--out"),
+        (["chain", "net.json", "--out", "--csv", "x"], "--out"),
+        (["pde", "--n", "5.0"], "--n"),
+        (["erf", "--eps=0.1x"], "--eps"),
+        (["pde", "--boundary", "sideways"], "--boundary"),
+        (["chain"], "specfile"),
+        (["nu", "relu", "extra"], "extra"),
+        (["shatter", "--uniform", "r=3"], "--uniform"),
+        (["shatter", "--uniform", "r=3", "--out", "x"], "--uniform"),
+    ],
+    ids=[
+        "no-command", "unknown-command", "unknown-option", "abbreviation", "value-missing-at-end",
+        "value-followed-by-option", "malformed-int", "malformed-float", "bad-choice",
+        "missing-positional", "extra-positional", "one-uniform-value", "uniform-value-then-option",
+    ],
+)
+def test_usage_errors_exit_2_naming_the_argument(capsys, argv, named):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    (line,) = [line for line in err.splitlines() if line.startswith("capnet: error: ")]
+    assert out == "" and named in line
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-h"], ["--help"]] + [[command, "-h"] for command in _OPTIONS_OF] + [["nu", "relu", "--help"]],
+)
+def test_help_lists_every_option_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    listed = _OPTIONS_OF.get(argv[0], list(_OPTIONS_OF)) + ["-h, --help"]
+    assert err == "" and all(re.search(rf"^  {re.escape(name)}\b", out, re.M) for name in listed)
+
+
+def test_options_parse_in_any_order_and_either_spelling():
+    args = cli._parse_args(["erf", "--v=-0.3", "net.json", "--ratio-depth", "5", "--L", "-2"])
+    assert (args.command, args.specfile, args.v, args.ratio_depth, args.L) == (
+        "erf", "net.json", -0.3, 5, -2
+    )
+    assert args.handler is cli.cmd_erf
+    assert (args.n, args.eps, args.D, args.boundary, args.probe, args.out) == (None,) * 6
+    args = cli._parse_args(["shatter", "--out", "o.json", "--uniform", "r=3", "L=4"])
+    assert (args.specfile, args.uniform, args.r, args.eps) == (None, ["r=3", "L=4"], None, None)
+    args = cli._parse_args(["verify", "--seed=3", "--selector=-1,2"])  # no number, so "="
+    assert (args.seed, args.selector, args.n, args.mc) == (3, "-1,2", 8, 160000)
+
+
+def test_command_lines_load_no_argparse(tmp_path):
+    # argparse built 8 parsers of 38 arguments before each command, and its first
+    # gettext lookup imported locale
+    spec = _write_spec(tmp_path, "stencils.json", _STENCIL_SPEC)
+    out = str(tmp_path / "out")
+    argvs = [
+        ["nu", "relu"],
+        ["chain", spec],
+        ["pde", "--n", "21", "--L", "10", "--refinements", "0"],
+        ["erf", "--n", "21", "--L", "10"],
+        ["shatter", "--uniform", "r=3", "L=4"],
+        ["verify", "--n", "3", "--m", "3", "--selector", "0,1", "--mc", "1000"],
+    ]
+    script = (
+        "import json, sys\n"
+        "from capnet.cli import main\n"
+        "codes = [main(argv + ['--out', sys.argv[2]]) for argv in json.loads(sys.argv[1])]\n"
+        "print(codes, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+    )
+    assert _python(script, json.dumps(argvs), out).stdout == "[0, 0, 0, 0, 0, 0] []\n"
 
 
 _STENCIL_SPEC = {
@@ -1242,7 +1317,7 @@ def _drawn_run(argv, nullable=()):
         with contextlib.redirect_stderr(err):
             try:
                 code = main(argv + ["--out", out])
-            except SystemExit as exc:  # argparse refuses a malformed number
+            except SystemExit as exc:  # the parser refuses a malformed number
                 code = exc.code
         elapsed = time.perf_counter() - start
         event(f"exit {code}")
@@ -1413,6 +1488,25 @@ class TestLogging:
         captured = capsys.readouterr()
         assert "decoupling scale" in captured.err
         assert json.loads(captured.out) == {"nu": 0.5}
+
+    def test_host_logging_kept_and_handlers_not_stacked(self, monkeypatch, capsys):
+        # basicConfig(force=True) dropped the host's root handlers and reset the root level
+        root, host = logging.getLogger(), logging.StreamHandler(io.StringIO())
+        level = root.level
+        root.addHandler(host)
+        root.setLevel(logging.ERROR)
+        monkeypatch.setenv("CAPNET_LOG", "info")
+        try:
+            for _ in range(3):
+                assert main(["nu", "relu", "--out", os.devnull]) == 0
+            assert host in root.handlers and root.level == logging.ERROR
+            logging.getLogger("app").error("host message")
+        finally:
+            root.removeHandler(host)
+            root.setLevel(level)
+        err = capsys.readouterr().err
+        assert err == "INFO capnet: decoupling scale for relu\n" * 3
+        assert host.stream.getvalue() == "host message\n"
 
     def test_quiet_by_default(self, monkeypatch, capsys):
         monkeypatch.delenv("CAPNET_LOG", raising=False)
