@@ -8,10 +8,9 @@ whose maximal weight decays exponentially with depth.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -36,6 +35,7 @@ __all__ = [
 ]
 
 _MIN_FIT_SIGMA = 2.0  # grid cells; below this the width statistic is too discrete
+_FIT_BLOCK = 4096  # widths the fit reads at a time; its temporaries are a few such blocks
 
 
 @dataclass(frozen=True)
@@ -44,10 +44,13 @@ class ErfReport:
 
     ``per_depth_std`` is an (L+1) x 2 float64 array, from the probe layer
     down: row ``[l, width]`` holds the standard deviation of the normalized
-    profile at interface l.  ``fitted_exponent`` is the log-log slope of
-    width against traversed depth over the layers below the probe where the
-    width is at least 2 grid cells; ``fit_points`` counts those layers.  The
-    exponent is NaN when fewer than two layers qualify.
+    profile at interface l.  ``fitted_exponent`` is the least-squares
+    log-log slope of width against traversed depth over the layers below the
+    probe where the width is at least 2 grid cells; ``fit_points`` counts
+    those layers.  ``fit_residual`` is the RMS of the log widths about the
+    fitted line.  Both are taken from centred sums over the points, so they
+    agree with a least-squares solve to rounding, and both are NaN when fewer
+    than two layers qualify.
     """
 
     probe_index: int
@@ -70,10 +73,54 @@ class ShatterReport:
     eps: Optional[float] = None
 
 
-def _logs(values: np.ndarray) -> np.ndarray:
-    """``math.log`` of each value, whose bits ``np.log`` may not keep, through lists of 4,096."""
-    slices = (values[start : start + 4096].tolist() for start in range(0, len(values), 4096))
-    return np.fromiter(map(math.log, itertools.chain.from_iterable(slices)), float, len(values))
+def _fit_points(widths: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """(log depth, log width) of the fit points, ``_FIT_BLOCK`` widths at a time.
+
+    ``widths[k]`` lies k layers below the probe; the points are k >= 1 with
+    widths of 2 cells or more.
+    """
+    for start in range(0, len(widths), _FIT_BLOCK):
+        block = widths[start : start + _FIT_BLOCK]
+        keep = np.flatnonzero(block >= _MIN_FIT_SIGMA)
+        if start == 0:
+            keep = keep[keep > 0]  # not the probe layer itself
+        yield np.log(keep + start), np.log(block[keep])
+
+
+def _fit_power_law(widths: np.ndarray) -> Tuple[float, float, int]:
+    """Least-squares slope of log width against log depth, its RMS residual and its points.
+
+    One pass merges each block's means and centred sums Sxx and Sxy into the
+    running ones (Chan et al.'s pairwise update), so the slope Sxy/Sxx is
+    taken about the mean of every point; a second pass sums the squared
+    residuals about the fitted line.  Only a block of points is held at a
+    time.  The slope and residual are NaN below two points.
+    """
+    count, mean_x, mean_y, sxx, sxy = 0, 0.0, 0.0, 0.0, 0.0
+    for xs, ys in _fit_points(widths):
+        m = len(xs)
+        if not m:
+            continue
+        block_x, block_y = float(xs.mean()), float(ys.mean())
+        xs -= block_x
+        ys -= block_y
+        dx, dy, total = block_x - mean_x, block_y - mean_y, count + m
+        sxx += float(xs @ xs) + dx * dx * count * m / total
+        sxy += float(xs @ ys) + dx * dy * count * m / total
+        mean_x += dx * m / total
+        mean_y += dy * m / total
+        count = total
+    if count < 2:
+        return math.nan, math.nan, count
+    slope = sxy / sxx
+    squares = 0.0
+    for xs, ys in _fit_points(widths):
+        xs -= mean_x
+        xs *= slope
+        ys -= mean_y
+        ys -= xs
+        squares += float(ys @ ys)
+    return slope, math.sqrt(squares / count), count
 
 
 def erf_profile(
@@ -87,11 +134,14 @@ def erf_profile(
     configuration.  The run is flagged when probe mass touches the first or
     last grid cell at any layer, since widths measured across the edge are
     unreliable.  A generator's walk is validated, flagged and measured in
-    blocks of about 1 MiB of rows as it is stepped, so no more than one block
-    of profiles is held at a time; the walk is still refused up front past
-    the 2 GiB trajectory limit of :func:`evolve_markov`, since the report
-    grows with L.  A chain's interfaces may differ in width, so each is
-    measured on its own; its operators are read in one top-down pass.
+    blocks of about 256 KiB of rows as it is stepped, so no more than one
+    block of profiles is held at a time, and each block's widths are written
+    straight into the report.  The power law is then fitted from that report
+    in two passes of ``_FIT_BLOCK`` widths, so what the run holds beyond one
+    block is the 16-byte-a-layer report.  The walk is still refused up front
+    past the 2 GiB trajectory limit of :func:`evolve_markov`.  A chain's
+    interfaces may differ in width, so each is measured on its own; its
+    operators are read in one top-down pass.
     """
     if isinstance(source, LayerChain):
         if cfg is not None:
@@ -114,33 +164,21 @@ def erf_profile(
         blocks = _walk(source, cfg, probe, keep_all=True)
 
     flagged = False
-    widths = np.empty(depth + 1)
+    table = np.empty((depth + 1, 2))
     done = 0
     for rows in blocks:
         _check_capacity_values(rows)
         total = rows.sum(axis=1)
         flagged |= bool(np.any(rows[:, 0] + rows[:, -1] > _BOUNDARY_MASS_TOL * total))
-        widths[done : done + len(rows)] = _pmf_std(rows, total)
-        done += len(rows)
+        stop = done + len(rows)
+        table[done:stop, 0] = np.arange(depth - done, depth - stop, -1)
+        table[done:stop, 1] = _pmf_std(rows, total)
+        done = stop
     del rows, total  # the last block holds the walk's buffer: free it before the fit
-
-    # widths[k] lies k layers below the probe; the fit takes k >= 1 and widths of 2 cells or more
-    fit = widths >= _MIN_FIT_SIGMA
-    fit[0] = False
-    fit_points = int(np.count_nonzero(fit))
-    if fit_points >= 2:
-        design = np.ones((fit_points, 2))
-        design[:, 0] = _logs(np.flatnonzero(fit))
-        ys = _logs(widths[fit])
-        coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
-        exponent = float(coef[0])
-        residual = float(np.sqrt(np.mean((design @ coef - ys) ** 2)))
-    else:
-        exponent = math.nan
-        residual = math.nan
+    exponent, residual, fit_points = _fit_power_law(table[:, 1])
     return ErfReport(
         probe_index=x0,
-        per_depth_std=np.column_stack((np.arange(depth, -1, -1), widths)),
+        per_depth_std=table,
         fitted_exponent=exponent,
         fit_residual=residual,
         boundary_flagged=flagged,

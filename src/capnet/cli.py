@@ -383,16 +383,27 @@ def cmd_chain(args) -> int:
     return 0
 
 
-def _residual_walk(args) -> Tuple[ResidualGenerator, DeepLimitConfig]:
-    """The walk of pde and erf, with each option not given set to its default."""
+def _probe(args, n: int) -> int:
+    """The probed cell of an n-cell grid: ``--probe``, checked, or the middle cell."""
+    if args.probe is None:
+        return n // 2
+    if not 0 <= args.probe < n:
+        raise SpecError(f"--probe: dirac index {args.probe} out of range [0, {n})")
+    return args.probe
+
+
+def _residual_walk(args) -> Tuple[ResidualGenerator, DeepLimitConfig, int]:
+    """The walk of pde and erf and its probed cell, each option not given set to its default.
+
+    The grid is checked first, then the probe; both before any profile is built.
+    """
     vars(args).update({k: v for k, v in _WALK_DEFAULTS.items() if getattr(args, k) is None})
     generator = ResidualGenerator(args.n, args.v, args.D, args.boundary)
-    return generator, DeepLimitConfig(eps=args.eps, L=args.L)
+    return generator, DeepLimitConfig(eps=args.eps, L=args.L), _probe(args, args.n)
 
 
 def cmd_pde(args) -> int:
-    generator, cfg = _residual_walk(args)
-    probe = args.probe if args.probe is not None else args.n // 2
+    generator, cfg, probe = _residual_walk(args)
     kappa = SpatialCapacity.dirac(args.n, probe)
     log.info("pde comparison: n=%d eps=%g L=%d", args.n, args.eps, args.L)
     _emit_json(compare_markov_pde(generator, cfg, kappa, refinements=args.refinements), args.out)
@@ -405,13 +416,12 @@ def cmd_erf(args) -> int:
             if getattr(args, option) is not None:
                 raise SpecError(f"--{option} cannot be combined with a spec file")
         source = load_network_spec(args.specfile).chain
-        cfg, n, depth = None, source.n_out, len(source)
+        cfg, depth, probe = None, len(source), _probe(args, source.n_out)
     else:
-        source, cfg = _residual_walk(args)
-        n, depth = args.n, args.L
+        source, cfg, probe = _residual_walk(args)
+        depth = args.L
     if args.ratio_depth is not None and not 1 <= args.ratio_depth <= depth:
         raise SpecError(f"ratio depth must be in [1, {depth}]")
-    probe = args.probe if args.probe is not None else n // 2
     report = doc = erf_profile(source, probe, cfg)
     if args.ratio_depth is not None:
         # per_depth_std[k] is the width after k layers below the probe

@@ -994,6 +994,18 @@ class TestErf:
         assert 0.45 <= doc["fitted_exponent"] <= 0.55
         assert doc["per_depth_std"][-1][1] == pytest.approx(math.sqrt(20.0), rel=0.05)
 
+    @pytest.mark.parametrize("probe", ["201", "-1"])
+    def test_probe_out_of_range_exits_2_by_the_option(self, tmp_path, capsys, monkeypatch, probe):
+        # the walk's range error named x0, erf_profile's argument, and not --probe
+        assert main(["erf", "--probe", probe]) == 2
+        assert f"--probe: dirac index {probe} out of range [0, 201)" in capsys.readouterr().err
+        path = _write_spec(tmp_path, "deep.json", _residual_spec(201, 5))
+        calls = []
+        monkeypatch.setattr(cli, "erf_profile", lambda *args: calls.append(args))
+        assert main(["erf", path, "--probe", probe]) == 2
+        assert not calls
+        assert f"--probe: dirac index {probe} out of range [0, 201)" in capsys.readouterr().err
+
     def test_wide_residual_spec_is_the_walk_bit_for_bit(self, tmp_path, capsys):
         # 100 dense 100,001-cell layers were refused at layer 0; as stencils each
         # sums the walk's terms in the walk's order, while no mass reaches an edge
