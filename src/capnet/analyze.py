@@ -8,6 +8,7 @@ whose maximal weight decays exponentially with depth.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple, Union
@@ -23,7 +24,7 @@ from .deeplimit import (
     _pmf_std,
     _walk,
 )
-from .propagate import LayerChain, propagate_chain
+from .propagate import LayerChain, Stencil
 
 __all__ = [
     "ErfReport",
@@ -123,6 +124,28 @@ def _fit_power_law(widths: np.ndarray) -> Tuple[float, float, int]:
     return slope, math.sqrt(squares / count), count
 
 
+def _chain_blocks(chain: LayerChain, top: np.ndarray) -> Iterator[np.ndarray]:
+    """A chain's interface profiles from ``top`` down, as blocks of rows.
+
+    Each run of consecutive stencil layers is one walk, its identical
+    consecutive layers grouped into runs of the walk; the walk's first row is
+    the profile it starts from, yielded already.  Every other layer is one
+    ``apply``.  Each operator is built when the pass reaches it.
+    """
+    yield top[None]
+    kinds = itertools.groupby(chain.top_down(), key=lambda layer: isinstance(layer, Stencil))
+    for local, layers in kinds:
+        if local:
+            runs = [(stencil, sum(1 for _ in same)) for stencil, same in itertools.groupby(layers)]
+            for i, rows in enumerate(_walk(runs, top)):
+                yield rows if i else rows[1:]
+            top = rows[-1].copy()  # the walk's buffer is freed with its last block
+        else:
+            for layer in layers:
+                top = layer.apply(top)
+                yield top[None]
+
+
 def erf_profile(
     source: Union[LayerChain, ResidualGenerator],
     x0: int,
@@ -133,15 +156,17 @@ def erf_profile(
     Accepts either a layer chain or a residual generator with its depth
     configuration.  The run is flagged when probe mass touches the first or
     last grid cell at any layer, since widths measured across the edge are
-    unreliable.  A generator's walk is validated, flagged and measured in
-    blocks of about 256 KiB of rows as it is stepped, so no more than one
-    block of profiles is held at a time, and each block's widths are written
-    straight into the report.  The power law is then fitted from that report
-    in two passes of ``_FIT_BLOCK`` widths, so what the run holds beyond one
-    block is the 16-byte-a-layer report.  The walk is still refused up front
-    past the 2 GiB trajectory limit of :func:`evolve_markov`.  A chain's
-    interfaces may differ in width, so each is measured on its own; its
-    operators are read in one top-down pass.
+    unreliable.  A generator is one walk of L layers of its stencil; a
+    chain's stencil layers are walked run by run, and each of its other
+    layers is applied once.  Each interface is validated, flagged and
+    measured as it is produced, a walk's in blocks of about 256 KiB of rows,
+    so no more than one block of profiles is held at a time, and each block's
+    widths are written straight into the report.  The power law is then
+    fitted from that report in two passes of ``_FIT_BLOCK`` widths, so what
+    the run holds beyond one block is the 16-byte-a-layer report.  A
+    generator's walk is refused past the walk's step limits before the
+    report is allocated.  A chain's interfaces may differ in width, so each
+    is measured on its own.
     """
     if isinstance(source, LayerChain):
         if cfg is not None:
@@ -151,17 +176,17 @@ def erf_profile(
         if cfg is None:
             raise ValueError("a generator source needs a DeepLimitConfig")
         n, depth = source.n, cfg.L
-        _check_walk(source, cfg, keep_all=True)  # before the probe and the widths are built
+        _check_walk(source, cfg)  # before the probe and the widths are built
+        stencil = source.stencil(cfg.eps)
     else:
         raise TypeError("source must be a LayerChain or a ResidualGenerator")
     if not 0 <= x0 < n:
         raise ValueError(f"x0 must be in [0, {n})")
-    probe = SpatialCapacity.dirac(n, x0)
+    probe = SpatialCapacity.dirac(n, x0).values
     if isinstance(source, LayerChain):
-        interfaces = propagate_chain(source, probe)
-        blocks = (profile.values[None] for profile in reversed(interfaces))  # probe layer first
+        blocks = _chain_blocks(source, probe)
     else:
-        blocks = _walk(source, cfg, probe, keep_all=True)
+        blocks = _walk([(stencil, cfg.L)], probe)
 
     flagged = False
     table = np.empty((depth + 1, 2))
@@ -174,7 +199,7 @@ def erf_profile(
         table[done:stop, 0] = np.arange(depth - done, depth - stop, -1)
         table[done:stop, 1] = _pmf_std(rows, total)
         done = stop
-    del rows, total  # the last block holds the walk's buffer: free it before the fit
+    del blocks, rows, total  # the last block holds the walk's buffer: free it before the fit
     exponent, residual, fit_points = _fit_power_law(table[:, 1])
     return ErfReport(
         probe_index=x0,

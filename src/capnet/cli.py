@@ -32,8 +32,8 @@ from . import __version__
 from .analyze import erf_profile, shatter_analysis, uniform_path_weight
 from .augment import Activation, decoupling_nu, estimate_nu_monte_carlo
 from .core import ProjectionMatrix, SpatialCapacity
+from .deeplimit import _MAX_WALK_CELL_STEPS
 from .deeplimit import DeepLimitConfig, ResidualGenerator, StabilityError, compare_markov_pde
-from .deeplimit import _MAX_WALK_CELL_STEPS, _generator_weights
 from .jsonfmt import canonical_dump, canonical_dumps
 from .oracle import ExperimentConfig, empirical_spatial_capacity
 from .propagate import (
@@ -63,9 +63,10 @@ _WALK_DEFAULTS = {"n": 201, "eps": 0.1, "L": 100, "D": 1.0, "v": 0.0, "boundary"
 
 _LAYER_KEYS = {"kind", "n_in", "n_out", "activation", "weights", "eps"}
 # What a spec's layers hold, together: each dense or differential layer's
-# n_in x n_out float64 operator or each stencil's taps, and the n_out-float
-# profile every interface keeps; or the one layer verify draws.  Building an
-# operator takes up to 4x its size at once, so a spec stays within about 2 GiB.
+# n_in x n_out float64 operator or each stencil's taps, and what the command
+# keeps of every layer, chain's profiles or shatter's diagonals; or the one
+# layer verify draws.  Building an operator takes up to 4x its size at once, so
+# a spec stays within about 2 GiB.
 _SPEC_BUDGET_BYTES = 512 * 2**20
 
 
@@ -171,7 +172,7 @@ def _parse_layer(entry, seeds: List[int]) -> _Layer:
             raise SpecError(f"non-numeric residual parameters in {weights!r}") from None
         generator = ResidualGenerator(n_in, v, dcoef)
         generator._check_eps(eps)
-        return _Layer(n_in, n_out, functools.partial(_residual_stencil, generator, eps), 3)
+        return _Layer(n_in, n_out, functools.partial(generator.stencil, eps), 3)
 
     seed = None
     if weights.startswith("random_gaussian:"):
@@ -211,12 +212,6 @@ def _parse_layer(entry, seeds: List[int]) -> _Layer:
 def _uniform_stencil(n: int, r: int) -> Stencil:
     """r taps of 1/r about each cell; an even window's extra tap lies above it."""
     return Stencil(n, np.arange(r) - (r - 1) // 2, np.full(r, 1.0 / r))
-
-
-def _residual_stencil(generator: ResidualGenerator, eps: float) -> Stencil:
-    """``I + eps*Delta`` on a periodic grid, its taps in the walk's order: keep, up, down."""
-    keep, up, down = _generator_weights(generator)
-    return Stencil(generator.n, (0, 1, -1), (1.0 + eps * keep[0], eps * up, eps * down))
 
 
 def _projection_operator(
@@ -270,15 +265,19 @@ def _parse_top_capacity(value, n: int) -> SpatialCapacity:
     raise SpecError("top_capacity must be a vector, dirac:<index>, or uniform")
 
 
-def parse_network_spec(document) -> NetworkSpec:
+def parse_network_spec(document, keeps: str = "") -> NetworkSpec:
     """Validate an architecture document; its chain builds each operator when reached.
 
     Every check that does not need a layer's matrix runs here, in document
     order.  Among them, the layers must fit in the 512 MiB spec budget, and a
     pass must sum no more terms over all stencils, n times taps each, than a
-    walk may step cells.  Reading a weights file, drawing a layer's weights
-    and the checks on the matrix run when a pass over the chain builds that
-    layer.
+    walk may step cells.  The budget charges each layer its operator or its
+    taps, and what the command keeps of it: ``keeps`` is "profile" for a
+    command that keeps every n_out-float interface profile (chain),
+    "diagonal" for one that stacks every n_in-float diagonal (shatter), or
+    empty for one that streams its layers (erf).  Reading a weights file,
+    drawing a layer's weights and the checks on the matrix run when a pass
+    over the chain builds that layer.
     """
     if not isinstance(document, dict):
         raise SpecError("spec must be a JSON object")
@@ -297,11 +296,13 @@ def parse_network_spec(document) -> NetworkSpec:
         with _naming_layer(i):
             layer = _parse_layer(entry, seeds)
             n, n_out, taps = layer.n_in, layer.n_out, layer.taps
-            spare_bytes -= 8 * n_out + (16 * taps if taps else 8 * n * n_out)
+            kept = {"": 0, "profile": n_out, "diagonal": n}[keeps]
+            spare_bytes -= 8 * kept + (16 * taps if taps else 8 * n * n_out)
             if spare_bytes < 0:
                 held = f"{taps}-tap stencil" if taps else f"{n}x{n_out} operator"
+                held += f" and {kept}-float {keeps} take" if kept else " takes"
                 raise SpecError(
-                    f"its {held} and {n_out}-float profile take the spec past the "
+                    f"its {held} the spec past the "
                     f"{_SPEC_BUDGET_BYTES // 2**20} MiB spec memory limit"
                 )
             spare_cell_taps -= n * taps
@@ -319,7 +320,8 @@ def parse_network_spec(document) -> NetworkSpec:
     return NetworkSpec(document=document, chain=chain, top=top, seeds=tuple(seeds))
 
 
-def load_network_spec(path: str) -> NetworkSpec:
+def load_network_spec(path: str, keeps: str = "") -> NetworkSpec:
+    """The spec in the JSON file ``path``, parsed by :func:`parse_network_spec`."""
     try:
         with open(path, "r") as handle:
             document = json.load(handle)
@@ -327,7 +329,7 @@ def load_network_spec(path: str) -> NetworkSpec:
         raise SpecError(f"cannot read spec file {path!r}") from None
     except json.JSONDecodeError as exc:
         raise SpecError(f"spec file {path!r} is not valid JSON: {exc}") from None
-    return parse_network_spec(document)
+    return parse_network_spec(document, keeps)
 
 
 @contextlib.contextmanager
@@ -365,7 +367,7 @@ def cmd_nu(args) -> int:
 
 
 def cmd_chain(args) -> int:
-    spec = load_network_spec(args.specfile)
+    spec = load_network_spec(args.specfile, keeps="profile")
     log.info("propagating through %d layers", len(spec.chain))
     profiles = propagate_chain(spec.chain, spec.top)
     report = {
@@ -461,7 +463,7 @@ def cmd_shatter(args) -> int:
         r, depth = _parse_uniform_tokens(args.uniform)
         _emit_json({"L": depth, "r": r, "uniform_weight": uniform_path_weight(r, depth)}, args.out)
         return 0
-    spec = load_network_spec(args.specfile)
+    spec = load_network_spec(args.specfile, keeps="diagonal")
     r = args.r if args.r is not None else spec.chain.n_in
     _emit_json(shatter_analysis(spec.chain, r, eps=args.eps), args.out)
     return 0

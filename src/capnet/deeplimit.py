@@ -4,7 +4,8 @@ Residual chains with identical operators ``I + eps*Delta`` follow a
 drift-diffusion law: in depth-time ``t = (L - l)/L`` the capacity profile
 solves ``pi' = -v pi_x + Dcoef pi_xx`` whose Dirac solution is a Gaussian of
 variance ``2 Dcoef eps L``.  This module builds the tridiagonal generators
-as 3-point stencils, runs the discrete Markov evolution on them, evaluates
+and their 3-tap :class:`~capnet.propagate.Stencil` steps, walks any run of
+stencils in blocks of profiles (the discrete Markov evolution), evaluates
 the Gaussian closed form, and measures the gap between the two under joint
 grid and depth refinement.
 """
@@ -14,11 +15,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import SpatialCapacity
+from .propagate import Stencil
 
 __all__ = [
     "StabilityError",
@@ -96,17 +98,16 @@ class StabilityError(ValueError):
 
 @dataclass(frozen=True)
 class ResidualGenerator:
-    """Tridiagonal drift-diffusion generator, held as its 3-point stencil.
+    """Tridiagonal drift-diffusion generator: :meth:`stencil` builds its step.
 
     Column j sends ``up = Dcoef + v/2`` to cell j+1, ``down = Dcoef - v/2``
     to cell j-1 and keeps ``-2 Dcoef``, except where a reflecting edge folds
-    the outgoing flux back in.  Only ``up`` and ``down`` are stored; the
-    dense ``matrix`` is built on demand.  Periodic boundaries wrap the
-    stencil.  Columns sum to 0,
-    so ``I + eps*Delta`` is column-stochastic whenever it is entrywise
-    non-negative.  ``v`` is measured in cells per unit depth and ``Dcoef``
-    in cells squared per unit depth, with one cell per neuron; ``|v|/2``
-    must not exceed ``Dcoef`` or transition weights would turn negative.
+    the outgoing flux back in; periodic boundaries wrap.  Only ``up`` and
+    ``down`` are stored.  Columns sum to 0, so ``I + eps*Delta`` is
+    column-stochastic whenever it is entrywise non-negative.  ``v`` is
+    measured in cells per unit depth and ``Dcoef`` in cells squared per unit
+    depth, with one cell per neuron; ``|v|/2`` must not exceed ``Dcoef`` or
+    transition weights would turn negative.
     """
 
     n: int
@@ -142,17 +143,28 @@ class ResidualGenerator:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense n x n generator: the stencil applied to the identity.
-
-        Nothing in capnet builds it; the walk and spec layers apply the
-        stencil directly.  It stays public as the dense reference that checks
-        of the stencil compare against.
-        """
-        keep, up, down = _generator_weights(self)
-        out = np.empty((self.n, self.n))
-        step_all = _stepper(self, (keep[:, None], up, down), np.empty((self.n + 1, self.n)))
-        step_all([((np.eye(self.n), out), out[1:], out[:-1], out[:: self.n - 1])])
+        """The dense n x n generator from its entries: the reference for its stencil."""
+        n, up, down = self.n, self.up, self.down
+        out = np.diag(np.full(n, -2.0 * self.Dcoef))
+        out += np.diag(np.full(n - 1, up), -1) + np.diag(np.full(n - 1, down), 1)
+        if self.boundary == "periodic":
+            out[0, -1], out[-1, 0] = up, down
+        else:  # the hops that would leave the grid fold back
+            out[[0, -1], [0, -1]] += (down, up)
         return out
+
+    def stencil(self, eps: float) -> Stencil:
+        """``I + eps*Delta``, eps checked first, as the 3-tap stencil keep, up, down.
+
+        Reflecting edge cells keep ``1 + eps*(-2 Dcoef + down)`` and
+        ``1 + eps*(-2 Dcoef + up)``.
+        """
+        self._check_eps(eps)
+        fold = None
+        if self.boundary == "reflecting":
+            fold = tuple(1.0 + eps * (-2.0 * self.Dcoef + hop) for hop in (self.down, self.up))
+        keep = 1.0 + eps * (-2.0 * self.Dcoef)
+        return Stencil(self.n, (0, 1, -1), (keep, eps * self.up, eps * self.down), fold)
 
     def max_stable_eps(self) -> float:
         """Largest eps with ``eps * 2 Dcoef < 1`` (strict).
@@ -172,52 +184,6 @@ class ResidualGenerator:
                 f"eps = {eps:g} makes I + eps*Delta negative; "
                 f"eps must be below {self.max_stable_eps():g}"
             )
-
-
-def _generator_weights(gen: ResidualGenerator) -> Tuple[np.ndarray, float, float]:
-    """Each cell's keep, a reflecting edge's fold included, and the up and down hops."""
-    keep = np.full(gen.n, -2.0 * gen.Dcoef)
-    if gen.boundary == "reflecting":
-        keep[[0, -1]] += (gen.down, gen.up)
-    return keep, gen.up, gen.down
-
-
-def _stepper(
-    gen: ResidualGenerator, weights, hop: np.ndarray, lo: int = 0, hi: Optional[int] = None
-) -> Callable[[Iterable], None]:
-    """A function that steps the window of cells ``lo:hi`` (the whole grid by default).
-
-    It takes an iterable of ``((x, y), y[1:], y[:-1], y[::w-1])``, where ``x``
-    and ``y`` hold the window's ``w`` cells along axis 0 of a source and a
-    target, and writes each ``y`` from its ``x`` with ``weights`` in five
-    ufunc calls, six when the whole grid is periodic, on those views and on
-    views of ``hop`` made once here.  ``hop`` is scratch at least one cell
-    longer than the window.  A cell adds its keep, the up hop from below,
-    then the down hop from above.  Only the whole grid folds, through a
-    reflecting edge's keep, or wraps: a periodic grid's two end cells add
-    the wrapped hops last.  A narrower window's edge cells miss the hops from
-    outside it, so ``y`` gets the whole grid's bits only when ``x`` is +0.0
-    within two cells of the window's edges, inside and out; the whole grid
-    then gives +0.0 outside the window too.
-    """
-    keep, up, down = weights
-    hi = gen.n if hi is None else hi
-    keep, hop = keep[lo:hi], hop[: hi - lo + 1]
-    above, below, inner, wrap = hop[1:], hop[:-1], hop[1:-1], hop[:: lo - hi]
-    wraps = gen.boundary == "periodic" and hi - lo == gen.n
-    multiply, add = np.multiply, np.add
-
-    def step_all(steps: Iterable) -> None:
-        for (x, y), tail, head, ends in steps:
-            multiply(x, keep, y)
-            multiply(x, up, above)  # inner holds up times x[:-1]
-            add(tail, inner, tail)
-            multiply(x, down, below)  # inner holds down times x[1:]; hop[-1] keeps up times x[-1]
-            add(head, inner, head)
-            if wraps:
-                add(ends, wrap, ends)  # cell 0 adds up times x[-1], cell n-1 down times x[0]
-
-    return step_all
 
 
 @dataclass(frozen=True)
@@ -242,14 +208,8 @@ class DeepLimitConfig:
         return self.eps * self.L
 
 
-def _check_walk(gen: ResidualGenerator, cfg: DeepLimitConfig, keep_all: bool = False) -> None:
-    """Refuse a kept trajectory past 2 GiB (``keep_all``), then a walk past the step limits."""
-    size = (cfg.L + 1) * gen.n * 8
-    if keep_all and size > _TRAJECTORY_BUDGET_BYTES:
-        raise ValueError(
-            f"{cfg.L + 1} profiles of {gen.n} cells need {size / 2**30:.1f} GiB, "
-            f"over the {_TRAJECTORY_BUDGET_BYTES / 2**30:g} GiB trajectory limit"
-        )
+def _check_walk(gen: ResidualGenerator, cfg: DeepLimitConfig) -> None:
+    """Refuse a walk past the step limits."""
     if cfg.L > _MAX_WALK_STEPS or cfg.L * gen.n > _MAX_WALK_CELL_STEPS:
         raise ValueError(
             f"{cfg.L} steps of {gen.n} cells are past the walk limit of "
@@ -264,86 +224,71 @@ def _nonzero_span(a: np.ndarray) -> Tuple[int, int]:
 
 
 def _walk(
-    gen: ResidualGenerator,
-    cfg: DeepLimitConfig,
-    kappa_top: SpatialCapacity,
-    keep_all: bool,
-    block_rows: Optional[int] = None,
+    runs: Sequence[Tuple[Stencil, int]], top: np.ndarray, block_rows: Optional[int] = None
 ) -> Iterator[np.ndarray]:
-    """Yield the L+1 profiles of the walk as consecutive blocks of rows.
+    """Yield the profiles of a walk down runs of stencils as consecutive blocks of rows.
 
-    The walk is refused at the first ``next()``, before its first step:
-    ``keep_all`` applies the 2 GiB trajectory limit, for a caller that keeps,
-    or reports on, every one of the L+1 profiles.  The blocks are views of
+    ``runs`` holds (stencil, layers) pairs, top first, each stepping its
+    stencil that many times: a generator's walk is one run of L layers.  Row
+    0 is ``top`` and row k the profile after k steps.  The blocks are views of
     one reused, zero-initialized buffer of ``block_rows`` rows (at least 2,
     by default about 256 KiB; fewer if the walk is shorter), so each must be
     read before the next is asked for, and the last block may be shorter.
     Trajectory row k sits in buffer row k modulo the buffer's rows.
 
-    The walk runs in segments.  A segment of s steps, at most
-    ``_SEGMENT_STEPS``, from a profile whose bit-nonzero span is [a, b)
-    (-0.0 counts as nonzero) steps only the window [a-s-1, b+s+1), grown to
-    cover the windows before it: after j steps the mass spans at most
-    [a-j, b+j), and a buffer row from an earlier lap is +0.0 outside the
-    earlier windows.  Every skipped term is an exact +0.0, so each profile
-    keeps the bits of a whole-grid walk.  A window that would reach cell 0
-    or n-1 becomes the whole grid, with its fold or wrap, for the rest of
-    the walk, in one segment, or one buffer lap at a time when a lap is
-    longer than ``_SEGMENT_VIEWS`` steps.  A step is the ufunc calls of
-    :func:`_stepper`, O(window), on views made once per segment; a segment
-    that laps the buffer replays one lap's views, so at most
-    ``_SEGMENT_VIEWS`` steps' views are alive at once, whatever L.  Each step
-    conserves the total capacity.
+    The walk runs in segments within runs.  A segment of s steps, at most
+    ``_SEGMENT_STEPS``, of a stencil of reach r, from a profile whose
+    bit-nonzero span is [a, b) (-0.0 counts as nonzero), steps only the
+    window [a-s*r, b+s*r), grown to cover the windows before it: after j
+    steps the mass spans at most [a-j*r, b+j*r), and a buffer row from an
+    earlier lap is +0.0 outside the earlier windows.  So every profile keeps
+    the bits of a whole-grid walk.  A window that would reach cell 0 or n-1
+    becomes the whole grid, with its wrap or fold, for the rest of the walk,
+    a run at a time, or a buffer lap at a time when a lap is longer than
+    ``_SEGMENT_VIEWS`` steps.  A step is the stencil's windowed step,
+    O(window * taps), on views made once per segment; a segment that laps
+    the buffer replays one lap's views, so at most ``_SEGMENT_VIEWS`` steps'
+    views are alive at once, whatever the depth.  Each step conserves the
+    total capacity.
     """
-    if kappa_top.n != gen.n:
-        raise ValueError(f"capacity has {kappa_top.n} entries, generator expects {gen.n}")
-    gen._check_eps(cfg.eps)
-    _check_walk(gen, cfg, keep_all)
-    n = gen.n
+    n = top.size
+    depth = sum(layers for _, layers in runs)
     if block_rows is None:
         block_rows = max(2, _STD_BLOCK_BYTES // (8 * n))
-    rows = np.zeros((min(block_rows, cfg.L + 1), n))  # cells outside every window stay +0.0
-    rows[0] = kappa_top.values
-    keep, up, down = _generator_weights(gen)
-    # the entries of I + eps*Delta; numpy multiplies by a 0-d array faster than by a float
-    weights = (1.0 + cfg.eps * keep, np.array(cfg.eps * up), np.array(cfg.eps * down))
-    hop = np.empty(n + 1)
-    count = len(rows)
+    rows = np.zeros((min(block_rows, depth + 1), n))  # cells outside every window stay +0.0
+    rows[0] = top
+    size = len(rows)
     # the window starts as the top profile's span, of the bits, so that -0.0 counts as nonzero
     lo, hi = _nonzero_span(rows[0].view(np.int64))
-    walked, left = 0, 0  # the last trajectory row written, and the steps left in its segment
-    for start in range(0, cfg.L + 1, count):
-        if start:
-            yield rows
-        stop = min(count, cfg.L + 1 - start)
-        while walked < start + stop - 1:
-            if not left:
-                left = min(_SEGMENT_STEPS, cfg.L - walked)
-                if hi - lo < n:
-                    a, b = _nonzero_span(rows[walked % count, lo:hi].view(np.int64))
-                    if a < b:
-                        lo, hi = min(lo, lo + a - left - 1), max(hi, lo + b + left + 1)
-                    if lo <= 0 or hi >= n:
-                        lo, hi = 0, n
-                if hi - lo == n:
-                    # the rest of the walk, replaying one lap's views, or one lap at a time
-                    left = cfg.L - walked if count <= _SEGMENT_VIEWS else min(cfg.L - walked, count)
-                step_all = _stepper(gen, weights, hop, lo, hi)
-                cells = rows[:, lo:hi]
-                p = (walked + 1) % count  # the buffer row the segment's first step writes
-                # a lap of steps from buffer row p, each writing a row from the row before it
-                before = cells[p - 1 : p] if p else cells[-1:]
-                views = (cells[:, 1:], cells[:, :-1], cells[:, :: hi - lo - 1])
-                lap = zip(
-                    itertools.pairwise(itertools.chain(before, cells[p:], cells[:p])),
-                    *(itertools.chain(v[p:], v[:p]) for v in views),
-                )
-                steps = itertools.cycle(lap) if left > count else lap
-            take = min(left, start + stop - 1 - walked)
-            step_all(itertools.islice(steps, take))
-            walked += take
-            left -= take
-    yield rows[:stop]
+    walked = 0  # the last trajectory row written
+    for stencil, layers in runs:
+        end, reach = walked + layers, stencil.reach
+        while walked < end:
+            left = min(_SEGMENT_STEPS, end - walked)
+            if hi - lo < n:
+                a, b = _nonzero_span(rows[walked % size, lo:hi].view(np.int64))
+                if a < b:
+                    lo, hi = min(lo, lo + a - left * reach), max(hi, lo + b + left * reach)
+                if lo <= 0 or hi >= n:
+                    lo, hi = 0, n
+            if hi - lo == n:
+                # the rest of the run, replaying one lap's views, or one lap at a time
+                left = end - walked if size <= _SEGMENT_VIEWS else min(end - walked, size)
+            step_all = stencil._stepper(lo, hi)
+            cells = rows[:, lo:hi]
+            p = (walked + 1) % size  # the buffer row the segment's first step writes
+            # a lap of steps from buffer row p, each writing a row from the row before it
+            before = cells[p - 1 : p] if p else cells[-1:]
+            lap = itertools.pairwise(itertools.chain(before, cells[p:], cells[:p]))
+            steps = itertools.cycle(lap) if left > size else lap
+            while left:
+                if walked % size == size - 1:  # the buffer is full: hand it over
+                    yield rows
+                take = min(left, (size - 1 - walked) % size or size)
+                step_all(itertools.islice(steps, take))
+                walked += take
+                left -= take
+    yield rows[: walked % size + 1]
 
 
 def evolve_markov(
@@ -352,7 +297,7 @@ def evolve_markov(
     kappa_top: SpatialCapacity,
     keep_all: bool = True,
 ) -> np.ndarray:
-    """Apply ``I + eps*Delta`` L times to ``kappa_top`` on the stencil.
+    """Apply ``I + eps*Delta`` L times to ``kappa_top`` through its stencil.
 
     Returns the (L+1) x n trajectory: row k is the profile after k steps,
     row 0 is ``kappa_top`` (t = 0) and row L the input-space profile
@@ -365,7 +310,17 @@ def evolve_markov(
     step touches only the window of cells the mass can reach, so a Dirac
     costs O(k) at step k until its mass nears an edge, and O(n) a step after.
     """
-    for rows in _walk(gen, cfg, kappa_top, keep_all, cfg.L + 1 if keep_all else 2):
+    if kappa_top.n != gen.n:
+        raise ValueError(f"capacity has {kappa_top.n} entries, generator expects {gen.n}")
+    stencil = gen.stencil(cfg.eps)
+    size = (cfg.L + 1) * gen.n * 8
+    if keep_all and size > _TRAJECTORY_BUDGET_BYTES:
+        raise ValueError(
+            f"{cfg.L + 1} profiles of {gen.n} cells need {size / 2**30:.1f} GiB, "
+            f"over the {_TRAJECTORY_BUDGET_BYTES / 2**30:g} GiB trajectory limit"
+        )
+    _check_walk(gen, cfg)
+    for rows in _walk([(stencil, cfg.L)], kappa_top.values, cfg.L + 1 if keep_all else 2):
         pass
     return rows if keep_all else rows[-1]
 

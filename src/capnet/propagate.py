@@ -4,13 +4,14 @@ In the pseudo-random regime each layer turns feature-space capacity into
 input-space capacity through the column-stochastic operator ``D = P o P``
 (entrywise square, columns renormalized).  A chain is a sequence of such
 operators: it applies them top-down, ``kappa^{l-1} = D_l kappa^l``,
-conserving the total.  A layer whose columns are one shifted periodic
-pattern, such as a residual or window layer, is a :class:`Stencil`, held as
-its few taps; every operator is read through ``apply`` and ``diagonal``.
-Consumers make one top-down pass over a chain, so a
-chain may build each operator only when the pass reaches it.  The rule
-holds under total decoupling only, so the CLI's spec parser, which builds
-operators from projections, refuses any activation other than
+conserving the total.  A layer whose columns are one shifted pattern, such
+as a residual or window layer, is a :class:`Stencil`, held as its few taps
+and its boundary; its windowed step is the one routine that steps a local
+layer, in ``apply`` and in the deep-limit walk.  Every operator is read
+through ``apply`` and ``diagonal``.  Consumers make one top-down pass over
+a chain, so a chain may build each operator only when the pass reaches it.
+The rule holds under total decoupling only, so the CLI's spec parser, which
+builds operators from projections, refuses any activation other than
 pseudo_random.
 """
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -35,6 +36,9 @@ __all__ = [
 ]
 
 _COLUMN_SUM_TOL = 1e-10
+# Bytes of tap terms a stencil step forms at once: about one walk block, so
+# that a step's terms stay in cache while they are summed.
+_TERM_BYTES = 2**18
 
 
 @dataclass(frozen=True)
@@ -70,19 +74,25 @@ class PropagationOperator:
         return np.diag(self.matrix)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Stencil:
-    """A periodic column-stochastic operator on n cells, held as its taps.
+    """A column-stochastic operator on n cells, held as its taps and its boundary.
 
-    Column j sends ``weights[k]`` to cell ``(j + offsets[k]) mod n``.  The
-    offsets are distinct mod n, and are kept reduced mod n; the weights are
-    non-negative and sum to 1.  :meth:`apply` costs O(n * taps), and the
-    dense ``matrix`` is built on demand.
+    Column j sends ``weights[k]`` to cell ``j + offsets[k]``, taken mod n on a
+    periodic grid; the offsets are distinct mod n and kept reduced mod n.  The
+    weights are non-negative and sum to 1.  ``fold`` makes the grid
+    reflecting, as the generator's is: the taps are at -1, 0 and +1, the hops
+    that would leave the grid are dropped, and cells 0 and n-1 keep ``fold``
+    instead of the offset-0 weight.  :meth:`_stepper` is the one routine that
+    steps a local layer: :meth:`apply` runs it once and a walk once a layer,
+    each step O(n * taps).  The dense ``matrix`` is built on demand.
+    Stencils are equal when their grids, taps and folds agree bit for bit.
     """
 
     n: int
     offsets: np.ndarray
     weights: np.ndarray
+    fold: Optional[Tuple[float, float]] = None
 
     def __post_init__(self):
         offsets = np.asarray(self.offsets, dtype=np.int64)
@@ -101,9 +111,32 @@ class Stencil:
             raise ValueError(f"stencil weights sum to {weights.sum()!r}, not 1")
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "weights", weights)
+        if self.fold is not None:
+            fold, hops = tuple(map(float, self.fold)), dict(zip(self._shifts(), weights.tolist()))
+            if self.n < 3 or sorted(hops) != [-1, 0, 1] or len(fold) != 2:
+                raise ValueError("a reflecting stencil needs n >= 3, taps at -1, 0, +1, two keeps")
+            edges = (fold[0] + hops[1], fold[1] + hops[-1])  # the edge columns
+            if not (min(fold) >= 0 and max(abs(edge - 1.0) for edge in edges) <= _COLUMN_SUM_TOL):
+                raise ValueError(f"reflecting edge columns sum to {edges}, not 1")
+            object.__setattr__(self, "fold", fold)
 
     # a stencil maps its n cells to themselves
     n_in = n_out = property(lambda self: self.n)
+
+    def __eq__(self, other):
+        if not isinstance(other, Stencil):
+            return NotImplemented
+        bits = [(s.n, s.fold, s.offsets.tobytes(), s.weights.tobytes()) for s in (self, other)]
+        return bits[0] == bits[1]
+
+    def _shifts(self) -> List[int]:
+        """Each offset as the signed step of least size: cell i reads cell i - shift."""
+        return [o if o <= self.n // 2 else o - self.n for o in self.offsets.tolist()]
+
+    @property
+    def reach(self) -> int:
+        """The farthest a tap sends mass, in cells."""
+        return max(map(abs, self._shifts()))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -112,19 +145,72 @@ class Stencil:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """``D values`` along axis 0: each cell adds its taps' terms in the taps' order."""
-        # each term is values rolled by the offset: cell i reads values[i - offset]
-        terms = (
-            weight * np.concatenate((values[self.n - offset :], values[: self.n - offset]))
-            for offset, weight in zip(self.offsets.tolist(), self.weights.tolist())
-        )
-        out = next(terms)
-        for term in terms:
-            out += term
+        out = np.empty(values.shape)
+        self._stepper(lead=values.shape[1:])([(values, out)])
         return out
 
     def diagonal(self) -> np.ndarray:
-        """Each cell's weight on itself: the weight at offset 0, or 0."""
-        return np.full(self.n, self.weights[self.offsets == 0].sum())
+        """Each cell's weight on itself: the weight at offset 0 (or 0), or an edge's keep."""
+        out = np.full(self.n, self.weights[self.offsets == 0].sum())
+        if self.fold is not None:
+            out[[0, -1]] = self.fold
+        return out
+
+    def _stepper(self, lo: int = 0, hi: Optional[int] = None, lead: Tuple[int, ...] = ()):
+        """A function that steps the window of cells ``lo:hi``, the whole grid by default.
+
+        It takes an iterable of ``(x, y)`` pairs, the window's cells along
+        axis 0 of a source and a target, with ``lead`` axes after it, and
+        writes ``y = D x`` there, each cell adding its taps' terms in the taps'
+        order.  One ufunc call forms the terms of a group of taps, of about
+        ``_TERM_BYTES``, in scratch rows with ``reach`` ghost cells a side, and
+        the terms are added into ``y``: three calls for three taps.  Only the
+        whole grid wraps or folds: a periodic tap's ghosts take the terms of
+        the far end, one more copy each, and a reflecting edge's ghosts stay
+        -0.0, which adds nothing.  A narrower window's ghosts stay +0.0, so
+        ``y`` has the whole grid's bits when ``x`` is +0.0 outside the window.
+        """
+        width, shifts = (self.n if hi is None else hi) - lo, self._shifts()
+        reach, ones = max(map(abs, shifts)), [1] * len(lead)
+        size = max(1, min(len(shifts), _TERM_BYTES // (8 * (width + 2 * reach) * math.prod(lead))))
+        scratch = np.zeros((size, width + 2 * reach, *lead))  # ghosts of the cells outside a window
+        whole = width == self.n
+        folds = whole and self.fold is not None
+        weights = self.weights.reshape(-1, 1, *ones)
+        if folds:  # each cell's own weights, the edge cells keeping the fold
+            scratch[...] = -0.0  # the hops that would leave the grid read -0.0, which adds nothing
+            weights = np.repeat(weights, width, axis=1)
+            weights[shifts.index(0)][[0, -1]] = np.reshape(self.fold, (2, *ones))
+        groups = []
+        for start in range(0, len(shifts), size):
+            rows = scratch[: len(shifts) - start]
+            terms, wraps = [], []
+            for row, shift in zip(rows, shifts[start:]):
+                terms.append(row[reach - shift : reach - shift + width])
+                if shift > 0 and whole and not folds:  # its ghosts read the far end
+                    wraps.append((row[:reach], row[width : width + reach]))
+                elif shift < 0 and whole and not folds:
+                    wraps.append((row[reach + width :], row[reach : 2 * reach]))
+            head = ()
+            if not start:  # y starts as the first two terms, or the first and -0.0, adding nothing
+                head = terms[:2] if len(terms) > 1 else [terms[0], np.full(terms[0].shape, -0.0)]
+                terms = terms[2:]
+            products = rows[:, reach : reach + width]
+            groups.append((weights[start : start + size], products, wraps, head, terms))
+        multiply, add = np.multiply, np.add
+
+        def step_all(steps: Iterable) -> None:
+            for x, y in steps:
+                for group_weights, products, wraps, head, terms in groups:
+                    multiply(x, group_weights, products)
+                    for ghosts, ends in wraps:
+                        ghosts[...] = ends
+                    if head:
+                        add(*head, y)
+                    for term in terms:
+                        add(y, term, y)
+
+        return step_all
 
 
 Operator = Union[PropagationOperator, Stencil]

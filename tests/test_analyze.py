@@ -14,17 +14,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capnet.analyze import erf_profile, max_path_weight, shatter_analysis, uniform_path_weight
-from capnet.cli import _residual_stencil, _uniform_stencil
+from capnet.cli import _uniform_stencil
 from capnet.core import ProjectionMatrix, SpatialCapacity
 from capnet.deeplimit import (
     _BOUNDARY_MASS_TOL,
     DeepLimitConfig,
     ResidualGenerator,
+    _pmf_std,
     _walk,
     evolve_markov,
 )
 from capnet.jsonfmt import canonical_dumps
-from capnet.propagate import LayerChain, PropagationOperator, propagation_matrix
+from capnet.propagate import LayerChain, PropagationOperator, Stencil, propagation_matrix
 
 
 def _residual_chain(eps, L, n=11, Dcoef=0.5):
@@ -88,9 +89,9 @@ def _walk_reference(gen, cfg, x0):
 
     Every step is shifted slices and scalar wraps over all n cells.  Each cell
     adds its keep, then the up hop from the cell below, then the down hop from
-    the cell above.  On a periodic grid cell 0 adds the wrapped up hop after its
-    down hop; a reflecting edge folds the hop that would leave the grid into the
-    edge cell's keep.
+    the cell above.  On a periodic grid cell 0 adds the wrapped up hop before
+    its down hop, and cell n-1 the wrapped down hop last; a reflecting edge
+    folds the hop that would leave the grid into the edge cell's keep.
     """
     keep = 1.0 + cfg.eps * (-2.0 * gen.Dcoef)
     first = 1.0 + cfg.eps * (-2.0 * gen.Dcoef + gen.down)
@@ -108,9 +109,10 @@ def _walk_reference(gen, cfg, x0):
             y[0] = first * x[0]
             y[-1] = last * x[-1]
         y[1:] += up * x[:-1]
-        y[:-1] += down * x[1:]
         if gen.boundary == "periodic":
             y[0] += up * x[-1]
+        y[:-1] += down * x[1:]
+        if gen.boundary == "periodic":
             y[-1] += down * x[0]
     return rows
 
@@ -188,7 +190,8 @@ class TestErfProfile:
             cfg = DeepLimitConfig(eps=0.4, L=L)
             walked = _walk_reference(gen, cfg, 0)
             with mock.patch("capnet.deeplimit._STD_BLOCK_BYTES", 8 * n * ring):
-                blocks = [rows.copy() for rows in _walk(gen, cfg, probe, keep_all=True)]
+                walk = _walk([(gen.stencil(cfg.eps), cfg.L)], probe.values)
+                blocks = [rows.copy() for rows in walk]
                 report = erf_profile(gen, 0, cfg)
                 kept = evolve_markov(gen, cfg, probe)
                 last = evolve_markov(gen, cfg, probe, keep_all=False)
@@ -375,6 +378,54 @@ def _assert_same_bits(got, expected):
     )
 
 
+@st.composite
+def _stencil_chains(draw):
+    """Random periodic stencils, some repeated, with dense layers between, and a probe.
+
+    The layers are drawn top first; a dense layer may change the width.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = top = draw(st.integers(1, 40))
+    layers = []
+    kinds = st.lists(st.sampled_from(["stencil", "same", "dense"]), min_size=1, max_size=12)
+    for kind in draw(kinds):
+        if kind == "same" and layers and isinstance(layers[-1], Stencil):
+            last = layers[-1]  # an equal stencil, not the same object
+            layers.append(Stencil(last.n, last.offsets, last.weights))
+        elif kind == "dense":
+            n_in = draw(st.integers(1, 40))
+            matrix = rng.random((n_in, n)) + 0.01
+            layers.append(PropagationOperator(matrix / matrix.sum(axis=0)))
+            n = n_in
+        else:
+            offsets = rng.permutation(np.arange(-n, 2 * n))[: draw(st.integers(1, 7))]
+            offsets = offsets[np.unique(offsets % n, return_index=True)[1]]
+            weights = rng.random(offsets.size) + 0.01
+            layers.append(Stencil(n, offsets, weights / weights.sum()))
+    return LayerChain(layers[::-1]), draw(st.integers(0, top - 1))
+
+
+class TestStencilChains:
+    @settings(max_examples=60, deadline=None)
+    @given(_stencil_chains(), st.integers(1, 4000), st.sampled_from([1, 3, 64]))
+    def test_streamed_chain_matches_a_per_layer_loop_bit_for_bit(self, chain_probe, block, segment):
+        # the stencil runs are walked in windows and blocks, each dense layer applied
+        # once; the reference applies every layer to the whole profile
+        chain, x0 = chain_probe
+        small = {"_STD_BLOCK_BYTES": block, "_SEGMENT_STEPS": segment}
+        with mock.patch.multiple("capnet.deeplimit", **small):
+            report = erf_profile(chain, x0)
+        profiles = [SpatialCapacity.dirac(chain.n_out, x0).values]
+        for layer in chain.top_down():
+            profiles.append(layer.apply(profiles[-1]))
+        widths = [_pmf_std(p[None], p[None].sum(axis=1))[0] for p in profiles]
+        flagged = any(p[0] + p[-1] > _BOUNDARY_MASS_TOL * p.sum() for p in profiles)
+        np.testing.assert_array_equal(report.per_depth_std[:, 0], np.arange(len(chain), -1, -1))
+        assert report.per_depth_std[:, 1].tobytes() == np.array(widths).tobytes()
+        assert report.boundary_flagged == flagged
+        assert max(abs(p.sum() - 1.0) for p in profiles) <= 1e-12
+
+
 class TestWindowedWalk:
     @settings(max_examples=80, deadline=None)
     # a drift that stops the up hop leaves the trailing edge to decay to 0, so the
@@ -429,7 +480,7 @@ class TestWindowedWalk:
             _SEGMENT_STEPS=segment,
             _SEGMENT_VIEWS=views,
         ):
-            blocks = [rows.copy() for rows in _walk(gen, cfg, kappa, keep_all=True)]
+            blocks = [rows.copy() for rows in _walk([(gen.stencil(cfg.eps), cfg.L)], top)]
             report = erf_profile(gen, cell, cfg) if shape == "dirac" else None
             kept = evolve_markov(gen, cfg, kappa)
             last = evolve_markov(gen, cfg, kappa, keep_all=False)
@@ -451,9 +502,11 @@ class TestWindowedWalk:
         with mock.patch.object(np, "multiply", wraps=np.multiply) as multiply:
             with mock.patch.object(np, "add", wraps=np.add) as add:
                 last = evolve_markov(gen, cfg, probe, keep_all=False)
+        # a step forms its three taps' terms in one multiply and adds them in two;
+        # each argument holds the window's cells, or a row of them per tap
         calls = multiply.call_args_list + add.call_args_list
-        assert len(calls) == 5 * L
-        assert max(arg.size for call in calls for arg in call.args) <= 2 * L + 3
+        assert len(calls) == 3 * L
+        assert max(np.shape(arg)[-1] for call in calls for arg in call.args) <= 2 * L + 3
         _assert_same_bits(last, _walk_reference(gen, cfg, n // 2)[-1])
 
 
@@ -480,7 +533,7 @@ class TestMaxPathWeight:
     def test_stencils_read_as_their_dense_matrices(self):
         # a stencil's diagonal has the bits of its dense matrix's, so the path weights do too
         gen = ResidualGenerator(8, 0.3, 0.9)
-        stencils = [_residual_stencil(gen, 0.2), _uniform_stencil(8, 3), _uniform_stencil(8, 4)]
+        stencils = [gen.stencil(0.2), _uniform_stencil(8, 3), _uniform_stencil(8, 4)]
         for layers in (stencils, stencils[::-1] * 3):
             expected = max_path_weight(LayerChain([PropagationOperator(s.matrix) for s in layers]))
             assert max_path_weight(LayerChain(layers)) == expected

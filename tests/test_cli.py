@@ -30,7 +30,6 @@ from capnet.analyze import ErfReport, ShatterReport, erf_profile, shatter_analys
 from capnet.augment import DecouplingReport
 from capnet.cli import (
     SpecError,
-    _residual_stencil,
     _uniform_stencil,
     main,
     parse_network_spec,
@@ -512,7 +511,7 @@ def _every_kind_chain(weights):
     return LayerChain([
         propagation_matrix(drawn(11)),
         differential_propagation_matrix(drawn(12), 0.3),
-        _residual_stencil(ResidualGenerator(6, 0.2, 1.0), 0.1),
+        ResidualGenerator(6, 0.2, 1.0).stencil(0.1),
         _uniform_stencil(6, 3),
         propagation_matrix(loaded),
         _uniform_stencil(6, 5),
@@ -938,10 +937,11 @@ class TestPde:
 
 
 class TestErf:
-    def test_walk_past_trajectory_limit_exits_2_before_the_widths(self, capsys):
+    def test_walk_past_step_limit_exits_2_before_the_widths(self, capsys):
         # the 2**40 + 1 widths died of numpy's MemoryError before the walk was checked
         assert main(["erf", "--L", str(2**40)]) == 2
-        assert "1099511627777 profiles of 201 cells need" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "1099511627776 steps of 201 cells are past the walk limit of 10,000,000 steps" in err
 
     def test_long_walk_report_held_as_an_array(self, tmp_path):
         # 200,001 widths at 16 bytes each; as (int, float) tuples they took some 146
@@ -1020,6 +1020,39 @@ class TestErf:
         assert spec["per_depth_std"] == walk["per_depth_std"]
         assert spec == walk
 
+    def test_deep_residual_spec_streams_like_the_walk(self, tmp_path):
+        # 700 such layers were refused at layer 671, each charged its 100,001-float
+        # profile; at 600 the spec kept every profile and peaked at 491 MiB
+        n = 100_001
+        path = _write_spec(tmp_path, "deep.json", _residual_spec(n, 700, top=f"dirac:{n // 2}"))
+        spec_out, walk_out = tmp_path / "spec.json", tmp_path / "walk.json"
+        code, _, spec_kib = _peak_rss(["erf", path, "--out", str(spec_out)])
+        assert code == 0
+        walk = ["erf", "--n", str(n), "--L", "700", "--eps", "0.1", "--D", "1", "--v", "0"]
+        code, _, walk_kib = _peak_rss(walk + ["--out", str(walk_out)])
+        assert code == 0
+        assert spec_out.read_bytes() == walk_out.read_bytes()
+        # beyond the walk, the spec holds its document and 700 layer descriptions
+        assert spec_kib <= walk_kib + 3 * 1024
+
+    def test_spec_budget_charges_what_each_command_keeps(self, tmp_path, capsys, monkeypatch):
+        # 2,000 layers of 100,001 cells: erf holds one walk block, while chain keeps
+        # every profile and shatter stacks every diagonal, 1.6 GB either way
+        n = 100_001
+        path = _write_spec(tmp_path, "deep.json", _residual_spec(n, 2000, top=f"dirac:{n // 2}"))
+        code, out = _run(capsys, ["erf", path])
+        assert code == 0
+        assert len(json.loads(out)["per_depth_std"]) == 2001
+        built = []
+        monkeypatch.setattr(ResidualGenerator, "stencil", lambda *args: built.append(args))
+        for command, kept in (("chain", "profile"), ("shatter", "diagonal")):
+            assert main([command, path]) == 2
+            assert capsys.readouterr().err == (
+                f"error: layer 671: its 3-tap stencil and 100001-float {kept} take the spec "
+                "past the 512 MiB spec memory limit\n"
+            )
+        assert not built
+
     def test_bad_ratio_depth_exits_2(self, tmp_path, capsys):
         path = _write_spec(tmp_path, "deep.json", _residual_spec(21, 3, top="dirac:10"))
         assert main(["erf", path, "--ratio-depth", "9"]) == 2
@@ -1036,10 +1069,13 @@ class TestErf:
         assert main(["erf", "--eps", "nan"]) == 2
         assert "eps must be positive, got nan" in capsys.readouterr().err
 
-    def test_trajectory_past_memory_budget_exits_2(self, capsys):
-        # 100,001 profiles of 100,001 cells would need 75 GiB
-        assert main(["erf", "--n", "100001", "--L", "100000"]) == 2
-        assert "2 GiB trajectory limit" in capsys.readouterr().err
+    def test_walk_past_cell_step_limit_exits_2(self, capsys):
+        # erf holds one block of profiles, so no trajectory limit applies: 10**10
+        # cell-steps run, and 300,001 steps of 100,001 cells are past 3*10**10
+        assert main(["erf", "--n", "100001", "--L", "300001"]) == 2
+        err = capsys.readouterr().err
+        assert "300001 steps of 100001 cells are past the walk limit" in err
+        assert "30,000,000,000 cell-steps" in err
 
     def test_walk_past_step_limit_exits_2(self, capsys):
         # its 1.9 GB trajectory is inside the 2 GiB budget; 8*10**7 steps are not

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capnet.cli import _residual_stencil, parse_network_spec
+from capnet.cli import parse_network_spec
 from capnet.core import SpatialCapacity
 from capnet.deeplimit import (
     _MAX_CLOSED_FORM_CELLS,
@@ -181,7 +181,7 @@ class TestResidualGenerator:
 
     def test_residual_stencil_is_identity_plus_eps_generator(self):
         gen = ResidualGenerator(9, 0.3, 0.7)
-        step = _residual_stencil(gen, 0.2)
+        step = gen.stencil(0.2)
         assert isinstance(step, Stencil)
         assert step.offsets.tolist() == [0, 1, 8]
         np.testing.assert_array_equal(step.matrix, _dense_step(gen, 0.2))
@@ -243,9 +243,7 @@ class TestEvolveMarkov:
         got = evolve_markov(gen, DeepLimitConfig(eps=eps, L=1), kappa)[1]
         expected = _dense_step(gen, eps) @ kappa.values
         np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
-        if boundary == "periodic":
-            stencil = _residual_stencil(gen, eps).apply(kappa.values)
-            np.testing.assert_allclose(got, stencil, rtol=1e-14, atol=0)
+        np.testing.assert_array_equal(got, gen.stencil(eps).apply(kappa.values))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -261,8 +259,7 @@ class TestEvolveMarkov:
         gen = ResidualGenerator(n, 2.0 * dcoef * drift, dcoef, boundary)
         eps = fraction * gen.max_stable_eps()
         step = _dense_step(gen, eps)
-        if boundary == "periodic":
-            np.testing.assert_array_equal(_residual_stencil(gen, eps).matrix, step)
+        np.testing.assert_array_equal(gen.stencil(eps).matrix, step)
         cfg = DeepLimitConfig(eps=eps, L=1)
         for j in range(n):
             walked = evolve_markov(gen, cfg, SpatialCapacity.dirac(n, j))[1]
@@ -288,7 +285,7 @@ class TestEvolveMarkov:
         top = np.zeros(n)
         top[L + margin : L + margin + 3] = np.random.default_rng(seed).random(3)
         walk = evolve_markov(gen, DeepLimitConfig(eps=eps, L=L), SpatialCapacity(top))
-        stencil = _residual_stencil(gen, eps)
+        stencil = gen.stencil(eps)
         stack = [top]
         for _ in range(L):
             stack.append(stencil.apply(stack[-1]))

@@ -331,6 +331,27 @@ class TestStencil:
         with pytest.raises(ValueError, match=message):
             Stencil(n, offsets, weights)
 
+    @pytest.mark.parametrize(
+        "n, offsets, fold, message",
+        [
+            (2, (0, 1), (0.75, 0.75), "n >= 3"),
+            (5, (0, 1, 2), (0.75, 0.75), "taps at -1, 0, \\+1"),
+            (5, (0, 1, -1), (0.75,), "two keeps"),
+            (5, (0, 1, -1), (0.7, 0.75), "edge columns sum to"),
+            (5, (0, 1, -1), (np.nan, 0.75), "edge columns sum to"),
+        ],
+    )
+    def test_rejects_malformed_folds(self, n, offsets, fold, message):
+        weights = (0.5, 0.25, 0.25)[: len(offsets)] if n > 2 else (0.5, 0.5)
+        with pytest.raises(ValueError, match=message):
+            Stencil(n, offsets, weights, fold)
+
+    def test_reflecting_edges_fold_the_hops_that_leave(self):
+        stencil = Stencil(4, (0, 1, -1), (0.5, 0.3, 0.2), (0.7, 0.8))
+        expected = [[0.7, 0.2, 0, 0], [0.3, 0.5, 0.2, 0], [0, 0.3, 0.5, 0.2], [0, 0, 0.3, 0.8]]
+        np.testing.assert_array_equal(stencil.matrix, expected)
+        np.testing.assert_array_equal(stencil.diagonal(), [0.7, 0.5, 0.5, 0.8])
+
 
 @st.composite
 def _random_chains(draw):
