@@ -8,7 +8,6 @@ whose maximal weight decays exponentially with depth.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple, Union
@@ -20,11 +19,10 @@ from .deeplimit import (
     _BOUNDARY_MASS_TOL,
     DeepLimitConfig,
     ResidualGenerator,
-    _check_walk,
+    _generator_run,
     _pmf_std,
-    _walk,
 )
-from .propagate import LayerChain, Stencil
+from .propagate import LayerChain, _chain_blocks, _walk
 
 __all__ = [
     "ErfReport",
@@ -124,28 +122,6 @@ def _fit_power_law(widths: np.ndarray) -> Tuple[float, float, int]:
     return slope, math.sqrt(squares / count), count
 
 
-def _chain_blocks(chain: LayerChain, top: np.ndarray) -> Iterator[np.ndarray]:
-    """A chain's interface profiles from ``top`` down, as blocks of rows.
-
-    Each run of consecutive stencil layers is one walk, its identical
-    consecutive layers grouped into runs of the walk; the walk's first row is
-    the profile it starts from, yielded already.  Every other layer is one
-    ``apply``.  Each operator is built when the pass reaches it.
-    """
-    yield top[None]
-    kinds = itertools.groupby(chain.top_down(), key=lambda layer: isinstance(layer, Stencil))
-    for local, layers in kinds:
-        if local:
-            runs = [(stencil, sum(1 for _ in same)) for stencil, same in itertools.groupby(layers)]
-            for i, rows in enumerate(_walk(runs, top)):
-                yield rows if i else rows[1:]
-            top = rows[-1].copy()  # the walk's buffer is freed with its last block
-        else:
-            for layer in layers:
-                top = layer.apply(top)
-                yield top[None]
-
-
 def erf_profile(
     source: Union[LayerChain, ResidualGenerator],
     x0: int,
@@ -176,8 +152,7 @@ def erf_profile(
         if cfg is None:
             raise ValueError("a generator source needs a DeepLimitConfig")
         n, depth = source.n, cfg.L
-        _check_walk(source, cfg)  # before the probe and the widths are built
-        stencil = source.stencil(cfg.eps)
+        runs = _generator_run(source, cfg)  # before the probe and the widths are built
     else:
         raise TypeError("source must be a LayerChain or a ResidualGenerator")
     if not 0 <= x0 < n:
@@ -186,7 +161,7 @@ def erf_profile(
     if isinstance(source, LayerChain):
         blocks = _chain_blocks(source, probe)
     else:
-        blocks = _walk([(stencil, cfg.L)], probe)
+        blocks = _walk(runs, probe)
 
     flagged = False
     table = np.empty((depth + 1, 2))

@@ -183,18 +183,18 @@ class Activation:
             return cls.relu()
         if name == "abs" and not sep:
             return cls.abs()
-        if name == "leaky_relu" and sep:
+        if name == "pseudo_random" and not sep:
+            return cls.pseudo_random()
+        if name in ("leaky_relu", "pseudo_random") and sep:
+            bad = f"bad {name} {'slope' if name == 'leaky_relu' else 'sigma'} {arg!r}"
             try:
-                return cls.leaky_relu(float(arg))
+                value = float(arg)
             except ValueError:
-                raise ValueError(f"bad leaky_relu slope {arg!r}") from None
-        if name == "pseudo_random":
-            if not sep:
-                return cls.pseudo_random()
-            try:
-                return cls.pseudo_random(float(arg))
-            except ValueError:
-                raise ValueError(f"bad pseudo_random sigma {arg!r}") from None
+                raise ValueError(bad) from None
+            try:  # a number past the limits: say which
+                return cls.leaky_relu(value) if name == "leaky_relu" else cls.pseudo_random(value)
+            except ValueError as exc:
+                raise ValueError(f"{bad}: {exc}") from None
         raise ValueError(f"cannot parse activation {text!r}")
 
     def spec(self) -> str:

@@ -4,23 +4,22 @@ Residual chains with identical operators ``I + eps*Delta`` follow a
 drift-diffusion law: in depth-time ``t = (L - l)/L`` the capacity profile
 solves ``pi' = -v pi_x + Dcoef pi_xx`` whose Dirac solution is a Gaussian of
 variance ``2 Dcoef eps L``.  This module builds the tridiagonal generators
-and their 3-tap :class:`~capnet.propagate.Stencil` steps, walks any run of
-stencils in blocks of profiles (the discrete Markov evolution), evaluates
-the Gaussian closed form, and measures the gap between the two under joint
-grid and depth refinement.
+and their 3-tap :class:`~capnet.propagate.Stencil` steps, hands a
+generator's L steps to the walker beside ``Stencil`` as one run (the
+discrete Markov evolution), evaluates the Gaussian closed form, and measures
+the gap between the two under joint grid and depth refinement.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .core import SpatialCapacity
-from .propagate import Stencil
+from .propagate import Stencil, _nonzero_span, _walk
 
 __all__ = [
     "StabilityError",
@@ -33,8 +32,8 @@ __all__ = [
 ]
 
 _BOUNDARY_MASS_TOL = 1e-6
-# Largest Markov trajectory evolve_markov allocates: (L+1) * n float64 values.
-_TRAJECTORY_BUDGET_BYTES = 2 * 2**30
+# Largest grid a walk steps: its buffer holds two profiles at the least.
+_MAX_WALK_PAIR_BYTES = 2 * 2**30
 # Longest walk evolve_markov runs: a step costs some 2.5-4 us at n = 3 to 401,
 # so 10**7 steps take under a minute, and some 2-3.5 ns a cell on wide grids,
 # so 3*10**10 cell-steps take one to two minutes.  A step touches only the
@@ -55,21 +54,6 @@ _KERNEL_EXPONENT = 800.0
 # cells of the finest level: a narrower kernel falls between grid points, and
 # every level's relative error reads about 1.
 _MIN_CLOSED_FORM_STD_CELLS = 0.25
-
-
-# Bytes per block of rows: erf_profile reduces its walk in blocks of this
-# size, and _pmf_std needs one temporary of the same size.  At 256 KiB a block,
-# its temporary and the walk's other buffers sit well inside a 2 MiB per-core
-# L2 cache, so a block is still cached when it is reduced; 1 MiB blocks and
-# their temporary filled it.  At n = 401, L = 20,000 on a Xeon with 2 MiB of L2
-# a core, erf_profile took a median 81 ms at 256 KiB, 88-93 ms at 128 KiB,
-# 512 KiB and 1 MiB.
-_STD_BLOCK_BYTES = 2**18
-# Steps a walk takes on one window before it scans the profile's span again.
-_SEGMENT_STEPS = 64
-# Most steps whose views a walk segment holds: a segment that laps its buffer
-# replays the views of one lap, and a buffer of more rows is walked a lap at a time.
-_SEGMENT_VIEWS = 1024
 
 
 def _pmf_std(rows: np.ndarray, total: np.ndarray) -> np.ndarray:
@@ -131,10 +115,10 @@ class ResidualGenerator:
             )
         if self.n < 3:
             raise ValueError("generator needs at least 3 grid points")
-        if 2 * 8 * self.n > _TRAJECTORY_BUDGET_BYTES:
+        if 2 * 8 * self.n > _MAX_WALK_PAIR_BYTES:
             raise ValueError(
                 f"a walk on {self.n:,} cells holds two profiles, past the "
-                f"{_TRAJECTORY_BUDGET_BYTES / 2**30:g} GiB trajectory limit"
+                f"{_MAX_WALK_PAIR_BYTES / 2**30:g} GiB limit"
             )
         if self.boundary not in ("periodic", "reflecting"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
@@ -208,121 +192,35 @@ class DeepLimitConfig:
         return self.eps * self.L
 
 
-def _check_walk(gen: ResidualGenerator, cfg: DeepLimitConfig) -> None:
-    """Refuse a walk past the step limits."""
+def _generator_run(gen: ResidualGenerator, cfg: DeepLimitConfig) -> List[Tuple[Stencil, int]]:
+    """The walk of L layers of the generator's stencil, as ``_walk``'s one run.
+
+    A walk past the step limits is refused first, then an unstable eps.
+    """
     if cfg.L > _MAX_WALK_STEPS or cfg.L * gen.n > _MAX_WALK_CELL_STEPS:
         raise ValueError(
             f"{cfg.L} steps of {gen.n} cells are past the walk limit of "
             f"{_MAX_WALK_STEPS:,} steps and {_MAX_WALK_CELL_STEPS:,} cell-steps"
         )
-
-
-def _nonzero_span(a: np.ndarray) -> Tuple[int, int]:
-    """First and one-past-last index of the nonzero entries of ``a``; (0, 0) if none."""
-    nz = np.flatnonzero(a)
-    return (int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0)
-
-
-def _walk(
-    runs: Sequence[Tuple[Stencil, int]], top: np.ndarray, block_rows: Optional[int] = None
-) -> Iterator[np.ndarray]:
-    """Yield the profiles of a walk down runs of stencils as consecutive blocks of rows.
-
-    ``runs`` holds (stencil, layers) pairs, top first, each stepping its
-    stencil that many times: a generator's walk is one run of L layers.  Row
-    0 is ``top`` and row k the profile after k steps.  The blocks are views of
-    one reused, zero-initialized buffer of ``block_rows`` rows (at least 2,
-    by default about 256 KiB; fewer if the walk is shorter), so each must be
-    read before the next is asked for, and the last block may be shorter.
-    Trajectory row k sits in buffer row k modulo the buffer's rows.
-
-    The walk runs in segments within runs.  A segment of s steps, at most
-    ``_SEGMENT_STEPS``, of a stencil of reach r, from a profile whose
-    bit-nonzero span is [a, b) (-0.0 counts as nonzero), steps only the
-    window [a-s*r, b+s*r), grown to cover the windows before it: after j
-    steps the mass spans at most [a-j*r, b+j*r), and a buffer row from an
-    earlier lap is +0.0 outside the earlier windows.  So every profile keeps
-    the bits of a whole-grid walk.  A window that would reach cell 0 or n-1
-    becomes the whole grid, with its wrap or fold, for the rest of the walk,
-    a run at a time, or a buffer lap at a time when a lap is longer than
-    ``_SEGMENT_VIEWS`` steps.  A step is the stencil's windowed step,
-    O(window * taps), on views made once per segment; a segment that laps
-    the buffer replays one lap's views, so at most ``_SEGMENT_VIEWS`` steps'
-    views are alive at once, whatever the depth.  Each step conserves the
-    total capacity.
-    """
-    n = top.size
-    depth = sum(layers for _, layers in runs)
-    if block_rows is None:
-        block_rows = max(2, _STD_BLOCK_BYTES // (8 * n))
-    rows = np.zeros((min(block_rows, depth + 1), n))  # cells outside every window stay +0.0
-    rows[0] = top
-    size = len(rows)
-    # the window starts as the top profile's span, of the bits, so that -0.0 counts as nonzero
-    lo, hi = _nonzero_span(rows[0].view(np.int64))
-    walked = 0  # the last trajectory row written
-    for stencil, layers in runs:
-        end, reach = walked + layers, stencil.reach
-        while walked < end:
-            left = min(_SEGMENT_STEPS, end - walked)
-            if hi - lo < n:
-                a, b = _nonzero_span(rows[walked % size, lo:hi].view(np.int64))
-                if a < b:
-                    lo, hi = min(lo, lo + a - left * reach), max(hi, lo + b + left * reach)
-                if lo <= 0 or hi >= n:
-                    lo, hi = 0, n
-            if hi - lo == n:
-                # the rest of the run, replaying one lap's views, or one lap at a time
-                left = end - walked if size <= _SEGMENT_VIEWS else min(end - walked, size)
-            step_all = stencil._stepper(lo, hi)
-            cells = rows[:, lo:hi]
-            p = (walked + 1) % size  # the buffer row the segment's first step writes
-            # a lap of steps from buffer row p, each writing a row from the row before it
-            before = cells[p - 1 : p] if p else cells[-1:]
-            lap = itertools.pairwise(itertools.chain(before, cells[p:], cells[:p]))
-            steps = itertools.cycle(lap) if left > size else lap
-            while left:
-                if walked % size == size - 1:  # the buffer is full: hand it over
-                    yield rows
-                take = min(left, (size - 1 - walked) % size or size)
-                step_all(itertools.islice(steps, take))
-                walked += take
-                left -= take
-    yield rows[: walked % size + 1]
+    return [(gen.stencil(cfg.eps), cfg.L)]
 
 
 def evolve_markov(
-    gen: ResidualGenerator,
-    cfg: DeepLimitConfig,
-    kappa_top: SpatialCapacity,
-    keep_all: bool = True,
+    gen: ResidualGenerator, cfg: DeepLimitConfig, kappa_top: SpatialCapacity
 ) -> np.ndarray:
-    """Apply ``I + eps*Delta`` L times to ``kappa_top`` through its stencil.
+    """Apply ``I + eps*Delta`` L times to ``kappa_top``; return the input-space profile (t = 1).
 
-    Returns the (L+1) x n trajectory: row k is the profile after k steps,
-    row 0 is ``kappa_top`` (t = 0) and row L the input-space profile
-    (t = 1).  The trajectory is refused past a 2 GiB budget before
-    allocating, and the walk past 10**7 steps or 3*10**10 cell-steps before
-    its first step.  With ``keep_all=False`` only row L is returned: two O(n)
-    buffers take turns as the source and target of a step.  Both run the
-    block walk that ``erf_profile`` reduces 256 KiB at a time: the trajectory
-    as one block of L+1 rows, the last profile through blocks of two.  Each
-    step touches only the window of cells the mass can reach, so a Dirac
-    costs O(k) at step k until its mass nears an edge, and O(n) a step after.
+    The walk is refused past 10**7 steps or 3*10**10 cell-steps before its
+    first step.  It is the block walk that ``erf_profile`` reduces 256 KiB
+    at a time, of which only the last row is kept.  Each step touches only
+    the window of cells the mass can reach, so a Dirac costs O(k) at step k
+    until its mass nears an edge, and O(n) a step after.
     """
     if kappa_top.n != gen.n:
         raise ValueError(f"capacity has {kappa_top.n} entries, generator expects {gen.n}")
-    stencil = gen.stencil(cfg.eps)
-    size = (cfg.L + 1) * gen.n * 8
-    if keep_all and size > _TRAJECTORY_BUDGET_BYTES:
-        raise ValueError(
-            f"{cfg.L + 1} profiles of {gen.n} cells need {size / 2**30:.1f} GiB, "
-            f"over the {_TRAJECTORY_BUDGET_BYTES / 2**30:g} GiB trajectory limit"
-        )
-    _check_walk(gen, cfg)
-    for rows in _walk([(stencil, cfg.L)], kappa_top.values, cfg.L + 1 if keep_all else 2):
+    for rows in _walk(_generator_run(gen, cfg), kappa_top.values):
         pass
-    return rows if keep_all else rows[-1]
+    return rows[-1].copy()  # not a view that holds the walk's buffer
 
 
 def gaussian_solution(values, h: float, v: float, Dcoef: float, t: float) -> np.ndarray:
@@ -453,10 +351,9 @@ def compare_markov_pde(
     will run is checked against the walk limit and the closed form's width
     limit of 5*10**5 cells, before the first step.  So is a closed form
     whose std is below a quarter of a cell at the finest level.  Each level
-    keeps only its last Markov profile, stepping two O(n) buffers.  A fixed
-    grid cannot work here: with the spacing frozen the chain converges to
-    the lattice walk, not to the PDE, and the gap saturates instead of
-    shrinking.
+    keeps only its last Markov profile.  A fixed grid cannot work here: with
+    the spacing frozen the chain converges to the lattice walk, not to the
+    PDE, and the gap saturates instead of shrinking.
     """
     if refinements < 0:
         raise ValueError("refinements must be non-negative")
@@ -467,7 +364,7 @@ def compare_markov_pde(
         gen_k, cfg_k, kappa_k = _refined_inputs(gen, cfg, kappa_top, 2**level)
         if level > 0 and cfg_k.eps >= gen_k.max_stable_eps():
             break
-        _check_walk(gen_k, cfg_k)
+        _generator_run(gen_k, cfg_k)  # checked here, built again by evolve_markov
         if gen_k.n > _MAX_CLOSED_FORM_CELLS:
             raise ValueError(
                 f"a closed form on {gen_k.n:,} cells is past the limit of "
@@ -486,7 +383,7 @@ def compare_markov_pde(
     flagged = False
     markov_std = math.nan
     for level, (gen_k, cfg_k, kappa_k) in enumerate(levels):
-        final = evolve_markov(gen_k, cfg_k, kappa_k, keep_all=False)
+        final = evolve_markov(gen_k, cfg_k, kappa_k)
         if level == 0:
             markov_std = float(_pmf_std(final[None], final[None].sum(axis=1))[0])
         h = 1.0 / 2**level

@@ -6,20 +6,24 @@ input-space capacity through the column-stochastic operator ``D = P o P``
 operators: it applies them top-down, ``kappa^{l-1} = D_l kappa^l``,
 conserving the total.  A layer whose columns are one shifted pattern, such
 as a residual or window layer, is a :class:`Stencil`, held as its few taps
-and its boundary; its windowed step is the one routine that steps a local
-layer, in ``apply`` and in the deep-limit walk.  Every operator is read
-through ``apply`` and ``diagonal``.  Consumers make one top-down pass over
-a chain, so a chain may build each operator only when the pass reaches it.
-The rule holds under total decoupling only, so the CLI's spec parser, which
-builds operators from projections, refuses any activation other than
-pseudo_random.
+and its boundary.  Its windowed step is the one routine that steps a local
+layer, and :func:`_walk` the one walker that drives it over many layers, in
+blocks of profiles.  Every other operator is read through ``apply`` and
+``diagonal``.  :func:`_chain_blocks` is the one top-down pass over a chain:
+it walks each run of stencil layers and applies every other layer once, so
+``propagate_chain``, ``erf`` on a chain and the deep-limit walks all step a
+stencil the same way.  A chain may build each operator only when the pass
+reaches it.  The rule holds under total decoupling only, so the CLI's spec
+parser, which builds operators from projections, refuses any activation
+other than pseudo_random.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,9 +40,20 @@ __all__ = [
 ]
 
 _COLUMN_SUM_TOL = 1e-10
-# Bytes of tap terms a stencil step forms at once: about one walk block, so
-# that a step's terms stay in cache while they are summed.
-_TERM_BYTES = 2**18
+# Bytes per walk block of rows, and of the tap terms a stencil step forms at
+# once.  erf_profile reduces a walk a block at a time, and _pmf_std needs one
+# temporary of the same size.  At 256 KiB a block, its temporary and the
+# walk's other buffers sit well inside a 2 MiB per-core L2 cache, so a block
+# is still cached when it is reduced, and a step's terms while they are
+# summed; 1 MiB blocks and their temporary filled it.  At n = 401, L = 20,000
+# on a Xeon with 2 MiB of L2 a core, erf_profile took a median 81 ms at
+# 256 KiB, 88-93 ms at 128 KiB, 512 KiB and 1 MiB.
+_BLOCK_BYTES = 2**18
+# Steps a walk takes on one window before it scans the profile's span again.
+_SEGMENT_STEPS = 64
+# Most steps whose views a walk segment holds: a segment that laps its buffer
+# replays the views of one lap, and a buffer of more rows is walked a lap at a time.
+_SEGMENT_VIEWS = 1024
 
 
 @dataclass(frozen=True)
@@ -84,8 +99,8 @@ class Stencil:
     reflecting, as the generator's is: the taps are at -1, 0 and +1, the hops
     that would leave the grid are dropped, and cells 0 and n-1 keep ``fold``
     instead of the offset-0 weight.  :meth:`_stepper` is the one routine that
-    steps a local layer: :meth:`apply` runs it once and a walk once a layer,
-    each step O(n * taps).  The dense ``matrix`` is built on demand.
+    steps a local layer: :meth:`apply` runs it once and :func:`_walk` once a
+    layer, each step O(n * taps).  The dense ``matrix`` is built on demand.
     Stencils are equal when their grids, taps and folds agree bit for bit.
     """
 
@@ -140,13 +155,15 @@ class Stencil:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense n x n operator: the stencil applied to the identity."""
-        return self.apply(np.eye(self.n))
+        """The dense n x n operator: column j is the step of unit vector j."""
+        out = np.empty((self.n, self.n))
+        self._stepper()(zip(np.eye(self.n), out.T))
+        return out
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """``D values`` along axis 0: each cell adds its taps' terms in the taps' order."""
+        """``D values``: each cell adds its taps' terms in the taps' order."""
         out = np.empty(values.shape)
-        self._stepper(lead=values.shape[1:])([(values, out)])
+        self._stepper()([(values, out)])
         return out
 
     def diagonal(self) -> np.ndarray:
@@ -156,31 +173,32 @@ class Stencil:
             out[[0, -1]] = self.fold
         return out
 
-    def _stepper(self, lo: int = 0, hi: Optional[int] = None, lead: Tuple[int, ...] = ()):
+    def _stepper(self, lo: int = 0, hi: Optional[int] = None):
         """A function that steps the window of cells ``lo:hi``, the whole grid by default.
 
-        It takes an iterable of ``(x, y)`` pairs, the window's cells along
-        axis 0 of a source and a target, with ``lead`` axes after it, and
-        writes ``y = D x`` there, each cell adding its taps' terms in the taps'
-        order.  One ufunc call forms the terms of a group of taps, of about
-        ``_TERM_BYTES``, in scratch rows with ``reach`` ghost cells a side, and
-        the terms are added into ``y``: three calls for three taps.  Only the
-        whole grid wraps or folds: a periodic tap's ghosts take the terms of
-        the far end, one more copy each, and a reflecting edge's ghosts stay
-        -0.0, which adds nothing.  A narrower window's ghosts stay +0.0, so
-        ``y`` has the whole grid's bits when ``x`` is +0.0 outside the window.
+        It takes an iterable of ``(x, y)`` pairs, the window's cells of a
+        source and a target profile, and writes ``y = D x`` there, each cell
+        adding its taps' terms in the taps' order.  One ufunc call forms the
+        terms of a group of taps, of about ``_BLOCK_BYTES``, in scratch rows
+        with ``reach`` ghost cells a side, and the terms are added into ``y``:
+        three calls for three taps.  Only the whole grid wraps or folds: a
+        periodic tap's ghosts take the terms of the far end, one more copy
+        each, and a reflecting edge's ghosts stay -0.0, which adds nothing.  A
+        narrower window's ghosts stay +0.0, so ``y`` has the whole grid's bits
+        when ``x`` is +0.0 outside the window.  Only :func:`_walk` steps a
+        narrower window.
         """
         width, shifts = (self.n if hi is None else hi) - lo, self._shifts()
-        reach, ones = max(map(abs, shifts)), [1] * len(lead)
-        size = max(1, min(len(shifts), _TERM_BYTES // (8 * (width + 2 * reach) * math.prod(lead))))
-        scratch = np.zeros((size, width + 2 * reach, *lead))  # ghosts of the cells outside a window
+        reach = max(map(abs, shifts))
+        size = max(1, min(len(shifts), _BLOCK_BYTES // (8 * (width + 2 * reach))))
+        scratch = np.zeros((size, width + 2 * reach))  # ghosts of the cells outside a window
         whole = width == self.n
         folds = whole and self.fold is not None
-        weights = self.weights.reshape(-1, 1, *ones)
+        weights = self.weights[:, None]
         if folds:  # each cell's own weights, the edge cells keeping the fold
             scratch[...] = -0.0  # the hops that would leave the grid read -0.0, which adds nothing
             weights = np.repeat(weights, width, axis=1)
-            weights[shifts.index(0)][[0, -1]] = np.reshape(self.fold, (2, *ones))
+            weights[shifts.index(0)][[0, -1]] = self.fold
         groups = []
         for start in range(0, len(shifts), size):
             rows = scratch[: len(shifts) - start]
@@ -211,6 +229,77 @@ class Stencil:
                         add(y, term, y)
 
         return step_all
+
+
+def _nonzero_span(a: np.ndarray) -> Tuple[int, int]:
+    """First and one-past-last index of the nonzero entries of ``a``; (0, 0) if none."""
+    nz = np.flatnonzero(a)
+    return (int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0)
+
+
+def _walk(runs: Sequence[Tuple[Stencil, int]], top: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield the profiles of a walk down runs of stencils as consecutive blocks of rows.
+
+    ``runs`` holds (stencil, layers) pairs, top first, each stepping its
+    stencil that many times: a generator's walk is one run of L layers.  Row
+    0 is ``top`` and row k the profile after k steps.  The blocks are views of
+    one reused, zero-initialized buffer of about ``_BLOCK_BYTES`` (at least 2
+    rows; fewer if the walk is shorter), so each must be read before the next
+    is asked for, and the last block may be shorter.  Walk row k sits in
+    buffer row k modulo the buffer's rows.
+
+    The walk runs in segments within runs.  A segment of s steps, at most
+    ``_SEGMENT_STEPS``, of a stencil of reach r, from a profile whose
+    bit-nonzero span is [a, b) (-0.0 counts as nonzero), steps only the
+    window [a-s*r, b+s*r), grown to cover the windows before it: after j
+    steps the mass spans at most [a-j*r, b+j*r), and a buffer row from an
+    earlier lap is +0.0 outside the earlier windows.  So every profile keeps
+    the bits of a whole-grid walk.  A window that would reach cell 0 or n-1
+    becomes the whole grid, with its wrap or fold, for the rest of the walk,
+    a run at a time, or a buffer lap at a time when a lap is longer than
+    ``_SEGMENT_VIEWS`` steps.  A step is the stencil's windowed step,
+    O(window * taps), on views made once per segment; a segment that laps
+    the buffer replays one lap's views, so at most ``_SEGMENT_VIEWS`` steps'
+    views are alive at once, whatever the depth.  Each step conserves the
+    total capacity.
+    """
+    n = top.size
+    depth = sum(layers for _, layers in runs)
+    # cells outside every window stay +0.0
+    rows = np.zeros((min(max(2, _BLOCK_BYTES // (8 * n)), depth + 1), n))
+    rows[0] = top
+    size = len(rows)
+    # the window starts as the top profile's span, of the bits, so that -0.0 counts as nonzero
+    lo, hi = _nonzero_span(rows[0].view(np.int64))
+    walked = 0  # the last walk row written
+    for stencil, layers in runs:
+        end, reach = walked + layers, stencil.reach
+        while walked < end:
+            left = min(_SEGMENT_STEPS, end - walked)
+            if hi - lo < n:
+                a, b = _nonzero_span(rows[walked % size, lo:hi].view(np.int64))
+                if a < b:
+                    lo, hi = min(lo, lo + a - left * reach), max(hi, lo + b + left * reach)
+                if lo <= 0 or hi >= n:
+                    lo, hi = 0, n
+            if hi - lo == n:
+                # the rest of the run, replaying one lap's views, or one lap at a time
+                left = end - walked if size <= _SEGMENT_VIEWS else min(end - walked, size)
+            step_all = stencil._stepper(lo, hi)
+            cells = rows[:, lo:hi]
+            p = (walked + 1) % size  # the buffer row the segment's first step writes
+            # a lap of steps from buffer row p, each writing a row from the row before it
+            before = cells[p - 1 : p] if p else cells[-1:]
+            lap = itertools.pairwise(itertools.chain(before, cells[p:], cells[:p]))
+            steps = itertools.cycle(lap) if left > size else lap
+            while left:
+                if walked % size == size - 1:  # the buffer is full: hand it over
+                    yield rows
+                take = min(left, (size - 1 - walked) % size or size)
+                step_all(itertools.islice(steps, take))
+                walked += take
+                left -= take
+    yield rows[: walked % size + 1]
 
 
 Operator = Union[PropagationOperator, Stencil]
@@ -260,6 +349,28 @@ class LayerChain:
         return map(self.operator, reversed(range(len(self.layers))))
 
 
+def _chain_blocks(chain: LayerChain, top: np.ndarray) -> Iterator[np.ndarray]:
+    """A chain's interface profiles from ``top`` down, as blocks of rows.
+
+    Each run of consecutive stencil layers is one walk, its identical
+    consecutive layers grouped into runs of the walk; the walk's first row is
+    the profile it starts from, yielded already.  Every other layer is one
+    ``apply``.  Each operator is built when the pass reaches it.
+    """
+    yield top[None]
+    kinds = itertools.groupby(chain.top_down(), key=lambda layer: isinstance(layer, Stencil))
+    for local, layers in kinds:
+        if local:
+            runs = [(stencil, sum(1 for _ in same)) for stencil, same in itertools.groupby(layers)]
+            for i, rows in enumerate(_walk(runs, top)):
+                yield rows if i else rows[1:]
+            top = rows[-1].copy()  # the walk's buffer is freed with its last block
+        else:
+            for layer in layers:
+                top = layer.apply(top)
+                yield top[None]
+
+
 def propagation_matrix(p: ProjectionMatrix) -> PropagationOperator:
     """Entrywise-squared projection ``P o P`` with columns renormalized to sum 1.
 
@@ -282,15 +393,16 @@ def propagate_chain(chain: LayerChain, kappa_top: SpatialCapacity) -> List[Spati
     """All interface profiles, top-down: result[l] is the capacity entering layer l+1.
 
     ``result[len(chain)]`` is ``kappa_top`` itself and ``result[0]`` the
-    input-space profile.
+    input-space profile.  The profiles are read from the chain's one pass,
+    :func:`_chain_blocks`, and each is checked as a capacity.
     """
     if chain.n_out != kappa_top.n:
         raise ValueError(
             f"chain top dimension {chain.n_out} does not match capacity {kappa_top.n}"
         )
     profiles = [kappa_top]
-    for layer in chain.top_down():
-        profiles.append(propagate_single(layer, profiles[-1]))
+    for rows in itertools.islice(_chain_blocks(chain, kappa_top.values), 1, None):
+        profiles.extend(map(SpatialCapacity, rows.copy()))
     profiles.reverse()
     return profiles
 

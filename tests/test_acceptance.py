@@ -139,7 +139,7 @@ def test_criterion_05_deep_limit():
     cfg = DeepLimitConfig(eps=0.1, L=100)
     probe = SpatialCapacity.dirac(201, 100)
 
-    final = SpatialCapacity(evolve_markov(gen, cfg, probe, keep_all=False))
+    final = SpatialCapacity(evolve_markov(gen, cfg, probe))
     std = _pmf_std(final.values)
     assert abs(std - math.sqrt(20.0)) <= 0.05 * math.sqrt(20.0)
 

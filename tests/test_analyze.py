@@ -20,12 +20,20 @@ from capnet.deeplimit import (
     _BOUNDARY_MASS_TOL,
     DeepLimitConfig,
     ResidualGenerator,
+    _generator_run,
     _pmf_std,
-    _walk,
     evolve_markov,
 )
 from capnet.jsonfmt import canonical_dumps
-from capnet.propagate import LayerChain, PropagationOperator, Stencil, propagation_matrix
+from capnet.propagate import (
+    LayerChain,
+    PropagationOperator,
+    Stencil,
+    _walk,
+    propagate_chain,
+    propagate_single,
+    propagation_matrix,
+)
 
 
 def _residual_chain(eps, L, n=11, Dcoef=0.5):
@@ -117,6 +125,11 @@ def _walk_reference(gen, cfg, x0):
     return rows
 
 
+def _walk_blocks(gen, cfg, top):
+    """The generator's walk from the profile ``top``, a copy of each block."""
+    return [rows.copy() for rows in _walk(_generator_run(gen, cfg), top)]
+
+
 def _erf_reference(gen, x0, cfg):
     """Widths and edge flag of a generator run, measured profile by profile."""
     stds, flagged = [], False
@@ -166,16 +179,17 @@ class TestErfProfile:
         cfg = DeepLimitConfig(eps=fraction * gen.max_stable_eps(), L=L)
         x0 = {"low": min(offset, n - 1), "middle": n // 2, "high": max(n - 1 - offset, 0)}[where]
         # blocks of a few rows, so that block edges fall inside the trajectory
-        with mock.patch("capnet.deeplimit._STD_BLOCK_BYTES", 8 * n * block_rows):
+        probe = SpatialCapacity.dirac(n, x0)
+        with mock.patch("capnet.propagate._BLOCK_BYTES", 8 * n * block_rows):
             report = erf_profile(gen, x0, cfg)
+            blocks = _walk_blocks(gen, cfg, probe.values)
         stds, flagged = _erf_reference(gen, x0, cfg)
         np.testing.assert_array_equal(report.per_depth_std, stds)
         assert report.boundary_flagged == flagged
         # the walk itself, against a loop that shares none of its code
         walked = _walk_reference(gen, cfg, x0)
-        probe = SpatialCapacity.dirac(n, x0)
-        np.testing.assert_array_equal(evolve_markov(gen, cfg, probe), walked)
-        np.testing.assert_array_equal(evolve_markov(gen, cfg, probe, keep_all=False), walked[-1])
+        np.testing.assert_array_equal(np.concatenate(blocks), walked)
+        np.testing.assert_array_equal(evolve_markov(gen, cfg, probe), walked[-1])
 
     @pytest.mark.parametrize("boundary", ["periodic", "reflecting"])
     @pytest.mark.parametrize("n", [3, 4])
@@ -189,18 +203,15 @@ class TestErfProfile:
         for L in (ring - 1, ring, ring + 1, 2 * ring, 2 * ring + 1):
             cfg = DeepLimitConfig(eps=0.4, L=L)
             walked = _walk_reference(gen, cfg, 0)
-            with mock.patch("capnet.deeplimit._STD_BLOCK_BYTES", 8 * n * ring):
-                walk = _walk([(gen.stencil(cfg.eps), cfg.L)], probe.values)
-                blocks = [rows.copy() for rows in walk]
+            with mock.patch("capnet.propagate._BLOCK_BYTES", 8 * n * ring):
+                blocks = _walk_blocks(gen, cfg, probe.values)
                 report = erf_profile(gen, 0, cfg)
-                kept = evolve_markov(gen, cfg, probe)
-                last = evolve_markov(gen, cfg, probe, keep_all=False)
+                last = evolve_markov(gen, cfg, probe)
             assert max(len(rows) for rows in blocks) == ring
             np.testing.assert_array_equal(np.concatenate(blocks), walked)
             stds, flagged = _erf_reference(gen, 0, cfg)
             np.testing.assert_array_equal(report.per_depth_std, stds)
             assert report.boundary_flagged == flagged
-            np.testing.assert_array_equal(kept, walked)
             np.testing.assert_array_equal(last, walked[-1])
 
     @settings(max_examples=40, deadline=None)
@@ -380,9 +391,11 @@ def _assert_same_bits(got, expected):
 
 @st.composite
 def _stencil_chains(draw):
-    """Random periodic stencils, some repeated, with dense layers between, and a probe.
+    """Random periodic stencils, some repeated, with dense layers between, a probe and a top.
 
-    The layers are drawn top first; a dense layer may change the width.
+    The layers are drawn top first; a dense layer may change the width.  The
+    top is a unit mass at the probe, and may carry -0.0 or entries down to
+    -1e-10 elsewhere.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = top = draw(st.integers(1, 40))
@@ -398,11 +411,37 @@ def _stencil_chains(draw):
             layers.append(PropagationOperator(matrix / matrix.sum(axis=0)))
             n = n_in
         else:
-            offsets = rng.permutation(np.arange(-n, 2 * n))[: draw(st.integers(1, 7))]
+            # taps anywhere, reduced mod n, or within 2 cells, whose walk keeps a narrow window
+            pool = np.arange(-n, 2 * n) if draw(st.booleans()) else np.arange(-2, 3)
+            offsets = rng.permutation(pool)[: draw(st.integers(1, 7))]
             offsets = offsets[np.unique(offsets % n, return_index=True)[1]]
             weights = rng.random(offsets.size) + 0.01
             layers.append(Stencil(n, offsets, weights / weights.sum()))
-    return LayerChain(layers[::-1]), draw(st.integers(0, top - 1))
+    x0 = draw(st.integers(0, top - 1))
+    profile = SpatialCapacity.dirac(top, x0).values
+    others = rng.permutation(np.delete(np.arange(top), x0))[: draw(st.integers(0, 3))]
+    shape = draw(st.sampled_from(["dirac", "negative zeros", "tiny negatives"]))
+    if shape == "negative zeros":
+        profile[others] = -0.0
+    elif shape == "tiny negatives":
+        profile[others] = -rng.uniform(0.0, 1e-10, others.size)
+    return LayerChain(layers[::-1]), x0, profile
+
+
+def _profiles_or_refusal(propagate):
+    """Each profile's values, or the message of the ValueError that refused one."""
+    try:
+        return [p.values for p in propagate()]
+    except ValueError as exc:
+        return str(exc)
+
+
+def _per_layer_profiles(chain, top):
+    """propagate_chain's profiles, one propagate_single a layer on the whole grid."""
+    profiles = [SpatialCapacity(top)]
+    for layer in chain.top_down():
+        profiles.append(propagate_single(layer, profiles[-1]))
+    return profiles[::-1]
 
 
 class TestStencilChains:
@@ -411,10 +450,11 @@ class TestStencilChains:
     def test_streamed_chain_matches_a_per_layer_loop_bit_for_bit(self, chain_probe, block, segment):
         # the stencil runs are walked in windows and blocks, each dense layer applied
         # once; the reference applies every layer to the whole profile
-        chain, x0 = chain_probe
-        small = {"_STD_BLOCK_BYTES": block, "_SEGMENT_STEPS": segment}
-        with mock.patch.multiple("capnet.deeplimit", **small):
+        chain, x0, top = chain_probe
+        small = {"_BLOCK_BYTES": block, "_SEGMENT_STEPS": segment}
+        with mock.patch.multiple("capnet.propagate", **small):
             report = erf_profile(chain, x0)
+            streamed = _profiles_or_refusal(lambda: propagate_chain(chain, SpatialCapacity(top)))
         profiles = [SpatialCapacity.dirac(chain.n_out, x0).values]
         for layer in chain.top_down():
             profiles.append(layer.apply(profiles[-1]))
@@ -424,6 +464,15 @@ class TestStencilChains:
         assert report.per_depth_std[:, 1].tobytes() == np.array(widths).tobytes()
         assert report.boundary_flagged == flagged
         assert max(abs(p.sum() - 1.0) for p in profiles) <= 1e-12
+        # propagate_chain reads the same pass; -0.0 and tiny negatives are mass to its window
+        expected = _profiles_or_refusal(lambda: _per_layer_profiles(chain, top))
+        assert type(streamed) is type(expected)
+        if isinstance(expected, str):
+            assert streamed == expected
+        else:
+            assert len(streamed) == len(expected) == len(chain) + 1
+            for got, want in zip(streamed, expected):
+                _assert_same_bits(got, want)
 
 
 class TestWindowedWalk:
@@ -475,17 +524,15 @@ class TestWindowedWalk:
         walked = _walk_reference(gen, cfg, top)
         # short segments and rings of few rows, so that segments and laps interleave
         with mock.patch.multiple(
-            "capnet.deeplimit",
-            _STD_BLOCK_BYTES=8 * n * block_rows,
+            "capnet.propagate",
+            _BLOCK_BYTES=8 * n * block_rows,
             _SEGMENT_STEPS=segment,
             _SEGMENT_VIEWS=views,
         ):
-            blocks = [rows.copy() for rows in _walk([(gen.stencil(cfg.eps), cfg.L)], top)]
+            blocks = _walk_blocks(gen, cfg, top)
             report = erf_profile(gen, cell, cfg) if shape == "dirac" else None
-            kept = evolve_markov(gen, cfg, kappa)
-            last = evolve_markov(gen, cfg, kappa, keep_all=False)
+            last = evolve_markov(gen, cfg, kappa)
         _assert_same_bits(np.concatenate(blocks), walked)
-        _assert_same_bits(kept, walked)
         _assert_same_bits(last, walked[-1])
         if report is not None:
             stds, flagged = _erf_reference(gen, cell, cfg)
@@ -501,7 +548,7 @@ class TestWindowedWalk:
         probe = SpatialCapacity.dirac(n, n // 2)
         with mock.patch.object(np, "multiply", wraps=np.multiply) as multiply:
             with mock.patch.object(np, "add", wraps=np.add) as add:
-                last = evolve_markov(gen, cfg, probe, keep_all=False)
+                last = evolve_markov(gen, cfg, probe)
         # a step forms its three taps' terms in one multiply and adds them in two;
         # each argument holds the window's cells, or a row of them per tap
         calls = multiply.call_args_list + add.call_args_list

@@ -146,14 +146,19 @@ class TestNu:
         # such a sigma used to give "nu_hat": null, a traceback or a message about a matrix;
         # 1e-100 a "stderr" of 0 from squared products that underflow
         assert main(command + [f"pseudo_random:{sigma}"]) == 2
-        assert f"bad pseudo_random sigma '{sigma}'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"bad pseudo_random sigma '{sigma}'" in err
+        # the refusal names the limit the number is past
+        assert "sigma must be positive and in (1e-75, 1e+75)" in err
 
     @pytest.mark.parametrize("slope", ["nan", "inf", "-inf", "1e200", "1e154"])
     @pytest.mark.parametrize("command", [["nu"], ["nu", "--mc", "2000"], ["verify", "--activation"]])
     def test_bad_leaky_relu_slope_exits_2(self, capsys, command, slope):
         # nan and inf gave "nu": null, 1e200 an OverflowError and 1e154 a nu of 0
         assert main(command + [f"leaky_relu:{slope}"]) == 2
-        assert f"bad leaky_relu slope '{slope}'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"bad leaky_relu slope '{slope}'" in err
+        assert "must have a finite square" in err
 
     def test_missing_argument_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -885,7 +890,7 @@ class TestPde:
     def test_grid_past_two_profiles_exits_2_before_the_probe(self, capsys, command):
         # the probe of 2**45 cells died of numpy's MemoryError, with a traceback
         assert main([command, "--n", str(2**45)]) == 2
-        assert "holds two profiles, past the 2 GiB trajectory limit" in capsys.readouterr().err
+        assert "holds two profiles, past the 2 GiB limit" in capsys.readouterr().err
 
     def test_levels_requested_next_to_levels_reached(self, capsys):
         # eps * 2 * Dcoef doubles per level: 0.2, 0.4 and 0.8 are stable, 1.6 is not
@@ -1070,7 +1075,7 @@ class TestErf:
         assert "eps must be positive, got nan" in capsys.readouterr().err
 
     def test_walk_past_cell_step_limit_exits_2(self, capsys):
-        # erf holds one block of profiles, so no trajectory limit applies: 10**10
+        # erf holds one block of profiles, so only the step limits apply: 10**10
         # cell-steps run, and 300,001 steps of 100,001 cells are past 3*10**10
         assert main(["erf", "--n", "100001", "--L", "300001"]) == 2
         err = capsys.readouterr().err
@@ -1078,7 +1083,7 @@ class TestErf:
         assert "30,000,000,000 cell-steps" in err
 
     def test_walk_past_step_limit_exits_2(self, capsys):
-        # its 1.9 GB trajectory is inside the 2 GiB budget; 8*10**7 steps are not
+        # 2.4*10**8 cell-steps are inside the limit; 8*10**7 steps are not
         assert main(["erf", "--n", "3", "--L", "80000000"]) == 2
         assert "walk limit of 10,000,000 steps" in capsys.readouterr().err
 

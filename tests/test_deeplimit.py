@@ -13,18 +13,21 @@ from capnet.cli import parse_network_spec
 from capnet.core import SpatialCapacity
 from capnet.deeplimit import (
     _MAX_CLOSED_FORM_CELLS,
-    _TRAJECTORY_BUDGET_BYTES,
     ConvergenceReport,
     DeepLimitConfig,
     ResidualGenerator,
     StabilityError,
+    _generator_run,
     compare_markov_pde,
     evolve_markov,
     gaussian_solution,
 )
 from capnet.propagate import (
+    _BLOCK_BYTES,
+    _SEGMENT_VIEWS,
     PropagationOperator,
     Stencil,
+    _walk,
     propagate_chain,
     propagate_single,
 )
@@ -36,6 +39,12 @@ def _random_drift_chain(n, dcoef, eps, L, seed):
     layer = {"kind": "residual", "n_in": n, "n_out": n}
     layers = [dict(layer, weights=f"residual:{eps!r},{v!r},{dcoef!r}") for v in drifts]
     return parse_network_spec({"layers": layers, "top_capacity": "uniform"}).chain
+
+
+def _trajectory(gen, cfg, kappa):
+    """The (L+1) x n walk, row k after k steps: the walk's blocks stacked."""
+    blocks = [rows.copy() for rows in _walk(_generator_run(gen, cfg), kappa.values)]
+    return np.concatenate(blocks)
 
 
 def _dense_step(gen, eps):
@@ -130,7 +139,7 @@ class TestResidualGenerator:
         assert gen.matrix[5, 0] == 0.0
 
     def test_grid_past_two_profiles_refused(self):
-        # evolve_markov(keep_all=False) steps two profiles, of 2 GiB together here
+        # a walk's buffer holds two profiles at the least, of 2 GiB together here
         ResidualGenerator(2**27, 0.0, 1.0)
         with pytest.raises(ValueError, match="134,217,729 cells holds two profiles"):
             ResidualGenerator(2**27 + 1, 0.0, 1.0)
@@ -223,7 +232,7 @@ class TestEvolveMarkov:
         kappa = SpatialCapacity.dirac(21, 10)
         step = PropagationOperator(np.eye(21) + cfg.eps * gen.matrix)
         expected = propagate_single(step, kappa)
-        got = evolve_markov(gen, cfg, kappa)[1]
+        got = evolve_markov(gen, cfg, kappa)
         np.testing.assert_allclose(got, expected.values, rtol=1e-14, atol=0)
 
     @settings(max_examples=80, deadline=None)
@@ -240,7 +249,7 @@ class TestEvolveMarkov:
         gen = ResidualGenerator(n, 2.0 * dcoef * drift, dcoef, boundary)
         eps = fraction * gen.max_stable_eps()
         kappa = SpatialCapacity(np.random.default_rng(seed).random(n))
-        got = evolve_markov(gen, DeepLimitConfig(eps=eps, L=1), kappa)[1]
+        got = evolve_markov(gen, DeepLimitConfig(eps=eps, L=1), kappa)
         expected = _dense_step(gen, eps) @ kappa.values
         np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
         np.testing.assert_array_equal(got, gen.stencil(eps).apply(kappa.values))
@@ -262,7 +271,7 @@ class TestEvolveMarkov:
         np.testing.assert_array_equal(gen.stencil(eps).matrix, step)
         cfg = DeepLimitConfig(eps=eps, L=1)
         for j in range(n):
-            walked = evolve_markov(gen, cfg, SpatialCapacity.dirac(n, j))[1]
+            walked = evolve_markov(gen, cfg, SpatialCapacity.dirac(n, j))
             np.testing.assert_array_equal(walked, step[:, j])
 
     @settings(max_examples=40, deadline=None)
@@ -284,21 +293,12 @@ class TestEvolveMarkov:
         eps = fraction * gen.max_stable_eps()
         top = np.zeros(n)
         top[L + margin : L + margin + 3] = np.random.default_rng(seed).random(3)
-        walk = evolve_markov(gen, DeepLimitConfig(eps=eps, L=L), SpatialCapacity(top))
+        walk = _trajectory(gen, DeepLimitConfig(eps=eps, L=L), SpatialCapacity(top))
         stencil = gen.stencil(eps)
         stack = [top]
         for _ in range(L):
             stack.append(stencil.apply(stack[-1]))
         assert np.array(stack).tobytes() == walk.tobytes()
-
-    def test_trajectory_past_budget_refused(self):
-        # (L+1) * n * 8 bytes just over the budget; the check runs before allocating
-        n = 1001
-        L = _TRAJECTORY_BUDGET_BYTES // (8 * n)
-        gen = ResidualGenerator(n, 0.0, 1.0)
-        with pytest.raises(ValueError, match="2 GiB trajectory limit") as info:
-            evolve_markov(gen, DeepLimitConfig(eps=0.1, L=L), SpatialCapacity.dirac(n, 500))
-        assert not isinstance(info.value, StabilityError)
 
     @pytest.mark.parametrize("n, L", [(3, 10**7 + 1), (40_001, 10**6)])
     def test_walk_past_step_limits_refused(self, n, L):
@@ -306,53 +306,47 @@ class TestEvolveMarkov:
         gen = ResidualGenerator(n, 0.0, 1.0)
         cfg = DeepLimitConfig(eps=0.1, L=L)
         with pytest.raises(ValueError, match="walk limit"):
-            evolve_markov(gen, cfg, SpatialCapacity.dirac(n, 1), keep_all=False)
+            evolve_markov(gen, cfg, SpatialCapacity.dirac(n, 1))
 
     def test_profile_list_layout(self):
         gen = ResidualGenerator(11, 0.0, 1.0)
         kappa = SpatialCapacity.dirac(11, 5)
-        rows = evolve_markov(gen, DeepLimitConfig(eps=0.1, L=7), kappa)
+        cfg = DeepLimitConfig(eps=0.1, L=7)
+        rows = _trajectory(gen, cfg, kappa)
         assert rows.shape == (8, 11)
         np.testing.assert_array_equal(rows[0], kappa.values)
+        last = evolve_markov(gen, cfg, kappa)
+        assert last.shape == (11,)
+        np.testing.assert_array_equal(last, rows[-1])
 
     def test_mass_conserved_over_thousand_steps(self):
         gen = ResidualGenerator(51, 0.4, 0.9, "periodic")
-        rows = evolve_markov(
-            gen, DeepLimitConfig(eps=0.3, L=1000), SpatialCapacity.dirac(51, 25)
-        )
+        rows = _trajectory(gen, DeepLimitConfig(eps=0.3, L=1000), SpatialCapacity.dirac(51, 25))
         drift = np.abs(rows.sum(axis=1) - 1.0).max()
         assert drift <= 1e-9
 
     def test_profiles_stay_nonnegative(self):
         gen = ResidualGenerator(31, 0.5, 1.0, "reflecting")
-        rows = evolve_markov(
-            gen, DeepLimitConfig(eps=0.4, L=400), SpatialCapacity.dirac(31, 3)
-        )
+        rows = _trajectory(gen, DeepLimitConfig(eps=0.4, L=400), SpatialCapacity.dirac(31, 3))
         assert rows.min() >= 0.0
 
     def test_variance_grows_linearly(self):
         # var after l steps is 2*Dcoef*eps*l while no mass reaches the seam
         gen = ResidualGenerator(201, 0.0, 1.0, "periodic")
-        rows = evolve_markov(
-            gen, DeepLimitConfig(eps=0.1, L=100), SpatialCapacity.dirac(201, 100)
-        )
+        rows = _trajectory(gen, DeepLimitConfig(eps=0.1, L=100), SpatialCapacity.dirac(201, 100))
         for l in range(10, 101, 10):
             _, var = _moments(rows[l])
             assert var == pytest.approx(2.0 * 1.0 * 0.1 * l, rel=0.02)
 
     def test_dirac_spread_after_hundred_layers(self):
         gen = ResidualGenerator(201, 0.0, 1.0, "periodic")
-        final = evolve_markov(
-            gen, DeepLimitConfig(eps=0.1, L=100), SpatialCapacity.dirac(201, 100)
-        )[-1]
+        final = evolve_markov(gen, DeepLimitConfig(eps=0.1, L=100), SpatialCapacity.dirac(201, 100))
         _, var = _moments(final)
         assert math.sqrt(var) == pytest.approx(math.sqrt(20.0), rel=0.05)
 
     def test_drift_moves_the_mean(self):
         gen = ResidualGenerator(201, 0.2, 1.0, "periodic")
-        final = evolve_markov(
-            gen, DeepLimitConfig(eps=0.1, L=100), SpatialCapacity.dirac(201, 100)
-        )[-1]
+        final = evolve_markov(gen, DeepLimitConfig(eps=0.1, L=100), SpatialCapacity.dirac(201, 100))
         mean, _ = _moments(final)
         assert mean == pytest.approx(100.0 + 0.2 * 0.1 * 100, abs=1e-9)
 
@@ -365,24 +359,25 @@ class TestEvolveMarkov:
             profile = eigvecs @ (np.exp(eigvals * t) * (eigvecs.T @ start))
             _, var = _moments(profile)
             assert var == pytest.approx(2.0 * 0.7 * t, rel=1e-9)
-        markov = evolve_markov(
-            gen, DeepLimitConfig(eps=0.01, L=300), SpatialCapacity.dirac(121, 60)
-        )[-1]
+        cfg = DeepLimitConfig(eps=0.01, L=300)
+        markov = evolve_markov(gen, cfg, SpatialCapacity.dirac(121, 60))
         _, var_markov = _moments(markov)
         assert var_markov == pytest.approx(2.0 * 0.7 * 3.0, rel=1e-12)
 
-    def test_kept_walk_holds_its_trajectory_and_little_more(self):
-        # 200,001 rows of 3 cells are 4.6 MiB; the walk's views of every row,
-        # held in one Python list, peaked at 128 MiB
+    def test_long_walk_holds_a_block_and_a_lap_of_views(self):
+        # the walk laps a buffer of 10,922 rows of 3 cells, more than _SEGMENT_VIEWS,
+        # 18 times; its views of every row, held in one Python list, peaked at 128 MiB
         gen = ResidualGenerator(3, 0.0, 0.25)
         cfg = DeepLimitConfig(eps=0.1, L=200_000)
+        assert _BLOCK_BYTES // (3 * 8) > _SEGMENT_VIEWS
         tracemalloc.start()
         try:
             evolve_markov(gen, cfg, SpatialCapacity.dirac(3, 1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (cfg.L + 1) * 3 * 8 + 2**20
+        # a view and its pair come to under 256 bytes a step
+        assert peak <= _BLOCK_BYTES + _SEGMENT_VIEWS * 256
 
     def test_unstable_eps_rejected_with_bound(self):
         gen = ResidualGenerator(11, 0.0, 1.0)
@@ -681,7 +676,7 @@ class TestCompareMarkovPde:
         cfg = DeepLimitConfig(eps=0.1, L=50)
         kappa = SpatialCapacity.dirac(101, 50)
         report = compare_markov_pde(gen, cfg, kappa, refinements=1)
-        final = evolve_markov(gen, cfg, kappa, keep_all=False)
+        final = evolve_markov(gen, cfg, kappa)
         _, var = _moments(final)
         assert report.markov_std == math.sqrt(var)
 
@@ -719,7 +714,8 @@ class TestCompareMarkovPde:
         assert peak < 8 * 2**20
 
     def test_levels_step_two_buffers(self):
-        # the trajectory of 2001 profiles would be 64 MB; only the last is read
+        # the trajectory of 2001 profiles would be 64 MB; the walk holds a block of
+        # 8 rows, 256 KiB, and only the last profile is read
         gen = ResidualGenerator(4001, 0.0, 1.0)
         cfg = DeepLimitConfig(eps=0.1, L=2000)
         tracemalloc.start()
@@ -735,8 +731,8 @@ class TestCompareMarkovPde:
         gen = ResidualGenerator(31, 0.4, 1.0, "reflecting")
         cfg = DeepLimitConfig(eps=0.2, L=L)
         kappa = SpatialCapacity(np.random.default_rng(L).random(31))
-        last = evolve_markov(gen, cfg, kappa, keep_all=False)
-        np.testing.assert_array_equal(last, evolve_markov(gen, cfg, kappa)[-1])
+        last = evolve_markov(gen, cfg, kappa)
+        np.testing.assert_array_equal(last, _trajectory(gen, cfg, kappa)[-1])
 
     def test_finer_level_past_walk_limit_refused_before_any_walk(self):
         # level 7 is 128,000 steps of 256,001 cells, past 3*10**10 cell-steps;

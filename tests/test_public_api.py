@@ -65,3 +65,17 @@ def test_no_module_imports_openssl_outside_an_import_error_fallback():
             assert not heavy or id(node) in fallbacks, (
                 f"{path.name}:{node.lineno} imports {sorted(heavy)} outside an ImportError fallback"
             )
+
+
+def test_only_propagate_drives_the_stencil_step():
+    # _stepper's window contract (+0.0 ghosts outside a window, wrap or fold only
+    # on the whole grid) is kept by propagate's one walker, so no other module steps
+    for path in sorted(pathlib.Path(capnet.__file__).parent.glob("*.py")):
+        if path.name == "propagate.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            # an attribute, a name, or an imported name
+            names = {getattr(node, "attr", None), getattr(node, "id", None)}
+            if isinstance(node, ast.alias):
+                names.add(node.name)
+            assert "_stepper" not in names, f"{path.name}:{node.lineno} references _stepper"
